@@ -5,8 +5,9 @@ from .adversary import (Adversary, AdversaryError, AgreementFunction,
                         AgreementFunctionError, FairnessVerdict,
                         UnfairAdversaryError,
                         adversary_from_dict, adversary_to_dict,
-                        agreement_function, check_fairness, classify, csize,
-                        enumerate_adversaries, hitting_number, is_fair,
+                        agreement_function, alpha_to_dict, check_fairness,
+                        classify, csize, enumerate_adversaries,
+                        hitting_number, is_fair,
                         is_superset_closed, is_symmetric, make_k_of,
                         make_superset_closed, make_symmetric,
                         make_t_resilient, require_fair, restrict, restrict2,
@@ -17,8 +18,8 @@ from .affine import (AffineTask, CriticalData, build_r_a, build_r_kof,
                      is_critical, task_to_dict, variant_divergence_report,
                      verify_cs_distribution, verify_single_carrier)
 from .complexes import (ChromaticComplex, ComplexError, Simplex, Vertex,
-                        closure, complex_from_dict, complex_to_dict, facets,
-                        is_pure, pure_complement, skeleton, star)
+                        closure, complex_from_dict, complex_to_dict, is_pure,
+                        pure_complement)
 from .leader import (LeaderError, delta_q, gamma_q, mu_q, verify_leader,
                      verify_mu_agreement, verify_mu_robustness,
                      verify_mu_validity)
@@ -26,10 +27,10 @@ from .render import render_complex_svg, render_off
 from .reports import VerificationReport
 from .simulate import (Exploration, ProtocolModel, SimulationError,
                        StateCapExceeded, check_liveness, check_model,
-                       check_safety, compose_runs, events_from_jsonable,
+                       check_safety, events_from_jsonable,
                        events_to_jsonable, finish_predicate, replay,
-                       run_projection, state_cap_from_env,
-                       valid_participations, wait_predicate)
+                       state_cap_from_env, valid_participations,
+                       wait_predicate)
 from .subdivision import (build_chr, carrier, carrier_step, chr2_complex,
                           chr_complex, chr_vertex, facet_to_partition,
                           geometry, ordered_set_partitions,

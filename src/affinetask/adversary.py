@@ -346,7 +346,17 @@ def adversary_to_dict(adv: Adversary) -> dict:
     }
 
 
+def alpha_to_dict(alpha: AgreementFunction) -> dict[str, int]:
+    """{"1,2": alpha({1, 2}), ...}, ordered by (size, members)."""
+    return {",".join(map(str, sorted(P))): a
+            for P, a in sorted(alpha.values().items(),
+                               key=lambda kv: (len(kv[0]), sorted(kv[0])))}
+
+
 def adversary_from_dict(data: dict) -> Adversary:
+    if not isinstance(data, dict):
+        raise AdversaryError(
+            f"adversary description must be a JSON object, got {type(data).__name__}")
     try:
         n = int(data["n"])
         kind = data.get("kind", "explicit")
@@ -363,4 +373,6 @@ def adversary_from_dict(data: dict) -> Adversary:
             return make_k_of(n, int(data["k"]))
     except KeyError as exc:
         raise AdversaryError(f"adversary description missing field {exc}") from exc
+    except TypeError as exc:
+        raise AdversaryError(f"malformed adversary description: {exc}") from exc
     raise AdversaryError(f"unknown adversary kind {data.get('kind')!r}")

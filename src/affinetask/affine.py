@@ -14,9 +14,10 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .adversary import (Adversary, AdversaryError, AgreementFunction,
-                        agreement_function, hitting_number, require_fair)
+                        agreement_function, alpha_to_dict, hitting_number,
+                        require_fair)
 from .complexes import (ChromaticComplex, ComplexError, Simplex, Vertex,
-                        closure, pure_complement)
+                        closure, complex_to_dict, pure_complement)
 from .reports import VerificationReport
 from .subdivision import carrier, carrier_step, chr2_complex, chr_complex, view1, view2
 
@@ -289,15 +290,9 @@ def concurrency_levels(adv: Adversary) -> dict[Simplex, int]:
 def task_to_dict(task: AffineTask) -> dict:
     """Serialize a task as a complex document with task metadata on top,
     so any consumer of the complex schema can read it unchanged."""
-    from .complexes import complex_to_dict
-
     out = complex_to_dict(task.complex)
     out["name"] = task.name
     out["combine"] = task.combine
     if task.alpha is not None:
-        out["alpha"] = {
-            ",".join(map(str, sorted(P))): a
-            for P, a in sorted(task.alpha.values().items(),
-                               key=lambda kv: (len(kv[0]), sorted(kv[0])))
-        }
+        out["alpha"] = alpha_to_dict(task.alpha)
     return out

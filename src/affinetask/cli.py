@@ -17,17 +17,17 @@ from pathlib import Path
 from typing import Iterable
 
 from .adversary import (Adversary, AdversaryError, adversary_from_dict,
-                        adversary_to_dict, agreement_function, check_fairness,
-                        classify, enumerate_adversaries, make_k_of, setcon,
-                        verify_fair_subtraction)
+                        adversary_to_dict, agreement_function, alpha_to_dict,
+                        check_fairness, classify, enumerate_adversaries,
+                        make_k_of, setcon, verify_fair_subtraction)
 from .affine import (AffineTask, build_r_a, concurrency_levels, task_to_dict,
                      variant_divergence_report, verify_cs_distribution,
                      verify_single_carrier)
-from .complexes import (ChromaticComplex, ComplexError, complex_from_dict,
-                        complex_to_dict)
+from .complexes import (MAX_PROCESSES, ChromaticComplex, ComplexError,
+                        complex_from_dict, complex_to_dict)
 from .leader import LeaderError, verify_leader
 from .render import HIGHLIGHT_COLORS, render_complex_svg, render_off
-from .simulate import (DONE, ProtocolModel, SimulationError, StateCapExceeded,
+from .simulate import (ProtocolModel, SimulationError, StateCapExceeded,
                        check_liveness, check_model, check_safety,
                        events_from_jsonable, events_to_jsonable, replay,
                        state_cap_from_env, valid_participations)
@@ -103,6 +103,14 @@ def cmd_chr(args) -> int:
 
 def cmd_adv(args) -> int:
     if args.action == "classify":
+        # range first: the family count below is 2^(2^n - 1)
+        if not 1 <= args.n <= MAX_PROCESSES:
+            raise AdversaryError(f"n={args.n} out of range 1..{MAX_PROCESSES}")
+        families, cap = 1 << ((1 << args.n) - 1), state_cap_from_env()
+        if families > cap:
+            raise StateCapExceeded(
+                f"adv classify --n {args.n} would enumerate {families} "
+                f"families, over the cap {cap}")
         rows = [classify(a) for a in enumerate_adversaries(args.n)]
         _dump({"n": args.n, "count": len(rows), "rows": rows}, args.out)
         return 0
@@ -113,11 +121,8 @@ def cmd_adv(args) -> int:
         _dump({"setcon": setcon(adv)}, args.out)
         return 0
     if args.action == "alpha":
-        alpha = agreement_function(adv)
-        table = {",".join(map(str, sorted(P))): a
-                 for P, a in sorted(alpha.values().items(),
-                                    key=lambda kv: (len(kv[0]), sorted(kv[0])))}
-        _dump({"n": adv.n, "alpha": table}, args.out)
+        _dump({"n": adv.n, "alpha": alpha_to_dict(agreement_function(adv))},
+              args.out)
         return 0
     if args.action == "fair":
         verdict = check_fairness(adv)
@@ -197,31 +202,24 @@ def cmd_simulate_check(args) -> int:
                "fault_budget": model.fault_budget,
                "states": exploration.state_count,
                "terminals": len(exploration.terminals)}
+        reports = []
         if want_safety:
-            rep = check_safety(model, exploration, task)
-            row["safety"] = rep.to_dict()
-            ok = ok and rep.ok
+            reports.append(check_safety(model, exploration, task))
         if want_liveness:
-            rep = check_liveness(model, exploration)
-            row["liveness"] = rep.to_dict()
+            reports.append(check_liveness(model, exploration))
+        for rep in reports:
+            row[rep.kind] = rep.to_dict()
             ok = ok and rep.ok
         doc["participations"].append(row)
         if trace_dir is not None:
+            bad = {state for rep in reports for state in rep.states}
+            stem = "trace_" + "".join(map(str, sorted(P)))
             for k, term in enumerate(exploration.terminals):
-                crashed = model._crashed_mask(term)
-                stuck = [i + 1 for i in range(model.n)
-                         if (model.pmask >> i) & 1 and not (crashed >> i) & 1
-                         and model._prog(term, i) != DONE]
-                sigma = model.output_simplex(term)
-                bad = (want_liveness and stuck) or (
-                    want_safety and sigma is not None
-                    and sigma not in task.complex)
-                if bad:
+                if term in bad:
                     events = model.trace_to(term, exploration.parents)
-                    name = "trace_" + "".join(map(str, sorted(P))) + f"_{k}.json"
                     _dump({"participation": sorted(P),
                            "events": events_to_jsonable(events)},
-                          str(trace_dir / name))
+                          str(trace_dir / f"{stem}_{k}.json"))
     _dump(doc, args.out)
     return 0 if ok else 1
 
@@ -229,14 +227,18 @@ def cmd_simulate_check(args) -> int:
 def cmd_simulate_replay(args) -> int:
     adv = _load_adversary(args.adversary)
     payload = _load_json(args.trace)
-    part = ([int(x) for x in payload["participation"]]
-            if "participation" in payload else None)
+    try:
+        part = ([int(x) for x in payload["participation"]]
+                if "participation" in payload else None)
+        events = events_from_jsonable(payload["events"])
+    except (TypeError, AttributeError) as exc:
+        raise SimulationError(f"malformed trace {args.trace}: {exc}") from exc
     if args.participation:
         part = sorted(_parse_colors(args.participation))
     model = ProtocolModel(adv, participation=part,
                           fault_budget=args.fault_budget,
                           max_states=state_cap_from_env())
-    state = replay(model, events_from_jsonable(payload["events"]))
+    state = replay(model, events)
     _dump(model.decode(state), args.out)
     return 0
 

@@ -179,28 +179,10 @@ def closure(simplices: Iterable[Simplex], n: int | None = None) -> ChromaticComp
     return ChromaticComplex(n=n, facets=frozenset(_maximal(sims)))
 
 
-def facets(K: ChromaticComplex) -> frozenset[Simplex]:
-    return K.facets
-
-
 def is_pure(K: ChromaticComplex) -> bool:
     """True when every facet has the complex's dimension."""
     dims = {f.dim for f in K.facets}
     return len(dims) <= 1
-
-
-def star(simplices: Iterable[Simplex], K: ChromaticComplex) -> frozenset[Simplex]:
-    """All simplices of K having some member of `simplices` as a face.
-
-    Not inclusion-closed in general.
-    """
-    sims = list(simplices)
-    for s in sims:
-        if s not in K:
-            raise ComplexError(f"star argument {s!r} is not a simplex of K")
-    return frozenset(
-        sigma for sigma in K._simplex_set
-        if any(sigma.has_face(s) for s in sims))
 
 
 def pure_complement(simplices: Iterable[Simplex], K: ChromaticComplex) -> ChromaticComplex:
@@ -214,19 +196,6 @@ def pure_complement(simplices: Iterable[Simplex], K: ChromaticComplex) -> Chroma
     kept = [f for f in K.facets
             if not any(f.has_face(s) for s in sims)]
     return ChromaticComplex(n=K.n, facets=frozenset(kept))
-
-
-def skeleton(k: int, K: ChromaticComplex) -> ChromaticComplex:
-    """Sub-complex of all simplices of dimension at most k."""
-    if k < 0:
-        return ChromaticComplex(n=K.n, facets=frozenset())
-    cand: set[Simplex] = set()
-    for f in K.facets:
-        if f.dim <= k:
-            cand.add(f)
-        else:
-            cand.update(Simplex(c) for c in combinations(f.vertices, k + 1))
-    return ChromaticComplex(n=K.n, facets=frozenset(_maximal(cand)))
 
 
 # --- JSON form -------------------------------------------------------------
@@ -264,8 +233,9 @@ def complex_to_dict(K: ChromaticComplex) -> dict:
 def complex_from_dict(data: dict) -> ChromaticComplex:
     from .subdivision import chr_vertex, standard_simplex  # cycle-free at call time
 
-    n = data["n"]
-    base = {v.color: v for v in standard_simplex(n).vertices}
+    if not isinstance(data, dict):
+        raise ComplexError(
+            f"complex document must be a JSON object, got {type(data).__name__}")
 
     def decode_vertex(color: int, enc: Any) -> Vertex:
         if enc is None:
@@ -276,12 +246,19 @@ def complex_from_dict(data: dict) -> ChromaticComplex:
         carrier = Simplex(tuple(decode_vertex(c, sub) for c, sub in enc))
         return chr_vertex(color, carrier)
 
-    by_uid: dict[str, Vertex] = {}
-    for item in data["vertices"]:
-        v = decode_vertex(item["color"], item["payload"])
-        if v.uid != item["uid"]:
-            raise ComplexError(f"uid mismatch: {item['uid']!r} vs {v.uid!r}")
-        by_uid[v.uid] = v
-    facet_set = frozenset(
-        Simplex(tuple(by_uid[u] for u in uids)) for uids in data["facets"])
+    try:
+        n = data["n"]
+        base = {v.color: v for v in standard_simplex(n).vertices}
+        by_uid: dict[str, Vertex] = {}
+        for item in data["vertices"]:
+            v = decode_vertex(item["color"], item["payload"])
+            if v.uid != item["uid"]:
+                raise ComplexError(f"uid mismatch: {item['uid']!r} vs {v.uid!r}")
+            by_uid[v.uid] = v
+        facet_set = frozenset(
+            Simplex(tuple(by_uid[u] for u in uids)) for uids in data["facets"])
+    except KeyError as exc:
+        raise ComplexError(f"complex document: missing or unknown {exc}") from exc
+    except TypeError as exc:
+        raise ComplexError(f"malformed complex document: {exc}") from exc
     return ChromaticComplex(n=n, facets=facet_set)

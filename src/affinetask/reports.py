@@ -10,6 +10,9 @@ class VerificationReport:
     checked: int = 0
     violations: list[dict] = field(default_factory=list)
     info: dict = field(default_factory=dict)
+    # a report over one exploration keeps the packed terminal state of each
+    # violation here, in exploration order; never serialized
+    states: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .adversary import Adversary, agreement_function
@@ -132,6 +131,8 @@ class ProtocolModel:
                 f"participation {sorted(part)} has agreement level 0; nothing can run")
         if fault_budget is None:
             fault_budget = self.alpha.of_mask(self.pmask) - 1
+        if fault_budget < 0:
+            raise SimulationError(f"fault budget must be >= 0, got {fault_budget}")
         self.fault_budget = fault_budget
         self.max_states = max_states
         n = self.n
@@ -168,7 +169,7 @@ class ProtocolModel:
         procs = {}
         fb = self._blocks(state, self._off_fblk)
         sb = self._blocks(state, self._off_sblk)
-        is1 = self._is1_views(fb)
+        is1 = self._views(fb)
         for i in range(n):
             if not (self.pmask >> i) & 1:
                 continue
@@ -189,11 +190,11 @@ class ProtocolModel:
             "processes": procs,
         }
 
-    def _is1_views(self, fblocks: list[int]) -> list[int]:
-        """Per-process first-round view mask (0 if not committed)."""
+    def _views(self, blocks: list[int]) -> list[int]:
+        """Per-process view mask of one round's blocks (0 if not committed)."""
         views = [0] * self.n
         prefix = 0
-        for blk in fblocks:
+        for blk in blocks:
             prefix |= blk
             for i in iter_bits(blk):
                 views[i] = prefix
@@ -203,7 +204,7 @@ class ProtocolModel:
         """(prog, reg_is1, is2_written, conc) register arrays of a state."""
         n = self.n
         fb = self._blocks(state, self._off_fblk)
-        is1 = self._is1_views(fb)
+        is1 = self._views(fb)
         prog = [self._prog(state, i) for i in range(n)]
         reg_is1 = [is1[i] if prog[i] >= WROTE1 else 0 for i in range(n)]
         is2_written = [prog[i] >= WROTE2 for i in range(n)]
@@ -303,9 +304,6 @@ class ProtocolModel:
                 return s2
         raise SimulationError(f"event {want!r} is not enabled")
 
-    def is_terminal(self, state: int) -> bool:
-        return not any(ev[0] != "crash" for ev, _ in self.successors(state))
-
     # --- exploration -----------------------------------------------------
 
     def explore(self, track_parents: bool = False) -> Exploration:
@@ -346,15 +344,8 @@ class ProtocolModel:
 
     def outputs(self, state: int) -> list[tuple[int, int]]:
         """(process, second-round prefix mask) of every returned process."""
-        n = self.n
-        sb = self._blocks(state, self._off_sblk)
-        spfx = [0] * n
-        prefix = 0
-        for blk in sb:
-            prefix |= blk
-            for i in iter_bits(blk):
-                spfx[i] = prefix
-        return [(i + 1, spfx[i]) for i in range(n)
+        spfx = self._views(self._blocks(state, self._off_sblk))
+        return [(i + 1, spfx[i]) for i in range(self.n)
                 if self._prog(state, i) == DONE]
 
     def output_simplex(self, state: int) -> Simplex | None:
@@ -363,7 +354,7 @@ class ProtocolModel:
         if not outs:
             return None
         fb = self._blocks(state, self._off_fblk)
-        is1 = self._is1_views(fb)
+        is1 = self._views(fb)
         base = {v.color: v for v in standard_simplex(self.n).vertices}
 
         def chr1(q: int) -> "Simplex":
@@ -391,7 +382,10 @@ def valid_participations(adv: Adversary) -> list[frozenset[int]]:
 
 
 def check_liveness(model: ProtocolModel, exploration: Exploration) -> VerificationReport:
-    """No reachable quiescent state may strand a non-crashed process."""
+    """No reachable quiescent state may strand a non-crashed process.
+
+    report.states holds the stuck terminal states, one per violation.
+    """
     report = VerificationReport(kind="liveness", info={
         "participation": sorted(model.participation),
         "fault_budget": model.fault_budget,
@@ -405,12 +399,16 @@ def check_liveness(model: ProtocolModel, exploration: Exploration) -> Verificati
                  if not (crashed >> i) & 1 and model._prog(state, i) != DONE]
         if stuck:
             report.add(stuck=stuck, state=model.decode(state))
+            report.states.append(state)
     return report
 
 
 def check_safety(model: ProtocolModel, exploration: Exploration,
                  task: AffineTask) -> VerificationReport:
-    """Returned views of every quiescent state form a face of the task."""
+    """Returned views of every quiescent state form a face of the task.
+
+    report.states holds the unsafe terminal states, one per violation.
+    """
     chr2 = chr2_complex(model.n)
     report = VerificationReport(kind="safety", info={
         "participation": sorted(model.participation),
@@ -418,26 +416,23 @@ def check_safety(model: ProtocolModel, exploration: Exploration,
         "states": exploration.state_count,
         "terminals": len(exploration.terminals),
     })
-    seen: dict[tuple, bool] = {}
+    # the output simplex depends only on the returned prefixes and the
+    # round-one views; remember it per key when it is unsafe, else None
+    unsafe: dict[tuple, Simplex | None] = {}
     for state in exploration.terminals:
         report.checked += 1
         key = (tuple(model.outputs(state)),
-               tuple(model._is1_views(model._blocks(state, model._off_fblk))))
-        cached = seen.get(key)
-        if cached is not None:
-            ok = cached
-        else:
+               tuple(model._views(model._blocks(state, model._off_fblk))))
+        if key not in unsafe:
             sigma = model.output_simplex(state)
-            if sigma is None:
-                ok = True
-            else:
-                ok = sigma in chr2 and sigma in task.complex
-            seen[key] = ok
-        if not ok:
-            sigma = model.output_simplex(state)
+            ok = sigma is None or (sigma in chr2 and sigma in task.complex)
+            unsafe[key] = None if ok else sigma
+        sigma = unsafe[key]
+        if sigma is not None:
             report.add(outputs=list(sigma.uids),
                        in_subdivision=sigma in chr2,
                        state=model.decode(state))
+            report.states.append(state)
     return report
 
 
@@ -476,38 +471,6 @@ def check_model(adv: Adversary, task: AffineTask,
     safety.info["participations"] = len(rows)
     liveness.info["participations"] = len(rows)
     return safety, liveness, rows
-
-
-# --- iterated runs --------------------------------------------------------------
-
-
-def compose_runs(task: AffineTask, m: int, max_runs: int = 1_000_000
-                 ) -> list[tuple[Simplex, ...]]:
-    """All m-iteration runs of the task: every facet sequence, with each
-    process feeding its round-i output into round i+1.
-
-    The schedule of a later iteration is unconstrained by earlier ones, so
-    the run set is the m-fold product of the facets; the per-process chaining
-    is positional (its vertex in facet i is its input to facet i+1).
-    """
-    if m < 1:
-        raise SimulationError("need at least one iteration")
-    fs = task.complex.sorted_facets()
-    if len(fs) ** m > max_runs:
-        raise StateCapExceeded(
-            f"{len(fs)}^{m} composed runs exceed the budget {max_runs}")
-    return list(product(fs, repeat=m))
-
-
-def run_projection(run: Sequence[Simplex], process: int) -> list:
-    """The per-iteration vertices of one process along a composed run."""
-    out = []
-    for facet in run:
-        matches = [v for v in facet if v.color == process]
-        if not matches:
-            raise SimulationError(f"process {process} absent from {facet!r}")
-        out.append(matches[0])
-    return out
 
 
 # --- traces ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately written against different primitives than
-the package: partition counting via the surjection formula, star/complement
-via brute-force filtering, the resilient task via a per-vertex view filter,
-the level-two contention gap via carriers and colors.
+the package: partition counting via the surjection formula, the pure
+complement via brute-force filtering, the resilient task via a per-vertex
+view filter, the level-two contention gap via carriers and colors.
 """
 from __future__ import annotations
 
@@ -38,18 +38,6 @@ def ordered_partitions_by_merging(items: tuple) -> list[tuple[tuple, ...]]:
             blocks.append(tuple(sorted(cur)))
             out.add(tuple(blocks))
     return sorted(out)
-
-
-def star_brute(simplices, K: ChromaticComplex) -> list[Simplex]:
-    """Simplices of K having a member of the given set as a face, found by
-    enumerating every face of every facet."""
-    wanted = set(simplices)
-    out = set()
-    for facet in K.facets:
-        for sigma in facet.faces():
-            if any(sigma.has_face(s) for s in wanted):
-                out.add(sigma)
-    return sorted(out, key=lambda s: (len(s), s.uids))
 
 
 def pure_complement_brute(simplices, K: ChromaticComplex) -> set[Simplex]:

@@ -161,14 +161,21 @@ def test_acceptance_6_structure_lemmas(capsys, fair_live_adversaries):
 
 
 def test_acceptance_7_leader_properties(capsys, fair_live_adversaries):
+    """Validity, bounded agreement, and robustness, exhaustively at n=3."""
     violations = 0
+    first = None
     for adv in fair_live_adversaries:
         task = build_r_a(adv)
         for report in verify_leader(adv, task):
             violations += len(report.violations)
+            if report.violations and first is None:
+                first = (adv, report.kind, report.violations[:3])
+    detail = f" ({len(fair_live_adversaries)} fair live families"
+    if first is not None:
+        adv, kind, sample = first
+        detail += f"; {violations} violations, first in {adv!r} {kind}: {sample}"
     verdict(capsys, "leader validity, agreement, robustness",
-            violations == 0,
-            detail=f" ({len(fair_live_adversaries)} fair live families)")
+            violations == 0, detail=detail + ")")
 
 
 def test_acceptance_8_protocol_model_check(capsys, fixture_adversaries,

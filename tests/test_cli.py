@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -26,6 +27,12 @@ REPRO_FILES = [
 def run_json(capsys, argv) -> tuple[int, dict]:
     code = main(argv)
     return code, json.loads(capsys.readouterr().out)
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 # --- chr -------------------------------------------------------------------------
@@ -76,6 +83,14 @@ def test_chr_rejects_foreign_highlight(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_malformed_highlight_file_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1]")
+    assert main(["chr", "--n", "3", "--format", "svg", "--highlight",
+                 str(bad), "--out", str(tmp_path / "x.svg")]) == 2
+    assert "complex document" in one_error_line(capsys)
+
+
 def test_chr_dimension_four_emits_a_mesh(capsys):
     assert main(["chr", "--n", "4", "--format", "svg"]) == 0
     out = capsys.readouterr().out
@@ -113,6 +128,19 @@ def test_adv_classify_sweep(capsys):
     assert sum(r["fair"] for r in doc["rows"]) == 6
 
 
+def test_adv_classify_is_bounded_by_the_cap(monkeypatch, capsys):
+    monkeypatch.delenv(STATE_CAP_ENV, raising=False)
+    # 2^31 families at n=5: refused before any is enumerated
+    assert main(["adv", "classify", "--n", "5"]) == 2
+    assert "2147483648 families" in capsys.readouterr().err
+    monkeypatch.setenv(STATE_CAP_ENV, "128")
+    code, doc = run_json(capsys, ["adv", "classify", "--n", "3"])
+    assert (code, doc["count"]) == (0, 128)
+    assert main(["adv", "classify", "--n", "4"]) == 2
+    assert "cap 128" in capsys.readouterr().err
+    assert main(["adv", "classify", "--n", "0"]) == 2
+
+
 def test_adv_requires_adversary_file(capsys):
     assert main(["adv", "setcon"]) == 2
     assert "needs --adversary" in capsys.readouterr().err
@@ -120,6 +148,14 @@ def test_adv_requires_adversary_file(capsys):
 
 def test_missing_file_is_an_input_error(capsys):
     assert main(["adv", "setcon", "--adversary", "no/such/file.json"]) == 2
+
+
+@pytest.mark.parametrize("doc", [{"n": 3, "live_sets": 5}, [1, 2]])
+def test_malformed_adversary_file_is_an_input_error(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["adv", "setcon", "--adversary", str(bad)]) == 2
+    assert "adversary description" in one_error_line(capsys)
 
 
 # --- affine ----------------------------------------------------------------------
@@ -196,6 +232,20 @@ def test_simulate_traces_round_trip_through_replay(tmp_path, capsys):
     assert "Crashed" in states
 
 
+def test_malformed_trace_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "trace.json"
+    bad.write_text(json.dumps({"participation": [1, 2], "events": 5}))
+    assert main(["simulate", "replay", "--adversary", OF1,
+                 "--trace", str(bad)]) == 2
+    assert "malformed trace" in one_error_line(capsys)
+
+
+def test_simulate_rejects_negative_fault_budget(capsys):
+    assert main(["simulate", "check", "--adversary", OF1,
+                 "--participation", "1,2", "--fault-budget", "-1"]) == 2
+    assert "fault budget" in one_error_line(capsys)
+
+
 def test_simulate_respects_state_cap_env(monkeypatch, capsys):
     monkeypatch.setenv(STATE_CAP_ENV, "10")
     assert main(["simulate", "check", "--adversary", OF1,
@@ -207,15 +257,16 @@ def test_simulate_respects_state_cap_env(monkeypatch, capsys):
 
 
 def test_repro_bundle_is_byte_identical(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
+    """One bundle: its contents, and a manifest whose digests match the bytes
+    on disk. Acceptance check 9 compares two bundles byte for byte."""
+    a = tmp_path / "a"
     assert main(["repro", "--out", str(a)]) == 0
-    assert main(["repro", "--out", str(b)]) == 0
     names = sorted(p.name for p in a.iterdir())
     assert names == sorted(REPRO_FILES + ["manifest.json"])
-    for name in names:
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
     manifest = json.loads((a / "manifest.json").read_text())
     assert sorted(manifest["files"]) == sorted(REPRO_FILES)
+    for name, digest in manifest["files"].items():
+        assert hashlib.sha256((a / name).read_bytes()).hexdigest() == digest, name
     classification = json.loads((a / "classification.json").read_text())
     assert classification["count"] == 128
     affine_doc = json.loads((a / "affine_report.json").read_text())

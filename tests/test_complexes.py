@@ -3,11 +3,10 @@ from __future__ import annotations
 import pytest
 
 from affinetask import (ChromaticComplex, ComplexError, Simplex, Vertex,
-                        chr_complex, closure, complex_from_dict,
-                        complex_to_dict, facets, is_pure, pure_complement,
-                        skeleton, standard_simplex, star)
+                        closure, complex_from_dict, complex_to_dict, is_pure,
+                        pure_complement, standard_simplex)
 
-from oracles import pure_complement_brute, star_brute
+from oracles import pure_complement_brute
 
 
 def v(uid: str, color: int) -> Vertex:
@@ -44,7 +43,6 @@ def test_closure_and_facets_drop_contained_simplices():
     K = closure([s3, edge])
     assert K.facets == frozenset({s3})
     assert edge in K
-    assert facets(closure([s3, edge])) == frozenset({s3})
 
 
 def test_complex_contains_only_faces():
@@ -62,39 +60,6 @@ def test_is_pure():
     assert not is_pure(ChromaticComplex(3, frozenset({s3, lonely})))
 
 
-def test_star_of_vertex_in_triangle():
-    s3 = base_facet(3)
-    K = closure([s3])
-    seed = Simplex((s3.vertices[0],))
-    got = star([seed], K)
-    assert len(got) == 4
-    assert all(g.has_face(seed) for g in got)
-    assert seed in got
-
-
-def test_star_matches_brute_force(chr_3):
-    center = sorted(chr_3.vertices, key=lambda u: u.uid)[0]
-    seed = [Simplex((center,))]
-    got = star(seed, chr_3)
-    assert sorted(got, key=lambda s: (len(s), s.uids)) == star_brute(seed, chr_3)
-    assert set(seed) <= set(got)
-
-
-def test_star_requires_membership(chr_3):
-    with pytest.raises(ComplexError):
-        star([Simplex((v("nope", 1),))], chr_3)
-
-
-def test_star_is_not_inclusion_closed(chr_3):
-    # every star member contains the seed vertex, so faces that drop the
-    # seed are missing: the star is not a complex
-    center = max(chr_3.vertices, key=lambda u: len(u.uid))
-    got = star([Simplex((center,))], chr_3)
-    assert all(center in s.vertices for s in got)
-    faces_of_members = {f for s in got for f in s.faces()}
-    assert not faces_of_members <= got
-
-
 def test_pure_complement_matches_brute_force(chr_3):
     seeds = [s for s in chr_3.simplices() if s.dim == 1][:5]
     got = pure_complement(seeds, chr_3)
@@ -107,15 +72,6 @@ def test_pure_complement_requires_pure():
     K = ChromaticComplex(3, frozenset({s3, lonely}))
     with pytest.raises(ComplexError):
         pure_complement([], K)
-
-
-def test_skeleton_dimensions(chr_3):
-    for k in (0, 1, 2):
-        sk = skeleton(k, chr_3)
-        assert sk.dim == k
-        assert all(f.dim == k for f in sk.facets)
-    assert skeleton(-1, chr_3).facets == frozenset()
-    assert skeleton(5, chr_3).facets == chr_3.facets
 
 
 def test_vertex_color_range_enforced():

@@ -6,11 +6,11 @@ import pytest
 
 from affinetask import (ProtocolModel, SimulationError, StateCapExceeded,
                         build_r_a, check_liveness, check_model, check_safety,
-                        chr2_complex, compose_runs, events_from_jsonable,
-                        events_to_jsonable, make_k_of, make_t_resilient,
-                        replay, run_projection, state_cap_from_env,
-                        two_round_facet, valid_participations, wait_predicate)
-from affinetask.simulate import DONE, STATE_CAP_ENV
+                        chr2_complex, events_from_jsonable, events_to_jsonable,
+                        make_k_of, make_t_resilient, replay,
+                        state_cap_from_env, two_round_facet,
+                        valid_participations, wait_predicate)
+from affinetask.simulate import STATE_CAP_ENV
 
 
 # --- tiny instances, exactly ----------------------------------------------------
@@ -53,7 +53,7 @@ def test_synchronized_schedule_reaches_the_synchronized_facet():
         ("step", 1), ("step", 2),
     ]
     state = replay(model, events)
-    assert model.is_terminal(state)
+    assert state in model.explore().terminals
     assert model.outputs(state) == [(1, 3), (2, 3)]
     assert model.output_simplex(state) == two_round_facet(((1, 2),), ((1, 2),), 2)
 
@@ -146,16 +146,18 @@ def test_liveness_fails_when_crashes_exceed_budget():
     exploration = model.explore(track_parents=True)
     report = check_liveness(model, exploration)
     assert not report.ok
-    assert len(report.violations) == 10
-    stuck_states = [s for s in exploration.terminals
-                    if model._crashed_mask(s)
-                    and any(model._prog(s, i) != DONE
-                            and not (model._crashed_mask(s) >> i) & 1
-                            for i in range(2))]
-    trace = model.trace_to(stuck_states[0], exploration.parents)
-    assert replay(model, trace) == stuck_states[0]
+    assert len(report.violations) == len(report.states) == 10
+    stuck = set(report.states)
+    assert report.states == [s for s in exploration.terminals if s in stuck]
+    assert "states" not in report.to_dict()
+    assert all(any(p["pc"] == "Crashed" for p in v["state"]["processes"].values())
+               for v in report.violations)
+    first = report.states[0]
+    assert model.decode(first) == report.violations[0]["state"]
+    trace = model.trace_to(first, exploration.parents)
+    assert replay(model, trace) == first
     round_tripped = events_from_jsonable(events_to_jsonable(trace))
-    assert replay(model, round_tripped) == stuck_states[0]
+    assert replay(model, round_tripped) == first
 
 
 def test_safety_distinguishes_the_task_variants(fixture_adversaries):
@@ -174,6 +176,21 @@ def test_safety_distinguishes_the_task_variants(fixture_adversaries):
     assert safety.ok
 
 
+def test_safety_report_hands_back_the_unsafe_terminals(fixture_adversaries):
+    adv = fixture_adversaries["obstruction_free_2"]
+    inter = build_r_a(adv, combine="intersection")
+    model = ProtocolModel(adv)
+    exploration = model.explore()
+    report = check_safety(model, exploration, inter)
+    assert len(report.states) == len(report.violations) > 0
+    unsafe = set(report.states)
+    assert report.states == [s for s in exploration.terminals if s in unsafe]
+    for state, violation in zip(report.states, report.violations):
+        sigma = model.output_simplex(state)
+        assert sigma not in inter.complex
+        assert list(sigma.uids) == violation["outputs"]
+
+
 # --- participation handling -----------------------------------------------------
 
 
@@ -188,6 +205,12 @@ def test_participation_validation():
         ProtocolModel(make_k_of(3, 1), participation={4})
     with pytest.raises(SimulationError):
         ProtocolModel(make_t_resilient(3, 1), participation={1})
+
+
+def test_fault_budget_must_be_nonnegative():
+    with pytest.raises(SimulationError, match="fault budget"):
+        ProtocolModel(make_k_of(3, 1), fault_budget=-1)
+    assert ProtocolModel(make_k_of(3, 1), fault_budget=0).fault_budget == 0
 
 
 def test_default_fault_budget_is_alpha_minus_one():
@@ -227,26 +250,3 @@ def test_state_cap_from_env(monkeypatch):
     monkeypatch.setenv(STATE_CAP_ENV, "0")
     with pytest.raises(SimulationError):
         state_cap_from_env()
-
-
-# --- composed runs ----------------------------------------------------------------
-
-
-def test_compose_runs_counts():
-    task = build_r_a(make_k_of(2, 1))
-    assert len(compose_runs(task, 1)) == 7
-    assert len(compose_runs(task, 2)) == 49
-    with pytest.raises(SimulationError):
-        compose_runs(task, 0)
-    with pytest.raises(StateCapExceeded):
-        compose_runs(task, 3, max_runs=100)
-
-
-def test_run_projection_follows_one_process():
-    task = build_r_a(make_k_of(2, 1))
-    run = compose_runs(task, 2)[0]
-    path = run_projection(run, 1)
-    assert len(path) == 2
-    assert all(v.color == 1 for v in path)
-    with pytest.raises(SimulationError):
-        run_projection(run, 5)
