@@ -20,7 +20,7 @@ from .affine import (AffineTask, CriticalData, build_r_a, build_r_kof,
 from .complexes import (ChromaticComplex, ComplexError, Simplex, Vertex,
                         closure, complex_from_dict, complex_to_dict, is_pure,
                         pure_complement)
-from .leader import (LeaderError, delta_q, gamma_q, mu_q, verify_leader,
+from .leader import (LeaderError, LeaderMap, verify_leader,
                      verify_mu_agreement, verify_mu_robustness,
                      verify_mu_validity)
 from .render import render_complex_svg, render_off

@@ -353,24 +353,36 @@ def alpha_to_dict(alpha: AgreementFunction) -> dict[str, int]:
                                key=lambda kv: (len(kv[0]), sorted(kv[0])))}
 
 
+def _int(value, what: str) -> int:
+    # JSON true/false parse to bools, which Python counts as ints
+    if type(value) is not int:
+        raise AdversaryError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _int_sets(sets) -> list[frozenset[int]]:
+    return [frozenset(_int(c, "live-set member") for c in s) for s in sets]
+
+
 def adversary_from_dict(data: dict) -> Adversary:
+    """Read an adversary description, rejecting every non-integer n, t, k,
+    size or live-set member instead of coercing it."""
     if not isinstance(data, dict):
         raise AdversaryError(
             f"adversary description must be a JSON object, got {type(data).__name__}")
     try:
-        n = int(data["n"])
+        n = _int(data["n"], "n")
         kind = data.get("kind", "explicit")
         if kind == "explicit":
-            return Adversary(n, frozenset(
-                frozenset(s) for s in data["live_sets"]))
+            return Adversary(n, frozenset(_int_sets(data["live_sets"])))
         if kind == "superset_closed":
-            return make_superset_closed(n, data["live_sets"])
+            return make_superset_closed(n, _int_sets(data["live_sets"]))
         if kind == "symmetric":
-            return make_symmetric(n, data["sizes"])
+            return make_symmetric(n, [_int(k, "size") for k in data["sizes"]])
         if kind == "t_resilient":
-            return make_t_resilient(n, int(data["t"]))
+            return make_t_resilient(n, _int(data["t"], "t"))
         if kind == "k_of":
-            return make_k_of(n, int(data["k"]))
+            return make_k_of(n, _int(data["k"], "k"))
     except KeyError as exc:
         raise AdversaryError(f"adversary description missing field {exc}") from exc
     except TypeError as exc:

@@ -14,7 +14,8 @@ from typing import Iterable
 
 from .adversary import Adversary, AgreementFunction, agreement_function, require_fair
 from .affine import AffineTask, _CriticalCache, build_r_a
-from .complexes import Simplex, Vertex
+from .bits import mask_of
+from .complexes import Vertex
 from .reports import VerificationReport
 from .subdivision import carrier, view2_simplex
 
@@ -34,85 +35,94 @@ def _inclusion_min(candidates: Iterable[frozenset[int]], what: str) -> frozenset
     return sets[0]
 
 
-def delta_q(v: Vertex, Q: Iterable[int], alpha: AgreementFunction) -> frozenset[int]:
-    """Colors of the smallest critical carrier in v's second-round view
-    that intersects Q."""
-    Q = frozenset(Q)
-    crit = _CriticalCache(alpha)
-    cands = [carrier(theta, "s").colors
-             for theta in crit(view2_simplex(v)).cs
-             if carrier(theta, "s").colors & Q]
-    return _inclusion_min(cands, "delta")
+class LeaderMap:
+    """The leader map of one agreement function, memoized over (vertex, Q).
 
+    One critical-data cache serves every second-round view, and each elected
+    process is computed once per (vertex, Q); later calls are lookups. The
+    own-color check and the chain assertions run on every new entry.
+    """
 
-def gamma_q(v: Vertex, Q: Iterable[int]) -> frozenset[int]:
-    """Colors of the smallest carrier of a vertex seen in round two
-    that intersects Q."""
-    Q = frozenset(Q)
-    cands = [u.payload.colors for u in view2_simplex(v)
-             if u.payload.colors & Q]
-    return _inclusion_min(cands, "gamma")
+    def __init__(self, alpha: AgreementFunction):
+        self.alpha = alpha
+        self._crit = _CriticalCache(alpha)
+        self._mu: dict[tuple[Vertex, frozenset[int]], int] = {}
 
+    def delta(self, v: Vertex, Q: Iterable[int]) -> frozenset[int]:
+        """Colors of the smallest critical carrier in v's second-round view
+        that intersects Q."""
+        Q = frozenset(Q)
+        cands = [carrier(theta, "s").colors
+                 for theta in self._crit(view2_simplex(v)).cs
+                 if carrier(theta, "s").colors & Q]
+        return _inclusion_min(cands, "delta")
 
-def mu_q(v: Vertex, Q: Iterable[int], alpha: AgreementFunction) -> int:
-    """The elected process of Q for vertex v."""
-    Q = frozenset(Q)
-    if v.color not in Q:
-        raise LeaderError(f"own color {v.color} must belong to Q={sorted(Q)}")
-    crit = _CriticalCache(alpha)
-    data = crit(view2_simplex(v))
-    if data.csv_colors & Q:
-        pool = delta_q(v, Q, alpha)
-    else:
-        pool = gamma_q(v, Q)
-    eligible = pool & Q
-    if not eligible:
-        raise LeaderError(f"chosen view {sorted(pool)} misses Q={sorted(Q)}")
-    return min(eligible)
+    @staticmethod
+    def gamma(v: Vertex, Q: Iterable[int]) -> frozenset[int]:
+        """Colors of the smallest carrier of a vertex seen in round two
+        that intersects Q."""
+        Q = frozenset(Q)
+        cands = [u.payload.colors for u in view2_simplex(v)
+                 if u.payload.colors & Q]
+        return _inclusion_min(cands, "gamma")
+
+    def __call__(self, v: Vertex, Q: Iterable[int]) -> int:
+        """The elected process of Q for vertex v."""
+        Q = frozenset(Q)
+        key = (v, Q)
+        leader = self._mu.get(key)
+        if leader is None:
+            leader = self._mu[key] = self._elect(v, Q)
+        return leader
+
+    def _elect(self, v: Vertex, Q: frozenset[int]) -> int:
+        if v.color not in Q:
+            raise LeaderError(f"own color {v.color} must belong to Q={sorted(Q)}")
+        if self._crit(view2_simplex(v)).csv_colors & Q:
+            pool = self.delta(v, Q)
+        else:
+            pool = self.gamma(v, Q)
+        eligible = pool & Q
+        if not eligible:
+            raise LeaderError(f"chosen view {sorted(pool)} misses Q={sorted(Q)}")
+        return min(eligible)
 
 
 # --- property sweeps ----------------------------------------------------------
 
 
-def _all_queries(n: int, containing: int | None = None) -> list[frozenset[int]]:
-    universe = sorted(range(1, n + 1))
-    out = []
-    for k in range(1, n + 1):
-        for combo in combinations(universe, k):
-            Q = frozenset(combo)
-            if containing is None or containing in Q:
-                out.append(Q)
-    return out
-
-
-def _task_for(adv: Adversary, task: AffineTask | None) -> AffineTask:
+def _prepare(adv: Adversary, task: AffineTask | None,
+             leader_map: LeaderMap | None) -> tuple[AffineTask, LeaderMap]:
+    require_fair(adv)
     if task is None:
-        return build_r_a(adv)
-    return task
+        task = build_r_a(adv)
+    if leader_map is None:
+        leader_map = LeaderMap(task.alpha or agreement_function(adv))
+    return task, leader_map
 
 
 def _queries_for(n: int, queries: Iterable[frozenset[int]] | None,
                  containing: int | None = None) -> list[frozenset[int]]:
+    """The given query sets, or every nonempty subset of 1..n by size and
+    then lexicographically; only those holding `containing` if it is set."""
     if queries is None:
-        return _all_queries(n, containing=containing)
+        queries = [c for k in range(1, n + 1)
+                   for c in combinations(range(1, n + 1), k)]
     picked = [frozenset(Q) for Q in queries]
-    if containing is not None:
-        picked = [Q for Q in picked if containing in Q]
-    return picked
+    return [Q for Q in picked if containing is None or containing in Q]
 
 
 def verify_mu_validity(adv: Adversary, task: AffineTask | None = None,
-                       queries: Iterable[frozenset[int]] | None = None
+                       queries: Iterable[frozenset[int]] | None = None,
+                       leader_map: LeaderMap | None = None
                        ) -> VerificationReport:
     """mu lands in Q and in the processes the vertex has seen."""
-    require_fair(adv)
-    task = _task_for(adv, task)
-    alpha = task.alpha or agreement_function(adv)
+    task, mu = _prepare(adv, task, leader_map)
     report = VerificationReport(kind="mu_validity")
     for v in sorted(task.complex.vertices, key=lambda u: u.uid):
         seen = carrier(v, "s").colors
         for Q in _queries_for(adv.n, queries, containing=v.color):
-            leader = mu_q(v, Q, alpha)
+            leader = mu(v, Q)
             report.checked += 1
             if leader not in Q or leader not in seen:
                 report.add(vertex=v.uid, Q=sorted(Q), leader=leader,
@@ -121,46 +131,56 @@ def verify_mu_validity(adv: Adversary, task: AffineTask | None = None,
 
 
 def verify_mu_agreement(adv: Adversary, task: AffineTask | None = None,
-                        queries: Iterable[frozenset[int]] | None = None
+                        queries: Iterable[frozenset[int]] | None = None,
+                        leader_map: LeaderMap | None = None
                         ) -> VerificationReport:
-    """Faces inside Q elect at most alpha(carrier colors) distinct leaders."""
-    require_fair(adv)
-    task = _task_for(adv, task)
-    alpha = task.alpha or agreement_function(adv)
+    """Faces inside Q elect at most alpha(carrier colors) distinct leaders.
+
+    Faces are index combinations of a facet's vertices, with color and
+    base-carrier masks: a face's base carrier is the union of its vertices'
+    base carriers.
+    """
+    task, mu = _prepare(adv, task, leader_map)
     report = VerificationReport(kind="mu_agreement")
-    queries = _queries_for(adv.n, queries)
+    queries = [(Q, mask_of(Q)) for Q in _queries_for(adv.n, queries)]
     top = task.complex.dim
     for facet in task.complex.sorted_facets():
         if facet.dim != top:
             continue
-        for size in range(1, len(facet.vertices) + 1):
-            for combo in combinations(facet.vertices, size):
-                theta = Simplex(combo)
-                limit = alpha(carrier(theta, "s").colors)
-                for Q in queries:
-                    if not theta.colors <= Q:
+        verts = facet.vertices
+        bits = [(1 << (v.color - 1), mask_of(carrier(v, "s").colors))
+                for v in verts]
+        for size in range(1, len(verts) + 1):
+            for combo in combinations(range(len(verts)), size):
+                colors = base = 0
+                for i in combo:
+                    colors |= bits[i][0]
+                    base |= bits[i][1]
+                limit = mu.alpha.of_mask(base)
+                for Q, q in queries:
+                    if colors & ~q:
                         continue
-                    leaders = {mu_q(v, Q, alpha) for v in theta}
+                    leaders = {mu(verts[i], Q) for i in combo}
                     report.checked += 1
                     if len(leaders) > limit:
-                        report.add(theta=list(theta.uids), Q=sorted(Q),
-                                   leaders=sorted(leaders), limit=limit)
+                        report.add(theta=[verts[i].uid for i in combo],
+                                   Q=sorted(Q), leaders=sorted(leaders),
+                                   limit=limit)
     return report
 
 
 def verify_mu_robustness(adv: Adversary, task: AffineTask | None = None,
-                         queries: Iterable[frozenset[int]] | None = None
+                         queries: Iterable[frozenset[int]] | None = None,
+                         leader_map: LeaderMap | None = None
                          ) -> VerificationReport:
     """Restricting Q to the processes the vertex saw leaves mu unchanged."""
-    require_fair(adv)
-    task = _task_for(adv, task)
-    alpha = task.alpha or agreement_function(adv)
+    task, mu = _prepare(adv, task, leader_map)
     report = VerificationReport(kind="mu_robustness")
     for v in sorted(task.complex.vertices, key=lambda u: u.uid):
         seen = carrier(v, "s").colors
         for Q in _queries_for(adv.n, queries, containing=v.color):
-            full = mu_q(v, Q, alpha)
-            restricted = mu_q(v, seen & Q, alpha)
+            full = mu(v, Q)
+            restricted = mu(v, seen & Q)
             report.checked += 1
             if full != restricted:
                 report.add(vertex=v.uid, Q=sorted(Q), leader=full,
@@ -171,9 +191,10 @@ def verify_mu_robustness(adv: Adversary, task: AffineTask | None = None,
 def verify_leader(adv: Adversary, task: AffineTask | None = None,
                   queries: Iterable[frozenset[int]] | None = None
                   ) -> list[VerificationReport]:
-    task = _task_for(adv, task)
+    """The three leader sweeps, sharing one leader map."""
+    task, mu = _prepare(adv, task, None)
     return [
-        verify_mu_validity(adv, task, queries),
-        verify_mu_agreement(adv, task, queries),
-        verify_mu_robustness(adv, task, queries),
+        verify_mu_validity(adv, task, queries, mu),
+        verify_mu_agreement(adv, task, queries, mu),
+        verify_mu_robustness(adv, task, queries, mu),
     ]

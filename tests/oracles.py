@@ -3,14 +3,15 @@
 Everything here is deliberately written against different primitives than
 the package: partition counting via the surjection formula, the pure
 complement via brute-force filtering, the resilient task via a per-vertex
-view filter, the level-two contention gap via carriers and colors.
+view filter, the level-two contention gap via carriers and colors, the
+leader map via uncached critical data and a pairwise inclusion minimum.
 """
 from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import comb, factorial
 
-from affinetask import ChromaticComplex, Simplex, carrier
+from affinetask import ChromaticComplex, Simplex, carrier, critical_data
 
 
 def fubini(n: int) -> int:
@@ -102,3 +103,26 @@ def immediate_snapshot_views(blocks: tuple[tuple, ...]) -> dict:
         for c in block:
             seen[c] = snap
     return seen
+
+
+def mu_by_definition(v, Q, alpha) -> int:
+    """The elected process of Q for a Chr Chr s vertex v, from the definition.
+
+    Critical data of v's second-round view is computed afresh with
+    `critical_data` (no cache). The chosen view is the inclusion minimum of
+    the candidate carriers meeting Q, found by comparing every pair: the
+    critical carriers when the critical members' carrier meets Q, otherwise
+    the carriers of the round-one vertices v saw.
+    """
+    Q = frozenset(Q)
+    view = carrier(v, "chr")
+    data = critical_data(view, alpha)
+    if data.csv_colors & Q:
+        cands = {carrier(theta, "s").colors for theta in data.cs}
+    else:
+        cands = {carrier(u, "s").colors for u in view}
+    cands = {c for c in cands if c & Q}
+    least = [c for c in cands if all(c <= d for d in cands)]
+    if len(least) != 1:
+        raise AssertionError(f"no inclusion minimum among {cands}")
+    return min(least[0] & Q)

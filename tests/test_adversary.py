@@ -238,6 +238,25 @@ def test_adversary_from_dict_rejects_bad_input():
         adversary_from_dict({"kind": "k_of", "k": 1})
 
 
+@pytest.mark.parametrize("doc", [
+    {"n": 3.7, "live_sets": [[1, 2]]},
+    {"n": 3.0, "live_sets": [[1, 2]]},
+    {"n": "3", "live_sets": [[1, 2]]},
+    {"n": True, "live_sets": [[1]]},
+    {"n": 3, "live_sets": [[True, 2]]},
+    {"n": 3, "live_sets": [[1.0, 2]]},
+    {"n": 3, "live_sets": ["12"]},
+    {"n": 3, "kind": "superset_closed", "live_sets": [[2], [1, False]]},
+    {"n": 3, "kind": "symmetric", "sizes": [True, 2]},
+    {"n": 3, "kind": "t_resilient", "t": 1.0},
+    {"n": 3, "kind": "t_resilient", "t": False},
+    {"n": 3, "kind": "k_of", "k": "2"},
+])
+def test_adversary_from_dict_rejects_non_integers(doc):
+    with pytest.raises(AdversaryError, match="must be an integer"):
+        adversary_from_dict(doc)
+
+
 def test_classify_row_shape():
     row = classify(make_t_resilient(3, 1))
     assert row == {

@@ -158,6 +158,15 @@ def test_malformed_adversary_file_is_an_input_error(tmp_path, capsys, doc):
     assert "adversary description" in one_error_line(capsys)
 
 
+@pytest.mark.parametrize("doc", [{"n": 3.7, "live_sets": [[True, 2]]},
+                                 {"n": 3, "kind": "k_of", "k": 1.5}])
+def test_non_integer_adversary_file_is_an_input_error(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["adv", "alpha", "--adversary", str(bad)]) == 2
+    assert "must be an integer" in one_error_line(capsys)
+
+
 # --- affine ----------------------------------------------------------------------
 
 

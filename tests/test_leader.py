@@ -1,16 +1,24 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
-from affinetask import (LeaderError, agreement_function, delta_q, gamma_q,
-                        make_k_of, mu_q, two_round_facet, verify_leader,
+from affinetask import (LeaderError, LeaderMap, agreement_function,
+                        make_k_of, two_round_facet, verify_leader,
                         verify_mu_agreement, verify_mu_robustness,
                         verify_mu_validity)
+from oracles import mu_by_definition
 
 
 @pytest.fixture(scope="module")
 def solo_alpha():
     return agreement_function(make_k_of(3, 1))
+
+
+@pytest.fixture
+def solo_map(solo_alpha):
+    return LeaderMap(solo_alpha)
 
 
 @pytest.fixture(scope="module")
@@ -19,31 +27,35 @@ def staircase_facet():
     return two_round_facet(((1,), (2,), (3,)), ((1, 2, 3),), 3)
 
 
-def test_delta_picks_smallest_critical_carrier(solo_alpha, staircase_facet):
+def test_delta_picks_smallest_critical_carrier(solo_map, staircase_facet):
     v3 = next(v for v in staircase_facet if v.color == 3)
-    assert delta_q(v3, {1, 2, 3}, solo_alpha) == frozenset({1})
+    assert solo_map.delta(v3, {1, 2, 3}) == frozenset({1})
 
 
-def test_gamma_picks_smallest_seen_carrier(staircase_facet):
+def test_gamma_picks_smallest_seen_carrier(solo_map, staircase_facet):
     v3 = next(v for v in staircase_facet if v.color == 3)
-    assert gamma_q(v3, {3}) == frozenset({1, 2, 3})
-    assert gamma_q(v3, {2, 3}) == frozenset({1, 2})
+    assert solo_map.gamma(v3, {3}) == frozenset({1, 2, 3})
+    assert solo_map.gamma(v3, {2, 3}) == frozenset({1, 2})
 
 
-def test_mu_examples(solo_alpha, staircase_facet):
+def test_mu_examples(solo_map, staircase_facet):
     by_color = {v.color: v for v in staircase_facet}
     # the lone critical member is process 1: everyone who may pick it does
     for c in (1, 2, 3):
-        assert mu_q(by_color[c], {1, 2, 3}, solo_alpha) == 1
+        assert solo_map(by_color[c], {1, 2, 3}) == 1
     # queries missing process 1 fall back to the smallest seen carrier
-    assert mu_q(by_color[3], {3}, solo_alpha) == 3
-    assert mu_q(by_color[3], {2, 3}, solo_alpha) == 2
+    assert solo_map(by_color[3], {3}) == 3
+    assert solo_map(by_color[3], {2, 3}) == 2
+    # a second call is a lookup with the same answer
+    assert solo_map(by_color[3], frozenset({2, 3})) == 2
 
 
-def test_mu_requires_own_color_in_query(solo_alpha, staircase_facet):
+def test_mu_requires_own_color_in_query(solo_map, staircase_facet):
     v3 = next(v for v in staircase_facet if v.color == 3)
-    with pytest.raises(LeaderError):
-        mu_q(v3, {1, 2}, solo_alpha)
+    # the error is raised on every call: a failed election is never memoized
+    for _ in range(2):
+        with pytest.raises(LeaderError):
+            solo_map(v3, {1, 2})
 
 
 def test_leader_reports_on_fixture_task(fixture_adversaries, fixture_tasks):
@@ -65,3 +77,29 @@ def test_leader_restricted_query_subset(fixture_adversaries, fixture_tasks):
     reports = verify_leader(adv, task, queries=[frozenset({1, 2})])
     assert all(r.ok for r in reports)
 
+
+
+def test_leader_map_matches_definition(chr2_3, fixture_adversaries):
+    """Differential check of the memoized map against the uncached oracle,
+    on every Chr Chr s vertex and every query set holding its color."""
+    advs = set(fixture_adversaries.values())
+    advs.update(make_k_of(3, k) for k in (1, 2, 3))
+    assert len(advs) == 5
+    queries = [frozenset(Q) for k in (1, 2, 3)
+               for Q in combinations((1, 2, 3), k)]
+    vertices = sorted(chr2_3.vertices, key=lambda u: u.uid)
+    for adv in sorted(advs, key=repr):
+        alpha = agreement_function(adv)
+        mu = LeaderMap(alpha)
+        pairs = [(v, Q) for v in vertices for Q in queries if v.color in Q]
+        assert len(pairs) == 396
+        expected = {(v, Q): mu_by_definition(v, Q, alpha) for v, Q in pairs}
+        for _ in range(2):  # computed first, looked up second
+            for (v, Q), leader in expected.items():
+                assert mu(v, Q) == leader, (adv, v, Q)
+
+
+def test_leader_properties_hold_at_n4():
+    reports = verify_leader(make_k_of(4, 1))
+    assert [r.checked for r in reports] == [6304, 65975, 6304]
+    assert [len(r.violations) for r in reports] == [0, 0, 0]
