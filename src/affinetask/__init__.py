@@ -10,7 +10,7 @@ from .adversary import (Adversary, AdversaryError, AgreementFunction,
                         hitting_number, is_fair,
                         is_superset_closed, is_symmetric, make_k_of,
                         make_superset_closed, make_symmetric,
-                        make_t_resilient, require_fair, restrict, restrict2,
+                        make_t_resilient, require_fair,
                         setcon, symmetric_setcon, verify_fair_subtraction)
 from .affine import (AffineTask, CriticalData, build_r_a, build_r_kof,
                      build_r_tres, concurrency_levels, contention_simplices,

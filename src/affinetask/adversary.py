@@ -4,13 +4,15 @@ An adversary is a family of live sets over processes 1..n. Its agreement
 power (setcon) follows the recursive definition: 0 for the empty family,
 otherwise max over live sets S of min over a in S of setcon of the family
 restricted to S minus {a}, plus one. The agreement function maps every
-subset P of processes to the setcon of the restriction to P.
+subset P of processes to the setcon of the restriction to P. All of them,
+and fairness, are read off one table over the pairs Q <= P of color masks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .bits import colors_of, iter_bits, mask_of, popcount, submasks
 from .complexes import MAX_PROCESSES
@@ -29,14 +31,12 @@ class UnfairAdversaryError(AdversaryError):
     """Operation requires a fair adversary."""
 
 
-Family = frozenset[frozenset[int]]
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Adversary:
     n: int
-    live_sets: Family
-    provenance: str = "explicit"
+    live_sets: frozenset[frozenset[int]]
+    provenance: str = field(default="explicit", compare=False)
+    family: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_PROCESSES:
@@ -49,60 +49,79 @@ class Adversary:
             if not s <= universe:
                 raise AdversaryError(f"live set {sorted(s)} outside 1..{self.n}")
         object.__setattr__(self, "live_sets", sets)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Adversary)
-                and self.n == other.n and self.live_sets == other.live_sets)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.live_sets))
+        object.__setattr__(self, "family", sum(1 << mask_of(s) for s in sets))
 
     def __repr__(self) -> str:
         sets = sorted(tuple(sorted(s)) for s in self.live_sets)
         return f"Adversary(n={self.n}, {sets})"
 
 
-def restrict(adv: Adversary, P: Iterable[int]) -> Adversary:
-    """Live sets fully contained in P."""
-    P = frozenset(P)
-    return Adversary(adv.n, frozenset(s for s in adv.live_sets if s <= P),
-                     provenance=adv.provenance)
+class _Tables(NamedTuple):
+    """Constant mask tables for one n. A family mask has bit s set when the
+    live set with color mask s is in the family; a Q-set has bit Q set for
+    each member Q of a set of color masks."""
+
+    steps: tuple[tuple[int, tuple[int, ...], int], ...]  # P, P - b, Qs meeting P
+    inside: tuple[int, ...]  # per P: the nonempty Q <= P
+    fair: tuple[tuple[int, ...], ...]  # per k >= 1, per P: those with |Q| >= k
+    misses: tuple[tuple[int, ...], ...]  # per k, per |H| = k: sets missing H
+    layers: tuple[int, ...]  # per k: the sets of size k
+    ups: tuple[int, ...]  # per s: the sets s + b, b not in s
 
 
-def restrict2(adv: Adversary, P: Iterable[int], Q: Iterable[int]) -> Adversary:
-    """Live sets contained in P that intersect Q. Requires Q <= P."""
-    P, Q = frozenset(P), frozenset(Q)
-    if not Q <= P:
-        raise AdversaryError(f"Q={sorted(Q)} must be a subset of P={sorted(P)}")
-    return Adversary(adv.n, frozenset(
-        s for s in adv.live_sets if s <= P and s & Q), provenance=adv.provenance)
+@lru_cache(maxsize=MAX_PROCESSES)
+def _tables(n: int) -> _Tables:
+    full = (1 << n) - 1
+
+    def qset(pred) -> int:
+        return sum(1 << Q for Q in range(full + 1) if pred(Q))
+
+    steps = tuple((P, tuple(P ^ 1 << b for b in iter_bits(P)),
+                   qset(lambda Q: Q & P)) for P in range(1, full + 1))
+    inside = tuple(qset(lambda Q: Q and Q & P == Q) for P in range(full + 1))
+    fair = tuple(tuple(qset(lambda Q: popcount(Q) >= k) & inside[P]
+                       for P in range(full + 1)) for k in range(1, n + 1))
+    misses = tuple(tuple(qset(lambda s: s and not s & H) for H in range(full + 1)
+                         if popcount(H) == k) for k in range(n + 1))
+    layers = tuple(qset(lambda s: s and popcount(s) == k) for k in range(n + 1))
+    ups = tuple(qset(lambda t: t != s and t & s == s and popcount(t ^ s) == 1)
+                for s in range(full + 1))
+    return _Tables(steps, inside, fair, misses, layers, ups)
 
 
-_SETCON_CACHE: dict[Family, int] = {}
+def _levels(adv: Adversary) -> list[list[int]]:
+    """levels[k - 1][P] is the Q-set {Q : G[P][Q] >= k}, for k = 1..setcon.
 
-
-def _setcon_family(family: Family) -> int:
-    cached = _SETCON_CACHE.get(family)
-    if cached is not None:
-        return cached
-    if not family:
-        _SETCON_CACHE[family] = 0
-        return 0
-    best = 0
-    for S in family:
-        sub = min(
-            _setcon_family(frozenset(t for t in family if t <= S - {a}))
-            for a in S)
-        best = max(best, sub + 1)
-    _SETCON_CACHE[family] = best
-    return best
+    G[P][Q], the setcon of the live sets inside P that meet Q, is over b in
+    P the largest G[P - b][Q], or one more than the smallest of them if that
+    is larger and P is live and meets Q.
+    """
+    n, family = adv.n, adv.family
+    full = (1 << n) - 1
+    levels: list[list[int]] = []
+    below = [(1 << (1 << n)) - 1] * (1 << n)  # G >= 0 everywhere
+    while True:
+        level = [0] * (1 << n)
+        for P, kids, meets in _tables(n).steps:
+            reached = 0
+            if family >> P & 1:
+                reached = meets
+                for kid in kids:
+                    reached &= below[kid]
+            for kid in kids:
+                reached |= level[kid]
+            level[P] = reached
+        if not level[full]:
+            return levels
+        levels.append(level)
+        below = level
 
 
 def setcon(adv: Adversary) -> int:
-    return _setcon_family(adv.live_sets)
+    return len(_levels(adv))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AgreementFunction:
     """setcon of the restriction to every subset of 1..n, as a mask table."""
 
@@ -118,26 +137,15 @@ class AgreementFunction:
     def values(self) -> dict[frozenset[int], int]:
         return {colors_of(m): a for m, a in enumerate(self.table)}
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, AgreementFunction)
-                and self.n == other.n and self.table == other.table)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.table))
-
 
 def agreement_function(adv: Adversary) -> AgreementFunction:
-    """alpha(P) = setcon(restrict(A, P)) for every P.
+    """alpha(P) = setcon of the live sets inside P, for every P.
 
     Fails loudly if the derived table is not monotone of bounded growth;
     that would indicate a broken setcon, not data to be normalized away.
     """
-    n = adv.n
-    table = []
-    for mask in range(1 << n):
-        P = colors_of(mask)
-        table.append(_setcon_family(
-            frozenset(s for s in adv.live_sets if s <= P)))
+    n, levels = adv.n, _levels(adv)
+    table = [sum(level[P] >> P & 1 for level in levels) for P in range(1 << n)]
     for mask in range(1 << n):
         for b in range(n):
             if mask & (1 << b):
@@ -159,23 +167,29 @@ class FairnessVerdict:
         return self.fair
 
 
+def _unfair_pair(n: int, levels: list[list[int]]) -> FairnessVerdict:
+    """The first (P, Q), P ascending and then Q, where G[P][Q] is not
+    min(|Q|, alpha(P)). As G[P][Q] <= G[P][P] = alpha(P), a level that
+    misses P holds no Q inside P; one that holds P must hold, inside P,
+    exactly the Q with |Q| >= k."""
+    tables = _tables(n)
+    for P in range(1, 1 << n):
+        inside, wrong = tables.inside[P], 0
+        for level, fair in zip(levels, tables.fair):
+            if level[P] >> P & 1:
+                wrong |= (level[P] & inside) ^ fair[P]
+        if wrong:
+            Q = (wrong & -wrong).bit_length() - 1
+            return FairnessVerdict(False, (colors_of(P), colors_of(Q)))
+    return FairnessVerdict(True)
+
+
 def check_fairness(adv: Adversary) -> FairnessVerdict:
     """Fairness: setcon(A|P,Q) == min(|Q|, setcon(A|P)) for all Q <= P.
 
     Returns the first violating (P, Q) in mask order as a witness.
     """
-    full = (1 << adv.n) - 1
-    for pmask in range(1, full + 1):
-        P = colors_of(pmask)
-        base = setcon(restrict(adv, P))
-        for qmask in submasks(pmask):
-            if qmask == 0:
-                continue
-            Q = colors_of(qmask)
-            got = setcon(restrict2(adv, P, Q))
-            if got != min(len(Q), base):
-                return FairnessVerdict(False, (P, Q))
-    return FairnessVerdict(True)
+    return _unfair_pair(adv.n, _levels(adv))
 
 
 def is_fair(adv: Adversary) -> bool:
@@ -194,23 +208,14 @@ def require_fair(adv: Adversary) -> None:
 
 
 def is_superset_closed(adv: Adversary) -> bool:
-    universe = frozenset(range(1, adv.n + 1))
-    for s in adv.live_sets:
-        for extra in universe - s:
-            if s | {extra} not in adv.live_sets:
-                return False
-    return True
+    ups = _tables(adv.n).ups
+    return all(adv.family & ups[s] == ups[s] for s in iter_bits(adv.family))
 
 
 def is_symmetric(adv: Adversary) -> bool:
     """Membership depends only on cardinality."""
-    sizes = {len(s) for s in adv.live_sets}
-    universe = sorted(range(1, adv.n + 1))
-    for k in sizes:
-        for combo in combinations(universe, k):
-            if frozenset(combo) not in adv.live_sets:
-                return False
-    return True
+    return all(adv.family & layer in (0, layer)
+               for layer in _tables(adv.n).layers)
 
 
 def make_superset_closed(n: int, minimal_sets: Iterable[Iterable[int]]) -> Adversary:
@@ -266,7 +271,7 @@ def symmetric_setcon(adv: Adversary) -> int:
     """Shortcut valid for symmetric adversaries: number of distinct live sizes."""
     if not is_symmetric(adv):
         raise AdversaryError("symmetric_setcon needs a symmetric adversary")
-    return len({len(s) for s in adv.live_sets})
+    return sum(1 for layer in _tables(adv.n).layers if adv.family & layer)
 
 
 # --- hitting sets ------------------------------------------------------------
@@ -293,8 +298,11 @@ def hitting_number(sets: Iterable[frozenset[int]]) -> int:
 
 
 def csize(adv: Adversary) -> int:
-    """Minimum hitting set size of the live-set family (0 for no live sets)."""
-    return hitting_number(adv.live_sets)
+    """Minimum hitting set size of the live-set family (0 for no live sets):
+    the least |H| for which no live set misses H."""
+    family = adv.family
+    return next(k for k, misses in enumerate(_tables(adv.n).misses)
+                if any(not family & miss for miss in misses))
 
 
 # --- derived checks ----------------------------------------------------------
@@ -320,10 +328,11 @@ def verify_fair_subtraction(adv: Adversary) -> VerificationReport:
 
 def classify(adv: Adversary) -> dict:
     """Summary row used by the sweep/CLI table."""
-    verdict = check_fairness(adv)
+    levels = _levels(adv)
+    verdict = _unfair_pair(adv.n, levels)
     row = {
         "live_sets": sorted(sorted(s) for s in adv.live_sets),
-        "setcon": setcon(adv),
+        "setcon": len(levels),
         "csize": csize(adv),
         "superset_closed": is_superset_closed(adv),
         "symmetric": is_symmetric(adv),

@@ -93,11 +93,22 @@ class LeaderMap:
 
 def _prepare(adv: Adversary, task: AffineTask | None,
              leader_map: LeaderMap | None) -> tuple[AffineTask, LeaderMap]:
+    """The task and the leader map, both of the adversary's own alpha."""
     require_fair(adv)
+    alpha = agreement_function(adv)
     if task is None:
         task = build_r_a(adv)
+    if task.n != adv.n:
+        raise LeaderError(f"task {task.name} is over n={task.n}, "
+                          f"the adversary over n={adv.n}")
+    if task.alpha is not None and task.alpha != alpha:
+        raise LeaderError(f"task {task.name} was built for another "
+                          "agreement function than the adversary's")
     if leader_map is None:
-        leader_map = LeaderMap(task.alpha or agreement_function(adv))
+        leader_map = LeaderMap(alpha)
+    elif leader_map.alpha != alpha:
+        raise LeaderError("leader map was built for another agreement "
+                          "function than the adversary's")
     return task, leader_map
 
 

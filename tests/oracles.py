@@ -4,14 +4,16 @@ Everything here is deliberately written against different primitives than
 the package: partition counting via the surjection formula, the pure
 complement via brute-force filtering, the resilient task via a per-vertex
 view filter, the level-two contention gap via carriers and colors, the
-leader map via uncached critical data and a pairwise inclusion minimum.
+leader map via uncached critical data and a pairwise inclusion minimum,
+setcon and fairness via the recursive definition on frozensets of live sets.
 """
 from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import comb, factorial
 
-from affinetask import ChromaticComplex, Simplex, carrier, critical_data
+from affinetask import (Adversary, AdversaryError, ChromaticComplex, Simplex,
+                        carrier, critical_data)
 
 
 def fubini(n: int) -> int:
@@ -126,3 +128,66 @@ def mu_by_definition(v, Q, alpha) -> int:
     if len(least) != 1:
         raise AssertionError(f"no inclusion minimum among {cands}")
     return min(least[0] & Q)
+
+
+def restrict(adv: Adversary, P) -> Adversary:
+    """Live sets fully contained in P."""
+    P = frozenset(P)
+    return Adversary(adv.n, frozenset(s for s in adv.live_sets if s <= P),
+                     provenance=adv.provenance)
+
+
+def restrict2(adv: Adversary, P, Q) -> Adversary:
+    """Live sets contained in P that intersect Q. Requires Q <= P."""
+    P, Q = frozenset(P), frozenset(Q)
+    if not Q <= P:
+        raise AdversaryError(f"Q={sorted(Q)} must be a subset of P={sorted(P)}")
+    return Adversary(adv.n, frozenset(
+        s for s in adv.live_sets if s <= P and s & Q), provenance=adv.provenance)
+
+
+def setcon_by_definition(family, memo: dict | None = None) -> int:
+    """0 for no live sets, otherwise the largest, over live sets S, of one
+    more than the smallest setcon of the sets inside S - {a} over a in S.
+    Memoized in `memo`, a fresh dict unless the caller shares one."""
+    memo = {} if memo is None else memo
+
+    def level(fam: frozenset) -> int:
+        if fam not in memo:
+            memo[fam] = max(
+                (1 + min(level(frozenset(t for t in fam if t <= S - {a}))
+                         for a in S) for S in fam), default=0)
+        return memo[fam]
+
+    return level(frozenset(frozenset(s) for s in family))
+
+
+def fairness_by_definition(adv: Adversary):
+    """(fair, witness): the first (P, Q), by P's mask then Q's, with
+    setcon(A|P,Q) != min(|Q|, setcon(A|P)); witness None when fair."""
+    n, memo = adv.n, {}
+    subsets = sorted((frozenset(c) for k in range(n + 1)
+                      for c in combinations(range(1, n + 1), k)),
+                     key=lambda s: sum(1 << (c - 1) for c in s))
+    for P in subsets[1:]:
+        base = setcon_by_definition(restrict(adv, P).live_sets, memo)
+        for Q in subsets[1:]:
+            if Q <= P and setcon_by_definition(
+                    restrict2(adv, P, Q).live_sets, memo) != min(len(Q), base):
+                return False, (P, Q)
+    return True, None
+
+
+def superset_closed_by_definition(adv: Adversary) -> bool:
+    """Every superset of a live set within 1..n is live."""
+    universe = range(1, adv.n + 1)
+    return all(S | set(extra) in adv.live_sets for S in adv.live_sets
+               for k in range(adv.n + 1) for extra in combinations(universe, k))
+
+
+def symmetric_by_definition(adv: Adversary) -> bool:
+    """Two sets of the same size are both live or both not."""
+    sizes = {len(s) for s in adv.live_sets}
+    return all((len(c) in sizes) == (frozenset(c) in adv.live_sets)
+               for k in range(1, adv.n + 1)
+               for c in combinations(range(1, adv.n + 1), k))

@@ -19,13 +19,13 @@ import pytest
 from affinetask import (build_r_a, build_r_kof, chr2_complex, chr_complex,
                         check_model, classify, csize, enumerate_adversaries,
                         is_superset_closed, is_symmetric, make_k_of,
-                        make_symmetric, make_t_resilient, restrict, setcon,
+                        make_symmetric, make_t_resilient, setcon,
                         symmetric_setcon, verify_cs_distribution,
                         verify_fair_subtraction, verify_leader,
                         verify_single_carrier, view2)
 from affinetask.cli import main
 from conftest import DATA_DIR
-from oracles import facets_with_lone_full_view_leader, fubini
+from oracles import facets_with_lone_full_view_leader, fubini, restrict
 
 
 def verdict(capsys, label: str, ok: bool, detail: str = "") -> None:

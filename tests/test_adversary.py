@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +13,12 @@ from affinetask import (Adversary, AdversaryError, UnfairAdversaryError,
                         enumerate_adversaries, hitting_number, is_fair,
                         is_superset_closed, is_symmetric, make_k_of,
                         make_superset_closed, make_symmetric, make_t_resilient,
-                        require_fair, restrict, restrict2, setcon,
+                        require_fair, setcon,
                         symmetric_setcon, verify_fair_subtraction)
 from conftest import DATA_DIR, load_fixture
-from oracles import hitting_number_brute
+from oracles import (fairness_by_definition, hitting_number_brute, restrict,
+                     restrict2, setcon_by_definition,
+                     superset_closed_by_definition, symmetric_by_definition)
 
 
 # --- setcon -------------------------------------------------------------------
@@ -62,6 +64,36 @@ def test_symmetric_setcon_rejects_asymmetric():
     adv = Adversary(3, [frozenset({1, 2})])
     with pytest.raises(AdversaryError):
         symmetric_setcon(adv)
+
+
+def _differential_families():
+    """All n=3 families, every 16th n=4 family and the symmetric n=4 ones."""
+    yield from enumerate_adversaries(3)
+    yield from islice(enumerate_adversaries(4), 0, None, 16)
+    for r in range(1, 5):
+        for sizes in combinations(range(1, 5), r):
+            yield make_symmetric(4, sizes)
+
+
+def test_adversary_layer_matches_definition():
+    """The mask table against the set-based definitions: setcon, every alpha
+    value, the fairness verdict and witness, csize and both predicates."""
+    count = 0
+    for adv in _differential_families():
+        count += 1
+        universe = range(1, adv.n + 1)
+        alpha = agreement_function(adv)
+        for k in range(adv.n + 1):
+            for P in combinations(universe, k):
+                assert alpha(P) == setcon_by_definition(
+                    restrict(adv, P).live_sets), (adv, P)
+        assert setcon(adv) == setcon_by_definition(adv.live_sets), adv
+        verdict = check_fairness(adv)
+        assert (verdict.fair, verdict.witness) == fairness_by_definition(adv), adv
+        assert csize(adv) == hitting_number_brute(adv.live_sets), adv
+        assert is_superset_closed(adv) == superset_closed_by_definition(adv), adv
+        assert is_symmetric(adv) == symmetric_by_definition(adv), adv
+    assert count == 128 + 2048 + 15
 
 
 # --- restriction --------------------------------------------------------------

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from affinetask import (LeaderError, LeaderMap, agreement_function,
+from affinetask import (LeaderError, LeaderMap, agreement_function, build_r_a,
                         make_k_of, two_round_facet, verify_leader,
                         verify_mu_agreement, verify_mu_robustness,
                         verify_mu_validity)
@@ -76,6 +76,24 @@ def test_leader_restricted_query_subset(fixture_adversaries, fixture_tasks):
     task = fixture_tasks["resilient_1"]
     reports = verify_leader(adv, task, queries=[frozenset({1, 2})])
     assert all(r.ok for r in reports)
+
+
+def test_leader_rejects_task_or_map_of_another_adversary():
+    adv = make_k_of(3, 1)
+    with pytest.raises(LeaderError, match="another agreement function"):
+        verify_leader(adv, build_r_a(make_k_of(3, 3)))
+    with pytest.raises(LeaderError, match="n=2"):
+        verify_leader(adv, build_r_a(make_k_of(2, 1)))
+    other = LeaderMap(agreement_function(make_k_of(3, 2)))
+    with pytest.raises(LeaderError, match="another agreement function"):
+        verify_mu_validity(adv, leader_map=other)
+
+
+def test_leader_verifies_intersection_variant(fixture_adversaries):
+    """The intersection task has the adversary's own alpha, so it is accepted."""
+    adv = fixture_adversaries["obstruction_free_2"]
+    reports = verify_leader(adv, build_r_a(adv, combine="intersection"))
+    assert all(r.ok and r.checked > 0 for r in reports)
 
 
 
