@@ -61,9 +61,9 @@ class _Tables(NamedTuple):
     live set with color mask s is in the family; a Q-set has bit Q set for
     each member Q of a set of color masks."""
 
-    steps: tuple[tuple[int, tuple[int, ...], int], ...]  # P, P - b, Qs meeting P
+    steps: tuple[tuple[tuple[int, ...], int], ...]  # per P >= 1: P - b, Qs meeting P
     inside: tuple[int, ...]  # per P: the nonempty Q <= P
-    fair: tuple[tuple[int, ...], ...]  # per k >= 1, per P: those with |Q| >= k
+    fair: tuple[int, ...]  # per k >= 1: the Q with |Q| >= k
     misses: tuple[tuple[int, ...], ...]  # per k, per |H| = k: sets missing H
     layers: tuple[int, ...]  # per k: the sets of size k
     ups: tuple[int, ...]  # per s: the sets s + b, b not in s
@@ -76,11 +76,10 @@ def _tables(n: int) -> _Tables:
     def qset(pred) -> int:
         return sum(1 << Q for Q in range(full + 1) if pred(Q))
 
-    steps = tuple((P, tuple(P ^ 1 << b for b in iter_bits(P)),
-                   qset(lambda Q: Q & P)) for P in range(1, full + 1))
+    steps = tuple((tuple(P ^ 1 << b for b in iter_bits(P)), qset(lambda Q: Q & P))
+                  for P in range(1, full + 1))
     inside = tuple(qset(lambda Q: Q and Q & P == Q) for P in range(full + 1))
-    fair = tuple(tuple(qset(lambda Q: popcount(Q) >= k) & inside[P]
-                       for P in range(full + 1)) for k in range(1, n + 1))
+    fair = tuple(qset(lambda Q: popcount(Q) >= k) for k in range(1, n + 1))
     misses = tuple(tuple(qset(lambda s: s and not s & H) for H in range(full + 1)
                          if popcount(H) == k) for k in range(n + 1))
     layers = tuple(qset(lambda s: s and popcount(s) == k) for k in range(n + 1))
@@ -102,7 +101,7 @@ def _levels(adv: Adversary) -> list[list[int]]:
     below = [(1 << (1 << n)) - 1] * (1 << n)  # G >= 0 everywhere
     while True:
         level = [0] * (1 << n)
-        for P, kids, meets in _tables(n).steps:
+        for P, (kids, meets) in enumerate(_tables(n).steps, 1):
             reached = 0
             if family >> P & 1:
                 reached = meets
@@ -174,10 +173,10 @@ def _unfair_pair(n: int, levels: list[list[int]]) -> FairnessVerdict:
     exactly the Q with |Q| >= k."""
     tables = _tables(n)
     for P in range(1, 1 << n):
-        inside, wrong = tables.inside[P], 0
+        wrong = 0
         for level, fair in zip(levels, tables.fair):
             if level[P] >> P & 1:
-                wrong |= (level[P] & inside) ^ fair[P]
+                wrong |= (level[P] ^ fair) & tables.inside[P]
         if wrong:
             Q = (wrong & -wrong).bit_length() - 1
             return FairnessVerdict(False, (colors_of(P), colors_of(Q)))
@@ -271,38 +270,34 @@ def symmetric_setcon(adv: Adversary) -> int:
     """Shortcut valid for symmetric adversaries: number of distinct live sizes."""
     if not is_symmetric(adv):
         raise AdversaryError("symmetric_setcon needs a symmetric adversary")
-    return sum(1 for layer in _tables(adv.n).layers if adv.family & layer)
+    return len({len(s) for s in adv.live_sets})
 
 
 # --- hitting sets ------------------------------------------------------------
 
 
-def hitting_number(sets: Iterable[frozenset[int]]) -> int:
-    """Minimum size of a set intersecting every given set. Exact.
+def hitting_number(sets: Iterable[Iterable[int]]) -> int:
+    """Minimum size of a set meeting every given set of colors in
+    1..MAX_PROCESSES (0 for no sets)."""
+    sets = {frozenset(s) for s in sets}
+    colors = frozenset(range(1, MAX_PROCESSES + 1))
+    if not all(s and s <= colors for s in sets):
+        raise AdversaryError(
+            f"can only hit nonempty sets of colors in 1..{MAX_PROCESSES}")
+    n = max((max(s) for s in sets), default=1)
+    return _hitting_number(n, sum(1 << mask_of(s) for s in sets))
 
-    Exhaustive smallest-first search over the union; trivially exact for
-    at most MAX_PROCESSES elements.
-    """
-    sets = [frozenset(s) for s in sets]
-    if not sets:
-        return 0
-    if any(not s for s in sets):
-        raise AdversaryError("cannot hit an empty set")
-    universe = sorted(set().union(*sets))
-    for k in range(1, len(universe) + 1):
-        for combo in combinations(universe, k):
-            h = set(combo)
-            if all(h & s for s in sets):
-                return k
-    raise AssertionError("unreachable: the full universe hits everything")
+
+def _hitting_number(n: int, family: int) -> int:
+    """The least |H| for which no set of the family mask misses H, for a
+    family over colors 1..n."""
+    return next(k for k, misses in enumerate(_tables(n).misses)
+                if any(not family & miss for miss in misses))
 
 
 def csize(adv: Adversary) -> int:
-    """Minimum hitting set size of the live-set family (0 for no live sets):
-    the least |H| for which no live set misses H."""
-    family = adv.family
-    return next(k for k, misses in enumerate(_tables(adv.n).misses)
-                if any(not family & miss for miss in misses))
+    """Minimum hitting set size of the live-set family (0 for no live sets)."""
+    return _hitting_number(adv.n, adv.family)
 
 
 # --- derived checks ----------------------------------------------------------

@@ -93,7 +93,9 @@ class LeaderMap:
 
 def _prepare(adv: Adversary, task: AffineTask | None,
              leader_map: LeaderMap | None) -> tuple[AffineTask, LeaderMap]:
-    """The task and the leader map, both of the adversary's own alpha."""
+    """The task and the leader map, both of the adversary's own alpha. A
+    task that carries no alpha (`build_r_kof`, `build_r_tres`) is checked
+    only for its n."""
     require_fair(adv)
     alpha = agreement_function(adv)
     if task is None:

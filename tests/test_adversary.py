@@ -67,9 +67,11 @@ def test_symmetric_setcon_rejects_asymmetric():
 
 
 def _differential_families():
-    """All n=3 families, every 16th n=4 family and the symmetric n=4 ones."""
+    """All n=3 families, every 17th n=4 family and the symmetric n=4 ones.
+    The stride is odd so that every live set of the pool, singletons
+    included, is in some sampled families and out of others."""
     yield from enumerate_adversaries(3)
-    yield from islice(enumerate_adversaries(4), 0, None, 16)
+    yield from islice(enumerate_adversaries(4), 0, None, 17)
     for r in range(1, 5):
         for sizes in combinations(range(1, 5), r):
             yield make_symmetric(4, sizes)
@@ -93,7 +95,7 @@ def test_adversary_layer_matches_definition():
         assert csize(adv) == hitting_number_brute(adv.live_sets), adv
         assert is_superset_closed(adv) == superset_closed_by_definition(adv), adv
         assert is_symmetric(adv) == symmetric_by_definition(adv), adv
-    assert count == 128 + 2048 + 15
+    assert count == 128 + 1928 + 15
 
 
 # --- restriction --------------------------------------------------------------
@@ -202,6 +204,12 @@ def test_hitting_number_empty_family():
 def test_hitting_number_rejects_empty_member():
     with pytest.raises(AdversaryError):
         hitting_number([frozenset()])
+
+
+@pytest.mark.parametrize("member", [{0, 1}, {-1}, {6}])
+def test_hitting_number_rejects_colors_out_of_range(member):
+    with pytest.raises(AdversaryError, match="colors in 1..5"):
+        hitting_number([{1, 2}, member])
 
 
 @settings(max_examples=150, deadline=None)
