@@ -12,8 +12,8 @@ from .adversary import (Adversary, AdversaryError, AgreementFunction,
                         make_superset_closed, make_symmetric,
                         make_t_resilient, require_fair,
                         setcon, symmetric_setcon, verify_fair_subtraction)
-from .affine import (AffineTask, CriticalData, build_r_a, build_r_kof,
-                     build_r_tres, concurrency_levels, contention_simplices,
+from .affine import (AffineTask, CriticalData, build_r_a, build_r_tres,
+                     concurrency_levels, contention_simplices,
                      critical_data, critical_simplices, is_contention,
                      is_critical, task_to_dict, variant_divergence_report,
                      verify_cs_distribution, verify_single_carrier)

@@ -257,7 +257,9 @@ def make_k_of(n: int, k: int) -> Adversary:
 
 
 def enumerate_adversaries(n: int) -> Iterator[Adversary]:
-    """All 2^(2^n - 1) adversaries over 1..n, empty family included."""
+    """All 2^(2^n - 1) adversaries over 1..n, empty family included, with no
+    budget (2^31 at n=5): the caller bounds it. `adv classify` is the bounded
+    entry point; it refuses past `state_cap_from_env()`."""
     universe = sorted(range(1, n + 1))
     pool = [frozenset(c) for k in range(1, n + 1)
             for c in combinations(universe, k)]

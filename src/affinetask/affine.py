@@ -6,22 +6,32 @@ contending when every vertex pair is. Criticality: a simplex sigma of Chr s
 is critical for an agreement function alpha when all its vertices share
 sigma's carrier and removing sigma's colors from that carrier strictly drops
 alpha. The task constructions combine the two notions.
+
+Each notion is decided once, on masks (`_contending`, `_critical_faces`); the
+Simplex functions call them. `build_r_a` reads `_chr2_table(n)`, Chr Chr s
+coded as ints once per n (Kozlov 2012): numbered Chr s carriers as view
+groups, and per facet its carrier's id and its contending faces. Per alpha
+only a guard loop over ints runs; kept facets are looked up as Simplex objects.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Iterable, Iterator
 
 from .adversary import (Adversary, AdversaryError, AgreementFunction,
                         agreement_function, alpha_to_dict, hitting_number,
                         require_fair)
-from .complexes import (ChromaticComplex, ComplexError, Simplex, Vertex,
+from .bits import colors_of, mask_of, submasks
+from .complexes import (MAX_PROCESSES, ChromaticComplex, Simplex, Vertex,
                         closure, complex_to_dict, pure_complement)
 from .reports import VerificationReport
-from .subdivision import carrier, carrier_step, chr2_complex, chr_complex, view1, view2
+from .subdivision import (carrier, chr2_complex, chr_complex, packed_views,
+                          view1, view2)
 
 COMBINE_MODES = ("union", "intersection")
+_VIEW = (1 << MAX_PROCESSES) - 1  # one color's field of a packed Chr s simplex
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,16 +54,17 @@ class AffineTask:
 # --- contention ---------------------------------------------------------------
 
 
-def _contending_pair(v: Vertex, u: Vertex) -> bool:
-    v1, u1 = view1(v), view1(u)
-    v2, u2 = view2(v), view2(u)
-    return ((v1 < u1 and u2 < v2) or (u1 < v1 and v2 < u2))
+def _contending(v1: int, v2: int, u1: int, u2: int) -> bool:
+    """Round-1 views v1, u1 and round-2 views v2, u2 of two vertices, as
+    color masks, strictly ordered in opposite directions: v1 < u1 and
+    u2 < v2, or u1 < v1 and v2 < u2."""
+    return v1 != u1 and v2 != u2 and (v1 | u1, v2 | u2) in ((u1, v2), (v1, u2))
 
 
 def is_contention(sigma: Simplex) -> bool:
     """Every vertex pair strictly reversed; single vertices vacuously yes."""
-    return all(_contending_pair(v, u)
-               for v, u in combinations(sigma.vertices, 2))
+    views = [(mask_of(view1(v)), mask_of(view2(v))) for v in sigma]
+    return all(_contending(*a, *b) for a, b in combinations(views, 2))
 
 
 def contention_simplices(K: ChromaticComplex, min_dim: int = 0) -> list[Simplex]:
@@ -73,31 +84,48 @@ class CriticalData:
     conc: int                     # max alpha over critical carriers, 0 if none
 
 
+def _view_groups(packed: int) -> tuple[tuple[int, int], ...]:
+    """A packed Chr s simplex as (view mask, mask of the colors that saw it)
+    pairs."""
+    groups: dict[int, int] = {}
+    for c in range(MAX_PROCESSES):
+        if view := packed >> MAX_PROCESSES * c & _VIEW:
+            groups[view] = groups.get(view, 0) | 1 << c
+    return tuple(groups.items())
+
+
+def _critical_faces(groups, alpha: AgreementFunction) -> Iterator[tuple[int, int]]:
+    """(view, colors) of every critical face: the faces inside one view
+    group whose colors, removed from the view, strictly lower alpha."""
+    for view, members in groups:
+        for colors in submasks(members)[1:]:
+            if alpha.of_mask(view & ~colors) < alpha.of_mask(view):
+                yield view, colors
+
+
+def _critical_summary(faces, alpha: AgreementFunction) -> tuple[int, int, int]:
+    """(csm colors, csv colors, conc) of the given critical faces."""
+    csm = csv = conc = 0
+    for view, colors in faces:
+        csm, csv = csm | colors, csv | view
+        conc = max(conc, alpha.of_mask(view))
+    return csm, csv, conc
+
+
 def is_critical(sigma: Simplex, alpha: AgreementFunction) -> bool:
     """All vertices carry sigma's carrier and dropping sigma's colors lowers alpha."""
-    car = sigma.vertices[0].payload
-    if car is None:
-        raise ComplexError("criticality is defined for first-subdivision simplices")
-    for v in sigma.vertices[1:]:
-        if v.payload != car:
-            return False
-    colors = car.colors
-    return alpha(colors - sigma.colors) < alpha(colors)
+    groups = _view_groups(packed_views(sigma))
+    return len(groups) == 1 and groups[0] in _critical_faces(groups, alpha)
 
 
 def critical_data(sigma: Simplex, alpha: AgreementFunction) -> CriticalData:
-    cs = frozenset(theta for theta in sigma.faces()
-                   if is_critical(theta, alpha))
-    csm_verts: set[Vertex] = set()
-    for theta in cs:
-        csm_verts.update(theta.vertices)
-    if csm_verts:
-        csv = carrier_step(Simplex(tuple(csm_verts))).colors
-    else:
-        csv = frozenset()
-    conc = max((alpha(carrier(theta, "s").colors) for theta in cs), default=0)
-    return CriticalData(cs=cs, csm=frozenset(csm_verts),
-                        csv_colors=csv, conc=conc)
+    by_color = {v.color: v for v in sigma}
+    faces = list(_critical_faces(_view_groups(packed_views(sigma)), alpha))
+    csm, csv, conc = _critical_summary(faces, alpha)
+    cs = frozenset(Simplex(tuple(by_color[c] for c in colors_of(colors)))
+                   for _, colors in faces)
+    return CriticalData(cs=cs, csm=frozenset(by_color[c] for c in colors_of(csm)),
+                        csv_colors=colors_of(csv), conc=conc)
 
 
 def critical_simplices(adv: Adversary) -> list[Simplex]:
@@ -107,32 +135,12 @@ def critical_simplices(adv: Adversary) -> list[Simplex]:
             if is_critical(s, alpha)]
 
 
-class _CriticalCache:
+def _critical_cache(alpha: AgreementFunction):
     """Per-alpha memo for critical data of Chr s simplices."""
-
-    def __init__(self, alpha: AgreementFunction):
-        self.alpha = alpha
-        self._data: dict[Simplex, CriticalData] = {}
-
-    def __call__(self, sigma: Simplex) -> CriticalData:
-        got = self._data.get(sigma)
-        if got is None:
-            got = critical_data(sigma, self.alpha)
-            self._data[sigma] = got
-        return got
+    return lru_cache(maxsize=None)(partial(critical_data, alpha=alpha))
 
 
 # --- task constructions -----------------------------------------------------------
-
-
-def build_r_kof(n: int, k: int) -> AffineTask:
-    """Facets of Chr Chr s avoiding every contending simplex of dim >= k."""
-    if not 1 <= k <= n:
-        raise AdversaryError(f"k={k} out of range 1..{n}")
-    chr2 = chr2_complex(n)
-    banned = contention_simplices(chr2, min_dim=k)
-    return AffineTask(name=f"r_{k}of", n=n,
-                      complex=pure_complement(banned, chr2))
 
 
 def build_r_tres(n: int, t: int) -> AffineTask:
@@ -150,26 +158,37 @@ def build_r_tres(n: int, t: int) -> AffineTask:
                       complex=pure_complement(small, chr2))
 
 
-def _facet_obeys(facet: Simplex, alpha: AgreementFunction,
-                 crit: _CriticalCache, combine: str) -> bool:
-    rho = carrier_step(facet)
-    csm_rho_colors = frozenset(v.color for v in crit(rho).csm)
-    for size in range(1, len(facet.vertices) + 1):
-        for combo in combinations(facet.vertices, size):
-            theta = Simplex(combo)
-            if not is_contention(theta):
-                continue
-            tau = carrier_step(theta)
-            data = crit(tau)
-            if combine == "union":
-                guard = csm_rho_colors | data.csv_colors
-            else:
-                guard = csm_rho_colors & data.csv_colors
-            if theta.colors & guard:
-                continue
-            if theta.dim >= data.conc:
-                return False
-    return True
+@lru_cache(maxsize=MAX_PROCESSES)
+def _chr2_table(n: int) -> tuple:
+    """(facets, groups, rhos, faces) of Chr Chr s: its facets; the view
+    groups of each Chr s simplex id; per facet, the id of its carrier rho;
+    per facet, its contending faces packed as tau id << MAX_PROCESSES | colors."""
+    chr2 = chr2_complex(n)
+    verts = {}  # per vertex: color bit, round-1 view, round-2 view, carrier
+    for v in chr2.vertices:
+        car = packed_views(v.payload)
+        verts[v] = (1 << v.color - 1, car >> MAX_PROCESSES * (v.color - 1) & _VIEW,
+                    mask_of(v.payload.colors), car)
+    ids: dict[int, int] = {}  # packed Chr s simplex -> id
+    pool: dict[int, int] = {}  # one int object per packed face
+    facets, rhos, faces = tuple(chr2.facets), [], []
+    for facet in facets:
+        vs = [verts[v] for v in facet]
+        cliques: list[tuple[int, int, int]] = []  # members, colors, tau
+        rho = 0
+        for i, (bit, v1, v2, car) in enumerate(vs):
+            rivals = sum(1 << j for j, u in enumerate(vs[:i])
+                         if _contending(v1, v2, u[1], u[2]))
+            cliques += [(members | 1 << i, colors | bit, tau | car)
+                        for members, colors, tau in cliques
+                        if members & rivals == members]
+            cliques.append((1 << i, bit, car))
+            rho |= car
+        rhos.append(ids.setdefault(rho, len(ids)))
+        packed = (ids.setdefault(tau, len(ids)) << MAX_PROCESSES | colors
+                  for _, colors, tau in cliques)
+        faces.append(tuple(pool.setdefault(x, x) for x in packed))
+    return facets, tuple(_view_groups(p) for p in ids), tuple(rhos), tuple(faces)
 
 
 def build_r_a(adv: Adversary, combine: str = "union") -> AffineTask:
@@ -185,15 +204,24 @@ def build_r_a(adv: Adversary, combine: str = "union") -> AffineTask:
         raise AdversaryError(f"combine must be one of {COMBINE_MODES}")
     require_fair(adv)
     alpha = agreement_function(adv)
-    full = frozenset(range(1, adv.n + 1))
-    if alpha(full) < 1:
+    if alpha(range(1, adv.n + 1)) < 1:
         raise AdversaryError("adversary admits no live set; no task to build")
-    chr2 = chr2_complex(adv.n)
-    crit = _CriticalCache(alpha)
-    kept = [f for f in chr2.sorted_facets()
-            if _facet_obeys(f, alpha, crit, combine)]
-    return AffineTask(name="r_adv", n=adv.n,
-                      complex=closure(kept, n=adv.n),
+    facets, groups, rhos, faces = _chr2_table(adv.n)
+    csm_of, csv_of, conc_of = zip(*(
+        _critical_summary(_critical_faces(g, alpha), alpha) for g in groups))
+    union = combine == "union"
+    kept = []
+    for facet, rho, packed in zip(facets, rhos, faces):
+        csm = csm_of[rho]
+        for face in packed:
+            tau = face >> MAX_PROCESSES
+            guard = csm | csv_of[tau] if union else csm & csv_of[tau]
+            # dim >= conc, with dim one less than the number of colors
+            if not face & guard and (face & _VIEW).bit_count() > conc_of[tau]:
+                break
+        else:
+            kept.append(facet)
+    return AffineTask(name="r_adv", n=adv.n, complex=closure(kept, n=adv.n),
                       alpha=alpha, combine=combine)
 
 
@@ -220,10 +248,6 @@ def variant_divergence_report(advs: Iterable[tuple[str, Adversary]]) -> dict:
 # --- verification sweeps ------------------------------------------------------------
 
 
-def _chr_simplices(n: int) -> list[Simplex]:
-    return chr_complex(n).simplices()
-
-
 def verify_cs_distribution(adv: Adversary, levels: Iterable[int] | None = None
                            ) -> VerificationReport:
     """Hitting-set lower bounds on critical sub-simplices, per level l.
@@ -235,10 +259,10 @@ def verify_cs_distribution(adv: Adversary, levels: Iterable[int] | None = None
     """
     require_fair(adv)
     alpha = agreement_function(adv)
-    crit = _CriticalCache(alpha)
+    crit = _critical_cache(alpha)
     report = VerificationReport(kind="cs_distribution")
     levels = list(levels) if levels is not None else list(range(1, adv.n + 1))
-    for sigma in _chr_simplices(adv.n):
+    for sigma in chr_complex(adv.n).simplices():
         car_colors = carrier(sigma, "s").colors
         data = crit(sigma)
         for l in levels:
@@ -262,9 +286,9 @@ def verify_single_carrier(adv: Adversary) -> VerificationReport:
     """Critical sub-simplices at the same alpha level share one carrier."""
     require_fair(adv)
     alpha = agreement_function(adv)
-    crit = _CriticalCache(alpha)
+    crit = _critical_cache(alpha)
     report = VerificationReport(kind="single_carrier")
-    for sigma in _chr_simplices(adv.n):
+    for sigma in chr_complex(adv.n).simplices():
         cs = sorted(crit(sigma).cs, key=lambda s: s.uids)
         for t1, t2 in combinations(cs, 2):
             c1, c2 = carrier(t1, "s"), carrier(t2, "s")
@@ -280,8 +304,8 @@ def concurrency_levels(adv: Adversary) -> dict[Simplex, int]:
     """Conc of every simplex of Chr s, for rendering and inspection."""
     require_fair(adv)
     alpha = agreement_function(adv)
-    crit = _CriticalCache(alpha)
-    return {sigma: crit(sigma).conc for sigma in _chr_simplices(adv.n)}
+    crit = _critical_cache(alpha)
+    return {sigma: crit(sigma).conc for sigma in chr_complex(adv.n).simplices()}
 
 
 # --- task JSON ---------------------------------------------------------------------

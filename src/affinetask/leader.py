@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .adversary import Adversary, AgreementFunction, agreement_function, require_fair
-from .affine import AffineTask, _CriticalCache, build_r_a
+from .affine import AffineTask, _critical_cache, build_r_a
 from .bits import mask_of
 from .complexes import Vertex
 from .reports import VerificationReport
@@ -45,7 +45,7 @@ class LeaderMap:
 
     def __init__(self, alpha: AgreementFunction):
         self.alpha = alpha
-        self._crit = _CriticalCache(alpha)
+        self._crit = _critical_cache(alpha)
         self._mu: dict[tuple[Vertex, frozenset[int]], int] = {}
 
     def delta(self, v: Vertex, Q: Iterable[int]) -> frozenset[int]:
@@ -94,8 +94,7 @@ class LeaderMap:
 def _prepare(adv: Adversary, task: AffineTask | None,
              leader_map: LeaderMap | None) -> tuple[AffineTask, LeaderMap]:
     """The task and the leader map, both of the adversary's own alpha. A
-    task that carries no alpha (`build_r_kof`, `build_r_tres`) is checked
-    only for its n."""
+    task that carries no alpha (`build_r_tres`) is refused."""
     require_fair(adv)
     alpha = agreement_function(adv)
     if task is None:
@@ -103,7 +102,7 @@ def _prepare(adv: Adversary, task: AffineTask | None,
     if task.n != adv.n:
         raise LeaderError(f"task {task.name} is over n={task.n}, "
                           f"the adversary over n={adv.n}")
-    if task.alpha is not None and task.alpha != alpha:
+    if task.alpha != alpha:
         raise LeaderError(f"task {task.name} was built for another "
                           "agreement function than the adversary's")
     if leader_map is None:

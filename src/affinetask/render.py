@@ -8,6 +8,7 @@ byte-identical output.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .complexes import ChromaticComplex, ComplexError, Simplex, Vertex
@@ -142,13 +143,12 @@ def _escape(text: str) -> str:
 
 
 def render_off(K: ChromaticComplex) -> str:
-    """OFF-style triangle mesh for n = 4: all 2-faces over exact coordinates."""
+    """OFF-style triangle mesh for n = 4: all 2-faces (facets' vertex triples)."""
     if K.n != 4:
         raise ComplexError(f"OFF export is for n=4, got n={K.n}")
     verts = sorted(K.vertices, key=lambda v: v.uid)
-    index = {v: i for i, v in enumerate(verts)}
-    triangles = sorted({s.uids: s for s in K.simplices() if s.dim == 2}.values(),
-                       key=lambda s: s.uids)
+    index = {v.uid: i for i, v in enumerate(verts)}
+    triangles = sorted({tri for f in K.facets for tri in combinations(f.uids, 3)})
     lines = ["OFF", f"{len(verts)} {len(triangles)} 0"]
     for v in verts:
         weights = geometry(v, 4)
@@ -156,6 +156,6 @@ def render_off(K: ChromaticComplex) -> str:
                       Fraction(0)) for axis in range(3)]
         lines.append(" ".join(_fmt(c) for c in coords))
     for tri in triangles:
-        ids = " ".join(str(index[v]) for v in tri)
+        ids = " ".join(str(index[uid]) for uid in tri)
         lines.append(f"3 {ids}")
     return "\n".join(lines) + "\n"

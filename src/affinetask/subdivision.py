@@ -6,6 +6,10 @@ payload's own payloads) for vertices of Chr Chr K. Facets of Chr K over a
 facet tau of K are in bijection with ordered set partitions of tau's
 vertices: the vertex for v in block B_i carries the sub-simplex spanned by
 B_1 | ... | B_i.
+
+Integer code: a Chr s vertex is its color and view (its carrier's color
+mask); `packed_views` packs a Chr s simplex into one int, so the Chr s
+carrier of a set of Chr Chr s vertices is the OR of their packed carriers.
 """
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
+from .bits import mask_of
 from .complexes import (MAX_PROCESSES, ChromaticComplex, ComplexError,
                         Simplex, Vertex, is_pure)
 
@@ -188,6 +193,16 @@ def carrier_step(x: Vertex | Simplex) -> Simplex:
             raise ComplexError(f"{v!r} is a base vertex; it has no carrier")
         parts.update(v.payload.vertices)
     return Simplex(tuple(parts))
+
+
+def packed_views(sigma: Simplex) -> int:
+    """A Chr s simplex as one int: the view mask of its color-c vertex in
+    bits 5(c-1) .. 5c-1 (MAX_PROCESSES bits per color), 0 if c is absent."""
+    if any(v.payload is None or v.payload.vertices[0].payload is not None
+           for v in sigma):
+        raise ComplexError(f"{sigma!r} is not a first-subdivision simplex")
+    return sum(mask_of(v.payload.colors) << MAX_PROCESSES * (v.color - 1)
+               for v in sigma)
 
 
 def carrier(x: Vertex | Simplex, level: str) -> Simplex:

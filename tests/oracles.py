@@ -3,17 +3,22 @@
 Everything here is deliberately written against different primitives than
 the package: partition counting via the surjection formula, the pure
 complement via brute-force filtering, the resilient task via a per-vertex
-view filter, the level-two contention gap via carriers and colors, the
-leader map via uncached critical data and a pairwise inclusion minimum,
-setcon and fairness via the recursive definition on frozensets of live sets.
+view filter, the contention-ban task via contending simplices, the affine
+task via Simplex objects and frozenset views, the level-two contention gap
+via carriers and colors, the leader map via uncached critical data and a
+pairwise inclusion minimum, setcon and fairness via the recursive definition
+on frozensets of live sets.
 """
 from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import comb, factorial
 
-from affinetask import (Adversary, AdversaryError, ChromaticComplex, Simplex,
-                        carrier, critical_data)
+from affinetask import (Adversary, AdversaryError, AffineTask,
+                        ChromaticComplex, Simplex, agreement_function,
+                        carrier, carrier_step, chr2_complex,
+                        contention_simplices, critical_data,
+                        pure_complement, require_fair, view1, view2)
 
 
 def fubini(n: int) -> int:
@@ -47,6 +52,67 @@ def pure_complement_brute(simplices, K: ChromaticComplex) -> set[Simplex]:
     """Facets containing no member of the given set."""
     wanted = set(simplices)
     return {f for f in K.facets if not any(f.has_face(s) for s in wanted)}
+
+
+def build_r_kof(n: int, k: int) -> AffineTask:
+    """The contention ban: facets of Chr Chr s avoiding every contending
+    simplex of dim >= k."""
+    if not 1 <= k <= n:
+        raise AdversaryError(f"k={k} out of range 1..{n}")
+    chr2 = chr2_complex(n)
+    banned = contention_simplices(chr2, min_dim=k)
+    return AffineTask(name=f"r_{k}of", n=n,
+                      complex=pure_complement(banned, chr2))
+
+
+def r_a_by_definition(adv: Adversary, combine: str) -> set[Simplex]:
+    """The facets of R_A, filtered one Simplex at a time.
+
+    Contention compares frozenset views; criticality tests every face of a
+    carrier for one shared payload and a drop of alpha, memoized per carrier.
+    A facet is dropped when a contending face misses the guard colors (the
+    union or the intersection of the critical-member colors of the facet's
+    carrier and the critical-carrier colors of the face's carrier) and its
+    dim reaches the conc of its carrier.
+    """
+    require_fair(adv)
+    alpha = agreement_function(adv)
+    memo: dict[Simplex, tuple] = {}
+
+    def contending(theta: Simplex) -> bool:
+        return all((view1(v) < view1(u) and view2(u) < view2(v))
+                   or (view1(u) < view1(v) and view2(v) < view2(u))
+                   for v, u in combinations(theta.vertices, 2))
+
+    def critical(theta: Simplex) -> bool:
+        car = theta.vertices[0].payload
+        return (all(v.payload == car for v in theta)
+                and alpha(car.colors - theta.colors) < alpha(car.colors))
+
+    def crit(sigma: Simplex) -> tuple:
+        """(csm colors, csv colors, conc) of a Chr s simplex."""
+        if sigma not in memo:
+            cs = [theta for theta in sigma.faces() if critical(theta)]
+            csm = frozenset(v for theta in cs for v in theta)
+            memo[sigma] = (frozenset(v.color for v in csm),
+                           carrier_step(Simplex(tuple(csm))).colors
+                           if csm else frozenset(),
+                           max((alpha(carrier_step(theta).colors)
+                                for theta in cs), default=0))
+        return memo[sigma]
+
+    def obeys(facet: Simplex) -> bool:
+        csm_rho = crit(carrier_step(facet))[0]
+        for theta in facet.faces():
+            if not contending(theta):
+                continue
+            _, csv, conc = crit(carrier_step(theta))
+            guard = csm_rho | csv if combine == "union" else csm_rho & csv
+            if not theta.colors & guard and theta.dim >= conc:
+                return False
+        return True
+
+    return {f for f in chr2_complex(adv.n).facets if obeys(f)}
 
 
 def resilient_facets_by_vertex_filter(chr2: ChromaticComplex, n: int,

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import pytest
 
-from affinetask import (build_r_a, build_r_kof, chr2_complex, chr_complex,
+from affinetask import (build_r_a, chr2_complex, chr_complex,
                         check_model, classify, csize, enumerate_adversaries,
                         is_superset_closed, is_symmetric, make_k_of,
                         make_symmetric, make_t_resilient, setcon,
@@ -25,7 +25,8 @@ from affinetask import (build_r_a, build_r_kof, chr2_complex, chr_complex,
                         verify_single_carrier, view2)
 from affinetask.cli import main
 from conftest import DATA_DIR
-from oracles import facets_with_lone_full_view_leader, fubini, restrict
+from oracles import (build_r_kof, facets_with_lone_full_view_leader, fubini,
+                     restrict)
 
 
 def verdict(capsys, label: str, ok: bool, detail: str = "") -> None:

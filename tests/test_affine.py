@@ -6,17 +6,18 @@ from collections import Counter
 import pytest
 
 from affinetask import (Adversary, AdversaryError, ComplexError, Simplex,
-                        agreement_function, build_r_a, build_r_kof,
-                        build_r_tres, carrier, chr2_complex,
-                        concurrency_levels, contention_simplices,
-                        critical_data, critical_simplices, is_contention,
-                        is_critical, make_k_of, make_superset_closed,
+                        agreement_function, build_r_a, build_r_tres, carrier,
+                        chr2_complex, concurrency_levels,
+                        contention_simplices, critical_data,
+                        critical_simplices, enumerate_adversaries,
+                        is_contention, is_critical, is_fair, make_k_of,
+                        make_superset_closed, make_symmetric,
                         make_t_resilient, standard_simplex, task_to_dict,
                         two_round_facet, variant_divergence_report,
                         verify_cs_distribution, verify_single_carrier)
 from conftest import DATA_DIR
-from oracles import (facets_with_lone_full_view_leader,
-                     resilient_facets_by_vertex_filter)
+from oracles import (build_r_kof, facets_with_lone_full_view_leader,
+                     r_a_by_definition, resilient_facets_by_vertex_filter)
 
 
 # --- contention -----------------------------------------------------------------
@@ -178,6 +179,39 @@ def test_task_facet_counts(fixture_adversaries, name, union_count, inter_count):
     adv = fixture_adversaries[name]
     assert build_r_a(adv, combine="union").facet_count() == union_count
     assert build_r_a(adv, combine="intersection").facet_count() == inter_count
+
+
+def test_r_a_matches_definition():
+    """Differential check of the integer-coded filter against the Simplex
+    filter, in both combine modes: every fair live family at n <= 3 (49),
+    then k_of(4, 1) and k_of(4, 2)."""
+    advs = [a for n in (1, 2, 3) for a in enumerate_adversaries(n)
+            if is_fair(a) and agreement_function(a)(range(1, n + 1)) >= 1]
+    assert len(advs) == 49
+    for adv in advs + [make_k_of(4, 1), make_k_of(4, 2)]:
+        for combine in ("union", "intersection"):
+            assert (build_r_a(adv, combine=combine).complex.facets
+                    == r_a_by_definition(adv, combine)), (adv, combine)
+
+
+# (union, intersection) facet counts of R_A for each symmetric n=4 family
+N4_COUNTS = {
+    (1,): (1015, 677), (2,): (1879, 1065), (3,): (2311, 1083),
+    (4,): (2503, 1519), (1, 2): (3587, 2917), (1, 3): (4073, 2953),
+    (1, 4): (4077, 3489), (2, 3): (3949, 3285), (2, 4): (4265, 3821),
+    (3, 4): (3851, 3803), (1, 2, 3): (4949, 4273), (1, 2, 4): (5157, 4689),
+    (1, 3, 4): (5157, 4689), (2, 3, 4): (4949, 4949),
+    (1, 2, 3, 4): (5625, 5625),
+}
+
+
+@pytest.mark.parametrize("sizes", sorted(N4_COUNTS),
+                         ids=lambda sizes: ",".join(map(str, sizes)))
+def test_symmetric_n4_task_counts(sizes):
+    adv = make_symmetric(4, sizes)
+    got = tuple(build_r_a(adv, combine=c).facet_count()
+                for c in ("union", "intersection"))
+    assert got == N4_COUNTS[sizes]
 
 
 def test_union_variant_contains_intersection_variant(fixture_adversaries):

@@ -5,7 +5,8 @@ from itertools import combinations
 import pytest
 
 from affinetask import (LeaderError, LeaderMap, agreement_function, build_r_a,
-                        make_k_of, two_round_facet, verify_leader,
+                        build_r_tres, make_k_of, make_t_resilient,
+                        two_round_facet, verify_leader,
                         verify_mu_agreement, verify_mu_robustness,
                         verify_mu_validity)
 from oracles import mu_by_definition
@@ -87,6 +88,15 @@ def test_leader_rejects_task_or_map_of_another_adversary():
     other = LeaderMap(agreement_function(make_k_of(3, 2)))
     with pytest.raises(LeaderError, match="another agreement function"):
         verify_mu_validity(adv, leader_map=other)
+
+
+def test_leader_rejects_task_without_alpha():
+    """A task built for no adversary (the resilient vertex filter) is not
+    accepted for one, even where its facets equal R_A's."""
+    with pytest.raises(LeaderError, match="another agreement function"):
+        verify_leader(make_k_of(3, 1), build_r_tres(3, 1))
+    with pytest.raises(LeaderError, match="another agreement function"):
+        verify_leader(make_t_resilient(3, 1), build_r_tres(3, 1))
 
 
 def test_leader_verifies_intersection_variant(fixture_adversaries):
