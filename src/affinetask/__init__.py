@@ -12,14 +12,13 @@ from .adversary import (Adversary, AdversaryError, AgreementFunction,
                         make_superset_closed, make_symmetric,
                         make_t_resilient, require_fair,
                         setcon, symmetric_setcon, verify_fair_subtraction)
-from .affine import (AffineTask, CriticalData, build_r_a, build_r_tres,
+from .affine import (AffineTask, CriticalData, build_r_a,
                      concurrency_levels, contention_simplices,
                      critical_data, critical_simplices, is_contention,
-                     is_critical, task_to_dict, variant_divergence_report,
-                     verify_cs_distribution, verify_single_carrier)
+                     is_critical, task_to_dict, verify_cs_distribution,
+                     verify_single_carrier)
 from .complexes import (ChromaticComplex, ComplexError, Simplex, Vertex,
-                        closure, complex_from_dict, complex_to_dict, is_pure,
-                        pure_complement)
+                        closure, complex_from_dict, complex_to_dict, is_pure)
 from .leader import (LeaderError, LeaderMap, verify_leader,
                      verify_mu_agreement, verify_mu_robustness,
                      verify_mu_validity)

@@ -5,7 +5,8 @@ second-round views are strictly ordered in opposite directions; a simplex is
 contending when every vertex pair is. Criticality: a simplex sigma of Chr s
 is critical for an agreement function alpha when all its vertices share
 sigma's carrier and removing sigma's colors from that carrier strictly drops
-alpha. The task constructions combine the two notions.
+alpha. The affine task R_A of a fair adversary, `build_r_a`, combines the
+two notions; it is the only task this package builds.
 
 Each notion is decided once, on masks (`_contending`, `_critical_faces`); the
 Simplex functions call them. `build_r_a` reads `_chr2_table(n)`, Chr Chr s
@@ -25,24 +26,22 @@ from .adversary import (Adversary, AdversaryError, AgreementFunction,
                         require_fair)
 from .bits import colors_of, mask_of, submasks
 from .complexes import (MAX_PROCESSES, ChromaticComplex, Simplex, Vertex,
-                        closure, complex_to_dict, pure_complement)
+                        closure, complex_to_dict)
 from .reports import VerificationReport
 from .subdivision import (carrier, chr2_complex, chr_complex, packed_views,
                           view1, view2)
 
-COMBINE_MODES = ("union", "intersection")
 _VIEW = (1 << MAX_PROCESSES) - 1  # one color's field of a packed Chr s simplex
 
 
 @dataclass(frozen=True, eq=False)
 class AffineTask:
-    """A sub-complex of Chr Chr s, optionally tagged with its alpha."""
+    """A sub-complex of Chr Chr s with the agreement function it was built for."""
 
     name: str
     n: int
     complex: ChromaticComplex
-    alpha: AgreementFunction | None = None
-    combine: str | None = None
+    alpha: AgreementFunction
 
     def facet_count(self) -> int:
         return len(self.complex.facets)
@@ -143,21 +142,6 @@ def _critical_cache(alpha: AgreementFunction):
 # --- task constructions -----------------------------------------------------------
 
 
-def build_r_tres(n: int, t: int) -> AffineTask:
-    """Facets of Chr Chr s whose vertices all see at least n-t processes.
-
-    Built as the pure complement of the star of the small-carrier simplices;
-    equivalent to filtering facets on |carrier(v, s)| >= n - t per vertex.
-    """
-    if not 0 <= t < n:
-        raise AdversaryError(f"t={t} out of range 0..{n - 1}")
-    chr2 = chr2_complex(n)
-    small = [s for s in chr2.simplices()
-             if len(carrier(s, "s")) <= n - t - 1]
-    return AffineTask(name=f"r_{t}res", n=n,
-                      complex=pure_complement(small, chr2))
-
-
 @lru_cache(maxsize=MAX_PROCESSES)
 def _chr2_table(n: int) -> tuple:
     """(facets, groups, rhos, faces) of Chr Chr s: its facets; the view
@@ -191,17 +175,14 @@ def _chr2_table(n: int) -> tuple:
     return facets, tuple(_view_groups(p) for p in ids), tuple(rhos), tuple(faces)
 
 
-def build_r_a(adv: Adversary, combine: str = "union") -> AffineTask:
+def build_r_a(adv: Adversary) -> AffineTask:
     """The adversary's affine task: facets all of whose contending faces
     either touch the guard colors or stay below the concurrency level of
     their carrier.
 
-    The guard combines the critical-member colors of the facet's carrier with
-    the critical-carrier colors of the face's carrier; "union" keeps faces
-    clear of both (the default), "intersection" only of their overlap.
+    The guard is the union of the critical-member colors of the facet's
+    carrier and the critical-carrier colors of the face's carrier.
     """
-    if combine not in COMBINE_MODES:
-        raise AdversaryError(f"combine must be one of {COMBINE_MODES}")
     require_fair(adv)
     alpha = agreement_function(adv)
     if alpha(range(1, adv.n + 1)) < 1:
@@ -209,40 +190,19 @@ def build_r_a(adv: Adversary, combine: str = "union") -> AffineTask:
     facets, groups, rhos, faces = _chr2_table(adv.n)
     csm_of, csv_of, conc_of = zip(*(
         _critical_summary(_critical_faces(g, alpha), alpha) for g in groups))
-    union = combine == "union"
     kept = []
     for facet, rho, packed in zip(facets, rhos, faces):
         csm = csm_of[rho]
         for face in packed:
             tau = face >> MAX_PROCESSES
-            guard = csm | csv_of[tau] if union else csm & csv_of[tau]
+            guard = csm | csv_of[tau]
             # dim >= conc, with dim one less than the number of colors
             if not face & guard and (face & _VIEW).bit_count() > conc_of[tau]:
                 break
         else:
             kept.append(facet)
     return AffineTask(name="r_adv", n=adv.n, complex=closure(kept, n=adv.n),
-                      alpha=alpha, combine=combine)
-
-
-def variant_divergence_report(advs: Iterable[tuple[str, Adversary]]) -> dict:
-    """Facet-level diff of the union and intersection task variants."""
-    rows = []
-    for label, adv in advs:
-        union = build_r_a(adv, combine="union")
-        inter = build_r_a(adv, combine="intersection")
-        only_union = sorted(
-            list(f.uids) for f in union.complex.facets - inter.complex.facets)
-        only_inter = sorted(
-            list(f.uids) for f in inter.complex.facets - union.complex.facets)
-        rows.append({
-            "adversary": label,
-            "union_facets": union.facet_count(),
-            "intersection_facets": inter.facet_count(),
-            "facets_only_in_union": only_union,
-            "facets_only_in_intersection": only_inter,
-        })
-    return {"kind": "task_variant_divergence", "rows": rows}
+                      alpha=alpha)
 
 
 # --- verification sweeps ------------------------------------------------------------
@@ -316,7 +276,7 @@ def task_to_dict(task: AffineTask) -> dict:
     so any consumer of the complex schema can read it unchanged."""
     out = complex_to_dict(task.complex)
     out["name"] = task.name
-    out["combine"] = task.combine
-    if task.alpha is not None:
-        out["alpha"] = alpha_to_dict(task.alpha)
+    # the task file format names its guard; R_A's guard is the union
+    out["combine"] = "union"
+    out["alpha"] = alpha_to_dict(task.alpha)
     return out

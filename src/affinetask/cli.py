@@ -19,10 +19,10 @@ from typing import Iterable
 from .adversary import (Adversary, AdversaryError, adversary_from_dict,
                         adversary_to_dict, agreement_function, alpha_to_dict,
                         check_fairness, classify, enumerate_adversaries,
-                        make_k_of, setcon, verify_fair_subtraction)
-from .affine import (AffineTask, build_r_a, concurrency_levels, task_to_dict,
-                     variant_divergence_report, verify_cs_distribution,
-                     verify_single_carrier)
+                        make_k_of, make_t_resilient, setcon,
+                        verify_fair_subtraction)
+from .affine import (build_r_a, concurrency_levels, task_to_dict,
+                     verify_cs_distribution, verify_single_carrier)
 from .complexes import (MAX_PROCESSES, ChromaticComplex, ComplexError,
                         complex_from_dict, complex_to_dict)
 from .leader import LeaderError, verify_leader
@@ -140,7 +140,7 @@ def cmd_adv(args) -> int:
 
 def cmd_affine_build(args) -> int:
     adv = _load_adversary(args.adversary)
-    task = build_r_a(adv, combine=args.combine)
+    task = build_r_a(adv)
     _dump(task_to_dict(task), args.out)
     if args.svg:
         base = chr2_complex(adv.n)
@@ -183,7 +183,7 @@ def cmd_simulate_check(args) -> int:
     adv = _load_adversary(args.adversary)
     if args.n is not None and args.n != adv.n:
         raise SimulationError(f"--n {args.n} disagrees with adversary n={adv.n}")
-    task = build_r_a(adv, combine=args.combine)
+    task = build_r_a(adv)
     cap = state_cap_from_env()
     parts = ([_parse_colors(args.participation)]
              if args.participation else valid_participations(adv))
@@ -274,10 +274,9 @@ def cmd_repro(args) -> int:
     # six drawings
     put("subdivision_one_round.svg", render_complex_svg(chr1, labels=True))
 
-    from .affine import build_r_tres
-    tres = build_r_tres(n, 1)
+    resilient = build_r_a(make_t_resilient(n, 1))
     put("task_resilient_1.svg", render_complex_svg(
-        chr2, [(tres.complex.sorted_facets(), HIGHLIGHT_COLORS[0])]))
+        chr2, [(resilient.complex.sorted_facets(), HIGHLIGHT_COLORS[0])]))
 
     contending = contention_simplices(chr2, min_dim=1)
     put("contention_two_rounds.svg",
@@ -295,36 +294,33 @@ def cmd_repro(args) -> int:
               for i, c in enumerate(sorted(by_level))]
     put("concurrency_map.svg", render_complex_svg(chr1, layers))
 
-    union_task = build_r_a(adv, combine="union")
+    task = build_r_a(adv)
     put("task_affine.svg", render_complex_svg(
-        chr2, [(union_task.complex.sorted_facets(), HIGHLIGHT_COLORS[0])]))
+        chr2, [(task.complex.sorted_facets(), HIGHLIGHT_COLORS[0])]))
 
     # four reports
     rows = [classify(a) for a in enumerate_adversaries(n)]
     put("classification.json",
         json.dumps({"n": n, "count": len(rows), "rows": rows}, indent=2) + "\n")
 
-    inter_task = build_r_a(adv, combine="intersection")
     dist = verify_cs_distribution(adv)
     single = verify_single_carrier(adv)
     subtract = verify_fair_subtraction(adv)
     ok = ok and dist.ok and single.ok and subtract.ok
     put("affine_report.json", json.dumps({
         "adversary": adversary_to_dict(adv),
-        "facet_counts": {"union": union_task.facet_count(),
-                         "intersection": inter_task.facet_count()},
-        "divergence": variant_divergence_report([("selected", adv)]),
+        "facet_count": task.facet_count(),
         "distribution": dist.to_dict(),
         "single_carrier": single.to_dict(),
         "subtraction": subtract.to_dict(),
     }, indent=2) + "\n")
 
-    reports = verify_leader(adv, task=union_task)
+    reports = verify_leader(adv, task=task)
     ok = ok and all(r.ok for r in reports)
     put("leader_report.json",
         json.dumps({r.kind: r.to_dict() for r in reports}, indent=2) + "\n")
 
-    safety, liveness, mc_rows = check_model(adv, union_task, max_states=cap)
+    safety, liveness, mc_rows = check_model(adv, task, max_states=cap)
     ok = ok and safety.ok and liveness.ok
     put("model_check.json", json.dumps({
         "adversary": adversary_to_dict(adv),
@@ -369,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     asub = p.add_subparsers(dest="affine_cmd", required=True)
     b = asub.add_parser("build")
     b.add_argument("--adversary", required=True)
-    b.add_argument("--combine", choices=("union", "intersection"), default="union")
     b.add_argument("--out")
     b.add_argument("--svg")
     b.set_defaults(func=cmd_affine_build)
@@ -397,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--liveness", action="store_true")
     sc.add_argument("--participation", help="fix one participation, e.g. 1,2")
     sc.add_argument("--fault-budget", type=int, default=None)
-    sc.add_argument("--combine", choices=("union", "intersection"),
-                    default="union")
     sc.add_argument("--trace-out", help="directory for violation traces")
     sc.add_argument("--out")
     sc.set_defaults(func=cmd_simulate_check)

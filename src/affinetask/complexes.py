@@ -185,19 +185,6 @@ def is_pure(K: ChromaticComplex) -> bool:
     return len(dims) <= 1
 
 
-def pure_complement(simplices: Iterable[Simplex], K: ChromaticComplex) -> ChromaticComplex:
-    """Closure of the facets of K that avoid every given simplex.
-
-    K must be pure.
-    """
-    if not is_pure(K):
-        raise ComplexError("pure_complement requires a pure complex")
-    sims = list(simplices)
-    kept = [f for f in K.facets
-            if not any(f.has_face(s) for s in sims)]
-    return ChromaticComplex(n=K.n, facets=frozenset(kept))
-
-
 # --- JSON form -------------------------------------------------------------
 #
 # {"n": int,
@@ -248,6 +235,10 @@ def complex_from_dict(data: dict) -> ChromaticComplex:
 
     try:
         n = data["n"]
+        # JSON true/false parse to bools, which Python counts as ints
+        if type(n) is not int:
+            raise ComplexError(
+                f"complex document: n must be an integer, got {n!r}")
         base = {v.color: v for v in standard_simplex(n).vertices}
         by_uid: dict[str, Vertex] = {}
         for item in data["vertices"]:

@@ -93,8 +93,8 @@ class LeaderMap:
 
 def _prepare(adv: Adversary, task: AffineTask | None,
              leader_map: LeaderMap | None) -> tuple[AffineTask, LeaderMap]:
-    """The task and the leader map, both of the adversary's own alpha. A
-    task that carries no alpha (`build_r_tres`) is refused."""
+    """The task and the leader map, both of the adversary's own alpha;
+    the task defaults to `build_r_a(adv)`."""
     require_fair(adv)
     alpha = agreement_function(adv)
     if task is None:
@@ -116,11 +116,16 @@ def _prepare(adv: Adversary, task: AffineTask | None,
 def _queries_for(n: int, queries: Iterable[frozenset[int]] | None,
                  containing: int | None = None) -> list[frozenset[int]]:
     """The given query sets, or every nonempty subset of 1..n by size and
-    then lexicographically; only those holding `containing` if it is set."""
+    then lexicographically; only those holding `containing` if it is set.
+    A given query set must be a nonempty subset of 1..n."""
+    full = range(1, n + 1)
     if queries is None:
-        queries = [c for k in range(1, n + 1)
-                   for c in combinations(range(1, n + 1), k)]
+        queries = [c for k in full for c in combinations(full, k)]
     picked = [frozenset(Q) for Q in queries]
+    for Q in picked:
+        if not Q or not Q.issubset(full):
+            raise LeaderError(f"query set {sorted(Q)} must be a nonempty "
+                              f"subset of 1..{n}")
     return [Q for Q in picked if containing is None or containing in Q]
 
 

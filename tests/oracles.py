@@ -4,7 +4,9 @@ Everything here is deliberately written against different primitives than
 the package: partition counting via the surjection formula, the pure
 complement via brute-force filtering, the resilient task via a per-vertex
 view filter, the contention-ban task via contending simplices, the affine
-task via Simplex objects and frozenset views, the level-two contention gap
+task via Simplex objects and frozenset views (in the package's union-guard
+reading and in the intersection-guard reading the protocol escapes, with
+the facet diff of the two), the level-two contention gap
 via carriers and colors, the leader map via uncached critical data and a
 pairwise inclusion minimum, setcon and fairness via the recursive definition
 on frozensets of live sets.
@@ -16,9 +18,9 @@ from math import comb, factorial
 
 from affinetask import (Adversary, AdversaryError, AffineTask,
                         ChromaticComplex, Simplex, agreement_function,
-                        carrier, carrier_step, chr2_complex,
-                        contention_simplices, critical_data,
-                        pure_complement, require_fair, view1, view2)
+                        build_r_a, carrier, carrier_step, chr2_complex,
+                        closure, contention_simplices, critical_data,
+                        make_k_of, require_fair, view1, view2)
 
 
 def fubini(n: int) -> int:
@@ -56,13 +58,14 @@ def pure_complement_brute(simplices, K: ChromaticComplex) -> set[Simplex]:
 
 def build_r_kof(n: int, k: int) -> AffineTask:
     """The contention ban: facets of Chr Chr s avoiding every contending
-    simplex of dim >= k."""
+    simplex of dim >= k, tagged with the alpha of k-obstruction-freedom."""
     if not 1 <= k <= n:
         raise AdversaryError(f"k={k} out of range 1..{n}")
     chr2 = chr2_complex(n)
     banned = contention_simplices(chr2, min_dim=k)
     return AffineTask(name=f"r_{k}of", n=n,
-                      complex=pure_complement(banned, chr2))
+                      complex=closure(pure_complement_brute(banned, chr2), n=n),
+                      alpha=agreement_function(make_k_of(n, k)))
 
 
 def r_a_by_definition(adv: Adversary, combine: str) -> set[Simplex]:
@@ -113,6 +116,33 @@ def r_a_by_definition(adv: Adversary, combine: str) -> set[Simplex]:
         return True
 
     return {f for f in chr2_complex(adv.n).facets if obeys(f)}
+
+
+def r_a_intersection_task(adv: Adversary) -> AffineTask:
+    """The intersection-guard reading of R_A as a task, with the adversary's
+    alpha; the two-round protocol escapes it."""
+    return AffineTask(name="r_adv_intersection", n=adv.n,
+                      complex=closure(r_a_by_definition(adv, "intersection"),
+                                      n=adv.n),
+                      alpha=agreement_function(adv))
+
+
+def variant_divergence_report(advs) -> dict:
+    """Facet-level diff of R_A (`build_r_a`, the union guard) and the
+    intersection-guard reading, per (label, adversary)."""
+    rows = []
+    for label, adv in advs:
+        union = build_r_a(adv).complex.facets
+        inter = r_a_by_definition(adv, "intersection")
+        rows.append({
+            "adversary": label,
+            "union_facets": len(union),
+            "intersection_facets": len(inter),
+            "facets_only_in_union": sorted(list(f.uids) for f in union - inter),
+            "facets_only_in_intersection": sorted(
+                list(f.uids) for f in inter - union),
+        })
+    return {"kind": "task_variant_divergence", "rows": rows}
 
 
 def resilient_facets_by_vertex_filter(chr2: ChromaticComplex, n: int,

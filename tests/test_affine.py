@@ -6,18 +6,19 @@ from collections import Counter
 import pytest
 
 from affinetask import (Adversary, AdversaryError, ComplexError, Simplex,
-                        agreement_function, build_r_a, build_r_tres, carrier,
+                        agreement_function, build_r_a, carrier,
                         chr2_complex, concurrency_levels,
                         contention_simplices, critical_data,
                         critical_simplices, enumerate_adversaries,
                         is_contention, is_critical, is_fair, make_k_of,
                         make_superset_closed, make_symmetric,
                         make_t_resilient, standard_simplex, task_to_dict,
-                        two_round_facet, variant_divergence_report,
-                        verify_cs_distribution, verify_single_carrier)
+                        two_round_facet, verify_cs_distribution,
+                        verify_single_carrier)
 from conftest import DATA_DIR
 from oracles import (build_r_kof, facets_with_lone_full_view_leader,
-                     r_a_by_definition, resilient_facets_by_vertex_filter)
+                     r_a_by_definition, resilient_facets_by_vertex_filter,
+                     variant_divergence_report)
 
 
 # --- contention -----------------------------------------------------------------
@@ -151,16 +152,15 @@ def test_level_two_task_strictly_contains_adversary_task():
     assert len(solo_first & derived.complex.facets) == 27
 
 
-def test_resilient_task_dual_route(chr2_3):
-    task = build_r_tres(3, 1)
-    assert task.complex.facets == resilient_facets_by_vertex_filter(chr2_3, 3, 1)
-    assert task.facet_count() == 142
-
-
 def test_resilient_adversary_task_equals_vertex_filter():
-    direct = build_r_tres(3, 1)
-    derived = build_r_a(make_t_resilient(3, 1))
-    assert direct.complex.facets == derived.complex.facets
+    """R_A of t-resilience keeps exactly the facets all of whose vertices saw
+    at least n - t processes in round one: every n <= 4 and t < n."""
+    for n in range(1, 5):
+        chr2 = chr2_complex(n)
+        for t in range(n):
+            task = build_r_a(make_t_resilient(n, t))
+            assert (task.complex.facets
+                    == resilient_facets_by_vertex_filter(chr2, n, t)), (n, t)
 
 
 def test_wait_free_task_is_whole_subdivision(chr2_3):
@@ -176,49 +176,43 @@ def test_wait_free_task_is_whole_subdivision(chr2_3):
     ("superset_closed_2_13", 145, 139),
 ])
 def test_task_facet_counts(fixture_adversaries, name, union_count, inter_count):
+    """R_A, and the intersection-guard reading of the oracle."""
     adv = fixture_adversaries[name]
-    assert build_r_a(adv, combine="union").facet_count() == union_count
-    assert build_r_a(adv, combine="intersection").facet_count() == inter_count
+    assert build_r_a(adv).facet_count() == union_count
+    assert len(r_a_by_definition(adv, "intersection")) == inter_count
 
 
 def test_r_a_matches_definition():
     """Differential check of the integer-coded filter against the Simplex
-    filter, in both combine modes: every fair live family at n <= 3 (49),
-    then k_of(4, 1) and k_of(4, 2)."""
+    filter: every fair live family at n <= 3 (49), then k_of(4, 1) and
+    k_of(4, 2)."""
     advs = [a for n in (1, 2, 3) for a in enumerate_adversaries(n)
             if is_fair(a) and agreement_function(a)(range(1, n + 1)) >= 1]
     assert len(advs) == 49
     for adv in advs + [make_k_of(4, 1), make_k_of(4, 2)]:
-        for combine in ("union", "intersection"):
-            assert (build_r_a(adv, combine=combine).complex.facets
-                    == r_a_by_definition(adv, combine)), (adv, combine)
+        assert (build_r_a(adv).complex.facets
+                == r_a_by_definition(adv, "union")), adv
 
 
-# (union, intersection) facet counts of R_A for each symmetric n=4 family
+# facet counts of R_A for each symmetric n=4 family
 N4_COUNTS = {
-    (1,): (1015, 677), (2,): (1879, 1065), (3,): (2311, 1083),
-    (4,): (2503, 1519), (1, 2): (3587, 2917), (1, 3): (4073, 2953),
-    (1, 4): (4077, 3489), (2, 3): (3949, 3285), (2, 4): (4265, 3821),
-    (3, 4): (3851, 3803), (1, 2, 3): (4949, 4273), (1, 2, 4): (5157, 4689),
-    (1, 3, 4): (5157, 4689), (2, 3, 4): (4949, 4949),
-    (1, 2, 3, 4): (5625, 5625),
+    (1,): 1015, (2,): 1879, (3,): 2311, (4,): 2503, (1, 2): 3587,
+    (1, 3): 4073, (1, 4): 4077, (2, 3): 3949, (2, 4): 4265, (3, 4): 3851,
+    (1, 2, 3): 4949, (1, 2, 4): 5157, (1, 3, 4): 5157, (2, 3, 4): 4949,
+    (1, 2, 3, 4): 5625,
 }
 
 
 @pytest.mark.parametrize("sizes", sorted(N4_COUNTS),
                          ids=lambda sizes: ",".join(map(str, sizes)))
 def test_symmetric_n4_task_counts(sizes):
-    adv = make_symmetric(4, sizes)
-    got = tuple(build_r_a(adv, combine=c).facet_count()
-                for c in ("union", "intersection"))
-    assert got == N4_COUNTS[sizes]
+    assert build_r_a(make_symmetric(4, sizes)).facet_count() == N4_COUNTS[sizes]
 
 
 def test_union_variant_contains_intersection_variant(fixture_adversaries):
     for adv in fixture_adversaries.values():
-        union = build_r_a(adv, combine="union")
-        inter = build_r_a(adv, combine="intersection")
-        assert inter.complex.facets <= union.complex.facets
+        union = build_r_a(adv).complex.facets
+        assert r_a_by_definition(adv, "intersection") <= union
 
 
 def test_variant_divergence_matches_golden(fixture_adversaries):
@@ -235,15 +229,11 @@ def test_tasks_are_pure_full_dimensional(fixture_tasks):
 
 def test_build_r_a_validates_input():
     with pytest.raises(AdversaryError):
-        build_r_a(make_k_of(3, 1), combine="xor")
-    with pytest.raises(AdversaryError):
         build_r_a(Adversary(3, [frozenset({1, 2}), frozenset({3})]))
     with pytest.raises(AdversaryError):
         build_r_a(Adversary(3, []))
     with pytest.raises(AdversaryError):
         build_r_kof(3, 4)
-    with pytest.raises(AdversaryError):
-        build_r_tres(3, 3)
 
 
 # --- verification sweeps ----------------------------------------------------------

@@ -91,6 +91,15 @@ def test_malformed_highlight_file_is_an_input_error(tmp_path, capsys):
     assert "complex document" in one_error_line(capsys)
 
 
+@pytest.mark.parametrize("n", [True, "3", 3.0])
+def test_complex_with_non_integer_n_is_an_input_error(tmp_path, capsys, n):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": n, "vertices": [], "facets": []}))
+    assert main(["chr", "--n", "3", "--format", "svg", "--highlight",
+                 str(bad), "--out", str(tmp_path / "x.svg")]) == 2
+    assert "n must be an integer" in one_error_line(capsys)
+
+
 def test_chr_dimension_four_emits_a_mesh(capsys):
     assert main(["chr", "--n", "4", "--format", "svg"]) == 0
     out = capsys.readouterr().out
@@ -173,13 +182,12 @@ def test_non_integer_adversary_file_is_an_input_error(tmp_path, capsys, doc):
 def test_affine_build_with_svg(tmp_path):
     task_file = tmp_path / "task.json"
     svg_file = tmp_path / "task.svg"
-    assert main(["affine", "build", "--adversary", SS, "--combine",
-                 "intersection", "--out", str(task_file),
+    assert main(["affine", "build", "--adversary", SS, "--out", str(task_file),
                  "--svg", str(svg_file)]) == 0
     doc = json.loads(task_file.read_text())
-    assert doc["combine"] == "intersection"
-    assert len(doc["facets"]) == 139
-    assert svg_file.read_text().count('class="hl0"') == 139
+    assert doc["combine"] == "union"
+    assert len(doc["facets"]) == 145
+    assert svg_file.read_text().count('class="hl0"') == 145
 
 
 @pytest.mark.parametrize("prop", ["distribution", "single-carrier", "subtraction"])
@@ -199,6 +207,12 @@ def test_leader_verify_single_query(capsys):
     assert code == 0
     assert set(doc) == {"mu_validity", "mu_agreement", "mu_robustness"}
     assert all(part["ok"] for part in doc.values())
+
+
+@pytest.mark.parametrize("Q", ["7", "0", "1,9", ","])
+def test_leader_verify_rejects_query_outside_the_colors(capsys, Q):
+    assert main(["leader", "verify", "--adversary", OF1, "--Q", Q]) == 2
+    assert "must be a nonempty subset of 1..3" in one_error_line(capsys)
 
 
 # --- simulate ----------------------------------------------------------------------
@@ -279,7 +293,7 @@ def test_repro_bundle_is_byte_identical(tmp_path):
     classification = json.loads((a / "classification.json").read_text())
     assert classification["count"] == 128
     affine_doc = json.loads((a / "affine_report.json").read_text())
-    assert affine_doc["facet_counts"] == {"union": 73, "intersection": 49}
+    assert affine_doc["facet_count"] == 73
     assert (a / "task_affine.svg").read_text().count('class="hl0"') == 73
 
 
@@ -288,7 +302,7 @@ def test_repro_with_selected_adversary(tmp_path):
     assert main(["repro", "--out", str(out), "--adversary", SS]) == 0
     assert (out / "task_affine.svg").read_text().count('class="hl0"') == 145
     doc = json.loads((out / "affine_report.json").read_text())
-    assert doc["facet_counts"] == {"union": 145, "intersection": 139}
+    assert doc["facet_count"] == 145
 
 
 def test_repro_only_defined_at_three(tmp_path):

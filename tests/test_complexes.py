@@ -4,9 +4,7 @@ import pytest
 
 from affinetask import (ChromaticComplex, ComplexError, Simplex, Vertex,
                         closure, complex_from_dict, complex_to_dict, is_pure,
-                        pure_complement, standard_simplex)
-
-from oracles import pure_complement_brute
+                        standard_simplex)
 
 
 def v(uid: str, color: int) -> Vertex:
@@ -58,20 +56,6 @@ def test_is_pure():
     lonely = Simplex((v("x", 1),))
     assert is_pure(closure([s3]))
     assert not is_pure(ChromaticComplex(3, frozenset({s3, lonely})))
-
-
-def test_pure_complement_matches_brute_force(chr_3):
-    seeds = [s for s in chr_3.simplices() if s.dim == 1][:5]
-    got = pure_complement(seeds, chr_3)
-    assert got.facets == pure_complement_brute(seeds, chr_3)
-
-
-def test_pure_complement_requires_pure():
-    s3 = base_facet(3)
-    lonely = Simplex((v("x", 1),))
-    K = ChromaticComplex(3, frozenset({s3, lonely}))
-    with pytest.raises(ComplexError):
-        pure_complement([], K)
 
 
 def test_vertex_color_range_enforced():

@@ -5,11 +5,10 @@ from itertools import combinations
 import pytest
 
 from affinetask import (LeaderError, LeaderMap, agreement_function, build_r_a,
-                        build_r_tres, make_k_of, make_t_resilient,
-                        two_round_facet, verify_leader,
+                        make_k_of, two_round_facet, verify_leader,
                         verify_mu_agreement, verify_mu_robustness,
                         verify_mu_validity)
-from oracles import mu_by_definition
+from oracles import mu_by_definition, r_a_intersection_task
 
 
 @pytest.fixture(scope="module")
@@ -90,19 +89,11 @@ def test_leader_rejects_task_or_map_of_another_adversary():
         verify_mu_validity(adv, leader_map=other)
 
 
-def test_leader_rejects_task_without_alpha():
-    """A task built for no adversary (the resilient vertex filter) is not
-    accepted for one, even where its facets equal R_A's."""
-    with pytest.raises(LeaderError, match="another agreement function"):
-        verify_leader(make_k_of(3, 1), build_r_tres(3, 1))
-    with pytest.raises(LeaderError, match="another agreement function"):
-        verify_leader(make_t_resilient(3, 1), build_r_tres(3, 1))
-
-
 def test_leader_verifies_intersection_variant(fixture_adversaries):
-    """The intersection task has the adversary's own alpha, so it is accepted."""
+    """A sub-task of R_A with the adversary's own alpha (the oracle's
+    intersection-guard reading) is accepted, and the map holds on it."""
     adv = fixture_adversaries["obstruction_free_2"]
-    reports = verify_leader(adv, build_r_a(adv, combine="intersection"))
+    reports = verify_leader(adv, r_a_intersection_task(adv))
     assert all(r.ok and r.checked > 0 for r in reports)
 
 

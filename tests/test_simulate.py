@@ -11,6 +11,7 @@ from affinetask import (ProtocolModel, SimulationError, StateCapExceeded,
                         state_cap_from_env, two_round_facet,
                         valid_participations, wait_predicate)
 from affinetask.simulate import STATE_CAP_ENV
+from oracles import r_a_intersection_task
 
 
 # --- tiny instances, exactly ----------------------------------------------------
@@ -164,21 +165,21 @@ def test_safety_distinguishes_the_task_variants(fixture_adversaries):
     """The protocol escapes the intersection-guard task exactly when the
     variants diverge."""
     adv = fixture_adversaries["obstruction_free_2"]
-    inter = build_r_a(adv, combine="intersection")
+    inter = r_a_intersection_task(adv)
     safety, liveness, _ = check_model(adv, inter)
     assert not safety.ok
     assert len(safety.violations) == 480
     assert liveness.ok
 
     adv = fixture_adversaries["resilient_1"]
-    inter = build_r_a(adv, combine="intersection")
+    inter = r_a_intersection_task(adv)
     safety, _, _ = check_model(adv, inter)
     assert safety.ok
 
 
 def test_safety_report_hands_back_the_unsafe_terminals(fixture_adversaries):
     adv = fixture_adversaries["obstruction_free_2"]
-    inter = build_r_a(adv, combine="intersection")
+    inter = r_a_intersection_task(adv)
     model = ProtocolModel(adv)
     exploration = model.explore()
     report = check_safety(model, exploration, inter)
