@@ -152,6 +152,12 @@ def test_level_two_task_strictly_contains_adversary_task():
     assert len(solo_first & derived.complex.facets) == 27
 
 
+def test_resilient_task_dual_route(chr2_3):
+    task = build_r_a(make_t_resilient(3, 1))
+    assert task.complex.facets == resilient_facets_by_vertex_filter(chr2_3, 3, 1)
+    assert task.facet_count() == 142
+
+
 def test_resilient_adversary_task_equals_vertex_filter():
     """R_A of t-resilience keeps exactly the facets all of whose vertices saw
     at least n - t processes in round one: every n <= 4 and t < n."""
