@@ -12,9 +12,8 @@ from .adversary import (Adversary, AdversaryError, AgreementFunction,
                         make_superset_closed, make_symmetric,
                         make_t_resilient, require_fair,
                         setcon, symmetric_setcon, verify_fair_subtraction)
-from .affine import (AffineTask, CriticalData, build_r_a,
-                     concurrency_levels, contention_simplices,
-                     critical_data, critical_simplices, is_contention,
+from .affine import (AffineTask, build_r_a, concurrency_levels,
+                     contention_simplices, critical_simplices, is_contention,
                      is_critical, task_to_dict, verify_cs_distribution,
                      verify_single_carrier)
 from .complexes import (ChromaticComplex, ComplexError, Simplex, Vertex,
@@ -30,12 +29,10 @@ from .simulate import (Exploration, ProtocolModel, SimulationError,
                        events_to_jsonable, finish_predicate, replay,
                        state_cap_from_env, valid_participations,
                        wait_predicate)
-from .subdivision import (build_chr, carrier, carrier_step, chr2_complex,
-                          chr_complex, chr_vertex, facet_to_partition,
-                          geometry, ordered_set_partitions,
-                          partition_to_facet, standard_simplex,
-                          two_round_facet, vertex_depth, view1, view2,
-                          view2_simplex)
+from .subdivision import (build_chr, chr2_complex, chr_complex, chr_vertex,
+                          facet_to_partition, geometry,
+                          ordered_set_partitions, partition_to_facet,
+                          standard_simplex, two_round_facet)
 
 __version__ = "0.1.0"
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
-from .bits import colors_of, iter_bits, mask_of, popcount, submasks
+from .bits import colors_of, iter_bits, mask_of, submasks
 from .complexes import MAX_PROCESSES
 from .reports import VerificationReport
 
@@ -79,11 +79,11 @@ def _tables(n: int) -> _Tables:
     steps = tuple((tuple(P ^ 1 << b for b in iter_bits(P)), qset(lambda Q: Q & P))
                   for P in range(1, full + 1))
     inside = tuple(qset(lambda Q: Q and Q & P == Q) for P in range(full + 1))
-    fair = tuple(qset(lambda Q: popcount(Q) >= k) for k in range(1, n + 1))
+    fair = tuple(qset(lambda Q: Q.bit_count() >= k) for k in range(1, n + 1))
     misses = tuple(tuple(qset(lambda s: s and not s & H) for H in range(full + 1)
-                         if popcount(H) == k) for k in range(n + 1))
-    layers = tuple(qset(lambda s: s and popcount(s) == k) for k in range(n + 1))
-    ups = tuple(qset(lambda t: t != s and t & s == s and popcount(t ^ s) == 1)
+                         if H.bit_count() == k) for k in range(n + 1))
+    layers = tuple(qset(lambda s: s and s.bit_count() == k) for k in range(n + 1))
+    ups = tuple(qset(lambda t: t != s and t & s == s and (t ^ s).bit_count() == 1)
                 for s in range(full + 1))
     return _Tables(steps, inside, fair, misses, layers, ups)
 
@@ -316,7 +316,7 @@ def verify_fair_subtraction(adv: Adversary) -> VerificationReport:
             hi = alpha.of_mask(pmask)
             lo = alpha.of_mask(pmask & ~qmask)
             report.checked += 1
-            if not hi >= lo >= hi - popcount(qmask):
+            if not hi >= lo >= hi - qmask.bit_count():
                 report.add(P=sorted(colors_of(pmask)),
                            Q=sorted(colors_of(qmask)),
                            alpha_P=hi, alpha_P_minus_Q=lo)

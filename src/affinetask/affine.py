@@ -8,8 +8,9 @@ sigma's carrier and removing sigma's colors from that carrier strictly drops
 alpha. The affine task R_A of a fair adversary, `build_r_a`, combines the
 two notions; it is the only task this package builds.
 
-Each notion is decided once, on masks (`_contending`, `_critical_faces`); the
-Simplex functions call them. `build_r_a` reads `_chr2_table(n)`, Chr Chr s
+Each notion is decided once, on masks (`_contending`, `_critical_faces`),
+and read only on masks: a Chr Chr s vertex is `_vertex_code(v)`, a Chr s
+simplex its view groups. `build_r_a` reads `_chr2_table(n)`, Chr Chr s
 coded as ints once per n (Kozlov 2012): numbered Chr s carriers as view
 groups, and per facet its carrier's id and its contending faces. Per alpha
 only a guard loop over ints runs; kept facets are looked up as Simplex objects.
@@ -17,7 +18,7 @@ only a guard loop over ints runs; kept facets are looked up as Simplex objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -25,11 +26,10 @@ from .adversary import (Adversary, AdversaryError, AgreementFunction,
                         agreement_function, alpha_to_dict, hitting_number,
                         require_fair)
 from .bits import colors_of, mask_of, submasks
-from .complexes import (MAX_PROCESSES, ChromaticComplex, Simplex, Vertex,
-                        closure, complex_to_dict)
+from .complexes import (MAX_PROCESSES, ChromaticComplex, ComplexError,
+                        Simplex, Vertex, closure, complex_to_dict)
 from .reports import VerificationReport
-from .subdivision import (carrier, chr2_complex, chr_complex, packed_views,
-                          view1, view2)
+from .subdivision import chr2_complex, chr_complex, packed_views
 
 _VIEW = (1 << MAX_PROCESSES) - 1  # one color's field of a packed Chr s simplex
 
@@ -60,9 +60,20 @@ def _contending(v1: int, v2: int, u1: int, u2: int) -> bool:
     return v1 != u1 and v2 != u2 and (v1 | u1, v2 | u2) in ((u1, v2), (v1, u2))
 
 
+def _vertex_code(v: Vertex) -> tuple[int, int, int, int]:
+    """A Chr Chr s vertex as (color bit, round-1 view, round-2 view, packed
+    carrier): the views are color masks, the carrier is its round-two view
+    packed by `packed_views`."""
+    if v.payload is None:
+        raise ComplexError(f"{v!r} is a base vertex, not a Chr Chr s vertex")
+    car = packed_views(v.payload)
+    return (1 << v.color - 1, car >> MAX_PROCESSES * (v.color - 1) & _VIEW,
+            mask_of(v.payload.colors), car)
+
+
 def is_contention(sigma: Simplex) -> bool:
     """Every vertex pair strictly reversed; single vertices vacuously yes."""
-    views = [(mask_of(view1(v)), mask_of(view2(v))) for v in sigma]
+    views = [_vertex_code(v)[1:3] for v in sigma]
     return all(_contending(*a, *b) for a, b in combinations(views, 2))
 
 
@@ -73,14 +84,6 @@ def contention_simplices(K: ChromaticComplex, min_dim: int = 0) -> list[Simplex]
 
 
 # --- criticality ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CriticalData:
-    cs: frozenset[Simplex]        # critical sub-simplices
-    csm: frozenset[Vertex]        # vertices appearing in some critical sub-simplex
-    csv_colors: frozenset[int]    # colors of the carrier of csm (empty if none)
-    conc: int                     # max alpha over critical carriers, 0 if none
 
 
 def _view_groups(packed: int) -> tuple[tuple[int, int], ...]:
@@ -117,26 +120,11 @@ def is_critical(sigma: Simplex, alpha: AgreementFunction) -> bool:
     return len(groups) == 1 and groups[0] in _critical_faces(groups, alpha)
 
 
-def critical_data(sigma: Simplex, alpha: AgreementFunction) -> CriticalData:
-    by_color = {v.color: v for v in sigma}
-    faces = list(_critical_faces(_view_groups(packed_views(sigma)), alpha))
-    csm, csv, conc = _critical_summary(faces, alpha)
-    cs = frozenset(Simplex(tuple(by_color[c] for c in colors_of(colors)))
-                   for _, colors in faces)
-    return CriticalData(cs=cs, csm=frozenset(by_color[c] for c in colors_of(csm)),
-                        csv_colors=colors_of(csv), conc=conc)
-
-
 def critical_simplices(adv: Adversary) -> list[Simplex]:
     """Every critical simplex of the first subdivision under the adversary."""
     alpha = agreement_function(adv)
     return [s for s in chr_complex(adv.n).simplices()
             if is_critical(s, alpha)]
-
-
-def _critical_cache(alpha: AgreementFunction):
-    """Per-alpha memo for critical data of Chr s simplices."""
-    return lru_cache(maxsize=None)(partial(critical_data, alpha=alpha))
 
 
 # --- task constructions -----------------------------------------------------------
@@ -148,11 +136,7 @@ def _chr2_table(n: int) -> tuple:
     groups of each Chr s simplex id; per facet, the id of its carrier rho;
     per facet, its contending faces packed as tau id << MAX_PROCESSES | colors."""
     chr2 = chr2_complex(n)
-    verts = {}  # per vertex: color bit, round-1 view, round-2 view, carrier
-    for v in chr2.vertices:
-        car = packed_views(v.payload)
-        verts[v] = (1 << v.color - 1, car >> MAX_PROCESSES * (v.color - 1) & _VIEW,
-                    mask_of(v.payload.colors), car)
+    verts = {v: _vertex_code(v) for v in chr2.vertices}
     ids: dict[int, int] = {}  # packed Chr s simplex -> id
     pool: dict[int, int] = {}  # one int object per packed face
     facets, rhos, faces = tuple(chr2.facets), [], []
@@ -208,6 +192,15 @@ def build_r_a(adv: Adversary) -> AffineTask:
 # --- verification sweeps ------------------------------------------------------------
 
 
+def _chr_faces(adv: Adversary):
+    """The alpha of a fair adversary and, per simplex sigma of Chr s, sigma
+    with its view groups and its critical faces as (view, colors) pairs."""
+    require_fair(adv)
+    alpha = agreement_function(adv)
+    rows = [(s, _view_groups(packed_views(s))) for s in chr_complex(adv.n).simplices()]
+    return alpha, [(s, g, list(_critical_faces(g, alpha))) for s, g in rows]
+
+
 def verify_cs_distribution(adv: Adversary, levels: Iterable[int] | None = None
                            ) -> VerificationReport:
     """Hitting-set lower bounds on critical sub-simplices, per level l.
@@ -217,25 +210,23 @@ def verify_cs_distribution(adv: Adversary, levels: Iterable[int] | None = None
     and for every sigma the relaxed form subtracting the colors of the
     carrier missing from sigma.
     """
-    require_fair(adv)
-    alpha = agreement_function(adv)
-    crit = _critical_cache(alpha)
+    alpha, rows = _chr_faces(adv)
     report = VerificationReport(kind="cs_distribution")
     levels = list(levels) if levels is not None else list(range(1, adv.n + 1))
-    for sigma in chr_complex(adv.n).simplices():
-        car_colors = carrier(sigma, "s").colors
-        data = crit(sigma)
+    for sigma, groups, faces in rows:
+        car = colors = 0
+        for view, members in groups:
+            car, colors = car | view, colors | members
         for l in levels:
-            qualifying = [theta for theta in data.cs
-                          if alpha(carrier(theta, "s").colors) >= l]
-            hit = hitting_number([theta.colors for theta in qualifying])
+            hit = hitting_number([colors_of(c) for view, c in faces
+                                  if alpha.of_mask(view) >= l])
             report.checked += 1
-            if sigma.colors == car_colors:
-                bound = alpha(sigma.colors) - l + 1
+            if colors == car:
+                bound = alpha.of_mask(colors) - l + 1
                 if bound > hit:
                     report.add(form="exact", sigma=list(sigma.uids), level=l,
                                bound=bound, hitting=hit)
-            relaxed = alpha(car_colors) - l - len(car_colors - sigma.colors) + 1
+            relaxed = alpha.of_mask(car) - l - (car & ~colors).bit_count() + 1
             if relaxed > hit:
                 report.add(form="relaxed", sigma=list(sigma.uids), level=l,
                            bound=relaxed, hitting=hit)
@@ -244,28 +235,27 @@ def verify_cs_distribution(adv: Adversary, levels: Iterable[int] | None = None
 
 def verify_single_carrier(adv: Adversary) -> VerificationReport:
     """Critical sub-simplices at the same alpha level share one carrier."""
-    require_fair(adv)
-    alpha = agreement_function(adv)
-    crit = _critical_cache(alpha)
+    alpha, rows = _chr_faces(adv)
     report = VerificationReport(kind="single_carrier")
-    for sigma in chr_complex(adv.n).simplices():
-        cs = sorted(crit(sigma).cs, key=lambda s: s.uids)
-        for t1, t2 in combinations(cs, 2):
-            c1, c2 = carrier(t1, "s"), carrier(t2, "s")
+    for sigma, _, faces in rows:
+        # within sigma, uid order is the order of the sorted color lists
+        faces.sort(key=lambda face: sorted(colors_of(face[1])))
+        for (view1, colors1), (view2, colors2) in combinations(faces, 2):
             report.checked += 1
-            if alpha(c1.colors) == alpha(c2.colors) and c1 != c2:
-                report.add(sigma=list(sigma.uids), theta1=list(t1.uids),
-                           theta2=list(t2.uids),
-                           level=alpha(c1.colors))
+            if alpha.of_mask(view1) == alpha.of_mask(view2) and view1 != view2:
+                uid = {v.color: v.uid for v in sigma}
+                report.add(sigma=list(sigma.uids),
+                           theta1=[uid[c] for c in sorted(colors_of(colors1))],
+                           theta2=[uid[c] for c in sorted(colors_of(colors2))],
+                           level=alpha.of_mask(view1))
     return report
 
 
 def concurrency_levels(adv: Adversary) -> dict[Simplex, int]:
     """Conc of every simplex of Chr s, for rendering and inspection."""
-    require_fair(adv)
-    alpha = agreement_function(adv)
-    crit = _critical_cache(alpha)
-    return {sigma: crit(sigma).conc for sigma in chr_complex(adv.n).simplices()}
+    alpha, rows = _chr_faces(adv)
+    return {sigma: _critical_summary(faces, alpha)[2]
+            for sigma, _, faces in rows}
 
 
 # --- task JSON ---------------------------------------------------------------------

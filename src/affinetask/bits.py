@@ -32,10 +32,6 @@ def iter_bits(mask: int):
         b += 1
 
 
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def submasks(mask: int) -> list[int]:
     """All submasks of mask, including 0 and mask itself, ascending."""
     acc = [0]

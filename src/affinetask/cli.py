@@ -78,6 +78,12 @@ def _subdivision(n: int, rounds: int) -> ChromaticComplex:
 
 
 def cmd_chr(args) -> int:
+    # flags first: at n=5 the subdivision alone takes seconds to build
+    if args.format == "svg" and args.n > 4:
+        raise ComplexError(f"SVG rendering needs n <= 3 (OFF at n=4), got n={args.n}")
+    if (args.highlight or args.labels) and (args.format != "svg" or args.n == 4):
+        raise ComplexError("--highlight and --labels need an SVG drawing "
+                           "(--format svg, n <= 3)")
     K = _subdivision(args.n, args.rounds)
     if args.format == "json":
         _dump(complex_to_dict(K), args.out)
@@ -228,7 +234,7 @@ def cmd_simulate_replay(args) -> int:
     adv = _load_adversary(args.adversary)
     payload = _load_json(args.trace)
     try:
-        part = ([int(x) for x in payload["participation"]]
+        part = (list(payload["participation"])
                 if "participation" in payload else None)
         events = events_from_jsonable(payload["events"])
     except (TypeError, AttributeError) as exc:

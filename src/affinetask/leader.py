@@ -2,69 +2,74 @@
 
 For a vertex v of the task complex and a query set Q containing v's color,
 the leader map picks the smallest process of Q inside a distinguished view:
-the smallest critical carrier intersecting Q when v's second-round view has
-critical members touching Q, otherwise the smallest plain carrier of a seen
-vertex intersecting Q. "Smallest" is by inclusion; candidate carriers inside
-one view always form a chain and this is asserted, never tie-broken.
+the smallest critical view meeting Q when some critical view of v's
+second-round view meets Q, otherwise the smallest view of a seen vertex
+meeting Q. Views are color masks, read off the view groups of v's round-two
+view. "Smallest" is by inclusion; candidate views always form a chain and
+this is asserted, never tie-broken.
 """
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable
 
 from .adversary import Adversary, AgreementFunction, agreement_function, require_fair
-from .affine import AffineTask, _critical_cache, build_r_a
-from .bits import mask_of
+from .affine import AffineTask, _critical_faces, _vertex_code, _view_groups, build_r_a
+from .bits import colors_of, mask_of
 from .complexes import Vertex
 from .reports import VerificationReport
-from .subdivision import carrier, view2_simplex
 
 
 class LeaderError(ValueError):
     pass
 
 
-def _inclusion_min(candidates: Iterable[frozenset[int]], what: str) -> frozenset[int]:
-    sets = sorted(set(candidates), key=lambda s: (len(s), sorted(s)))
-    if not sets:
+def _least(views: Iterable[int], Q: Iterable[int], what: str) -> frozenset[int]:
+    """Colors of the least of the views meeting Q, which must form a chain."""
+    q = mask_of(Q)
+    chain = sorted({view for view in views if view & q}, key=int.bit_count)
+    if not chain:
         raise LeaderError(f"no candidate for {what}")
-    for a, b in zip(sets, sets[1:]):
-        if not a <= b:
+    for a, b in zip(chain, chain[1:]):
+        if a & ~b:
             raise LeaderError(f"{what} candidates are not a chain: "
-                              f"{sorted(a)} vs {sorted(b)}")
-    return sets[0]
+                              f"{sorted(colors_of(a))} vs {sorted(colors_of(b))}")
+    return colors_of(chain[0])
+
+
+def _views(v: Vertex) -> list[int]:
+    """The views in v's round-two view; v must be a Chr Chr s vertex."""
+    return [view for view, _ in _view_groups(_vertex_code(v)[3])]
 
 
 class LeaderMap:
     """The leader map of one agreement function, memoized over (vertex, Q).
 
-    One critical-data cache serves every second-round view, and each elected
-    process is computed once per (vertex, Q); later calls are lookups. The
-    own-color check and the chain assertions run on every new entry.
+    Each elected process is computed once per (vertex, Q); later calls are
+    lookups. The own-color check and the chain assertions run on every new
+    entry.
     """
 
     def __init__(self, alpha: AgreementFunction):
         self.alpha = alpha
-        self._crit = _critical_cache(alpha)
         self._mu: dict[tuple[Vertex, frozenset[int]], int] = {}
 
+    def _critical_views(self, v: Vertex) -> list[int]:
+        groups = _view_groups(_vertex_code(v)[3])
+        return [view for view, _ in _critical_faces(groups, self.alpha)]
+
     def delta(self, v: Vertex, Q: Iterable[int]) -> frozenset[int]:
-        """Colors of the smallest critical carrier in v's second-round view
-        that intersects Q."""
-        Q = frozenset(Q)
-        cands = [carrier(theta, "s").colors
-                 for theta in self._crit(view2_simplex(v)).cs
-                 if carrier(theta, "s").colors & Q]
-        return _inclusion_min(cands, "delta")
+        """Colors of the smallest critical view in v's second-round view
+        that meets Q."""
+        return _least(self._critical_views(v), Q, "delta")
 
     @staticmethod
     def gamma(v: Vertex, Q: Iterable[int]) -> frozenset[int]:
-        """Colors of the smallest carrier of a vertex seen in round two
-        that intersects Q."""
-        Q = frozenset(Q)
-        cands = [u.payload.colors for u in view2_simplex(v)
-                 if u.payload.colors & Q]
-        return _inclusion_min(cands, "gamma")
+        """Colors of the smallest view of a vertex seen in round two that
+        meets Q."""
+        return _least(_views(v), Q, "gamma")
 
     def __call__(self, v: Vertex, Q: Iterable[int]) -> int:
         """The elected process of Q for vertex v."""
@@ -78,14 +83,12 @@ class LeaderMap:
     def _elect(self, v: Vertex, Q: frozenset[int]) -> int:
         if v.color not in Q:
             raise LeaderError(f"own color {v.color} must belong to Q={sorted(Q)}")
-        if self._crit(view2_simplex(v)).csv_colors & Q:
+        q = mask_of(Q)
+        if any(view & q for view in self._critical_views(v)):
             pool = self.delta(v, Q)
         else:
             pool = self.gamma(v, Q)
-        eligible = pool & Q
-        if not eligible:
-            raise LeaderError(f"chosen view {sorted(pool)} misses Q={sorted(Q)}")
-        return min(eligible)
+        return min(pool & Q)  # nonempty: the pool was chosen to meet Q
 
 
 # --- property sweeps ----------------------------------------------------------
@@ -137,7 +140,7 @@ def verify_mu_validity(adv: Adversary, task: AffineTask | None = None,
     task, mu = _prepare(adv, task, leader_map)
     report = VerificationReport(kind="mu_validity")
     for v in sorted(task.complex.vertices, key=lambda u: u.uid):
-        seen = carrier(v, "s").colors
+        seen = colors_of(reduce(or_, _views(v)))
         for Q in _queries_for(adv.n, queries, containing=v.color):
             leader = mu(v, Q)
             report.checked += 1
@@ -165,8 +168,7 @@ def verify_mu_agreement(adv: Adversary, task: AffineTask | None = None,
         if facet.dim != top:
             continue
         verts = facet.vertices
-        bits = [(1 << (v.color - 1), mask_of(carrier(v, "s").colors))
-                for v in verts]
+        bits = [(1 << v.color - 1, reduce(or_, _views(v))) for v in verts]
         for size in range(1, len(verts) + 1):
             for combo in combinations(range(len(verts)), size):
                 colors = base = 0
@@ -194,7 +196,7 @@ def verify_mu_robustness(adv: Adversary, task: AffineTask | None = None,
     task, mu = _prepare(adv, task, leader_map)
     report = VerificationReport(kind="mu_robustness")
     for v in sorted(task.complex.vertices, key=lambda u: u.uid):
-        seen = carrier(v, "s").colors
+        seen = colors_of(reduce(or_, _views(v)))
         for Q in _queries_for(adv.n, queries, containing=v.color):
             full = mu(v, Q)
             restricted = mu(v, seen & Q)

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .adversary import Adversary, agreement_function
 from .affine import AffineTask
-from .bits import colors_of, iter_bits, mask_of, popcount
+from .bits import colors_of, iter_bits, mask_of
 from .complexes import Simplex
 from .reports import VerificationReport
 from .subdivision import chr2_complex, chr_vertex, standard_simplex
@@ -101,6 +101,13 @@ def finish_predicate(alpha_table: Sequence[int], V: int, reg_is1: Sequence[int],
     return alpha_table[V] > alpha_table[V & ~removed]
 
 
+def _process_id(x, what: str) -> int:
+    """x itself if it is an int; bools, floats and strings are rejected."""
+    if type(x) is not int:
+        raise SimulationError(f"{what} {x!r} is not an integer process id")
+    return x
+
+
 @dataclass
 class Exploration:
     participation: frozenset[int]
@@ -120,8 +127,8 @@ class ProtocolModel:
         self.n = adv.n
         self.alpha = agreement_function(adv)
         self.alpha_table = self.alpha.table
-        part = (frozenset(participation) if participation is not None
-                else frozenset(range(1, self.n + 1)))
+        part = frozenset(range(1, self.n + 1) if participation is None else
+                         (_process_id(c, "participation member") for c in participation))
         if not part <= frozenset(range(1, self.n + 1)):
             raise SimulationError(f"participation {sorted(part)} outside 1..{self.n}")
         self.participation = part
@@ -253,7 +260,7 @@ class ProtocolModel:
         out.extend(self._commits(state, spend, self._off_sblk, self._off_spend,
                                  "commit2", GOT2))
 
-        if popcount(crashed) < self.fault_budget:
+        if crashed.bit_count() < self.fault_budget:
             for i in range(n):
                 bit = 1 << i
                 if not (self.pmask & bit) or (crashed & bit):
@@ -290,13 +297,13 @@ class ProtocolModel:
             yield (label, sorted(colors_of(block))), s2
 
     def apply_event(self, state: int, event: tuple) -> int:
-        """Replay one event, validating that it is enabled."""
+        """Replay one event, validating its process ids and that it is enabled."""
         kind = event[0]
         want: tuple
         if kind in ("commit1", "commit2"):
-            want = (kind, sorted(event[1]))
+            want = (kind, sorted(_process_id(x, "block member") for x in event[1]))
         elif kind in ("step", "crash"):
-            want = (kind, int(event[1]))
+            want = (kind, _process_id(event[1], "process"))
         else:
             raise SimulationError(f"unknown event kind {kind!r}")
         for ev, s2 in self.successors(state):
@@ -487,13 +494,14 @@ def events_to_jsonable(events: Iterable[tuple]) -> list[dict]:
 
 
 def events_from_jsonable(items: Iterable[dict]) -> list[tuple]:
+    """Trace events as tuples, nothing coerced; `apply_event` checks them."""
     out = []
     for item in items:
         kind = item.get("type")
         if kind in ("commit1", "commit2"):
-            out.append((kind, sorted(int(x) for x in item["block"])))
+            out.append((kind, list(item["block"])))
         elif kind in ("step", "crash"):
-            out.append((kind, int(item["process"])))
+            out.append((kind, item["process"]))
         else:
             raise SimulationError(f"unknown trace event {item!r}")
     return out

@@ -1,4 +1,4 @@
-"""Standard chromatic subdivision, carriers, per-round views, geometry.
+"""Standard chromatic subdivision, its integer code, and geometry.
 
 A subdivision vertex's payload is its carrier simplex in the base complex:
 one subdivision level down for vertices of Chr K, two levels down (via the
@@ -169,30 +169,7 @@ def two_round_facet(blocks1: Sequence[Iterable[int]],
     return facet
 
 
-# --- carriers and views ----------------------------------------------------
-
-
-def vertex_depth(v: Vertex) -> int:
-    """Subdivision depth: 0 for base corners, 1 for Chr s, 2 for Chr Chr s."""
-    d = 0
-    while v.payload is not None:
-        d += 1
-        v = v.payload.vertices[0]
-    return d
-
-
-def carrier_step(x: Vertex | Simplex) -> Simplex:
-    """Carrier one subdivision level down."""
-    if isinstance(x, Vertex):
-        if x.payload is None:
-            raise ComplexError(f"{x!r} is a base vertex; it has no carrier")
-        return x.payload
-    parts: set[Vertex] = set()
-    for v in x:
-        if v.payload is None:
-            raise ComplexError(f"{v!r} is a base vertex; it has no carrier")
-        parts.update(v.payload.vertices)
-    return Simplex(tuple(parts))
+# --- integer code -----------------------------------------------------------
 
 
 def packed_views(sigma: Simplex) -> int:
@@ -203,51 +180,6 @@ def packed_views(sigma: Simplex) -> int:
         raise ComplexError(f"{sigma!r} is not a first-subdivision simplex")
     return sum(mask_of(v.payload.colors) << MAX_PROCESSES * (v.color - 1)
                for v in sigma)
-
-
-def carrier(x: Vertex | Simplex, level: str) -> Simplex:
-    """Carrier of a subdivision vertex/simplex at level "s" or "chr".
-
-    "chr" is one level down (defined for depth-2 objects only); "s" is the
-    base simplex (one step from depth 1, two steps from depth 2).
-    """
-    v0 = x if isinstance(x, Vertex) else x.vertices[0]
-    depth = vertex_depth(v0)
-    if level == "chr":
-        if depth != 2:
-            raise ComplexError(f"carrier level 'chr' needs a depth-2 object, got depth {depth}")
-        return carrier_step(x)
-    if level == "s":
-        if depth == 1:
-            return carrier_step(x)
-        if depth == 2:
-            return carrier_step(carrier_step(x))
-        raise ComplexError(f"carrier level 's' needs depth 1 or 2, got depth {depth}")
-    raise ComplexError(f"unknown carrier level {level!r}")
-
-
-def view2_simplex(v: Vertex) -> Simplex:
-    """Second-round view of a depth-2 vertex, as a simplex of Chr s."""
-    if v.payload is None or vertex_depth(v) != 2:
-        raise ComplexError(f"{v!r} is not a second-subdivision vertex")
-    return v.payload
-
-
-def view2(v: Vertex) -> frozenset[int]:
-    """Processes seen by the second round: chi(carrier(v, Chr s))."""
-    return view2_simplex(v).colors
-
-
-def view1(v: Vertex) -> frozenset[int]:
-    """Processes seen by the own first round of a depth-2 vertex.
-
-    The second-round view contains exactly one vertex of v's color
-    (self-inclusion); its carrier is v's first-round view.
-    """
-    for u in view2_simplex(v):
-        if u.color == v.color:
-            return u.payload.colors
-    raise ComplexError(f"self-inclusion violated at {v!r}")  # pragma: no cover
 
 
 # --- geometry ---------------------------------------------------------------

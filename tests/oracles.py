@@ -7,9 +7,10 @@ view filter, the contention-ban task via contending simplices, the affine
 task via Simplex objects and frozenset views (in the package's union-guard
 reading and in the intersection-guard reading the protocol escapes, with
 the facet diff of the two), the level-two contention gap
-via carriers and colors, the leader map via uncached critical data and a
+via carriers and colors, the leader map via its own criticality test and a
 pairwise inclusion minimum, setcon and fairness via the recursive definition
-on frozensets of live sets.
+on frozensets of live sets. Views and carriers are read straight off vertex
+payloads (`view1`, `view2`, `base_colors`).
 """
 from __future__ import annotations
 
@@ -18,9 +19,37 @@ from math import comb, factorial
 
 from affinetask import (Adversary, AdversaryError, AffineTask,
                         ChromaticComplex, Simplex, agreement_function,
-                        build_r_a, carrier, carrier_step, chr2_complex,
-                        closure, contention_simplices, critical_data,
-                        make_k_of, require_fair, view1, view2)
+                        build_r_a, chr2_complex, closure,
+                        contention_simplices, make_k_of, require_fair)
+
+
+def view2(v) -> frozenset[int]:
+    """Colors a Chr Chr s vertex saw in round two."""
+    return v.payload.colors
+
+
+def view1(v) -> frozenset[int]:
+    """Colors a Chr Chr s vertex saw in round one: the view of its own
+    color's vertex in its round-two view."""
+    return next(u.payload.colors for u in v.payload if u.color == v.color)
+
+
+def base_colors(vertices) -> frozenset[int]:
+    """Colors of the base carrier of some Chr s vertices."""
+    return frozenset().union(*(u.payload.colors for u in vertices))
+
+
+def critical_faces(sigma, alpha) -> list[tuple]:
+    """The critical faces of a Chr s simplex, as vertex tuples: their
+    vertices share one view, and removing their colors from it lowers alpha."""
+    out = []
+    for k in range(1, len(sigma) + 1):
+        for theta in combinations(sigma, k):
+            view = theta[0].payload.colors
+            if (all(v.payload.colors == view for v in theta)
+                    and alpha(view - {v.color for v in theta}) < alpha(view)):
+                out.append(theta)
+    return out
 
 
 def fubini(n: int) -> int:
@@ -72,7 +101,7 @@ def r_a_by_definition(adv: Adversary, combine: str) -> set[Simplex]:
     """The facets of R_A, filtered one Simplex at a time.
 
     Contention compares frozenset views; criticality tests every face of a
-    carrier for one shared payload and a drop of alpha, memoized per carrier.
+    carrier for one shared view and a drop of alpha, memoized per carrier.
     A facet is dropped when a contending face misses the guard colors (the
     union or the intersection of the critical-member colors of the facet's
     carrier and the critical-carrier colors of the face's carrier) and its
@@ -80,36 +109,30 @@ def r_a_by_definition(adv: Adversary, combine: str) -> set[Simplex]:
     """
     require_fair(adv)
     alpha = agreement_function(adv)
-    memo: dict[Simplex, tuple] = {}
+    memo: dict[frozenset, tuple] = {}
 
     def contending(theta: Simplex) -> bool:
         return all((view1(v) < view1(u) and view2(u) < view2(v))
                    or (view1(u) < view1(v) and view2(v) < view2(u))
                    for v, u in combinations(theta.vertices, 2))
 
-    def critical(theta: Simplex) -> bool:
-        car = theta.vertices[0].payload
-        return (all(v.payload == car for v in theta)
-                and alpha(car.colors - theta.colors) < alpha(car.colors))
-
-    def crit(sigma: Simplex) -> tuple:
-        """(csm colors, csv colors, conc) of a Chr s simplex."""
+    def crit(theta: Simplex) -> tuple:
+        """(csm colors, csv colors, conc) of the Chr s carrier of theta."""
+        sigma = frozenset(u for v in theta for u in v.payload)
         if sigma not in memo:
-            cs = [theta for theta in sigma.faces() if critical(theta)]
-            csm = frozenset(v for theta in cs for v in theta)
-            memo[sigma] = (frozenset(v.color for v in csm),
-                           carrier_step(Simplex(tuple(csm))).colors
-                           if csm else frozenset(),
-                           max((alpha(carrier_step(theta).colors)
-                                for theta in cs), default=0))
+            cs = critical_faces(sigma, alpha)
+            csm = {v for face in cs for v in face}
+            memo[sigma] = (frozenset(v.color for v in csm), base_colors(csm),
+                           max((alpha(face[0].payload.colors) for face in cs),
+                               default=0))
         return memo[sigma]
 
     def obeys(facet: Simplex) -> bool:
-        csm_rho = crit(carrier_step(facet))[0]
+        csm_rho = crit(facet)[0]
         for theta in facet.faces():
             if not contending(theta):
                 continue
-            _, csv, conc = crit(carrier_step(theta))
+            _, csv, conc = crit(theta)
             guard = csm_rho | csv if combine == "union" else csm_rho & csv
             if not theta.colors & guard and theta.dim >= conc:
                 return False
@@ -149,7 +172,7 @@ def resilient_facets_by_vertex_filter(chr2: ChromaticComplex, n: int,
                                       t: int) -> set[Simplex]:
     """Facets every vertex of which saw at least n - t processes in round 1."""
     return {f for f in chr2.facets
-            if all(len(carrier(v, "s")) >= n - t for v in f)}
+            if all(len(base_colors(v.payload)) >= n - t for v in f)}
 
 
 def lone_full_view_leader(facet: Simplex, n: int):
@@ -158,18 +181,15 @@ def lone_full_view_leader(facet: Simplex, n: int):
     its own round-1 vertex in round 2 (alone in the first round-2 block);
     None if there is none.
 
-    Read off carriers and colors only: the round-1 vertex of v is the member
-    of carrier(v, "chr") with v's color.
+    Read off views only: alone in the first round-2 block means a round-2
+    view of v's own color only.
     """
-    def round1(v):
-        return next(u for u in carrier(v, "chr") if u.color == v.color)
-
     full = frozenset(range(1, n + 1))
-    full_views = [v for v in facet if carrier(round1(v), "s").colors == full]
+    full_views = [v for v in facet if view1(v) == full]
     if len(full_views) != 1:
         return None
     v = full_views[0]
-    return v if carrier(v, "chr").vertices == (round1(v),) else None
+    return v if view2(v) == {v.color} else None
 
 
 def facets_with_lone_full_view_leader(facets, n: int) -> set[Simplex]:
@@ -206,19 +226,17 @@ def immediate_snapshot_views(blocks: tuple[tuple, ...]) -> dict:
 def mu_by_definition(v, Q, alpha) -> int:
     """The elected process of Q for a Chr Chr s vertex v, from the definition.
 
-    Critical data of v's second-round view is computed afresh with
-    `critical_data` (no cache). The chosen view is the inclusion minimum of
-    the candidate carriers meeting Q, found by comparing every pair: the
-    critical carriers when the critical members' carrier meets Q, otherwise
-    the carriers of the round-one vertices v saw.
+    The critical faces of v's second-round view come from `critical_faces`
+    (no cache). The chosen view is the inclusion minimum of the candidate
+    views meeting Q, found by comparing every pair: the critical faces'
+    views when one of them meets Q, otherwise the views of the round-one
+    vertices v saw.
     """
     Q = frozenset(Q)
-    view = carrier(v, "chr")
-    data = critical_data(view, alpha)
-    if data.csv_colors & Q:
-        cands = {carrier(theta, "s").colors for theta in data.cs}
-    else:
-        cands = {carrier(u, "s").colors for u in view}
+    cands = {theta[0].payload.colors
+             for theta in critical_faces(v.payload, alpha)}
+    if not any(c & Q for c in cands):
+        cands = {u.payload.colors for u in v.payload}
     cands = {c for c in cands if c & Q}
     least = [c for c in cands if all(c <= d for d in cands)]
     if len(least) != 1:

@@ -2,23 +2,32 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from math import comb
 
 import pytest
 
 from affinetask import (Adversary, AdversaryError, ComplexError, Simplex,
-                        agreement_function, build_r_a, carrier,
-                        chr2_complex, concurrency_levels,
-                        contention_simplices, critical_data,
-                        critical_simplices, enumerate_adversaries,
-                        is_contention, is_critical, is_fair, make_k_of,
-                        make_superset_closed, make_symmetric,
-                        make_t_resilient, standard_simplex, task_to_dict,
-                        two_round_facet, verify_cs_distribution,
-                        verify_single_carrier)
+                        agreement_function, build_r_a, chr2_complex,
+                        chr_complex, concurrency_levels,
+                        contention_simplices, critical_simplices,
+                        enumerate_adversaries, is_contention, is_critical,
+                        is_fair, make_k_of, make_superset_closed,
+                        make_symmetric, make_t_resilient, standard_simplex,
+                        task_to_dict, two_round_facet,
+                        verify_cs_distribution, verify_single_carrier)
 from conftest import DATA_DIR
-from oracles import (build_r_kof, facets_with_lone_full_view_leader,
-                     r_a_by_definition, resilient_facets_by_vertex_filter,
-                     variant_divergence_report)
+from oracles import (base_colors, build_r_kof, critical_faces,
+                     facets_with_lone_full_view_leader, r_a_by_definition,
+                     resilient_facets_by_vertex_filter,
+                     variant_divergence_report, view2)
+
+
+def fair_live_up_to_3() -> list[Adversary]:
+    """Every fair family at n <= 3 whose full set can run (49)."""
+    advs = [a for n in (1, 2, 3) for a in enumerate_adversaries(n)
+            if is_fair(a) and agreement_function(a)(range(1, n + 1)) >= 1]
+    assert len(advs) == 49
+    return advs
 
 
 # --- contention -----------------------------------------------------------------
@@ -65,7 +74,7 @@ def test_critical_simplices_solo_level():
     crits = critical_simplices(make_k_of(3, 1))
     assert len(crits) == 7  # one per nonempty face of the base triangle
     for s in crits:
-        assert s.colors == carrier(s, "s").colors
+        assert s.colors == base_colors(s)
 
 
 @pytest.mark.parametrize("adv,expected", [
@@ -87,14 +96,13 @@ def test_critical_set_is_not_closed_under_faces():
 
 
 def test_critical_data_solo_level():
+    """The full central triangle is its only critical face, at level 1."""
     alpha = agreement_function(make_k_of(3, 1))
     full = next(s for s in critical_simplices(make_k_of(3, 1))
                 if len(s.vertices) == 3)
-    data = critical_data(full, alpha)
-    assert data.cs == frozenset({full})
-    assert data.csm == full.vertex_set
-    assert data.csv_colors == frozenset({1, 2, 3})
-    assert data.conc == 1
+    assert [f for f in full.faces() if is_critical(f, alpha)] == [full]
+    assert base_colors(full) == frozenset({1, 2, 3})
+    assert concurrency_levels(make_k_of(3, 1))[full] == 1
 
 
 def test_critical_data_empty_for_center_vertex():
@@ -105,14 +113,34 @@ def test_critical_data_empty_for_center_vertex():
     assert len(zeros) == 3
     for s in zeros:
         assert len(s.vertices) == 1
-        assert carrier(s, "s").colors == frozenset({1, 2, 3})
-        data = critical_data(s, alpha)
-        assert data.cs == frozenset() and data.conc == 0
+        assert base_colors(s) == frozenset({1, 2, 3})
+        assert not is_critical(s, alpha)
 
 
 def test_concurrency_level_distribution():
     conc = concurrency_levels(make_k_of(3, 2))
     assert Counter(conc.values()) == {2: 37, 1: 9, 0: 3}
+
+
+def test_mask_criticality_matches_simplex_oracle():
+    """Differential check of criticality read on masks against the Simplex
+    oracle: the critical simplices, the conc of every Chr s simplex and the
+    checked counts of both lemma sweeps, on every fair live family at
+    n <= 3 and on k_of(4, 1)."""
+    for adv in fair_live_up_to_3() + [make_k_of(4, 1)]:
+        alpha = agreement_function(adv)
+        cs = {s: critical_faces(s, alpha)
+              for s in chr_complex(adv.n).simplices()}
+        crits = critical_simplices(adv)
+        assert len(crits) == len(set(crits))
+        assert set(crits) == {Simplex(t) for faces in cs.values()
+                              for t in faces}, adv
+        assert concurrency_levels(adv) == {
+            s: max((alpha(t[0].payload.colors) for t in faces), default=0)
+            for s, faces in cs.items()}, adv
+        assert verify_cs_distribution(adv).checked == len(cs) * adv.n
+        assert verify_single_carrier(adv).checked == sum(
+            comb(len(faces), 2) for faces in cs.values()), adv
 
 
 # --- task constructions --------------------------------------------------------------
@@ -146,8 +174,8 @@ def test_level_two_task_strictly_contains_adversary_task():
     assert len(extra) == 21
     assert extra == facets_with_lone_full_view_leader(direct.complex.facets, 3)
     solo_first = {f for f in direct.complex.facets
-                  if any(len(carrier(v, "s")) == 3
-                         and len(carrier(v, "chr")) == 1 for v in f)}
+                  if any(len(base_colors(v.payload)) == 3
+                         and len(view2(v)) == 1 for v in f)}
     assert len(solo_first) == 48
     assert len(solo_first & derived.complex.facets) == 27
 
@@ -192,10 +220,7 @@ def test_r_a_matches_definition():
     """Differential check of the integer-coded filter against the Simplex
     filter: every fair live family at n <= 3 (49), then k_of(4, 1) and
     k_of(4, 2)."""
-    advs = [a for n in (1, 2, 3) for a in enumerate_adversaries(n)
-            if is_fair(a) and agreement_function(a)(range(1, n + 1)) >= 1]
-    assert len(advs) == 49
-    for adv in advs + [make_k_of(4, 1), make_k_of(4, 2)]:
+    for adv in fair_live_up_to_3() + [make_k_of(4, 1), make_k_of(4, 2)]:
         assert (build_r_a(adv).complex.facets
                 == r_a_by_definition(adv, "union")), adv
 

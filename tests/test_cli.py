@@ -106,6 +106,22 @@ def test_chr_dimension_four_emits_a_mesh(capsys):
     assert out.startswith("OFF\n32 176 0\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--n", "5", "--rounds", "2", "--format", "svg"], "needs n <= 3"),
+    (["--n", "4", "--format", "svg", "--highlight", OF1], "--highlight"),
+    (["--n", "3", "--highlight", OF1], "--highlight"),
+    (["--n", "4", "--format", "svg", "--labels"], "--labels"),
+])
+def test_chr_checks_flags_before_building(monkeypatch, capsys, argv, message):
+    """A drawing that cannot be made, or an overlay that would be dropped,
+    is an input error raised before the subdivision is built."""
+    def no_build(n, rounds):
+        raise AssertionError("the subdivision was built")
+    monkeypatch.setattr("affinetask.cli._subdivision", no_build)
+    assert main(["chr"] + argv) == 2
+    assert message in one_error_line(capsys)
+
+
 # --- adv -------------------------------------------------------------------------
 
 
@@ -261,6 +277,25 @@ def test_malformed_trace_is_an_input_error(tmp_path, capsys):
     assert main(["simulate", "replay", "--adversary", OF1,
                  "--trace", str(bad)]) == 2
     assert "malformed trace" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("field", ["process", "block", "participation"])
+def test_trace_with_non_integer_process_is_an_input_error(tmp_path, capsys,
+                                                         field):
+    for bad in (True, 1.9, "1"):
+        doc = {"participation": [1, 2], "events": [
+            {"type": "step", "process": 1}, {"type": "commit1", "block": [1]}]}
+        if field == "participation":
+            doc["participation"] = [bad, 2]
+        elif field == "block":
+            doc["events"][1]["block"] = [bad]
+        else:
+            doc["events"][0]["process"] = bad
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps(doc))
+        assert main(["simulate", "replay", "--adversary", OF1,
+                     "--trace", str(trace)]) == 2, (field, bad)
+        assert "not an integer process id" in one_error_line(capsys)
 
 
 def test_simulate_rejects_negative_fault_budget(capsys):

@@ -4,10 +4,11 @@ from itertools import combinations
 
 import pytest
 
-from affinetask import (LeaderError, LeaderMap, agreement_function, build_r_a,
-                        make_k_of, two_round_facet, verify_leader,
-                        verify_mu_agreement, verify_mu_robustness,
-                        verify_mu_validity)
+from affinetask import (ComplexError, LeaderError, LeaderMap,
+                        agreement_function, build_r_a, chr_complex,
+                        make_k_of, standard_simplex, two_round_facet,
+                        verify_leader, verify_mu_agreement,
+                        verify_mu_robustness, verify_mu_validity)
 from oracles import mu_by_definition, r_a_intersection_task
 
 
@@ -56,6 +57,17 @@ def test_mu_requires_own_color_in_query(solo_map, staircase_facet):
     for _ in range(2):
         with pytest.raises(LeaderError):
             solo_map(v3, {1, 2})
+
+
+def test_leader_map_rejects_vertices_outside_chr2(solo_map):
+    """A base vertex or a Chr s vertex has no round-two view to elect from."""
+    outside = [next(iter(standard_simplex(3).vertices)),
+               next(v for v in chr_complex(3).vertices if v.color == 1)]
+    for v in outside:
+        with pytest.raises(ComplexError):
+            solo_map(v, {1, 2, 3})
+        with pytest.raises(ComplexError):
+            solo_map.gamma(v, {1, 2, 3})
 
 
 def test_leader_reports_on_fixture_task(fixture_adversaries, fixture_tasks):

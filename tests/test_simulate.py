@@ -232,6 +232,10 @@ def test_replay_rejects_bad_events():
         model.apply_event(0, ("halt", 1))
     with pytest.raises(SimulationError):
         events_from_jsonable([{"type": "halt", "process": 1}])
+    for bad in (1.9, "1", True):  # never coerced to process 1
+        for event in (("step", bad), ("commit1", [bad])):
+            with pytest.raises(SimulationError, match="integer process id"):
+                model.apply_event(0, event)
 
 
 def test_state_cap_enforced():

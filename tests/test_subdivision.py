@@ -5,13 +5,13 @@ from itertools import permutations
 
 import pytest
 
-from affinetask import (ComplexError, Simplex, carrier, carrier_step,
-                        chr2_complex, chr_complex, chr_vertex,
-                        facet_to_partition, geometry, ordered_set_partitions,
-                        partition_to_facet, standard_simplex, two_round_facet,
-                        vertex_depth, view1, view2, view2_simplex)
+from affinetask import (ComplexError, Simplex, chr2_complex, chr_complex,
+                        chr_vertex, facet_to_partition, geometry,
+                        ordered_set_partitions, partition_to_facet,
+                        standard_simplex, two_round_facet)
 
-from oracles import fubini, immediate_snapshot_views, ordered_partitions_by_merging
+from oracles import (fubini, immediate_snapshot_views,
+                     ordered_partitions_by_merging, view1, view2)
 
 
 def base_facet(n: int) -> Simplex:
@@ -107,32 +107,6 @@ def test_round1_views_match_block_semantics(n):
             assert v.payload.colors == expect[v.color]
 
 
-def test_vertex_depth_and_carrier_levels(chr2_3):
-    f = chr2_3.sorted_facets()[0]
-    for v in f:
-        assert vertex_depth(v) == 2
-        c2 = carrier(v, "chr")
-        assert all(vertex_depth(u) == 1 for u in c2)
-        c1 = carrier(v, "s")
-        assert all(vertex_depth(u) == 0 for u in c1)
-        assert view2(v) == frozenset(u.color for u in c2)
-    assert carrier(f, "s").colors == frozenset.union(
-        *(carrier(v, "s").colors for v in f))
-
-
-def test_carrier_step_on_depth1(chr_3):
-    f = chr_3.sorted_facets()[0]
-    assert carrier_step(f).colors <= frozenset({1, 2, 3})
-    for v in f:
-        assert carrier_step(Simplex((v,))) == v.payload
-
-
-def test_carrier_rejects_base_vertices():
-    base = base_facet(2)
-    with pytest.raises(ComplexError):
-        carrier(next(iter(base)), "chr")
-
-
 def test_view1_of_two_round_vertex_uses_same_color_payload():
     # schedule: round 1 blocks ({1},{2}), round 2 sequential reversed
     f = two_round_facet(((1,), (2,)), ((2,), (1,)), 2)
@@ -163,13 +137,6 @@ def test_two_round_facet_single_contending_pair(chr2_3):
     assert v1[1] < v1[2] and v2[2] < v2[1]
     assert v1[1] < v1[3] and not (v2[3] < v2[1])
     assert v1[2] < v1[3] and not (v2[3] < v2[2])
-
-
-def test_view2_simplex_is_payload_closure(chr2_3):
-    f = chr2_3.sorted_facets()[10]
-    for v in f:
-        s = view2_simplex(v)
-        assert s == v.payload
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
