@@ -5,7 +5,8 @@ describing what the vertex stands for inside a subdivision (its carrier).
 Vertex identity is the canonical uid string, which is derived from color and
 payload, so structural equality and uid equality coincide.
 
-Complexes store facets only; faces are generated on demand.
+Complexes store facets only; faces are generated on demand, and membership
+is read off a per-vertex bitset of the facets holding each vertex.
 """
 from __future__ import annotations
 
@@ -124,6 +125,15 @@ class ChromaticComplex:
         return frozenset(out)
 
     @cached_property
+    def _facets_of(self) -> dict[Vertex, int]:
+        """Each vertex's facets, as a bitset over the facet iteration order."""
+        out: dict[Vertex, int] = {}
+        for i, f in enumerate(self.facets):
+            for v in f.vertices:
+                out[v] = out.get(v, 0) | 1 << i
+        return out
+
+    @cached_property
     def _simplex_set(self) -> frozenset[Simplex]:
         out: set[Simplex] = set()
         for f in self.facets:
@@ -135,7 +145,11 @@ class ChromaticComplex:
         return sorted(self._simplex_set, key=_sort_key)
 
     def __contains__(self, sigma: Simplex) -> bool:
-        return sigma in self._simplex_set
+        """True when sigma's vertices lie in one facet."""
+        shared = -1
+        for v in sigma.vertices:
+            shared &= self._facets_of.get(v, 0)
+        return shared != 0
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ChromaticComplex)

@@ -39,9 +39,14 @@ def _least(views: Iterable[int], Q: Iterable[int], what: str) -> frozenset[int]:
     return colors_of(chain[0])
 
 
-def _views(v: Vertex) -> list[int]:
-    """The views in v's round-two view; v must be a Chr Chr s vertex."""
-    return [view for view, _ in _view_groups(_vertex_code(v)[3])]
+def _groups(v: Vertex) -> tuple[tuple[int, int], ...]:
+    """The view groups of v's round-two view; v must be a Chr Chr s vertex."""
+    return _view_groups(_vertex_code(v)[3])
+
+
+def _seen(v: Vertex) -> int:
+    """The colors of v's base carrier: the union of its round-two views."""
+    return reduce(or_, (view for view, _ in _groups(v)))
 
 
 class LeaderMap:
@@ -56,20 +61,19 @@ class LeaderMap:
         self.alpha = alpha
         self._mu: dict[tuple[Vertex, frozenset[int]], int] = {}
 
-    def _critical_views(self, v: Vertex) -> list[int]:
-        groups = _view_groups(_vertex_code(v)[3])
+    def _critical_views(self, groups) -> list[int]:
         return [view for view, _ in _critical_faces(groups, self.alpha)]
 
     def delta(self, v: Vertex, Q: Iterable[int]) -> frozenset[int]:
         """Colors of the smallest critical view in v's second-round view
         that meets Q."""
-        return _least(self._critical_views(v), Q, "delta")
+        return _least(self._critical_views(_groups(v)), Q, "delta")
 
     @staticmethod
     def gamma(v: Vertex, Q: Iterable[int]) -> frozenset[int]:
         """Colors of the smallest view of a vertex seen in round two that
         meets Q."""
-        return _least(_views(v), Q, "gamma")
+        return _least([view for view, _ in _groups(v)], Q, "gamma")
 
     def __call__(self, v: Vertex, Q: Iterable[int]) -> int:
         """The elected process of Q for vertex v."""
@@ -83,11 +87,13 @@ class LeaderMap:
     def _elect(self, v: Vertex, Q: frozenset[int]) -> int:
         if v.color not in Q:
             raise LeaderError(f"own color {v.color} must belong to Q={sorted(Q)}")
+        groups = _groups(v)
+        critical = self._critical_views(groups)
         q = mask_of(Q)
-        if any(view & q for view in self._critical_views(v)):
-            pool = self.delta(v, Q)
+        if any(view & q for view in critical):
+            pool = _least(critical, Q, "delta")
         else:
-            pool = self.gamma(v, Q)
+            pool = _least([view for view, _ in groups], Q, "gamma")
         return min(pool & Q)  # nonempty: the pool was chosen to meet Q
 
 
@@ -140,7 +146,7 @@ def verify_mu_validity(adv: Adversary, task: AffineTask | None = None,
     task, mu = _prepare(adv, task, leader_map)
     report = VerificationReport(kind="mu_validity")
     for v in sorted(task.complex.vertices, key=lambda u: u.uid):
-        seen = colors_of(reduce(or_, _views(v)))
+        seen = colors_of(_seen(v))
         for Q in _queries_for(adv.n, queries, containing=v.color):
             leader = mu(v, Q)
             report.checked += 1
@@ -164,11 +170,12 @@ def verify_mu_agreement(adv: Adversary, task: AffineTask | None = None,
     report = VerificationReport(kind="mu_agreement")
     queries = [(Q, mask_of(Q)) for Q in _queries_for(adv.n, queries)]
     top = task.complex.dim
+    seen = {v: _seen(v) for v in task.complex.vertices}
     for facet in task.complex.sorted_facets():
         if facet.dim != top:
             continue
         verts = facet.vertices
-        bits = [(1 << v.color - 1, reduce(or_, _views(v))) for v in verts]
+        bits = [(1 << v.color - 1, seen[v]) for v in verts]
         for size in range(1, len(verts) + 1):
             for combo in combinations(range(len(verts)), size):
                 colors = base = 0
@@ -196,7 +203,7 @@ def verify_mu_robustness(adv: Adversary, task: AffineTask | None = None,
     task, mu = _prepare(adv, task, leader_map)
     report = VerificationReport(kind="mu_robustness")
     for v in sorted(task.complex.vertices, key=lambda u: u.uid):
-        seen = colors_of(reduce(or_, _views(v)))
+        seen = colors_of(_seen(v))
         for Q in _queries_for(adv.n, queries, containing=v.color):
             full = mu(v, Q)
             restricted = mu(v, seen & Q)

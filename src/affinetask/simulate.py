@@ -31,11 +31,11 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .adversary import Adversary, agreement_function
 from .affine import AffineTask
-from .bits import colors_of, iter_bits, mask_of
+from .bits import colors_of, iter_bits, mask_of, submasks
 from .complexes import Simplex
 from .reports import VerificationReport
 from .subdivision import chr2_complex, chr_vertex, standard_simplex
@@ -72,33 +72,22 @@ def state_cap_from_env() -> int:
     return cap
 
 
-def wait_predicate(alpha_table: Sequence[int], V: int, reg_is1: Sequence[int],
-                   is2_written: Sequence[bool], conc: Sequence[int]) -> bool:
-    """The wait-phase guard over one register snapshot. Pure.
+def wait_predicate(alpha_table: Sequence[int], V: int, same: int, is2w: int,
+                   cmax: int) -> bool:
+    """The wait-phase guard over one register snapshot, on masks. Pure.
 
-    reg_is1[j] is 0 while IS1[j] is unwritten; V is the caller's own view.
+    V is the caller's own view; same is the mask of the processes whose
+    written IS1 equals V, is2w the mask of written IS2 registers, and cmax
+    the largest Conc value written.
     """
-    same = 0
-    for j, r in enumerate(reg_is1):
-        if r == V:
-            same |= 1 << j
-    if alpha_table[V] > alpha_table[V & ~same]:
-        return True
-    rank = 0
-    for j in iter_bits(V):
-        if not is2_written[j] and reg_is1[j] != V:
-            rank += 1
-    return rank < max(alpha_table[V], max(conc, default=0))
+    return (alpha_table[V] > alpha_table[V & ~same]
+            or (V & ~is2w & ~same).bit_count() < max(alpha_table[V], cmax))
 
 
-def finish_predicate(alpha_table: Sequence[int], V: int, reg_is1: Sequence[int],
-                     is2_written: Sequence[bool]) -> bool:
-    """The concurrency-update guard at return time. Pure."""
-    removed = 0
-    for j, r in enumerate(reg_is1):
-        if r == V and is2_written[j]:
-            removed |= 1 << j
-    return alpha_table[V] > alpha_table[V & ~removed]
+def finish_predicate(alpha_table: Sequence[int], V: int, same: int,
+                     is2w: int) -> bool:
+    """The concurrency-update guard at return time, on masks. Pure."""
+    return alpha_table[V] > alpha_table[V & ~(same & is2w)]
 
 
 def _process_id(x, what: str) -> int:
@@ -147,39 +136,62 @@ class ProtocolModel:
         self._off_spend = 5 * n + n
         self._off_fblk = 5 * n + 2 * n
         self._off_sblk = 5 * n + 2 * n + n * n
+        self._procs = tuple(iter_bits(self.pmask))
+        # block field -> (blocks, views, block of each process)
+        self._rounds: dict[int, tuple[tuple[int, ...], ...]] = {}
+        # pending mask -> its nonempty subsets as (block, colors, one
+        # progress step per member)
+        self._subsets: dict[int, tuple[tuple[int, tuple[int, ...], int], ...]] = {}
 
     # --- packed-state helpers -------------------------------------------
 
     def _prog(self, state: int, i: int) -> int:
         return (state >> (5 * i)) & 7
 
-    def _crashed_mask(self, state: int) -> int:
-        m = 0
-        for i in range(self.n):
-            if (state >> (5 * i + 3)) & 1:
-                m |= 1 << i
-        return m
-
-    def _blocks(self, state: int, off: int) -> list[int]:
+    def _round(self, state: int, off: int) -> tuple[tuple[int, ...], ...]:
+        """(blocks, per-process view mask, per-process block) of the round
+        whose blocks start at bit off; 0 for an uncommitted process. Decoded
+        once per distinct block field."""
         n = self.n
-        out = []
-        for j in range(n):
-            blk = (state >> (off + j * n)) & ((1 << n) - 1)
-            if not blk:
-                break
-            out.append(blk)
-        return out
+        field = (state >> off) & ((1 << n * n) - 1)
+        entry = self._rounds.get(field)
+        if entry is None:
+            blocks: list[int] = []
+            views, group = [0] * n, [0] * n
+            prefix = 0
+            while blk := (field >> n * len(blocks)) & ((1 << n) - 1):
+                blocks.append(blk)
+                prefix |= blk
+                for i in iter_bits(blk):
+                    views[i], group[i] = prefix, blk
+            entry = self._rounds[field] = (tuple(blocks), tuple(views), tuple(group))
+        return entry
+
+    def _masks(self, state: int) -> tuple:
+        """(IS1 views, IS1 blocks, IS1-written, IS2-written, crashed, max
+        Conc): the registers of a state as masks; a process's IS1 view is
+        its round-one view, read only once it is written."""
+        _, is1, group = self._round(state, self._off_fblk)
+        is1w = is2w = crashed = cmax = 0
+        for i in self._procs:
+            slot = state >> 5 * i
+            if slot & 8:
+                crashed |= 1 << i
+            if slot & 7 >= WROTE1:
+                is1w |= 1 << i
+                if slot & 7 >= WROTE2:
+                    is2w |= 1 << i
+            if slot & 16:
+                cmax = max(cmax, self.alpha_table[is1[i]])
+        return is1, group, is1w, is2w, crashed, cmax
 
     def decode(self, state: int) -> dict:
         """Readable snapshot of a packed state, for traces and debugging."""
         n = self.n
         procs = {}
-        fb = self._blocks(state, self._off_fblk)
-        sb = self._blocks(state, self._off_sblk)
-        is1 = self._views(fb)
-        for i in range(n):
-            if not (self.pmask >> i) & 1:
-                continue
+        fb, is1, _ = self._round(state, self._off_fblk)
+        sb = self._round(state, self._off_sblk)[0]
+        for i in self._procs:
             prog = self._prog(state, i)
             procs[i + 1] = {
                 "pc": "Crashed" if (state >> (5 * i + 3)) & 1 else PC_NAMES[prog],
@@ -197,104 +209,68 @@ class ProtocolModel:
             "processes": procs,
         }
 
-    def _views(self, blocks: list[int]) -> list[int]:
-        """Per-process view mask of one round's blocks (0 if not committed)."""
-        views = [0] * self.n
-        prefix = 0
-        for blk in blocks:
-            prefix |= blk
-            for i in iter_bits(blk):
-                views[i] = prefix
-        return views
-
-    def _registers(self, state: int):
-        """(prog, reg_is1, is2_written, conc) register arrays of a state."""
-        n = self.n
-        fb = self._blocks(state, self._off_fblk)
-        is1 = self._views(fb)
-        prog = [self._prog(state, i) for i in range(n)]
-        reg_is1 = [is1[i] if prog[i] >= WROTE1 else 0 for i in range(n)]
-        is2_written = [prog[i] >= WROTE2 for i in range(n)]
-        conc = [self.alpha_table[is1[i]] if (state >> (5 * i + 4)) & 1 else 0
-                for i in range(n)]
-        return prog, is1, reg_is1, is2_written, conc
-
     # --- transitions ------------------------------------------------------
 
     def initial_state(self) -> int:
         return 0
 
     def successors(self, state: int) -> list[tuple[tuple, int]]:
-        """(event, next_state) pairs; crash events come last."""
-        n = self.n
-        prog, is1, reg_is1, is2_written, conc = self._registers(state)
-        crashed = self._crashed_mask(state)
-        fpend = (state >> self._off_fpend) & ((1 << n) - 1)
-        spend = (state >> self._off_spend) & ((1 << n) - 1)
+        """(event, next_state) pairs; crash events come last.
+
+        Every step and commit moves a process to the next progress value,
+        so it adds 1 << 5 * i to the state."""
+        alpha = self.alpha_table
+        is1, group, is1w, is2w, crashed, cmax = self._masks(state)
         out: list[tuple[tuple, int]] = []
 
-        for i in range(n):
+        for i in self._procs:
             bit = 1 << i
-            if not (self.pmask & bit) or (crashed & bit):
+            if crashed & bit:
                 continue
-            p = prog[i]
+            p = (state >> 5 * i) & 7
+            s2 = state + (1 << 5 * i)
             if p == IDLE:
-                s2 = (state & ~(7 << (5 * i))) | (INV1 << (5 * i)) | (bit << self._off_fpend)
+                out.append((("step", i + 1), s2 | bit << self._off_fpend))
+            elif p == GOT1 or p == GOT2:
                 out.append((("step", i + 1), s2))
-            elif p == GOT1:
-                out.append((("step", i + 1), self._set_prog(state, i, WROTE1)))
             elif p == WROTE1:
-                if wait_predicate(self.alpha_table, is1[i], reg_is1, is2_written, conc):
-                    s2 = self._set_prog(state, i, INV2) | (bit << self._off_spend)
-                    out.append((("step", i + 1), s2))
-            elif p == GOT2:
-                out.append((("step", i + 1), self._set_prog(state, i, WROTE2)))
+                if wait_predicate(alpha, is1[i], group[i] & is1w, is2w, cmax):
+                    out.append((("step", i + 1), s2 | bit << self._off_spend))
             elif p == WROTE2:
-                s2 = self._set_prog(state, i, DONE)
-                if finish_predicate(self.alpha_table, is1[i], reg_is1, is2_written):
+                if finish_predicate(alpha, is1[i], group[i] & is1w, is2w):
                     s2 |= 1 << (5 * i + 4)
                 out.append((("step", i + 1), s2))
 
-        out.extend(self._commits(state, fpend, self._off_fblk, self._off_fpend,
-                                 "commit1", GOT1))
-        out.extend(self._commits(state, spend, self._off_sblk, self._off_spend,
-                                 "commit2", GOT2))
+        self._commits(out, state, self._off_fblk, self._off_fpend, "commit1")
+        self._commits(out, state, self._off_sblk, self._off_spend, "commit2")
 
         if crashed.bit_count() < self.fault_budget:
-            for i in range(n):
+            for i in self._procs:
                 bit = 1 << i
-                if not (self.pmask & bit) or (crashed & bit):
-                    continue
-                if GOT1 <= prog[i] <= WROTE2:
+                if not crashed & bit and GOT1 <= (state >> 5 * i) & 7 <= WROTE2:
                     s2 = state | (1 << (5 * i + 3))
                     s2 &= ~(bit << self._off_fpend)
                     s2 &= ~(bit << self._off_spend)
                     out.append((("crash", i + 1), s2))
         return out
 
-    def _set_prog(self, state: int, i: int, value: int) -> int:
-        return (state & ~(7 << (5 * i))) | (value << (5 * i))
-
-    def _commits(self, state: int, pending: int, off_blk: int, off_pend: int,
-                 label: str, new_prog: int) -> Iterator[tuple[tuple, int]]:
+    def _commits(self, out: list[tuple[tuple, int]], state: int, off_blk: int,
+                 off_pend: int, label: str) -> None:
+        """Append a commit of every nonempty subset of the pending set,
+        ascending for determinism, into the round's next block slot."""
+        pending = (state >> off_pend) & ((1 << self.n) - 1)
         if not pending:
             return
-        n = self.n
-        slot = 0
-        while (state >> (off_blk + slot * n)) & ((1 << n) - 1):
-            slot += 1
-        # nonempty subsets of the pending set, ascending for determinism
-        sub = pending
-        subsets = []
-        while sub:
-            subsets.append(sub)
-            sub = (sub - 1) & pending
-        for block in sorted(subsets):
-            s2 = state | (block << (off_blk + slot * n))
-            s2 &= ~(block << off_pend)
-            for i in iter_bits(block):
-                s2 = self._set_prog(s2, i, new_prog)
-            yield (label, sorted(colors_of(block))), s2
+        subsets = self._subsets.get(pending)
+        if subsets is None:
+            subsets = self._subsets[pending] = tuple(
+                (block, tuple(sorted(colors_of(block))),
+                 sum(1 << 5 * i for i in iter_bits(block)))
+                for block in submasks(pending)[1:])
+        shift = off_blk + self.n * len(self._round(state, off_blk)[0])
+        for block, colors, members in subsets:
+            s2 = (state | block << shift) & ~(block << off_pend)
+            out.append(((label, list(colors)), s2 + members))
 
     def apply_event(self, state: int, event: tuple) -> int:
         """Replay one event, validating its process ids and that it is enabled."""
@@ -322,7 +298,7 @@ class ProtocolModel:
         while queue:
             state = queue.popleft()
             succ = self.successors(state)
-            if not any(ev[0] != "crash" for ev, _ in succ):
+            if not succ or succ[0][0][0] == "crash":  # crashes come last
                 terminals.append(state)
             for ev, s2 in succ:
                 if s2 in visited:
@@ -351,8 +327,8 @@ class ProtocolModel:
 
     def outputs(self, state: int) -> list[tuple[int, int]]:
         """(process, second-round prefix mask) of every returned process."""
-        spfx = self._views(self._blocks(state, self._off_sblk))
-        return [(i + 1, spfx[i]) for i in range(self.n)
+        spfx = self._round(state, self._off_sblk)[1]
+        return [(i + 1, spfx[i]) for i in self._procs
                 if self._prog(state, i) == DONE]
 
     def output_simplex(self, state: int) -> Simplex | None:
@@ -360,8 +336,7 @@ class ProtocolModel:
         outs = self.outputs(state)
         if not outs:
             return None
-        fb = self._blocks(state, self._off_fblk)
-        is1 = self._views(fb)
+        is1 = self._round(state, self._off_fblk)[1]
         base = {v.color: v for v in standard_simplex(self.n).vertices}
 
         def chr1(q: int) -> "Simplex":
@@ -401,9 +376,8 @@ def check_liveness(model: ProtocolModel, exploration: Exploration) -> Verificati
     })
     for state in exploration.terminals:
         report.checked += 1
-        crashed = model._crashed_mask(state)
-        stuck = [i + 1 for i in iter_bits(model.pmask)
-                 if not (crashed >> i) & 1 and model._prog(state, i) != DONE]
+        stuck = [i + 1 for i in model._procs
+                 if not (state >> (5 * i + 3)) & 1 and model._prog(state, i) != DONE]
         if stuck:
             report.add(stuck=stuck, state=model.decode(state))
             report.states.append(state)
@@ -424,20 +398,20 @@ def check_safety(model: ProtocolModel, exploration: Exploration,
         "terminals": len(exploration.terminals),
     })
     # the output simplex depends only on the returned prefixes and the
-    # round-one views; remember it per key when it is unsafe, else None
-    unsafe: dict[tuple, Simplex | None] = {}
+    # round-one views; remember it per key with its Chr Chr s membership
+    # when it is unsafe, else None
+    unsafe: dict[tuple, tuple[Simplex, bool] | None] = {}
     for state in exploration.terminals:
         report.checked += 1
-        key = (tuple(model.outputs(state)),
-               tuple(model._views(model._blocks(state, model._off_fblk))))
+        key = (tuple(model.outputs(state)), model._round(state, model._off_fblk)[1])
         if key not in unsafe:
             sigma = model.output_simplex(state)
-            ok = sigma is None or (sigma in chr2 and sigma in task.complex)
-            unsafe[key] = None if ok else sigma
-        sigma = unsafe[key]
-        if sigma is not None:
-            report.add(outputs=list(sigma.uids),
-                       in_subdivision=sigma in chr2,
+            inside = sigma is None or sigma in chr2
+            ok = inside and (sigma is None or sigma in task.complex)
+            unsafe[key] = None if ok else (sigma, inside)
+        if unsafe[key] is not None:
+            sigma, inside = unsafe[key]
+            report.add(outputs=list(sigma.uids), in_subdivision=inside,
                        state=model.decode(state))
             report.states.append(state)
     return report

@@ -9,7 +9,8 @@ reading and in the intersection-guard reading the protocol escapes, with
 the facet diff of the two), the level-two contention gap
 via carriers and colors, the leader map via its own criticality test and a
 pairwise inclusion minimum, setcon and fairness via the recursive definition
-on frozensets of live sets. Views and carriers are read straight off vertex
+on frozensets of live sets, the explorer's step on per-state register
+lists and list-form guards. Views and carriers are read straight off vertex
 payloads (`view1`, `view2`, `base_colors`).
 """
 from __future__ import annotations
@@ -305,3 +306,116 @@ def symmetric_by_definition(adv: Adversary) -> bool:
     return all((len(c) in sizes) == (frozenset(c) in adv.live_sets)
                for k in range(1, adv.n + 1)
                for c in combinations(range(1, adv.n + 1), k))
+
+
+# --- the explorer's step on register lists ---------------------------------------
+#
+# The protocol step as the explorer first computed it: per state, a list of
+# IS1 registers, IS2-written flags and Conc values, read by list-form
+# guards. Only the state layout (`ProtocolModel` offsets) is shared.
+
+
+def wait_predicate_by_registers(alpha_table, V: int, reg_is1, is2_written,
+                                conc) -> bool:
+    """The wait guard; reg_is1[j] is 0 while IS1[j] is unwritten."""
+    same = 0
+    for j, r in enumerate(reg_is1):
+        if r == V:
+            same |= 1 << j
+    if alpha_table[V] > alpha_table[V & ~same]:
+        return True
+    rank = 0
+    for j in range(len(reg_is1)):
+        if (V >> j) & 1 and not is2_written[j] and reg_is1[j] != V:
+            rank += 1
+    return rank < max(alpha_table[V], max(conc, default=0))
+
+
+def finish_predicate_by_registers(alpha_table, V: int, reg_is1,
+                                  is2_written) -> bool:
+    removed = 0
+    for j, r in enumerate(reg_is1):
+        if r == V and is2_written[j]:
+            removed |= 1 << j
+    return alpha_table[V] > alpha_table[V & ~removed]
+
+
+def registers(model, state: int):
+    """(prog, is1, reg_is1, is2_written, conc) lists of a packed state."""
+    n = model.n
+    prog = [(state >> 5 * i) & 7 for i in range(n)]
+    is1, prefix = [0] * n, 0
+    for j in range(n):
+        blk = (state >> (model._off_fblk + j * n)) & ((1 << n) - 1)
+        if not blk:
+            break
+        prefix |= blk
+        for i in range(n):
+            if (blk >> i) & 1:
+                is1[i] = prefix
+    reg_is1 = [is1[i] if prog[i] >= 3 else 0 for i in range(n)]
+    is2_written = [prog[i] >= 6 for i in range(n)]
+    conc = [model.alpha_table[is1[i]] if (state >> (5 * i + 4)) & 1 else 0
+            for i in range(n)]
+    return prog, is1, reg_is1, is2_written, conc
+
+
+def successors_by_registers(model, state: int) -> list[tuple[tuple, int]]:
+    """(event, next_state) pairs of a state, crash events last."""
+    n = model.n
+    prog, is1, reg_is1, is2_written, conc = registers(model, state)
+    crashed = sum(1 << i for i in range(n) if (state >> (5 * i + 3)) & 1)
+
+    def set_prog(s: int, i: int, value: int) -> int:
+        return (s & ~(7 << (5 * i))) | (value << (5 * i))
+
+    out = []
+    for i in range(n):
+        bit = 1 << i
+        if not (model.pmask & bit) or (crashed & bit):
+            continue
+        p = prog[i]
+        if p == 0:  # idle: invoke the first snapshot
+            out.append((("step", i + 1),
+                        set_prog(state, i, 1) | (bit << model._off_fpend)))
+        elif p in (2, 5):  # got a view: write it
+            out.append((("step", i + 1), set_prog(state, i, p + 1)))
+        elif p == 3:  # wrote IS1: wait, then invoke the second snapshot
+            if wait_predicate_by_registers(model.alpha_table, is1[i], reg_is1,
+                                           is2_written, conc):
+                out.append((("step", i + 1),
+                            set_prog(state, i, 4) | (bit << model._off_spend)))
+        elif p == 6:  # wrote IS2: return
+            s2 = set_prog(state, i, 7)
+            if finish_predicate_by_registers(model.alpha_table, is1[i], reg_is1,
+                                             is2_written):
+                s2 |= 1 << (5 * i + 4)
+            out.append((("step", i + 1), s2))
+
+    for off_pend, off_blk, label, got in (
+            (model._off_fpend, model._off_fblk, "commit1", 2),
+            (model._off_spend, model._off_sblk, "commit2", 5)):
+        pending = (state >> off_pend) & ((1 << n) - 1)
+        slot = 0
+        while (state >> (off_blk + slot * n)) & ((1 << n) - 1):
+            slot += 1
+        for block in range(1, 1 << n):
+            if block & ~pending:
+                continue
+            s2 = (state | (block << (off_blk + slot * n))) & ~(block << off_pend)
+            members = [i for i in range(n) if (block >> i) & 1]
+            for i in members:
+                s2 = set_prog(s2, i, got)
+            out.append(((label, [i + 1 for i in members]), s2))
+
+    if bin(crashed).count("1") < model.fault_budget:
+        for i in range(n):
+            bit = 1 << i
+            if not (model.pmask & bit) or (crashed & bit):
+                continue
+            if 2 <= prog[i] <= 6:
+                s2 = state | (1 << (5 * i + 3))
+                s2 &= ~(bit << model._off_fpend)
+                s2 &= ~(bit << model._off_spend)
+                out.append((("crash", i + 1), s2))
+    return out

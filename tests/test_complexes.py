@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations, product
+
 import pytest
 
 from affinetask import (ChromaticComplex, ComplexError, Simplex, Vertex,
@@ -49,6 +51,44 @@ def test_complex_contains_only_faces():
     assert s in K
     assert Simplex((s.vertices[0],)) in K
     assert Simplex((v("zz", 1),)) not in K
+
+
+def colorful(K: ChromaticComplex):
+    """Every simplex on K's vertices with pairwise distinct colors, in a
+    fixed order."""
+    by_color = [sorted((u for u in K.vertices if u.color == c), key=lambda u: u.uid)
+                for c in range(1, K.n + 1)]
+    for k in range(1, K.n + 1):
+        for groups in combinations(by_color, k):
+            for vs in product(*groups):
+                yield Simplex(vs)
+
+
+def test_membership_matches_face_closure_on_chr2_2():
+    from affinetask import chr2_complex
+
+    K = chr2_complex(2)
+    faces = set(K.simplices())
+    sigmas = list(colorful(K))
+    assert len(sigmas) == 10 + 25
+    assert sum(sigma in K for sigma in sigmas) == len(faces) == 10 + 9
+    for sigma in sigmas:
+        assert (sigma in K) == (sigma in faces)
+
+
+@pytest.mark.parametrize("which", ["chr2", "r_a"])
+def test_membership_matches_face_closure_on_n3(which, chr2_3, fixture_tasks):
+    """Every face is in. Every face of Chr Chr s outside K, and every 7th
+    other distinct-color simplex on the vertices of Chr Chr s, is out."""
+    K = chr2_3 if which == "chr2" else fixture_tasks["obstruction_free_2"].complex
+    faces = K.simplices()
+    assert all(sigma in K for sigma in faces)
+    face_set = set(faces)
+    non_faces = [s for s in chr2_3.simplices() if s not in face_set]
+    assert len(non_faces) == {"chr2": 0, "r_a": 535 - 484}[which]
+    non_faces += [s for s in colorful(chr2_3) if s not in face_set][::7]
+    assert len(non_faces) > 5000
+    assert not any(sigma in K for sigma in non_faces)
 
 
 def test_is_pure():

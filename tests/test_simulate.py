@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from itertools import product
-
 import pytest
 
 from affinetask import (ProtocolModel, SimulationError, StateCapExceeded,
@@ -10,8 +8,8 @@ from affinetask import (ProtocolModel, SimulationError, StateCapExceeded,
                         make_k_of, make_t_resilient, replay,
                         state_cap_from_env, two_round_facet,
                         valid_participations, wait_predicate)
-from affinetask.simulate import STATE_CAP_ENV
-from oracles import r_a_intersection_task
+from affinetask.simulate import DONE, STATE_CAP_ENV
+from oracles import r_a_intersection_task, successors_by_registers
 
 
 # --- tiny instances, exactly ----------------------------------------------------
@@ -63,15 +61,13 @@ def test_synchronized_schedule_reaches_the_synchronized_facet():
 
 
 def test_wait_predicate_loosens_as_concurrency_grows():
-    alpha = make_k_of(3, 2)
     table = [min(bin(m).count("1"), 2) for m in range(8)]
-    regs = [0, 3, 7]
     for V in (3, 7):
-        for reg in product(regs, repeat=3):
-            for written in product((False, True), repeat=3):
-                for lo, hi in [((0,), (1,)), ((1,), (2,)), ((0, 1), (2, 2))]:
-                    before = wait_predicate(table, V, reg, written, lo)
-                    after = wait_predicate(table, V, reg, written, hi)
+        for same in range(8):
+            for is2w in range(8):
+                for lo, hi in [(0, 1), (1, 2), (0, 2)]:
+                    before = wait_predicate(table, V, same, is2w, lo)
+                    after = wait_predicate(table, V, same, is2w, hi)
                     assert (not before) or after
 
 
@@ -80,13 +76,38 @@ def test_registers_are_write_once():
     exploration = model.explore(track_parents=True)
     states = {0, *exploration.parents}
     for state in states:
-        _, _, reg, written, _ = model._registers(state)
+        is1, _, is1w, is2w, _, _ = model._masks(state)
         for _, nxt in model.successors(state):
-            _, _, reg2, written2, _ = model._registers(nxt)
+            is1_2, _, is1w2, is2w2, _, _ = model._masks(nxt)
+            assert is1w & ~is1w2 == 0 and is2w & ~is2w2 == 0
             for j in range(2):
-                if reg[j]:
-                    assert reg2[j] == reg[j]
-                assert written2[j] or not written[j]
+                if (is1w >> j) & 1:
+                    assert is1_2[j] == is1[j]
+
+
+def test_masks_take_the_largest_conc():
+    model = ProtocolModel(make_k_of(3, 2))
+    # round one committed {2} then {1, 3}; processes 1 and 2 returned, both
+    # with Conc written: alpha({1, 2, 3}) = 2 and alpha({2}) = 1
+    state = (0b010 | 0b101 << 3) << model._off_fblk
+    for i in (0, 1):
+        state |= (DONE | 16) << 5 * i
+    is1, group, is1w, is2w, crashed, cmax = model._masks(state)
+    assert is1 == (7, 2, 7) and group == (5, 2, 5)
+    assert (is1w, is2w, crashed, cmax) == (3, 3, 0, 2)
+
+
+@pytest.mark.parametrize("name", ["obstruction_free_1", "obstruction_free_2",
+                                  "resilient_1", "superset_closed_2_13"])
+def test_successors_match_register_lists(name, fixture_adversaries):
+    """The mask-coded step equals the register-list step on every state
+    reached at full participation."""
+    model = ProtocolModel(fixture_adversaries[name])
+    exploration = model.explore(track_parents=True)
+    states = [0, *exploration.parents]
+    assert len(states) == exploration.state_count
+    for state in states:
+        assert model.successors(state) == successors_by_registers(model, state)
 
 
 # --- full sweeps against the tasks ------------------------------------------------
@@ -113,6 +134,18 @@ def test_protocol_is_safe_and_live(name, fixture_adversaries, fixture_tasks):
     assert sum(r["states"] for r in rows) == total
     full_row = next(r for r in rows if r["participation"] == [1, 2, 3])
     assert full_row["states"] == full_states
+
+
+def test_every_fair_n3_family_is_safe_and_live(fair_live_adversaries):
+    """The protocol against R_A over all 43 fair live n=3 families and
+    every participation of each."""
+    assert len(fair_live_adversaries) == 43
+    states = 0
+    for adv in fair_live_adversaries:
+        safety, liveness, rows = check_model(adv, build_r_a(adv))
+        assert safety.ok and liveness.ok, adv.family
+        states += sum(r["states"] for r in rows)
+    assert states == 509_816
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_GOLDEN))
@@ -159,6 +192,16 @@ def test_liveness_fails_when_crashes_exceed_budget():
     assert replay(model, trace) == first
     round_tripped = events_from_jsonable(events_to_jsonable(trace))
     assert replay(model, round_tripped) == first
+
+
+def test_states_with_only_crashes_enabled_are_terminal():
+    """Two crashes allowed where alpha is 1: processes left waiting can
+    still crash, and those states count as quiescent."""
+    model = ProtocolModel(make_k_of(3, 1), fault_budget=2)
+    exploration = model.explore()
+    assert (exploration.state_count, len(exploration.terminals)) == (11018, 1759)
+    assert sum(1 for s in exploration.terminals if model.successors(s)) == 105
+    assert len(check_liveness(model, exploration).violations) == 372
 
 
 def test_safety_distinguishes_the_task_variants(fixture_adversaries):
