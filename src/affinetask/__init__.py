@@ -29,7 +29,7 @@ from .simulate import (Exploration, ProtocolModel, SimulationError,
                        events_to_jsonable, finish_predicate, replay,
                        state_cap_from_env, valid_participations,
                        wait_predicate)
-from .subdivision import (build_chr, chr2_complex, chr_complex, chr_vertex,
+from .subdivision import (chr2_complex, chr_complex, chr_vertex,
                           facet_to_partition, geometry,
                           ordered_set_partitions, partition_to_facet,
                           standard_simplex, two_round_facet)

@@ -29,9 +29,7 @@ from .bits import colors_of, mask_of, submasks
 from .complexes import (MAX_PROCESSES, ChromaticComplex, ComplexError,
                         Simplex, Vertex, closure, complex_to_dict)
 from .reports import VerificationReport
-from .subdivision import chr2_complex, chr_complex, packed_views
-
-_VIEW = (1 << MAX_PROCESSES) - 1  # one color's field of a packed Chr s simplex
+from .subdivision import _VIEW, chr2_complex, chr_complex, packed_views
 
 
 @dataclass(frozen=True, eq=False)

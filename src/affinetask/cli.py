@@ -146,6 +146,8 @@ def cmd_adv(args) -> int:
 
 def cmd_affine_build(args) -> int:
     adv = _load_adversary(args.adversary)
+    if args.svg and adv.n > 3:  # before the task JSON is written
+        raise ComplexError(f"SVG rendering needs n <= 3, got n={adv.n}")
     task = build_r_a(adv)
     _dump(task_to_dict(task), args.out)
     if args.svg:

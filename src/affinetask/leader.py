@@ -39,62 +39,55 @@ def _least(views: Iterable[int], Q: Iterable[int], what: str) -> frozenset[int]:
     return colors_of(chain[0])
 
 
-def _groups(v: Vertex) -> tuple[tuple[int, int], ...]:
-    """The view groups of v's round-two view; v must be a Chr Chr s vertex."""
-    return _view_groups(_vertex_code(v)[3])
-
-
-def _seen(v: Vertex) -> int:
-    """The colors of v's base carrier: the union of its round-two views."""
-    return reduce(or_, (view for view, _ in _groups(v)))
-
-
 class LeaderMap:
-    """The leader map of one agreement function, memoized over (vertex, Q).
+    """The leader map of one agreement function, memoized per vertex.
 
-    Each elected process is computed once per (vertex, Q); later calls are
-    lookups. The own-color check and the chain assertions run on every new
-    entry.
+    A vertex's views are decoded once, when it is first met; each elected
+    process is computed once per (vertex, Q) and later calls are lookups.
+    The own-color check and the chain assertions run on every new (vertex, Q).
     """
 
     def __init__(self, alpha: AgreementFunction):
         self.alpha = alpha
-        self._mu: dict[tuple[Vertex, frozenset[int]], int] = {}
+        # vertex -> (its critical views, its views, its leader per Q)
+        self._mu: dict[Vertex, tuple[list[int], list[int],
+                                     dict[frozenset[int], int]]] = {}
 
-    def _critical_views(self, groups) -> list[int]:
-        return [view for view, _ in _critical_faces(groups, self.alpha)]
+    def _entry(self, v: Vertex) -> tuple[list[int], list[int], dict]:
+        entry = self._mu.get(v)
+        if entry is None:  # v must be a Chr Chr s vertex
+            groups = _view_groups(_vertex_code(v)[3])
+            entry = self._mu[v] = (
+                [view for view, _ in _critical_faces(groups, self.alpha)],
+                [view for view, _ in groups], {})
+        return entry
 
     def delta(self, v: Vertex, Q: Iterable[int]) -> frozenset[int]:
         """Colors of the smallest critical view in v's second-round view
         that meets Q."""
-        return _least(self._critical_views(_groups(v)), Q, "delta")
+        return _least(self._entry(v)[0], Q, "delta")
 
-    @staticmethod
-    def gamma(v: Vertex, Q: Iterable[int]) -> frozenset[int]:
+    def gamma(self, v: Vertex, Q: Iterable[int]) -> frozenset[int]:
         """Colors of the smallest view of a vertex seen in round two that
         meets Q."""
-        return _least([view for view, _ in _groups(v)], Q, "gamma")
+        return _least(self._entry(v)[1], Q, "gamma")
+
+    def seen(self, v: Vertex) -> int:
+        """The colors of v's base carrier: the union of its round-two views."""
+        return reduce(or_, self._entry(v)[1])
 
     def __call__(self, v: Vertex, Q: Iterable[int]) -> int:
         """The elected process of Q for vertex v."""
+        critical, _, leaders = self._entry(v)
         Q = frozenset(Q)
-        key = (v, Q)
-        leader = self._mu.get(key)
-        if leader is None:
-            leader = self._mu[key] = self._elect(v, Q)
-        return leader
-
-    def _elect(self, v: Vertex, Q: frozenset[int]) -> int:
-        if v.color not in Q:
-            raise LeaderError(f"own color {v.color} must belong to Q={sorted(Q)}")
-        groups = _groups(v)
-        critical = self._critical_views(groups)
-        q = mask_of(Q)
-        if any(view & q for view in critical):
-            pool = _least(critical, Q, "delta")
-        else:
-            pool = _least([view for view, _ in groups], Q, "gamma")
-        return min(pool & Q)  # nonempty: the pool was chosen to meet Q
+        if Q not in leaders:
+            if v.color not in Q:
+                raise LeaderError(f"own color {v.color} must belong to Q={sorted(Q)}")
+            q = mask_of(Q)
+            meets = any(view & q for view in critical)
+            pool = self.delta(v, Q) if meets else self.gamma(v, Q)
+            leaders[Q] = min(pool & Q)  # nonempty: the pool was chosen to meet Q
+        return leaders[Q]
 
 
 # --- property sweeps ----------------------------------------------------------
@@ -146,7 +139,7 @@ def verify_mu_validity(adv: Adversary, task: AffineTask | None = None,
     task, mu = _prepare(adv, task, leader_map)
     report = VerificationReport(kind="mu_validity")
     for v in sorted(task.complex.vertices, key=lambda u: u.uid):
-        seen = colors_of(_seen(v))
+        seen = colors_of(mu.seen(v))
         for Q in _queries_for(adv.n, queries, containing=v.color):
             leader = mu(v, Q)
             report.checked += 1
@@ -170,7 +163,7 @@ def verify_mu_agreement(adv: Adversary, task: AffineTask | None = None,
     report = VerificationReport(kind="mu_agreement")
     queries = [(Q, mask_of(Q)) for Q in _queries_for(adv.n, queries)]
     top = task.complex.dim
-    seen = {v: _seen(v) for v in task.complex.vertices}
+    seen = {v: mu.seen(v) for v in task.complex.vertices}
     for facet in task.complex.sorted_facets():
         if facet.dim != top:
             continue
@@ -203,7 +196,7 @@ def verify_mu_robustness(adv: Adversary, task: AffineTask | None = None,
     task, mu = _prepare(adv, task, leader_map)
     report = VerificationReport(kind="mu_robustness")
     for v in sorted(task.complex.vertices, key=lambda u: u.uid):
-        seen = colors_of(_seen(v))
+        seen = colors_of(mu.seen(v))
         for Q in _queries_for(adv.n, queries, containing=v.color):
             full = mu(v, Q)
             restricted = mu(v, seen & Q)

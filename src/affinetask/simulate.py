@@ -38,7 +38,7 @@ from .affine import AffineTask
 from .bits import colors_of, iter_bits, mask_of, submasks
 from .complexes import Simplex
 from .reports import VerificationReport
-from .subdivision import chr2_complex, chr_vertex, standard_simplex
+from .subdivision import chr2_complex, chr2_simplex, pack
 
 DEFAULT_STATE_CAP = 10_000_000
 STATE_CAP_ENV = "AFFINE_STATE_CAP"
@@ -337,17 +337,10 @@ class ProtocolModel:
         if not outs:
             return None
         is1 = self._round(state, self._off_fblk)[1]
-        base = {v.color: v for v in standard_simplex(self.n).vertices}
-
-        def chr1(q: int) -> "Simplex":
-            cols = sorted(colors_of(is1[q - 1]))
-            return Simplex(tuple(base[c] for c in cols))
-
-        verts = []
-        for p, prefix in outs:
-            seen = [chr_vertex(q, chr1(q)) for q in sorted(colors_of(prefix))]
-            verts.append(chr_vertex(p, Simplex(tuple(seen))))
-        return Simplex(tuple(verts))
+        if any(not is1[q] for _, prefix in outs for q in iter_bits(prefix)):
+            raise SimulationError("a returned process saw a process "
+                                  "without a round-one view")
+        return chr2_simplex(pack(enumerate(is1, 1)), outs)
 
 
 # --- sweeps over participation sets -------------------------------------------
@@ -384,12 +377,19 @@ def check_liveness(model: ProtocolModel, exploration: Exploration) -> Verificati
     return report
 
 
+def _require_task_n(task: AffineTask, n: int) -> None:
+    if task.n != n:
+        raise SimulationError(f"task {task.name} is over n={task.n}, "
+                              f"the model over n={n}")
+
+
 def check_safety(model: ProtocolModel, exploration: Exploration,
                  task: AffineTask) -> VerificationReport:
     """Returned views of every quiescent state form a face of the task.
 
     report.states holds the unsafe terminal states, one per violation.
     """
+    _require_task_n(task, model.n)
     chr2 = chr2_complex(model.n)
     report = VerificationReport(kind="safety", info={
         "participation": sorted(model.participation),
@@ -426,6 +426,7 @@ def check_model(adv: Adversary, task: AffineTask,
 
     Returns aggregated (safety, liveness) reports and per-participation rows.
     """
+    _require_task_n(task, adv.n)
     parts = ([frozenset(P) for P in participations]
              if participations is not None else valid_participations(adv))
     safety = VerificationReport(kind="safety")

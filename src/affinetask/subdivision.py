@@ -2,14 +2,17 @@
 
 A subdivision vertex's payload is its carrier simplex in the base complex:
 one subdivision level down for vertices of Chr K, two levels down (via the
-payload's own payloads) for vertices of Chr Chr K. Facets of Chr K over a
-facet tau of K are in bijection with ordered set partitions of tau's
-vertices: the vertex for v in block B_i carries the sub-simplex spanned by
-B_1 | ... | B_i.
+payload's own payloads) for vertices of Chr Chr K.
+
+A run of the immediate snapshot is an ordered partition of the colors 1..n;
+each color's view is the union of the blocks up to its own. The facets of
+Chr s are the runs, and the facets of Chr Chr s are the pairs of runs: a
+round-two view holds the round-one view of every color it saw (Kozlov 2012).
 
 Integer code: a Chr s vertex is its color and view (its carrier's color
 mask); `packed_views` packs a Chr s simplex into one int, so the Chr s
 carrier of a set of Chr Chr s vertices is the OR of their packed carriers.
+Facets are built on this code by the pooled `chr1_vertex`/`chr2_vertex`.
 """
 from __future__ import annotations
 
@@ -18,9 +21,15 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .bits import mask_of
+from .bits import colors_of, iter_bits, mask_of
 from .complexes import (MAX_PROCESSES, ChromaticComplex, ComplexError,
-                        Simplex, Vertex, is_pure)
+                        Simplex, Vertex)
+
+_CORNERS = {c: Vertex(uid=str(c), color=c) for c in range(1, MAX_PROCESSES + 1)}
+_VIEW = (1 << MAX_PROCESSES) - 1  # one color's field of a packed Chr s simplex
+# per color mask, the fields of its colors with every bit set
+_FIELDS = tuple(sum(_VIEW << MAX_PROCESSES * b for b in iter_bits(m))
+                for m in range(1 << MAX_PROCESSES))
 
 
 def _check_n(n: int) -> None:
@@ -33,7 +42,7 @@ def _check_n(n: int) -> None:
 def standard_simplex(n: int) -> ChromaticComplex:
     """The base complex: one facet on vertices colored 1..n."""
     _check_n(n)
-    verts = tuple(Vertex(uid=str(c), color=c) for c in range(1, n + 1))
+    verts = tuple(_CORNERS[c] for c in range(1, n + 1))
     return ChromaticComplex(n=n, facets=frozenset({Simplex(verts)}))
 
 
@@ -57,21 +66,57 @@ def ordered_set_partitions(items: Sequence) -> Iterator[tuple[frozenset, ...]]:
     if not items:
         yield ()
         return
+    for first in sorted(combo for k in range(1, len(items) + 1)
+                        for combo in combinations(items, k)):
+        rest = [x for x in items if x not in first]
+        for tail in ordered_set_partitions(rest):
+            yield (frozenset(first),) + tail
 
-    def rec(remaining: tuple) -> Iterator[tuple[frozenset, ...]]:
-        if not remaining:
-            yield ()
-            return
-        firsts = sorted(
-            (combo for k in range(1, len(remaining) + 1)
-             for combo in combinations(remaining, k)))
-        for first in firsts:
-            chosen = frozenset(first)
-            rest = tuple(x for x in remaining if x not in chosen)
-            for tail in rec(rest):
-                yield (chosen,) + tail
 
-    yield from rec(tuple(items))
+# --- runs -------------------------------------------------------------------
+
+
+def _run(blocks: Sequence[Iterable[int]], n: int) -> list[tuple[int, int]]:
+    """(color, view mask) of each color of an ordered partition of 1..n:
+    its view is the union of the blocks up to its own."""
+    _check_n(n)
+    colors, seen, run = set(range(1, n + 1)), set(), []
+    for block in map(set, blocks):
+        if not block or block & seen or not block <= colors:
+            raise ComplexError(f"not an ordered partition of 1..{n}: {blocks!r}")
+        seen |= block
+        run.extend((c, mask_of(seen)) for c in sorted(block))
+    if seen != colors:
+        raise ComplexError(f"partition does not cover 1..{n}: {blocks!r}")
+    return run
+
+
+def pack(views: Iterable[tuple[int, int]]) -> int:
+    """(color, view mask) pairs as one int, as by `packed_views`."""
+    return sum(view << MAX_PROCESSES * (c - 1) for c, view in views)
+
+
+@lru_cache(maxsize=None)
+def chr1_vertex(color: int, view: int) -> Vertex:
+    """The Chr s vertex of `color` that saw the colors of mask `view`."""
+    return chr_vertex(color, Simplex(tuple(_CORNERS[c] for c in colors_of(view))))
+
+
+@lru_cache(maxsize=None)
+def chr2_vertex(color: int, carrier: int) -> Vertex:
+    """The Chr Chr s vertex of `color` whose round-two view is the packed
+    Chr s simplex `carrier`: the round-one view mask of each color it saw,
+    in that color's field."""
+    fields = (carrier >> MAX_PROCESSES * c & _VIEW for c in range(MAX_PROCESSES))
+    return chr_vertex(color, Simplex(tuple(
+        chr1_vertex(c, view) for c, view in enumerate(fields, 1) if view)))
+
+
+def chr2_simplex(views1: int, views2: Iterable[tuple[int, int]]) -> Simplex:
+    """The Chr Chr s simplex of the (color, round-two view mask) pairs
+    views2, where views1 packs the round-one view of every color seen."""
+    return Simplex(tuple(chr2_vertex(c, views1 & _FIELDS[view])
+                         for c, view in views2))
 
 
 def partition_to_facet(blocks: Sequence[Iterable[int]], n: int) -> Simplex:
@@ -79,19 +124,7 @@ def partition_to_facet(blocks: Sequence[Iterable[int]], n: int) -> Simplex:
 
     The vertex for a color in block i carries the union of blocks 1..i.
     """
-    base = {v.color: v for v in standard_simplex(n).vertices}
-    seen: set[int] = set()
-    verts: list[Vertex] = []
-    for block in blocks:
-        block = set(block)
-        if not block or block & seen or not block <= set(base):
-            raise ComplexError(f"not an ordered partition of 1..{n}: {blocks!r}")
-        seen |= block
-        carrier = Simplex(tuple(base[c] for c in sorted(seen)))
-        verts.extend(chr_vertex(c, carrier) for c in sorted(block))
-    if seen != set(base):
-        raise ComplexError(f"partition does not cover 1..{n}: {blocks!r}")
-    return Simplex(tuple(verts))
+    return Simplex(tuple(chr1_vertex(c, view) for c, view in _run(blocks, n)))
 
 
 def facet_to_partition(facet: Simplex) -> tuple[frozenset[int], ...]:
@@ -111,62 +144,32 @@ def facet_to_partition(facet: Simplex) -> tuple[frozenset[int], ...]:
     return blocks
 
 
-def build_chr(base: ChromaticComplex) -> ChromaticComplex:
-    """Standard chromatic subdivision of a pure chromatic complex."""
-    if not is_pure(base):
-        raise ComplexError("build_chr requires a pure complex")
-    vertex_pool: dict[str, Vertex] = {}
-
-    def pooled(color: int, carrier: Simplex) -> Vertex:
-        v = chr_vertex(color, carrier)
-        return vertex_pool.setdefault(v.uid, v)
-
-    new_facets: list[Simplex] = []
-    for tau in base.sorted_facets():
-        for blocks in ordered_set_partitions(tau.vertices):
-            prefix: list[Vertex] = []
-            verts: list[Vertex] = []
-            for block in blocks:
-                prefix.extend(block)
-                carrier = Simplex(tuple(prefix))
-                verts.extend(pooled(v.color, carrier) for v in block)
-            new_facets.append(Simplex(tuple(verts)))
-    return ChromaticComplex(n=base.n, facets=frozenset(new_facets))
-
-
 @lru_cache(maxsize=None)
 def chr_complex(n: int) -> ChromaticComplex:
-    """Chr s for the standard n-process simplex."""
-    return build_chr(standard_simplex(n))
+    """Chr s for the standard n-process simplex: one facet per run."""
+    _check_n(n)  # before enumerating the runs
+    return ChromaticComplex(n=n, facets=frozenset(
+        partition_to_facet(blocks, n)
+        for blocks in ordered_set_partitions(range(1, n + 1))))
 
 
 @lru_cache(maxsize=None)
 def chr2_complex(n: int) -> ChromaticComplex:
-    """Chr Chr s: Chr applied to every facet of Chr s, glued on shared faces."""
-    return build_chr(chr_complex(n))
+    """Chr Chr s: one facet per pair of runs."""
+    _check_n(n)  # before enumerating the runs
+    runs = [_run(blocks, n) for blocks in ordered_set_partitions(range(1, n + 1))]
+    return ChromaticComplex(n=n, facets=frozenset(
+        chr2_simplex(views1, run2) for views1 in map(pack, runs) for run2 in runs))
 
 
 def two_round_facet(blocks1: Sequence[Iterable[int]],
                     blocks2: Sequence[Iterable[int]], n: int) -> Simplex:
     """Facet of Chr Chr s for explicit first- and second-round runs.
 
-    blocks1 is an ordered partition of colors 1..n; blocks2 is an ordered
-    partition of the same colors describing the second round over the
-    first-round facet's vertices.
+    blocks1 and blocks2 are ordered partitions of colors 1..n: the first
+    round, and the second round over the first-round facet's vertices.
     """
-    f1 = partition_to_facet(blocks1, n)
-    by_color = {v.color: v for v in f1}
-    seen: list[Vertex] = []
-    verts: list[Vertex] = []
-    for block in blocks2:
-        block = sorted(set(block))
-        seen.extend(by_color[c] for c in block)
-        carrier = Simplex(tuple(seen))
-        verts.extend(chr_vertex(c, carrier) for c in block)
-    facet = Simplex(tuple(verts))
-    if facet.colors != frozenset(range(1, n + 1)):
-        raise ComplexError("second round must cover all colors")
-    return facet
+    return chr2_simplex(pack(_run(blocks1, n)), _run(blocks2, n))
 
 
 # --- integer code -----------------------------------------------------------

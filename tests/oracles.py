@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately written against different primitives than
-the package: partition counting via the surjection formula, the pure
+the package: Chr K by walking prefix-carrier Simplex objects of each base
+facet (`build_chr`), partition counting via the surjection formula, the pure
 complement via brute-force filtering, the resilient task via a per-vertex
 view filter, the contention-ban task via contending simplices, the affine
 task via Simplex objects and frozenset views (in the package's union-guard
@@ -19,9 +20,10 @@ from itertools import combinations, permutations
 from math import comb, factorial
 
 from affinetask import (Adversary, AdversaryError, AffineTask,
-                        ChromaticComplex, Simplex, agreement_function,
-                        build_r_a, chr2_complex, closure,
-                        contention_simplices, make_k_of, require_fair)
+                        ChromaticComplex, ComplexError, Simplex, Vertex,
+                        agreement_function, build_r_a, chr2_complex,
+                        chr_vertex, closure, contention_simplices, is_pure,
+                        make_k_of, ordered_set_partitions, require_fair)
 
 
 def view2(v) -> frozenset[int]:
@@ -51,6 +53,31 @@ def critical_faces(sigma, alpha) -> list[tuple]:
                     and alpha(view - {v.color for v in theta}) < alpha(view)):
                 out.append(theta)
     return out
+
+
+def build_chr(base: ChromaticComplex) -> ChromaticComplex:
+    """Standard chromatic subdivision of a pure chromatic complex: per base
+    facet and ordered partition of its vertices, the vertex of each block
+    carries the face spanned by the blocks up to its own."""
+    if not is_pure(base):
+        raise ComplexError("build_chr requires a pure complex")
+    vertex_pool: dict[str, Vertex] = {}
+
+    def pooled(color: int, carrier: Simplex) -> Vertex:
+        v = chr_vertex(color, carrier)
+        return vertex_pool.setdefault(v.uid, v)
+
+    new_facets: list[Simplex] = []
+    for tau in base.sorted_facets():
+        for blocks in ordered_set_partitions(tau.vertices):
+            prefix: list[Vertex] = []
+            verts: list[Vertex] = []
+            for block in blocks:
+                prefix.extend(block)
+                carrier = Simplex(tuple(prefix))
+                verts.extend(pooled(v.color, carrier) for v in block)
+            new_facets.append(Simplex(tuple(verts)))
+    return ChromaticComplex(n=base.n, facets=frozenset(new_facets))
 
 
 def fubini(n: int) -> int:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from affinetask import complex_from_dict
+from affinetask import adversary_to_dict, complex_from_dict, make_k_of
 from affinetask.cli import main
 from affinetask.simulate import STATE_CAP_ENV
 from conftest import FIXTURE_DIR
@@ -204,6 +204,22 @@ def test_affine_build_with_svg(tmp_path):
     assert doc["combine"] == "union"
     assert len(doc["facets"]) == 145
     assert svg_file.read_text().count('class="hl0"') == 145
+
+
+def test_affine_build_checks_svg_before_building(monkeypatch, tmp_path, capsys):
+    """At n=4 no drawing can be made: the error comes before the task is
+    built, and no file is written."""
+    adv = tmp_path / "k_of_4_1.json"
+    adv.write_text(json.dumps(adversary_to_dict(make_k_of(4, 1))))
+
+    def no_build(adv):
+        raise AssertionError("the task was built")
+    monkeypatch.setattr("affinetask.cli.build_r_a", no_build)
+    out, svg = tmp_path / "task.json", tmp_path / "task.svg"
+    assert main(["affine", "build", "--adversary", str(adv), "--out", str(out),
+                 "--svg", str(svg)]) == 2
+    assert "needs n <= 3" in one_error_line(capsys)
+    assert not out.exists() and not svg.exists()
 
 
 @pytest.mark.parametrize("prop", ["distribution", "single-carrier", "subtraction"])

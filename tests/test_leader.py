@@ -9,6 +9,7 @@ from affinetask import (ComplexError, LeaderError, LeaderMap,
                         make_k_of, standard_simplex, two_round_facet,
                         verify_leader, verify_mu_agreement,
                         verify_mu_robustness, verify_mu_validity)
+from affinetask import leader as leader_module
 from oracles import mu_by_definition, r_a_intersection_task
 
 
@@ -128,6 +129,23 @@ def test_leader_map_matches_definition(chr2_3, fixture_adversaries):
         for _ in range(2):  # computed first, looked up second
             for (v, Q), leader in expected.items():
                 assert mu(v, Q) == leader, (adv, v, Q)
+
+
+def test_leader_map_decodes_each_vertex_once(monkeypatch, chr2_3, solo_alpha):
+    """Every query set of a vertex is elected from one decoding of its views."""
+    decoded = []
+    code = leader_module._vertex_code
+    monkeypatch.setattr(leader_module, "_vertex_code",
+                        lambda v: decoded.append(v) or code(v))
+    mu = LeaderMap(solo_alpha)
+    queries = [frozenset(Q) for k in (1, 2, 3)
+               for Q in combinations((1, 2, 3), k)]
+    for v in chr2_3.vertices:
+        for Q in queries:
+            if v.color in Q:
+                mu(v, Q)
+        mu.seen(v)
+    assert sorted(decoded) == sorted(chr2_3.vertices)
 
 
 def test_leader_properties_hold_at_n4():

@@ -251,6 +251,31 @@ def test_participation_validation():
         ProtocolModel(make_t_resilient(3, 1), participation={1})
 
 
+def test_task_of_another_n_is_rejected_before_exploring(monkeypatch):
+    def no_explore(self, track_parents=False):
+        raise AssertionError("a model was explored")
+    monkeypatch.setattr(ProtocolModel, "explore", no_explore)
+    for n, m in ((2, 3), (3, 2)):
+        with pytest.raises(SimulationError, match=f"over n={m}, the model over n={n}"):
+            check_model(make_k_of(n, 1), build_r_a(make_k_of(m, 1)))
+
+
+def test_check_safety_rejects_a_task_of_another_n():
+    model = ProtocolModel(make_k_of(2, 1))
+    with pytest.raises(SimulationError, match="over n=3"):
+        check_safety(model, model.explore(), build_r_a(make_k_of(3, 1)))
+
+
+def test_output_simplex_needs_round_one_views_of_the_seen():
+    """Process 1 returned with 2 in its round-two view, although 2 never
+    got a round-one view."""
+    model = ProtocolModel(make_k_of(2, 1))
+    state = DONE | 0b01 << model._off_fblk | 0b11 << model._off_sblk
+    assert model.outputs(state) == [(1, 3)]
+    with pytest.raises(SimulationError, match="without a round-one view"):
+        model.output_simplex(state)
+
+
 def test_fault_budget_must_be_nonnegative():
     with pytest.raises(SimulationError, match="fault budget"):
         ProtocolModel(make_k_of(3, 1), fault_budget=-1)

@@ -10,7 +10,7 @@ from affinetask import (ComplexError, Simplex, chr2_complex, chr_complex,
                         ordered_set_partitions, partition_to_facet,
                         standard_simplex, two_round_facet)
 
-from oracles import (fubini, immediate_snapshot_views,
+from oracles import (build_chr, fubini, immediate_snapshot_views,
                      ordered_partitions_by_merging, view1, view2)
 
 
@@ -40,9 +40,18 @@ def test_chr_facet_counts(n, count):
     assert count == fubini(n)
 
 
-@pytest.mark.parametrize("n,count", [(1, 1), (2, 9), (3, 169)])
+@pytest.mark.parametrize("n,count", [(1, 1), (2, 9), (3, 169), (4, 5625)])
 def test_chr2_facet_counts(n, count):
     assert len(chr2_complex(n).facets) == count
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_subdivisions_match_reference_construction(n):
+    """Facets built from runs and pairs of runs equal the prefix-carrier
+    construction applied once and twice."""
+    chr1 = build_chr(standard_simplex(n))
+    assert chr_complex(n) == chr1
+    assert chr2_complex(n) == build_chr(chr1)
 
 
 def test_chr2_4_facet_count_is_square_of_chr_4():
@@ -76,6 +85,26 @@ def test_partition_to_facet_validates_coverage():
         partition_to_facet(((1,),), 3)
     with pytest.raises(ComplexError):
         partition_to_facet(((1, 2), (2, 3)), 3)
+
+
+@pytest.mark.parametrize("blocks2,message", [
+    (((1,), (4,)), "not an ordered partition"),
+    (((1, 2), (2, 3)), "not an ordered partition"),
+    (((1,), ()), "not an ordered partition"),
+    (((1, 2),), "does not cover"),
+])
+def test_two_round_facet_validates_both_rounds(blocks2, message):
+    with pytest.raises(ComplexError, match=message):
+        two_round_facet(((1, 2, 3),), blocks2, 3)
+    with pytest.raises(ComplexError, match=message):
+        two_round_facet(blocks2, ((1, 2, 3),), 3)
+
+
+def test_pairs_of_runs_are_the_facets_of_chr2(chr2_3):
+    runs = list(ordered_set_partitions((1, 2, 3)))
+    facets = {two_round_facet(r1, r2, 3) for r1 in runs for r2 in runs}
+    assert len(facets) == 169
+    assert facets == set(chr2_3.facets)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
