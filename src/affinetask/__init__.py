@@ -11,13 +11,13 @@ from .adversary import (Adversary, AdversaryError, AgreementFunction,
                         is_superset_closed, is_symmetric, make_k_of,
                         make_superset_closed, make_symmetric,
                         make_t_resilient, require_fair,
-                        setcon, symmetric_setcon, verify_fair_subtraction)
+                        setcon, verify_fair_subtraction)
 from .affine import (AffineTask, build_r_a, concurrency_levels,
                      contention_simplices, critical_simplices, is_contention,
                      is_critical, task_to_dict, verify_cs_distribution,
                      verify_single_carrier)
 from .complexes import (ChromaticComplex, ComplexError, Simplex, Vertex,
-                        closure, complex_from_dict, complex_to_dict, is_pure)
+                        closure, complex_from_dict, complex_to_dict)
 from .leader import (LeaderError, LeaderMap, verify_leader,
                      verify_mu_agreement, verify_mu_robustness,
                      verify_mu_validity)
@@ -29,8 +29,7 @@ from .simulate import (Exploration, ProtocolModel, SimulationError,
                        events_to_jsonable, finish_predicate, replay,
                        state_cap_from_env, valid_participations,
                        wait_predicate)
-from .subdivision import (chr2_complex, chr_complex, chr_vertex,
-                          facet_to_partition, geometry,
+from .subdivision import (chr2_complex, chr_complex, chr_vertex, geometry,
                           ordered_set_partitions, partition_to_facet,
                           standard_simplex, two_round_facet)
 

@@ -268,13 +268,6 @@ def enumerate_adversaries(n: int) -> Iterator[Adversary]:
             s for i, s in enumerate(pool) if mask & (1 << i)))
 
 
-def symmetric_setcon(adv: Adversary) -> int:
-    """Shortcut valid for symmetric adversaries: number of distinct live sizes."""
-    if not is_symmetric(adv):
-        raise AdversaryError("symmetric_setcon needs a symmetric adversary")
-    return len({len(s) for s in adv.live_sets})
-
-
 # --- hitting sets ------------------------------------------------------------
 
 

@@ -11,16 +11,17 @@ two notions; it is the only task this package builds.
 Each notion is decided once, on masks (`_contending`, `_critical_faces`),
 and read only on masks: a Chr Chr s vertex is `_vertex_code(v)`, a Chr s
 simplex its view groups. `build_r_a` reads `_chr2_table(n)`, Chr Chr s
-coded as ints once per n (Kozlov 2012): numbered Chr s carriers as view
-groups, and per facet its carrier's id and its contending faces. Per alpha
-only a guard loop over ints runs; kept facets are looked up as Simplex objects.
+coded as ints once per n straight from its pairs of runs (Kozlov 2012):
+numbered Chr s carriers as view groups, and per facet its carrier's id and
+its contending faces. Per alpha only a guard loop over ints runs; kept
+facets are the `chr2_facets(n)` Simplex objects at the same positions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .adversary import (Adversary, AdversaryError, AgreementFunction,
                         agreement_function, alpha_to_dict, hitting_number,
@@ -29,7 +30,8 @@ from .bits import colors_of, mask_of, submasks
 from .complexes import (MAX_PROCESSES, ChromaticComplex, ComplexError,
                         Simplex, Vertex, closure, complex_to_dict)
 from .reports import VerificationReport
-from .subdivision import _VIEW, chr2_complex, chr_complex, packed_views
+from .subdivision import (_FIELDS, _VIEW, all_runs, chr2_facets, chr_complex,
+                          pack, packed_views)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,31 +132,34 @@ def critical_simplices(adv: Adversary) -> list[Simplex]:
 
 @lru_cache(maxsize=MAX_PROCESSES)
 def _chr2_table(n: int) -> tuple:
-    """(facets, groups, rhos, faces) of Chr Chr s: its facets; the view
-    groups of each Chr s simplex id; per facet, the id of its carrier rho;
-    per facet, its contending faces packed as tau id << MAX_PROCESSES | colors."""
-    chr2 = chr2_complex(n)
-    verts = {v: _vertex_code(v) for v in chr2.vertices}
+    """(facets, groups, rhos, faces) of Chr Chr s, coded straight from the
+    pairs of runs that build its facets: the facets in run-pair order; the
+    view groups of each Chr s simplex id; per facet, the id of its carrier
+    rho, the packed round-one run; per facet, its contending faces packed
+    as tau id << MAX_PROCESSES | colors."""
+    runs = all_runs(n)
     ids: dict[int, int] = {}  # packed Chr s simplex -> id
     pool: dict[int, int] = {}  # one int object per packed face
-    facets, rhos, faces = tuple(chr2.facets), [], []
-    for facet in facets:
-        vs = [verts[v] for v in facet]
-        cliques: list[tuple[int, int, int]] = []  # members, colors, tau
-        rho = 0
-        for i, (bit, v1, v2, car) in enumerate(vs):
-            rivals = sum(1 << j for j, u in enumerate(vs[:i])
-                         if _contending(v1, v2, u[1], u[2]))
-            cliques += [(members | 1 << i, colors | bit, tau | car)
-                        for members, colors, tau in cliques
-                        if members & rivals == members]
-            cliques.append((1 << i, bit, car))
-            rho |= car
-        rhos.append(ids.setdefault(rho, len(ids)))
-        packed = (ids.setdefault(tau, len(ids)) << MAX_PROCESSES | colors
-                  for _, colors, tau in cliques)
-        faces.append(tuple(pool.setdefault(x, x) for x in packed))
-    return facets, tuple(_view_groups(p) for p in ids), tuple(rhos), tuple(faces)
+    rhos, faces = [], []
+    for views1 in map(pack, runs):
+        for run2 in runs:
+            # the vertices' codes, as by `_vertex_code`
+            vs = [(1 << c - 1, views1 >> MAX_PROCESSES * (c - 1) & _VIEW, v2,
+                   views1 & _FIELDS[v2]) for c, v2 in run2]
+            cliques: list[tuple[int, int, int]] = []  # members, colors, tau
+            for i, (bit, v1, v2, car) in enumerate(vs):
+                rivals = sum(1 << j for j, u in enumerate(vs[:i])
+                             if _contending(v1, v2, u[1], u[2]))
+                cliques += [(members | 1 << i, colors | bit, tau | car)
+                            for members, colors, tau in cliques
+                            if members & rivals == members]
+                cliques.append((1 << i, bit, car))
+            rhos.append(ids.setdefault(views1, len(ids)))
+            packed = (ids.setdefault(tau, len(ids)) << MAX_PROCESSES | colors
+                      for _, colors, tau in cliques)
+            faces.append(tuple(pool.setdefault(x, x) for x in packed))
+    return (chr2_facets(n), tuple(_view_groups(p) for p in ids), tuple(rhos),
+            tuple(faces))
 
 
 def build_r_a(adv: Adversary) -> AffineTask:
@@ -199,9 +204,8 @@ def _chr_faces(adv: Adversary):
     return alpha, [(s, g, list(_critical_faces(g, alpha))) for s, g in rows]
 
 
-def verify_cs_distribution(adv: Adversary, levels: Iterable[int] | None = None
-                           ) -> VerificationReport:
-    """Hitting-set lower bounds on critical sub-simplices, per level l.
+def verify_cs_distribution(adv: Adversary) -> VerificationReport:
+    """Hitting-set lower bounds on critical sub-simplices, per level l in 1..n.
 
     For sigma with chi(sigma) == chi(carrier):
         alpha(chi(sigma)) - l + 1 <= hit({theta critical in sigma : alpha >= l})
@@ -210,12 +214,11 @@ def verify_cs_distribution(adv: Adversary, levels: Iterable[int] | None = None
     """
     alpha, rows = _chr_faces(adv)
     report = VerificationReport(kind="cs_distribution")
-    levels = list(levels) if levels is not None else list(range(1, adv.n + 1))
     for sigma, groups, faces in rows:
         car = colors = 0
         for view, members in groups:
             car, colors = car | view, colors | members
-        for l in levels:
+        for l in range(1, adv.n + 1):
             hit = hitting_number([colors_of(c) for view, c in faces
                                   if alpha.of_mask(view) >= l])
             report.checked += 1

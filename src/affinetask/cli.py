@@ -177,7 +177,7 @@ def cmd_affine_verify(args) -> int:
 
 def cmd_leader(args) -> int:
     adv = _load_adversary(args.adversary)
-    queries = [_parse_colors(args.Q)] if args.Q else None
+    queries = [_parse_colors(args.Q)] if args.Q is not None else None
     reports = verify_leader(adv, queries=queries)
     doc = {r.kind: r.to_dict() for r in reports}
     _dump(doc, args.out)
@@ -194,7 +194,7 @@ def cmd_simulate_check(args) -> int:
     task = build_r_a(adv)
     cap = state_cap_from_env()
     parts = ([_parse_colors(args.participation)]
-             if args.participation else valid_participations(adv))
+             if args.participation is not None else valid_participations(adv))
     doc = {"adversary": adversary_to_dict(adv), "participations": []}
     ok = True
     want_safety = args.safety or not args.liveness
@@ -241,7 +241,7 @@ def cmd_simulate_replay(args) -> int:
         events = events_from_jsonable(payload["events"])
     except (TypeError, AttributeError) as exc:
         raise SimulationError(f"malformed trace {args.trace}: {exc}") from exc
-    if args.participation:
+    if args.participation is not None:
         part = sorted(_parse_colors(args.participation))
     model = ProtocolModel(adv, participation=part,
                           fault_budget=args.fault_budget,

@@ -193,12 +193,6 @@ def closure(simplices: Iterable[Simplex], n: int | None = None) -> ChromaticComp
     return ChromaticComplex(n=n, facets=frozenset(_maximal(sims)))
 
 
-def is_pure(K: ChromaticComplex) -> bool:
-    """True when every facet has the complex's dimension."""
-    dims = {f.dim for f in K.facets}
-    return len(dims) <= 1
-
-
 # --- JSON form -------------------------------------------------------------
 #
 # {"n": int,

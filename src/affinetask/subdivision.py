@@ -12,7 +12,8 @@ round-two view holds the round-one view of every color it saw (Kozlov 2012).
 Integer code: a Chr s vertex is its color and view (its carrier's color
 mask); `packed_views` packs a Chr s simplex into one int, so the Chr s
 carrier of a set of Chr Chr s vertices is the OR of their packed carriers.
-Facets are built on this code by the pooled `chr1_vertex`/`chr2_vertex`.
+Facets are built on this code by the pooled `chr1_vertex`/`chr2_vertex`,
+from one enumeration of the runs per n, `all_runs`.
 """
 from __future__ import annotations
 
@@ -127,39 +128,36 @@ def partition_to_facet(blocks: Sequence[Iterable[int]], n: int) -> Simplex:
     return Simplex(tuple(chr1_vertex(c, view) for c, view in _run(blocks, n)))
 
 
-def facet_to_partition(facet: Simplex) -> tuple[frozenset[int], ...]:
-    """Inverse of partition_to_facet: group colors by equal carriers."""
-    groups: dict[Simplex, set[int]] = {}
-    for v in facet:
-        if v.payload is None:
-            raise ComplexError("not a subdivision facet")
-        groups.setdefault(v.payload, set()).add(v.color)
-    ordered = sorted(groups.items(), key=lambda kv: len(kv[0]))
-    blocks = tuple(frozenset(colors) for _, colors in ordered)
-    covered: set[int] = set()
-    for (carrier_, _), block in zip(ordered, blocks):
-        covered |= block
-        if carrier_.colors != covered:
-            raise ComplexError(f"carriers of {facet!r} do not form a run")
-    return blocks
+@lru_cache(maxsize=None)
+def all_runs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Every run of 1..n as (color, view mask) pairs, in the order of
+    `ordered_set_partitions`: the one enumeration Chr s and Chr Chr s read."""
+    _check_n(n)  # before enumerating the runs
+    return tuple(tuple(_run(blocks, n))
+                 for blocks in ordered_set_partitions(range(1, n + 1)))
 
 
 @lru_cache(maxsize=None)
 def chr_complex(n: int) -> ChromaticComplex:
     """Chr s for the standard n-process simplex: one facet per run."""
-    _check_n(n)  # before enumerating the runs
     return ChromaticComplex(n=n, facets=frozenset(
-        partition_to_facet(blocks, n)
-        for blocks in ordered_set_partitions(range(1, n + 1))))
+        Simplex(tuple(chr1_vertex(c, view) for c, view in run))
+        for run in all_runs(n)))
+
+
+@lru_cache(maxsize=None)
+def chr2_facets(n: int) -> tuple[Simplex, ...]:
+    """The facets of Chr Chr s in run-pair order: the facet of runs i and j
+    of `all_runs(n)` is at i * len(all_runs(n)) + j."""
+    runs = all_runs(n)
+    return tuple(chr2_simplex(views1, run2)
+                 for views1 in map(pack, runs) for run2 in runs)
 
 
 @lru_cache(maxsize=None)
 def chr2_complex(n: int) -> ChromaticComplex:
     """Chr Chr s: one facet per pair of runs."""
-    _check_n(n)  # before enumerating the runs
-    runs = [_run(blocks, n) for blocks in ordered_set_partitions(range(1, n + 1))]
-    return ChromaticComplex(n=n, facets=frozenset(
-        chr2_simplex(views1, run2) for views1 in map(pack, runs) for run2 in runs))
+    return ChromaticComplex(n=n, facets=frozenset(chr2_facets(n)))
 
 
 def two_round_facet(blocks1: Sequence[Iterable[int]],

@@ -12,7 +12,8 @@ via carriers and colors, the leader map via its own criticality test and a
 pairwise inclusion minimum, setcon and fairness via the recursive definition
 on frozensets of live sets, the explorer's step on per-state register
 lists and list-form guards. Views and carriers are read straight off vertex
-payloads (`view1`, `view2`, `base_colors`).
+payloads (`view1`, `view2`, `base_colors`). It also holds the helpers only
+tests use: `is_pure`, `facet_to_partition` and `symmetric_setcon`.
 """
 from __future__ import annotations
 
@@ -22,8 +23,9 @@ from math import comb, factorial
 from affinetask import (Adversary, AdversaryError, AffineTask,
                         ChromaticComplex, ComplexError, Simplex, Vertex,
                         agreement_function, build_r_a, chr2_complex,
-                        chr_vertex, closure, contention_simplices, is_pure,
-                        make_k_of, ordered_set_partitions, require_fair)
+                        chr_vertex, closure, contention_simplices,
+                        is_symmetric, make_k_of, ordered_set_partitions,
+                        require_fair)
 
 
 def view2(v) -> frozenset[int]:
@@ -55,6 +57,12 @@ def critical_faces(sigma, alpha) -> list[tuple]:
     return out
 
 
+def is_pure(K: ChromaticComplex) -> bool:
+    """True when every facet has the complex's dimension."""
+    dims = {f.dim for f in K.facets}
+    return len(dims) <= 1
+
+
 def build_chr(base: ChromaticComplex) -> ChromaticComplex:
     """Standard chromatic subdivision of a pure chromatic complex: per base
     facet and ordered partition of its vertices, the vertex of each block
@@ -78,6 +86,23 @@ def build_chr(base: ChromaticComplex) -> ChromaticComplex:
                 verts.extend(pooled(v.color, carrier) for v in block)
             new_facets.append(Simplex(tuple(verts)))
     return ChromaticComplex(n=base.n, facets=frozenset(new_facets))
+
+
+def facet_to_partition(facet: Simplex) -> tuple[frozenset[int], ...]:
+    """Inverse of partition_to_facet: group colors by equal carriers."""
+    groups: dict[Simplex, set[int]] = {}
+    for v in facet:
+        if v.payload is None:
+            raise ComplexError("not a subdivision facet")
+        groups.setdefault(v.payload, set()).add(v.color)
+    ordered = sorted(groups.items(), key=lambda kv: len(kv[0]))
+    blocks = tuple(frozenset(colors) for _, colors in ordered)
+    covered: set[int] = set()
+    for (carrier_, _), block in zip(ordered, blocks):
+        covered |= block
+        if carrier_.colors != covered:
+            raise ComplexError(f"carriers of {facet!r} do not form a run")
+    return blocks
 
 
 def fubini(n: int) -> int:
@@ -302,6 +327,13 @@ def setcon_by_definition(family, memo: dict | None = None) -> int:
         return memo[fam]
 
     return level(frozenset(frozenset(s) for s in family))
+
+
+def symmetric_setcon(adv: Adversary) -> int:
+    """Shortcut valid for symmetric adversaries: number of distinct live sizes."""
+    if not is_symmetric(adv):
+        raise AdversaryError("symmetric_setcon needs a symmetric adversary")
+    return len({len(s) for s in adv.live_sets})
 
 
 def fairness_by_definition(adv: Adversary):

@@ -20,13 +20,12 @@ from affinetask import (build_r_a, chr2_complex, chr_complex,
                         check_model, classify, csize, enumerate_adversaries,
                         is_superset_closed, is_symmetric, make_k_of,
                         make_symmetric, make_t_resilient, setcon,
-                        symmetric_setcon, verify_cs_distribution,
-                        verify_fair_subtraction, verify_leader,
-                        verify_single_carrier)
+                        verify_cs_distribution, verify_fair_subtraction,
+                        verify_leader, verify_single_carrier)
 from affinetask.cli import main
 from conftest import DATA_DIR
 from oracles import (build_r_kof, facets_with_lone_full_view_leader, fubini,
-                     restrict, view2)
+                     restrict, symmetric_setcon, view2)
 
 
 def verdict(capsys, label: str, ok: bool, detail: str = "") -> None:

@@ -13,12 +13,12 @@ from affinetask import (Adversary, AdversaryError, UnfairAdversaryError,
                         enumerate_adversaries, hitting_number, is_fair,
                         is_superset_closed, is_symmetric, make_k_of,
                         make_superset_closed, make_symmetric, make_t_resilient,
-                        require_fair, setcon,
-                        symmetric_setcon, verify_fair_subtraction)
+                        require_fair, setcon, verify_fair_subtraction)
 from conftest import DATA_DIR, load_fixture
 from oracles import (fairness_by_definition, hitting_number_brute, restrict,
                      restrict2, setcon_by_definition,
-                     superset_closed_by_definition, symmetric_by_definition)
+                     superset_closed_by_definition, symmetric_by_definition,
+                     symmetric_setcon)
 
 
 # --- setcon -------------------------------------------------------------------

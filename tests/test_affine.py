@@ -15,6 +15,8 @@ from affinetask import (Adversary, AdversaryError, ComplexError, Simplex,
                         make_symmetric, make_t_resilient, standard_simplex,
                         task_to_dict, two_round_facet,
                         verify_cs_distribution, verify_single_carrier)
+from affinetask import affine as affine_module
+from affinetask import subdivision as subdivision_module
 from conftest import DATA_DIR
 from oracles import (base_colors, build_r_kof, critical_faces,
                      facets_with_lone_full_view_leader, r_a_by_definition,
@@ -223,6 +225,24 @@ def test_r_a_matches_definition():
     for adv in fair_live_up_to_3() + [make_k_of(4, 1), make_k_of(4, 2)]:
         assert (build_r_a(adv).complex.facets
                 == r_a_by_definition(adv, "union")), adv
+
+
+def test_table_is_coded_from_runs_without_decoding_vertices(monkeypatch):
+    """The Chr Chr s table is built from pairs of runs: no vertex or
+    simplex is decoded back into ints on the way to R_A, and the kept
+    facets are the objects chr2_complex holds, not copies."""
+    def no_decoding(*args):
+        raise AssertionError("decoded a Simplex while building the table")
+
+    monkeypatch.setattr(affine_module, "_vertex_code", no_decoding)
+    monkeypatch.setattr(affine_module, "packed_views", no_decoding)
+    monkeypatch.setattr(subdivision_module, "packed_views", no_decoding)
+    affine_module._chr2_table.cache_clear()
+    for n, count in [(2, 9), (3, 142), (4, 3851)]:
+        task = build_r_a(make_t_resilient(n, 1))
+        assert task.facet_count() == count
+        held = {id(f) for f in chr2_complex(n).facets}
+        assert all(id(f) in held for f in task.complex.facets)
 
 
 # facet counts of R_A for each symmetric n=4 family

@@ -241,7 +241,8 @@ def test_leader_verify_single_query(capsys):
     assert all(part["ok"] for part in doc.values())
 
 
-@pytest.mark.parametrize("Q", ["7", "0", "1,9", ","])
+# "" is an explicitly empty query set, not "every query"
+@pytest.mark.parametrize("Q", ["7", "0", "1,9", ",", ""])
 def test_leader_verify_rejects_query_outside_the_colors(capsys, Q):
     assert main(["leader", "verify", "--adversary", OF1, "--Q", Q]) == 2
     assert "must be a nonempty subset of 1..3" in one_error_line(capsys)
@@ -312,6 +313,18 @@ def test_trace_with_non_integer_process_is_an_input_error(tmp_path, capsys,
         assert main(["simulate", "replay", "--adversary", OF1,
                      "--trace", str(trace)]) == 2, (field, bad)
         assert "not an integer process id" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["check", "replay"])
+def test_empty_participation_is_an_input_error(tmp_path, capsys, command):
+    """An empty --participation is the empty set, not every participation
+    (check) or the trace's own (replay)."""
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"participation": [1, 2], "events": []}))
+    extra = ["--trace", str(trace)] if command == "replay" else []
+    assert main(["simulate", command, "--adversary", OF1,
+                 "--participation", ""] + extra) == 2
+    assert "participation [] has agreement level 0" in one_error_line(capsys)
 
 
 def test_simulate_rejects_negative_fault_budget(capsys):

@@ -5,8 +5,9 @@ from itertools import combinations, product
 import pytest
 
 from affinetask import (ChromaticComplex, ComplexError, Simplex, Vertex,
-                        closure, complex_from_dict, complex_to_dict, is_pure,
+                        closure, complex_from_dict, complex_to_dict,
                         standard_simplex)
+from oracles import is_pure
 
 
 def v(uid: str, color: int) -> Vertex:

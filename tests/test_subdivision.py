@@ -6,12 +6,12 @@ from itertools import permutations
 import pytest
 
 from affinetask import (ComplexError, Simplex, chr2_complex, chr_complex,
-                        chr_vertex, facet_to_partition, geometry,
-                        ordered_set_partitions, partition_to_facet,
-                        standard_simplex, two_round_facet)
+                        chr_vertex, geometry, ordered_set_partitions,
+                        partition_to_facet, standard_simplex, two_round_facet)
 
-from oracles import (build_chr, fubini, immediate_snapshot_views,
-                     ordered_partitions_by_merging, view1, view2)
+from oracles import (build_chr, facet_to_partition, fubini,
+                     immediate_snapshot_views, ordered_partitions_by_merging,
+                     view1, view2)
 
 
 def base_facet(n: int) -> Simplex:
