@@ -18,9 +18,7 @@ from .affine import (AffineTask, build_r_a, concurrency_levels,
                      verify_single_carrier)
 from .complexes import (ChromaticComplex, ComplexError, Simplex, Vertex,
                         closure, complex_from_dict, complex_to_dict)
-from .leader import (LeaderError, LeaderMap, verify_leader,
-                     verify_mu_agreement, verify_mu_robustness,
-                     verify_mu_validity)
+from .leader import LeaderError, LeaderMap, verify_leader
 from .render import render_complex_svg, render_off
 from .reports import VerificationReport
 from .simulate import (Exploration, ProtocolModel, SimulationError,

@@ -206,10 +206,7 @@ def cmd_simulate_check(args) -> int:
         model = ProtocolModel(adv, participation=P,
                               fault_budget=args.fault_budget, max_states=cap)
         exploration = model.explore(track_parents=trace_dir is not None)
-        row = {"participation": sorted(P),
-               "fault_budget": model.fault_budget,
-               "states": exploration.state_count,
-               "terminals": len(exploration.terminals)}
+        row = exploration.row()
         reports = []
         if want_safety:
             reports.append(check_safety(model, exploration, task))

@@ -232,21 +232,26 @@ def complex_from_dict(data: dict) -> ChromaticComplex:
         raise ComplexError(
             f"complex document must be a JSON object, got {type(data).__name__}")
 
-    def decode_vertex(color: int, enc: Any) -> Vertex:
+    def integer(value: Any, what: str) -> int:
+        # JSON true/false parse to bools, which Python counts as ints, and
+        # 1.0 would find the dict entry of 1
+        if type(value) is not int:
+            raise ComplexError(
+                f"complex document: {what} must be an integer, got {value!r}")
+        return value
+
+    def decode_vertex(color: Any, enc: Any) -> Vertex:
+        color = integer(color, "vertex color")
         if enc is None:
             return base[color]
-        if enc and isinstance(enc[0], int):
-            carrier = Simplex(tuple(base[c] for c in enc))
-            return chr_vertex(color, carrier)
-        carrier = Simplex(tuple(decode_vertex(c, sub) for c, sub in enc))
+        if enc and not isinstance(enc[0], list):  # a color list
+            carrier = Simplex(tuple(base[integer(c, "payload color")] for c in enc))
+        else:
+            carrier = Simplex(tuple(decode_vertex(c, sub) for c, sub in enc))
         return chr_vertex(color, carrier)
 
     try:
-        n = data["n"]
-        # JSON true/false parse to bools, which Python counts as ints
-        if type(n) is not int:
-            raise ComplexError(
-                f"complex document: n must be an integer, got {n!r}")
+        n = integer(data["n"], "n")
         base = {v.color: v for v in standard_simplex(n).vertices}
         by_uid: dict[str, Vertex] = {}
         for item in data["vertices"]:

@@ -5,14 +5,12 @@ the leader map picks the smallest process of Q inside a distinguished view:
 the smallest critical view meeting Q when some critical view of v's
 second-round view meets Q, otherwise the smallest view of a seen vertex
 meeting Q. Views are color masks, read off the view groups of v's round-two
-view. "Smallest" is by inclusion; candidate views always form a chain and
-this is asserted, never tie-broken.
+view. "Smallest" is by inclusion; the views and the critical views each
+form a chain and this is asserted, never tie-broken.
 """
 from __future__ import annotations
 
-from functools import reduce
 from itertools import combinations
-from operator import or_
 from typing import Iterable
 
 from .adversary import Adversary, AgreementFunction, agreement_function, require_fair
@@ -26,40 +24,55 @@ class LeaderError(ValueError):
     pass
 
 
-def _least(views: Iterable[int], Q: Iterable[int], what: str) -> frozenset[int]:
-    """Colors of the least of the views meeting Q, which must form a chain."""
-    q = mask_of(Q)
-    chain = sorted({view for view in views if view & q}, key=int.bit_count)
-    if not chain:
-        raise LeaderError(f"no candidate for {what}")
+def _chain(views: Iterable[int], what: str) -> tuple[int, ...]:
+    """The distinct views, smallest first; they must form a chain."""
+    chain = sorted(set(views), key=int.bit_count)
     for a, b in zip(chain, chain[1:]):
         if a & ~b:
             raise LeaderError(f"{what} candidates are not a chain: "
                               f"{sorted(colors_of(a))} vs {sorted(colors_of(b))}")
-    return colors_of(chain[0])
+    return tuple(chain)
+
+
+def _least(chain: tuple[int, ...], Q: Iterable[int], what: str) -> frozenset[int]:
+    """Colors of the least view of the chain meeting Q."""
+    q = mask_of(Q)
+    for view in chain:
+        if view & q:
+            return colors_of(view)
+    raise LeaderError(f"no candidate for {what}")
 
 
 class LeaderMap:
-    """The leader map of one agreement function, memoized per vertex.
+    """The leader map of one agreement function, as one table per vertex.
 
-    A vertex's views are decoded once, when it is first met; each elected
-    process is computed once per (vertex, Q) and later calls are lookups.
-    The own-color check and the chain assertions run on every new (vertex, Q).
+    A vertex is decoded once, when it is first met: its critical views and
+    its views are sorted into chains, and the leader of every query mask
+    holding its color is elected into a tuple indexed by mask, as a one-bit
+    color mask (0 for the masks without its color).
     """
 
     def __init__(self, alpha: AgreementFunction):
         self.alpha = alpha
-        # vertex -> (its critical views, its views, its leader per Q)
-        self._mu: dict[Vertex, tuple[list[int], list[int],
-                                     dict[frozenset[int], int]]] = {}
+        # vertex -> (its critical views, its views, its leader bit per mask)
+        self._table: dict[Vertex, tuple] = {}
 
-    def _entry(self, v: Vertex) -> tuple[list[int], list[int], dict]:
-        entry = self._mu.get(v)
+    def _entry(self, v: Vertex) -> tuple:
+        entry = self._table.get(v)
         if entry is None:  # v must be a Chr Chr s vertex
             groups = _view_groups(_vertex_code(v)[3])
-            entry = self._mu[v] = (
-                [view for view, _ in _critical_faces(groups, self.alpha)],
-                [view for view, _ in groups], {})
+            critical = _chain((view for view, _ in _critical_faces(groups, self.alpha)),
+                              "delta")
+            views = _chain((view for view, _ in groups), "gamma")
+            own = 1 << v.color - 1
+            leaders = [0] * (1 << self.alpha.n)
+            for q in range(own, len(leaders)):
+                if q & own:
+                    # the own view meets q, so some view does
+                    pool = next(view for chain in (critical, views)
+                                for view in chain if view & q) & q
+                    leaders[q] = pool & -pool
+            entry = self._table[v] = (critical, views, tuple(leaders))
         return entry
 
     def delta(self, v: Vertex, Q: Iterable[int]) -> frozenset[int]:
@@ -73,28 +86,23 @@ class LeaderMap:
         return _least(self._entry(v)[1], Q, "gamma")
 
     def seen(self, v: Vertex) -> int:
-        """The colors of v's base carrier: the union of its round-two views."""
-        return reduce(or_, self._entry(v)[1])
+        """The colors of v's base carrier: its largest round-two view."""
+        return self._entry(v)[1][-1]
 
     def __call__(self, v: Vertex, Q: Iterable[int]) -> int:
         """The elected process of Q for vertex v."""
-        critical, _, leaders = self._entry(v)
+        leaders = self._entry(v)[2]
         Q = frozenset(Q)
-        if Q not in leaders:
-            if v.color not in Q:
-                raise LeaderError(f"own color {v.color} must belong to Q={sorted(Q)}")
-            q = mask_of(Q)
-            meets = any(view & q for view in critical)
-            pool = self.delta(v, Q) if meets else self.gamma(v, Q)
-            leaders[Q] = min(pool & Q)  # nonempty: the pool was chosen to meet Q
-        return leaders[Q]
+        if v.color not in Q:
+            raise LeaderError(f"own color {v.color} must belong to Q={sorted(Q)}")
+        # colors outside 1..n lie in no view, so they never change the leader
+        return leaders[mask_of(Q) & len(leaders) - 1].bit_length()
 
 
-# --- property sweeps ----------------------------------------------------------
+# --- property sweep -----------------------------------------------------------
 
 
-def _prepare(adv: Adversary, task: AffineTask | None,
-             leader_map: LeaderMap | None) -> tuple[AffineTask, LeaderMap]:
+def _prepare(adv: Adversary, task: AffineTask | None) -> tuple[AffineTask, LeaderMap]:
     """The task and the leader map, both of the adversary's own alpha;
     the task defaults to `build_r_a(adv)`."""
     require_fair(adv)
@@ -107,19 +115,14 @@ def _prepare(adv: Adversary, task: AffineTask | None,
     if task.alpha != alpha:
         raise LeaderError(f"task {task.name} was built for another "
                           "agreement function than the adversary's")
-    if leader_map is None:
-        leader_map = LeaderMap(alpha)
-    elif leader_map.alpha != alpha:
-        raise LeaderError("leader map was built for another agreement "
-                          "function than the adversary's")
-    return task, leader_map
+    return task, LeaderMap(alpha)
 
 
-def _queries_for(n: int, queries: Iterable[frozenset[int]] | None,
-                 containing: int | None = None) -> list[frozenset[int]]:
+def _queries_for(n: int, queries: Iterable[frozenset[int]] | None
+                 ) -> list[frozenset[int]]:
     """The given query sets, or every nonempty subset of 1..n by size and
-    then lexicographically; only those holding `containing` if it is set.
-    A given query set must be a nonempty subset of 1..n."""
+    then lexicographically. A given query set must be a nonempty subset of
+    1..n."""
     full = range(1, n + 1)
     if queries is None:
         queries = [c for k in full for c in combinations(full, k)]
@@ -128,92 +131,69 @@ def _queries_for(n: int, queries: Iterable[frozenset[int]] | None,
         if not Q or not Q.issubset(full):
             raise LeaderError(f"query set {sorted(Q)} must be a nonempty "
                               f"subset of 1..{n}")
-    return [Q for Q in picked if containing is None or containing in Q]
-
-
-def verify_mu_validity(adv: Adversary, task: AffineTask | None = None,
-                       queries: Iterable[frozenset[int]] | None = None,
-                       leader_map: LeaderMap | None = None
-                       ) -> VerificationReport:
-    """mu lands in Q and in the processes the vertex has seen."""
-    task, mu = _prepare(adv, task, leader_map)
-    report = VerificationReport(kind="mu_validity")
-    for v in sorted(task.complex.vertices, key=lambda u: u.uid):
-        seen = colors_of(mu.seen(v))
-        for Q in _queries_for(adv.n, queries, containing=v.color):
-            leader = mu(v, Q)
-            report.checked += 1
-            if leader not in Q or leader not in seen:
-                report.add(vertex=v.uid, Q=sorted(Q), leader=leader,
-                           seen=sorted(seen))
-    return report
-
-
-def verify_mu_agreement(adv: Adversary, task: AffineTask | None = None,
-                        queries: Iterable[frozenset[int]] | None = None,
-                        leader_map: LeaderMap | None = None
-                        ) -> VerificationReport:
-    """Faces inside Q elect at most alpha(carrier colors) distinct leaders.
-
-    Faces are index combinations of a facet's vertices, with color and
-    base-carrier masks: a face's base carrier is the union of its vertices'
-    base carriers.
-    """
-    task, mu = _prepare(adv, task, leader_map)
-    report = VerificationReport(kind="mu_agreement")
-    queries = [(Q, mask_of(Q)) for Q in _queries_for(adv.n, queries)]
-    top = task.complex.dim
-    seen = {v: mu.seen(v) for v in task.complex.vertices}
-    for facet in task.complex.sorted_facets():
-        if facet.dim != top:
-            continue
-        verts = facet.vertices
-        bits = [(1 << v.color - 1, seen[v]) for v in verts]
-        for size in range(1, len(verts) + 1):
-            for combo in combinations(range(len(verts)), size):
-                colors = base = 0
-                for i in combo:
-                    colors |= bits[i][0]
-                    base |= bits[i][1]
-                limit = mu.alpha.of_mask(base)
-                for Q, q in queries:
-                    if colors & ~q:
-                        continue
-                    leaders = {mu(verts[i], Q) for i in combo}
-                    report.checked += 1
-                    if len(leaders) > limit:
-                        report.add(theta=[verts[i].uid for i in combo],
-                                   Q=sorted(Q), leaders=sorted(leaders),
-                                   limit=limit)
-    return report
-
-
-def verify_mu_robustness(adv: Adversary, task: AffineTask | None = None,
-                         queries: Iterable[frozenset[int]] | None = None,
-                         leader_map: LeaderMap | None = None
-                         ) -> VerificationReport:
-    """Restricting Q to the processes the vertex saw leaves mu unchanged."""
-    task, mu = _prepare(adv, task, leader_map)
-    report = VerificationReport(kind="mu_robustness")
-    for v in sorted(task.complex.vertices, key=lambda u: u.uid):
-        seen = colors_of(mu.seen(v))
-        for Q in _queries_for(adv.n, queries, containing=v.color):
-            full = mu(v, Q)
-            restricted = mu(v, seen & Q)
-            report.checked += 1
-            if full != restricted:
-                report.add(vertex=v.uid, Q=sorted(Q), leader=full,
-                           restricted_leader=restricted)
-    return report
+    return picked
 
 
 def verify_leader(adv: Adversary, task: AffineTask | None = None,
                   queries: Iterable[frozenset[int]] | None = None
                   ) -> list[VerificationReport]:
-    """The three leader sweeps, sharing one leader map."""
-    task, mu = _prepare(adv, task, None)
-    return [
-        verify_mu_validity(adv, task, queries, mu),
-        verify_mu_agreement(adv, task, queries, mu),
-        verify_mu_robustness(adv, task, queries, mu),
-    ]
+    """Validity, agreement and robustness of the leader map on the task.
+
+    Validity: mu lands in Q and in the processes the vertex has seen.
+    Robustness: restricting Q to those processes leaves mu unchanged. Both
+    run per vertex, by uid, and per query set holding its color.
+    Agreement: faces inside Q elect at most alpha(base carrier) distinct
+    leaders. Faces are the vertex combinations of each top facet; a
+    face's base carrier is the union of its vertices' base carriers.
+    """
+    task, mu = _prepare(adv, task)
+    queries = [(sorted(Q), mask_of(Q)) for Q in _queries_for(adv.n, queries)]
+    validity = VerificationReport(kind="mu_validity")
+    robustness = VerificationReport(kind="mu_robustness")
+    for v in sorted(task.complex.vertices, key=lambda u: u.uid):
+        _, views, leaders = mu._entry(v)
+        seen = views[-1]
+        own = 1 << v.color - 1
+        for Q, q in queries:
+            if not q & own:
+                continue
+            leader = leaders[q]
+            validity.checked += 1
+            if not leader & q & seen:
+                validity.add(vertex=v.uid, Q=Q, leader=leader.bit_length(),
+                             seen=sorted(colors_of(seen)))
+            restricted = leaders[seen & q]
+            robustness.checked += 1
+            if leader != restricted:
+                robustness.add(vertex=v.uid, Q=Q, leader=leader.bit_length(),
+                               restricted_leader=restricted.bit_length())
+
+    agreement = VerificationReport(kind="mu_agreement")
+    # per color mask of a face, the query sets holding it, in query order
+    holding = [[(Q, q) for Q, q in queries if not colors & ~q]
+               for colors in range(1 << adv.n)]
+    top = task.complex.dim
+    for facet in task.complex.sorted_facets():
+        if facet.dim != top:
+            continue
+        verts = facet.vertices
+        rows = [(1 << v.color - 1, mu.seen(v), mu._entry(v)[2], v.uid)
+                for v in verts]
+        for size in range(1, len(verts) + 1):
+            for combo in combinations(rows, size):
+                colors = base = 0
+                for bit, seen, _, _ in combo:
+                    colors |= bit
+                    base |= seen
+                limit = mu.alpha.of_mask(base)
+                over = holding[colors]
+                agreement.checked += len(over)
+                for Q, q in over:
+                    elected = 0
+                    for _, _, leaders, _ in combo:
+                        elected |= leaders[q]
+                    if elected.bit_count() > limit:
+                        agreement.add(theta=[uid for *_, uid in combo], Q=Q,
+                                      leaders=sorted(colors_of(elected)),
+                                      limit=limit)
+    return [validity, agreement, robustness]

@@ -105,6 +105,14 @@ class Exploration:
     terminals: list[int]
     parents: dict[int, tuple[int, tuple]] | None = None
 
+    def row(self) -> dict:
+        """The participation row every report of this exploration starts
+        from: the set, the fault budget and the state and terminal counts."""
+        return {"participation": sorted(self.participation),
+                "fault_budget": self.fault_budget,
+                "states": self.state_count,
+                "terminals": len(self.terminals)}
+
 
 class ProtocolModel:
     """State space of one participation set of one adversary."""
@@ -361,12 +369,7 @@ def check_liveness(model: ProtocolModel, exploration: Exploration) -> Verificati
 
     report.states holds the stuck terminal states, one per violation.
     """
-    report = VerificationReport(kind="liveness", info={
-        "participation": sorted(model.participation),
-        "fault_budget": model.fault_budget,
-        "states": exploration.state_count,
-        "terminals": len(exploration.terminals),
-    })
+    report = VerificationReport(kind="liveness", info=exploration.row())
     for state in exploration.terminals:
         report.checked += 1
         stuck = [i + 1 for i in model._procs
@@ -391,12 +394,7 @@ def check_safety(model: ProtocolModel, exploration: Exploration,
     """
     _require_task_n(task, model.n)
     chr2 = chr2_complex(model.n)
-    report = VerificationReport(kind="safety", info={
-        "participation": sorted(model.participation),
-        "fault_budget": model.fault_budget,
-        "states": exploration.state_count,
-        "terminals": len(exploration.terminals),
-    })
+    report = VerificationReport(kind="safety", info=exploration.row())
     # the output simplex depends only on the returned prefixes and the
     # round-one views; remember it per key with its Chr Chr s membership
     # when it is unsafe, else None
@@ -442,14 +440,9 @@ def check_model(adv: Adversary, task: AffineTask,
         safety.violations.extend(safe.violations)
         liveness.checked += live.checked
         liveness.violations.extend(live.violations)
-        rows.append({
-            "participation": sorted(P),
-            "fault_budget": model.fault_budget,
-            "states": exploration.state_count,
-            "terminals": len(exploration.terminals),
-            "safety_violations": len(safe.violations),
-            "liveness_violations": len(live.violations),
-        })
+        rows.append({**exploration.row(),
+                     "safety_violations": len(safe.violations),
+                     "liveness_violations": len(live.violations)})
     safety.info["participations"] = len(rows)
     liveness.info["participations"] = len(rows)
     return safety, liveness, rows

@@ -9,7 +9,8 @@ task via Simplex objects and frozenset views (in the package's union-guard
 reading and in the intersection-guard reading the protocol escapes, with
 the facet diff of the two), the level-two contention gap
 via carriers and colors, the leader map via its own criticality test and a
-pairwise inclusion minimum, setcon and fairness via the recursive definition
+pairwise inclusion minimum (and the three leader sweeps, one by one, on that
+map), setcon and fairness via the recursive definition
 on frozensets of live sets, the explorer's step on per-state register
 lists and list-form guards. Views and carriers are read straight off vertex
 payloads (`view1`, `view2`, `base_colors`). It also holds the helpers only
@@ -21,11 +22,12 @@ from itertools import combinations, permutations
 from math import comb, factorial
 
 from affinetask import (Adversary, AdversaryError, AffineTask,
-                        ChromaticComplex, ComplexError, Simplex, Vertex,
-                        agreement_function, build_r_a, chr2_complex,
-                        chr_vertex, closure, contention_simplices,
-                        is_symmetric, make_k_of, ordered_set_partitions,
-                        require_fair)
+                        ChromaticComplex, ComplexError, LeaderError, Simplex,
+                        VerificationReport, Vertex, agreement_function,
+                        build_r_a, chr2_complex, chr_vertex, closure,
+                        contention_simplices, is_symmetric, make_k_of,
+                        ordered_set_partitions, require_fair)
+from affinetask.bits import colors_of, mask_of
 
 
 def view2(v) -> frozenset[int]:
@@ -295,6 +297,129 @@ def mu_by_definition(v, Q, alpha) -> int:
     if len(least) != 1:
         raise AssertionError(f"no inclusion minimum among {cands}")
     return min(least[0] & Q)
+
+
+# --- the leader sweeps, one by one --------------------------------------------
+#
+# The three sweeps `verify_leader` replaced, kept as its reference. They read
+# the leader off `mu_by_definition`, memoized per (vertex, Q), and the base
+# carrier off the vertex payload.
+
+
+class LeaderByDefinition:
+    """`mu_by_definition` of one agreement function, memoized per (vertex, Q)."""
+
+    def __init__(self, alpha):
+        self.alpha = alpha
+        self._mu: dict[tuple, int] = {}
+
+    def seen(self, v) -> int:
+        """The colors of v's base carrier, as a mask."""
+        return mask_of(base_colors(v.payload))
+
+    def __call__(self, v, Q) -> int:
+        key = (v, frozenset(Q))
+        if key not in self._mu:
+            self._mu[key] = mu_by_definition(v, key[1], self.alpha)
+        return self._mu[key]
+
+
+def _prepare(adv: Adversary, task: AffineTask | None
+             ) -> tuple[AffineTask, LeaderByDefinition]:
+    require_fair(adv)
+    alpha = agreement_function(adv)
+    if task is None:
+        task = build_r_a(adv)
+    if task.n != adv.n:
+        raise LeaderError(f"task {task.name} is over n={task.n}, "
+                          f"the adversary over n={adv.n}")
+    if task.alpha != alpha:
+        raise LeaderError(f"task {task.name} was built for another "
+                          "agreement function than the adversary's")
+    return task, LeaderByDefinition(alpha)
+
+
+def _queries_for(n: int, queries, containing: int | None = None
+                 ) -> list[frozenset[int]]:
+    full = range(1, n + 1)
+    if queries is None:
+        queries = [c for k in full for c in combinations(full, k)]
+    picked = [frozenset(Q) for Q in queries]
+    for Q in picked:
+        if not Q or not Q.issubset(full):
+            raise LeaderError(f"query set {sorted(Q)} must be a nonempty "
+                              f"subset of 1..{n}")
+    return [Q for Q in picked if containing is None or containing in Q]
+
+
+def verify_mu_validity(adv: Adversary, task: AffineTask | None = None,
+                       queries=None) -> VerificationReport:
+    """mu lands in Q and in the processes the vertex has seen."""
+    task, mu = _prepare(adv, task)
+    report = VerificationReport(kind="mu_validity")
+    for v in sorted(task.complex.vertices, key=lambda u: u.uid):
+        seen = colors_of(mu.seen(v))
+        for Q in _queries_for(adv.n, queries, containing=v.color):
+            leader = mu(v, Q)
+            report.checked += 1
+            if leader not in Q or leader not in seen:
+                report.add(vertex=v.uid, Q=sorted(Q), leader=leader,
+                           seen=sorted(seen))
+    return report
+
+
+def verify_mu_agreement(adv: Adversary, task: AffineTask | None = None,
+                        queries=None) -> VerificationReport:
+    """Faces inside Q elect at most alpha(carrier colors) distinct leaders.
+
+    Faces are index combinations of a facet's vertices, with color and
+    base-carrier masks: a face's base carrier is the union of its vertices'
+    base carriers.
+    """
+    task, mu = _prepare(adv, task)
+    report = VerificationReport(kind="mu_agreement")
+    queries = [(Q, mask_of(Q)) for Q in _queries_for(adv.n, queries)]
+    top = task.complex.dim
+    seen = {v: mu.seen(v) for v in task.complex.vertices}
+    for facet in task.complex.sorted_facets():
+        if facet.dim != top:
+            continue
+        verts = facet.vertices
+        bits = [(1 << v.color - 1, seen[v]) for v in verts]
+        for size in range(1, len(verts) + 1):
+            for combo in combinations(range(len(verts)), size):
+                colors = base = 0
+                for i in combo:
+                    colors |= bits[i][0]
+                    base |= bits[i][1]
+                limit = mu.alpha.of_mask(base)
+                for Q, q in queries:
+                    if colors & ~q:
+                        continue
+                    leaders = {mu(verts[i], Q) for i in combo}
+                    report.checked += 1
+                    if len(leaders) > limit:
+                        report.add(theta=[verts[i].uid for i in combo],
+                                   Q=sorted(Q), leaders=sorted(leaders),
+                                   limit=limit)
+    return report
+
+
+def verify_mu_robustness(adv: Adversary, task: AffineTask | None = None,
+                         queries=None) -> VerificationReport:
+    """Restricting Q to the processes the vertex saw leaves mu unchanged."""
+    task, mu = _prepare(adv, task)
+    report = VerificationReport(kind="mu_robustness")
+    for v in sorted(task.complex.vertices, key=lambda u: u.uid):
+        seen = colors_of(mu.seen(v))
+        for Q in _queries_for(adv.n, queries, containing=v.color):
+            full = mu(v, Q)
+            restricted = mu(v, seen & Q)
+            report.checked += 1
+            if full != restricted:
+                report.add(vertex=v.uid, Q=sorted(Q), leader=full,
+                           restricted_leader=restricted)
+    return report
 
 
 def restrict(adv: Adversary, P) -> Adversary:

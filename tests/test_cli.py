@@ -100,6 +100,24 @@ def test_complex_with_non_integer_n_is_an_input_error(tmp_path, capsys, n):
     assert "n must be an integer" in one_error_line(capsys)
 
 
+@pytest.mark.parametrize("vertex", [
+    {"uid": "1(1,2)", "color": 1.0, "payload": [1, 2.0]},
+    {"uid": "1(1,2)", "color": 1, "payload": [1, 2.0]},
+    {"uid": "1", "color": True, "payload": None},
+    {"uid": "1(1(1),2(1,2))", "color": 1,
+     "payload": [[1, [1]], [2.0, [1, 2]]]},
+], ids=["float-color", "float-payload", "bool-corner", "float-pair-color"])
+def test_complex_with_non_integer_color_is_an_input_error(tmp_path, capsys,
+                                                          vertex):
+    """A color that merely compares equal to an int is not read as one."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 3, "vertices": [vertex],
+                               "facets": [[vertex["uid"]]]}))
+    assert main(["chr", "--n", "3", "--format", "svg", "--highlight",
+                 str(bad), "--out", str(tmp_path / "x.svg")]) == 2
+    assert "must be an integer" in one_error_line(capsys)
+
+
 def test_chr_dimension_four_emits_a_mesh(capsys):
     assert main(["chr", "--n", "4", "--format", "svg"]) == 0
     out = capsys.readouterr().out

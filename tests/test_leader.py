@@ -4,13 +4,14 @@ from itertools import combinations
 
 import pytest
 
-from affinetask import (ComplexError, LeaderError, LeaderMap,
+from affinetask import (AffineTask, ComplexError, LeaderError, LeaderMap,
                         agreement_function, build_r_a, chr_complex,
-                        make_k_of, standard_simplex, two_round_facet,
-                        verify_leader, verify_mu_agreement,
-                        verify_mu_robustness, verify_mu_validity)
+                        make_k_of, make_t_resilient, standard_simplex,
+                        two_round_facet, verify_leader)
 from affinetask import leader as leader_module
-from oracles import mu_by_definition, r_a_intersection_task
+from oracles import (mu_by_definition, r_a_intersection_task,
+                     verify_mu_agreement, verify_mu_robustness,
+                     verify_mu_validity)
 
 
 @pytest.fixture(scope="module")
@@ -74,14 +75,12 @@ def test_leader_map_rejects_vertices_outside_chr2(solo_map):
 def test_leader_reports_on_fixture_task(fixture_adversaries, fixture_tasks):
     adv = fixture_adversaries["obstruction_free_2"]
     task = fixture_tasks["obstruction_free_2"]
-    validity = verify_mu_validity(adv, task)
-    agreement = verify_mu_agreement(adv, task)
-    robustness = verify_mu_robustness(adv, task)
-    for report in (validity, agreement, robustness):
+    reports = verify_leader(adv, task)
+    for report in reports:
         assert report.ok
         assert report.checked > 0
-    assert {r.kind for r in (validity, agreement, robustness)} == {
-        "mu_validity", "mu_agreement", "mu_robustness"}
+    assert [r.kind for r in reports] == [
+        "mu_validity", "mu_agreement", "mu_robustness"]
 
 
 def test_leader_restricted_query_subset(fixture_adversaries, fixture_tasks):
@@ -91,15 +90,12 @@ def test_leader_restricted_query_subset(fixture_adversaries, fixture_tasks):
     assert all(r.ok for r in reports)
 
 
-def test_leader_rejects_task_or_map_of_another_adversary():
+def test_leader_rejects_task_of_another_adversary():
     adv = make_k_of(3, 1)
     with pytest.raises(LeaderError, match="another agreement function"):
         verify_leader(adv, build_r_a(make_k_of(3, 3)))
     with pytest.raises(LeaderError, match="n=2"):
         verify_leader(adv, build_r_a(make_k_of(2, 1)))
-    other = LeaderMap(agreement_function(make_k_of(3, 2)))
-    with pytest.raises(LeaderError, match="another agreement function"):
-        verify_mu_validity(adv, leader_map=other)
 
 
 def test_leader_verifies_intersection_variant(fixture_adversaries):
@@ -112,7 +108,7 @@ def test_leader_verifies_intersection_variant(fixture_adversaries):
 
 
 def test_leader_map_matches_definition(chr2_3, fixture_adversaries):
-    """Differential check of the memoized map against the uncached oracle,
+    """Differential check of the tabled map against the uncached oracle,
     on every Chr Chr s vertex and every query set holding its color."""
     advs = set(fixture_adversaries.values())
     advs.update(make_k_of(3, k) for k in (1, 2, 3))
@@ -148,7 +144,60 @@ def test_leader_map_decodes_each_vertex_once(monkeypatch, chr2_3, solo_alpha):
     assert sorted(decoded) == sorted(chr2_3.vertices)
 
 
-def test_leader_properties_hold_at_n4():
-    reports = verify_leader(make_k_of(4, 1))
-    assert [r.checked for r in reports] == [6304, 65975, 6304]
-    assert [len(r.violations) for r in reports] == [0, 0, 0]
+@pytest.fixture(scope="module")
+def kof41_reports():
+    return verify_leader(make_k_of(4, 1))
+
+
+def test_leader_properties_hold_at_n4(kof41_reports):
+    assert [r.checked for r in kof41_reports] == [6304, 65975, 6304]
+    assert [len(r.violations) for r in kof41_reports] == [0, 0, 0]
+
+
+def _chr2_task(chr2_3, adv) -> AffineTask:
+    """All of Chr Chr s at n=3, posed as the task of the adversary's alpha."""
+    return AffineTask("chr2", 3, chr2_3, agreement_function(adv))
+
+
+# alpha of the family -> agreement violations on all of Chr Chr s
+CHR2_AGREEMENT_VIOLATIONS = [
+    (make_k_of(3, 1), 187),
+    (make_k_of(3, 2), 1),
+    (make_t_resilient(3, 1), 115),
+]
+
+
+@pytest.mark.parametrize("adv, expected", CHR2_AGREEMENT_VIOLATIONS, ids=repr)
+def test_agreement_sweep_reports_violations_on_chr2(chr2_3, adv, expected):
+    """Chr Chr s is too big a task for these alphas: some faces elect more
+    leaders than alpha of their base carrier allows."""
+    validity, agreement, robustness = verify_leader(adv, _chr2_task(chr2_3, adv))
+    assert [r.checked for r in (validity, agreement, robustness)] == [396, 3211, 396]
+    assert validity.ok and robustness.ok
+    assert len(agreement.violations) == expected
+    for bad in agreement.violations:
+        assert len(bad["leaders"]) > bad["limit"]
+        assert set(bad["leaders"]) <= set(bad["Q"])
+
+
+def _by_oracle(adv, task, queries=None) -> list[dict]:
+    return [sweep(adv, task, queries).to_dict() for sweep in
+            (verify_mu_validity, verify_mu_agreement, verify_mu_robustness)]
+
+
+def test_verify_leader_matches_the_sweeps_by_definition(
+        chr2_3, fixture_adversaries, fixture_tasks, kof41_reports):
+    """The one-pass sweep reports exactly what the three sweeps on the
+    leader map by definition report: counts, violations and their order."""
+    cases = [(adv, _chr2_task(chr2_3, adv))
+             for adv, _ in CHR2_AGREEMENT_VIOLATIONS]
+    cases += [(adv, fixture_tasks[name])
+              for name, adv in sorted(fixture_adversaries.items())]
+    for adv, task in cases:
+        assert ([r.to_dict() for r in verify_leader(adv, task)]
+                == _by_oracle(adv, task)), (adv, task)
+        queries = [frozenset({1, 3}), frozenset({2}), frozenset({1, 3})]
+        assert ([r.to_dict() for r in verify_leader(adv, task, queries)]
+                == _by_oracle(adv, task, queries)), (adv, task)
+    assert ([r.to_dict() for r in kof41_reports]
+            == _by_oracle(make_k_of(4, 1), None))
