@@ -25,12 +25,43 @@ participation set.
 
 States pack into one int: 5 bits per process (3 progress + crashed + conc
 written), a pending mask per object, and n blocks of n bits per object.
+
+Exploration is symmetry-reduced (the scalarset reduction of Ip & Dill 1996
+and Emerson & Sistla 1996), with every count kept exact:
+
+- Classes. Processes i, j of the participation set P are interchangeable
+  when the swap (i j) keeps alpha the same on every subset of P. Composing
+  alpha-preserving swaps preserves alpha, so this is an equivalence, and its
+  classes are worked out once per model. Every guard reads alpha only on
+  subsets of P, and the fault budget and the event kinds do not name a
+  process, so relabeling a state by a permutation within the classes
+  relabels its successors the same way.
+- Signature. A process's signature is its 5-bit slot, the index of its
+  round-one block, the index of its round-two block (0 while uncommitted)
+  and its two pending bits. The signatures fix the state: each block is the
+  set of processes carrying its index.
+- Canonical form. Sorting the signatures within each class and packing them
+  back gives one representative per orbit, in O(n log n) per state. When
+  every class is a singleton it is the state itself.
+- Orbit size. A representative stands for prod over classes c of
+  |c|! / prod(t! for each run of t equal signatures in c) concrete states;
+  `Exploration.state_count` is the sum of these sizes, so it counts
+  concrete states, and so does the state cap.
+- Terminals. Every terminal orbit is expanded into its concrete states, in a
+  fixed order, so `check_safety` and `check_liveness` see every reachable
+  quiescent state and no invariance of the task under relabeling is
+  assumed.
+- Traces. Each parent link keeps the permutation that carried the
+  successor to its representative; `trace_to` composes them and relabels
+  the events, so a trace replays to the concrete state asked for.
 """
 from __future__ import annotations
 
 import os
 from collections import deque
 from dataclasses import dataclass
+from itertools import permutations, product
+from math import factorial
 from typing import Iterable, Sequence
 
 from .adversary import Adversary, agreement_function
@@ -103,7 +134,10 @@ class Exploration:
     fault_budget: int
     state_count: int
     terminals: list[int]
-    parents: dict[int, tuple[int, tuple]] | None = None
+    # representatives visited, one per orbit; not part of row()
+    orbits: int
+    # representative -> (parent representative, event, permutation)
+    parents: dict[int, tuple[int, tuple, tuple[int, ...]]] | None = None
 
     def row(self) -> dict:
         """The participation row every report of this exploration starts
@@ -145,8 +179,21 @@ class ProtocolModel:
         self._off_fblk = 5 * n + 2 * n
         self._off_sblk = 5 * n + 2 * n + n * n
         self._procs = tuple(iter_bits(self.pmask))
-        # block field -> (blocks, views, block of each process)
+        # block field -> (blocks, views, block of each process, 1-based
+        # block index of each process)
         self._rounds: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._classes = self._interchangeable()
+        # per class, the complement of every state bit its members own:
+        # their slots, pending bits and block bits
+        owned = [31 << 5 * i | 1 << self._off_fpend + i | 1 << self._off_spend + i
+                 | sum(1 << off + n * b + i for off in (self._off_fblk, self._off_sblk)
+                       for b in range(n))
+                 for i in range(n)]
+        self._unowned = tuple(~sum(owned[i] for i in c) for c in self._classes)
+        # (signature << 3 | process) -> the state bits that signature packs
+        # to; state >> first pending bit -> the upper signature fields
+        self._packed: dict[int, int] = {}
+        self._upper: dict[int, tuple[int, ...]] = {}
         # pending mask -> its nonempty subsets as (block, colors, one
         # progress step per member)
         self._subsets: dict[int, tuple[tuple[int, tuple[int, ...], int], ...]] = {}
@@ -157,29 +204,30 @@ class ProtocolModel:
         return (state >> (5 * i)) & 7
 
     def _round(self, state: int, off: int) -> tuple[tuple[int, ...], ...]:
-        """(blocks, per-process view mask, per-process block) of the round
-        whose blocks start at bit off; 0 for an uncommitted process. Decoded
-        once per distinct block field."""
+        """(blocks, per-process view mask, per-process block, per-process
+        1-based block index) of the round whose blocks start at bit off; 0
+        for an uncommitted process. Decoded once per distinct block field."""
         n = self.n
         field = (state >> off) & ((1 << n * n) - 1)
         entry = self._rounds.get(field)
         if entry is None:
             blocks: list[int] = []
-            views, group = [0] * n, [0] * n
+            views, group, index = [0] * n, [0] * n, [0] * n
             prefix = 0
             while blk := (field >> n * len(blocks)) & ((1 << n) - 1):
                 blocks.append(blk)
                 prefix |= blk
                 for i in iter_bits(blk):
-                    views[i], group[i] = prefix, blk
-            entry = self._rounds[field] = (tuple(blocks), tuple(views), tuple(group))
+                    views[i], group[i], index[i] = prefix, blk, len(blocks)
+            entry = self._rounds[field] = (tuple(blocks), tuple(views),
+                                           tuple(group), tuple(index))
         return entry
 
     def _masks(self, state: int) -> tuple:
         """(IS1 views, IS1 blocks, IS1-written, IS2-written, crashed, max
         Conc): the registers of a state as masks; a process's IS1 view is
         its round-one view, read only once it is written."""
-        _, is1, group = self._round(state, self._off_fblk)
+        is1, group = self._round(state, self._off_fblk)[1:3]
         is1w = is2w = crashed = cmax = 0
         for i in self._procs:
             slot = state >> 5 * i
@@ -197,7 +245,7 @@ class ProtocolModel:
         """Readable snapshot of a packed state, for traces and debugging."""
         n = self.n
         procs = {}
-        fb, is1, _ = self._round(state, self._off_fblk)
+        fb, is1 = self._round(state, self._off_fblk)[:2]
         sb = self._round(state, self._off_sblk)[0]
         for i in self._procs:
             prog = self._prog(state, i)
@@ -216,6 +264,122 @@ class ProtocolModel:
             "second_pending": sorted(colors_of((state >> self._off_spend) & ((1 << n) - 1))),
             "processes": procs,
         }
+
+    # --- symmetry -----------------------------------------------------------
+
+    def _interchangeable(self) -> tuple[tuple[int, ...], ...]:
+        """The interchangeability classes of P with two members or more:
+        i and j share one when the swap (i j) keeps alpha on every subset
+        of P."""
+        table, subsets = self.alpha_table, submasks(self.pmask)
+
+        def swap_keeps_alpha(i: int, j: int) -> bool:
+            both = 1 << i | 1 << j
+            for S in subsets:
+                if (S >> i ^ S >> j) & 1 and table[S ^ both] != table[S]:
+                    return False
+            return True
+
+        classes: list[list[int]] = []
+        for i in self._procs:
+            for c in classes:
+                if swap_keeps_alpha(c[0], i):
+                    c.append(i)
+                    break
+            else:
+                classes.append([i])
+        return tuple(tuple(c) for c in classes if len(c) > 1)
+
+    def _signatures(self, state: int) -> list[list[int]]:
+        """Per class, its members' signatures in member order.
+
+        A signature is the 5-bit slot, then the round-one and round-two
+        block indices (3 bits each) and the two pending bits; those upper
+        fields are read once per distinct upper part of a state."""
+        upper = self._upper.get(state >> self._off_fpend) or self._upper_fields(state)
+        return [[state >> 5 * i & 31 | upper[i] for i in c] for c in self._classes]
+
+    def _upper_fields(self, state: int) -> tuple[int, ...]:
+        idx1 = self._round(state, self._off_fblk)[3]
+        idx2 = self._round(state, self._off_sblk)[3]
+        fp, sp = state >> self._off_fpend, state >> self._off_spend
+        upper = self._upper[state >> self._off_fpend] = tuple(
+            idx1[i] << 5 | idx2[i] << 8 | (fp >> i & 1) << 11 | (sp >> i & 1) << 12
+            for i in range(self.n))
+        return upper
+
+    def _pack(self, i: int, sig: int) -> int:
+        """The state bits of process i carrying signature sig."""
+        key = sig << 3 | i
+        bits = self._packed.get(key)
+        if bits is None:
+            n = self.n
+            b1, b2 = sig >> 5 & 7, sig >> 8 & 7
+            bits = ((sig & 31) << 5 * i | (sig >> 11 & 1) << self._off_fpend + i
+                    | (sig >> 12 & 1) << self._off_spend + i)
+            if b1:
+                bits |= 1 << self._off_fblk + n * (b1 - 1) + i
+            if b2:
+                bits |= 1 << self._off_sblk + n * (b2 - 1) + i
+            self._packed[key] = bits
+        return bits
+
+    def _representative(self, state: int) -> tuple[int, list[list[int]]]:
+        """(representative, per class its signatures sorted): each class of
+        the representative holds its signatures sorted, in ascending
+        position."""
+        rep, orders = state, []
+        for c, unowned, sigs in zip(self._classes, self._unowned,
+                                    self._signatures(state)):
+            order = sorted(sigs)
+            if order != sigs:
+                rep &= unowned
+                for pos, sig in zip(c, order):
+                    rep |= self._pack(pos, sig)
+            orders.append(order)
+        return rep, orders
+
+    def canonical(self, state: int) -> tuple[int, tuple[int, ...]]:
+        """(representative, pi) with the representative pi applied to
+        state, pi[i] being the new position of process i."""
+        perm = list(range(self.n))
+        for c, sigs in zip(self._classes, self._signatures(state)):
+            for pos, k in zip(c, sorted(range(len(c)), key=sigs.__getitem__)):
+                perm[c[k]] = pos
+        return self._representative(state)[0], tuple(perm)
+
+    @staticmethod
+    def _orbit_size(orders: list[list[int]]) -> int:
+        """prod over classes c of |c|! / prod(t!) over the runs of t equal
+        signatures among c's sorted signatures."""
+        size = 1
+        for sigs in orders:
+            size *= factorial(len(sigs))
+            run = 1
+            for k in range(1, len(sigs)):
+                run = run + 1 if sigs[k] == sigs[k - 1] else 1
+                size //= run
+        return size
+
+    def orbit_states(self, rep: int) -> list[int]:
+        """Every concrete state of rep's orbit: per class the distinct
+        arrangements of its signatures in ascending packed order, the
+        classes combined in product order."""
+        base = rep
+        for unowned in self._unowned:
+            base &= unowned
+        per_class = [sorted({sum(map(self._pack, c, arrangement))
+                             for arrangement in permutations(sigs)})
+                     for c, sigs in zip(self._classes, self._signatures(rep))]
+        return [base + sum(parts) for parts in product(*per_class)]
+
+    @staticmethod
+    def _relabel(event: tuple, perm: Sequence[int]) -> tuple:
+        """event with process i + 1 renamed perm[i] + 1."""
+        kind, who = event
+        if kind in ("commit1", "commit2"):
+            return (kind, sorted(perm[c - 1] + 1 for c in who))
+        return (kind, perm[who - 1] + 1)
 
     # --- transitions ------------------------------------------------------
 
@@ -298,37 +462,55 @@ class ProtocolModel:
     # --- exploration -----------------------------------------------------
 
     def explore(self, track_parents: bool = False) -> Exploration:
+        """Breadth-first over representatives; counts and terminals are
+        concrete (see the module docstring)."""
         init = self.initial_state()
-        visited: set[int] = {init}
-        parents: dict[int, tuple[int, tuple]] | None = {} if track_parents else None
+        orbit: dict[int, int] = {init: 1}  # representative -> orbit size
+        state_count = 1
+        parents: dict[int, tuple[int, tuple, tuple[int, ...]]] | None = (
+            {} if track_parents else None)
         terminals: list[int] = []
         queue = deque([init])
         while queue:
             state = queue.popleft()
             succ = self.successors(state)
             if not succ or succ[0][0][0] == "crash":  # crashes come last
-                terminals.append(state)
+                terminals.extend(self.orbit_states(state))
             for ev, s2 in succ:
-                if s2 in visited:
+                if s2 in orbit:  # a visited representative itself
                     continue
-                visited.add(s2)
-                if len(visited) > self.max_states:
+                rep, orders = self._representative(s2)
+                if rep in orbit:
+                    continue
+                size = orbit[rep] = self._orbit_size(orders)
+                state_count += size
+                if state_count > self.max_states:
                     raise StateCapExceeded(
                         f"exceeded state cap {self.max_states} "
                         f"(participation {sorted(self.participation)})")
                 if parents is not None:
-                    parents[s2] = (state, ev)
-                queue.append(s2)
+                    parents[rep] = (state, ev, self.canonical(s2)[1])
+                queue.append(rep)
         return Exploration(participation=self.participation,
                            fault_budget=self.fault_budget,
-                           state_count=len(visited),
-                           terminals=terminals, parents=parents)
+                           state_count=state_count, terminals=terminals,
+                           orbits=len(orbit), parents=parents)
 
-    def trace_to(self, state: int, parents: dict[int, tuple[int, tuple]]) -> list[tuple]:
+    def trace_to(self, state: int,
+                 parents: dict[int, tuple[int, tuple, tuple[int, ...]]]) -> list[tuple]:
+        """Events from the initial state to the concrete state. Walking the
+        links back from its representative, the events are relabeled by the
+        inverse of state's canonical permutation composed with the link
+        permutations met so far."""
+        rep, perm = self.canonical(state)
+        rho = [0] * self.n
+        for i, pos in enumerate(perm):
+            rho[pos] = i
         events = []
-        while state in parents:
-            state, ev = parents[state]
-            events.append(ev)
+        while rep in parents:
+            rep, ev, pi = parents[rep]
+            rho = [rho[j] for j in pi]
+            events.append(self._relabel(ev, rho))
         return events[::-1]
 
     # --- terminal-state interpretation ------------------------------------

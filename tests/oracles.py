@@ -12,18 +12,21 @@ via carriers and colors, the leader map via its own criticality test and a
 pairwise inclusion minimum (and the three leader sweeps, one by one, on that
 map), setcon and fairness via the recursive definition
 on frozensets of live sets, the explorer's step on per-state register
-lists and list-form guards. Views and carriers are read straight off vertex
+lists and list-form guards, and the explorer before symmetry reduction
+(`explore_unreduced`, over every concrete state). Views and carriers are read straight off vertex
 payloads (`view1`, `view2`, `base_colors`). It also holds the helpers only
 tests use: `is_pure`, `facet_to_partition` and `symmetric_setcon`.
 """
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations, permutations
 from math import comb, factorial
 
 from affinetask import (Adversary, AdversaryError, AffineTask,
                         ChromaticComplex, ComplexError, LeaderError, Simplex,
-                        VerificationReport, Vertex, agreement_function,
+                        Exploration, StateCapExceeded, VerificationReport,
+                        Vertex, agreement_function,
                         build_r_a, chr2_complex, chr_vertex, closure,
                         contention_simplices, is_symmetric, make_k_of,
                         ordered_set_partitions, require_fair)
@@ -603,3 +606,38 @@ def successors_by_registers(model, state: int) -> list[tuple[tuple, int]]:
                 s2 &= ~(bit << model._off_spend)
                 out.append((("crash", i + 1), s2))
     return out
+
+
+# --- the explorer before symmetry reduction ----------------------------------------
+#
+# Breadth-first over every concrete state, with parent links (state, event):
+# the loop `ProtocolModel.explore` ran before it visited one representative
+# per orbit. Each state is its own orbit.
+
+
+def explore_unreduced(model, track_parents: bool = False) -> Exploration:
+    init = model.initial_state()
+    visited: set[int] = {init}
+    parents: dict[int, tuple[int, tuple]] | None = {} if track_parents else None
+    terminals: list[int] = []
+    queue = deque([init])
+    while queue:
+        state = queue.popleft()
+        succ = model.successors(state)
+        if not succ or succ[0][0][0] == "crash":  # crashes come last
+            terminals.append(state)
+        for ev, s2 in succ:
+            if s2 in visited:
+                continue
+            visited.add(s2)
+            if len(visited) > model.max_states:
+                raise StateCapExceeded(
+                    f"exceeded state cap {model.max_states} "
+                    f"(participation {sorted(model.participation)})")
+            if parents is not None:
+                parents[s2] = (state, ev)
+            queue.append(s2)
+    return Exploration(participation=model.participation,
+                       fault_budget=model.fault_budget,
+                       state_count=len(visited), terminals=terminals,
+                       orbits=len(visited), parents=parents)

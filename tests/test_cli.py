@@ -306,6 +306,35 @@ def test_simulate_traces_round_trip_through_replay(tmp_path, capsys):
     assert "Crashed" in states
 
 
+def test_every_trace_replays_to_its_violation(tmp_path, capsys):
+    """One crash too many on the symmetric fixture, every participation:
+    each trace written replays to the state of one violation, and every
+    violating state has its trace."""
+    traces = tmp_path / "traces"
+    code = main(["simulate", "check", "--adversary", OF1, "--fault-budget", "1",
+                 "--trace-out", str(traces), "--out", str(tmp_path / "report.json")])
+    assert code == 1
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert len(doc["participations"]) == 7
+    replays = 0
+    for row in doc["participations"]:
+        bad = {json.dumps(v["state"], sort_keys=True)
+               for kind in ("safety", "liveness") for v in row[kind]["violations"]}
+        stem = "trace_" + "".join(map(str, row["participation"]))
+        written = sorted(traces.glob(f"{stem}_*.json"))
+        assert len(written) == len(bad)
+        replayed = set()
+        for trace in written:
+            code, decoded = run_json(capsys, [
+                "simulate", "replay", "--adversary", OF1, "--fault-budget", "1",
+                "--trace", str(trace)])
+            assert code == 0
+            replayed.add(json.dumps(decoded, sort_keys=True))
+        assert replayed == bad
+        replays += len(written)
+    assert replays == 3 * 10 + 105
+
+
 def test_malformed_trace_is_an_input_error(tmp_path, capsys):
     bad = tmp_path / "trace.json"
     bad.write_text(json.dumps({"participation": [1, 2], "events": 5}))
@@ -356,6 +385,21 @@ def test_simulate_respects_state_cap_env(monkeypatch, capsys):
     assert main(["simulate", "check", "--adversary", OF1,
                  "--participation", "1,2"]) == 2
     assert "state cap" in capsys.readouterr().err
+
+
+def test_state_cap_env_counts_concrete_states(monkeypatch, tmp_path, capsys):
+    """k_of(4,1) at full participation has 75,210 states in 3,884 orbits."""
+    adv_file = tmp_path / "k_of_4_1.json"
+    adv_file.write_text(json.dumps(adversary_to_dict(make_k_of(4, 1))))
+    argv = ["simulate", "check", "--adversary", str(adv_file),
+            "--participation", "1,2,3,4", "--liveness"]
+    monkeypatch.setenv(STATE_CAP_ENV, "75209")
+    assert main(argv) == 2
+    assert "exceeded state cap 75209" in one_error_line(capsys)
+    monkeypatch.setenv(STATE_CAP_ENV, "75210")
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert doc["participations"][0]["states"] == 75_210
 
 
 # --- repro -----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from affinetask import (AffineTask, ComplexError, LeaderError, LeaderMap,
                         make_k_of, make_t_resilient, standard_simplex,
                         two_round_facet, verify_leader)
 from affinetask import leader as leader_module
+from affinetask.bits import colors_of
 from oracles import (mu_by_definition, r_a_intersection_task,
                      verify_mu_agreement, verify_mu_robustness,
                      verify_mu_validity)
@@ -96,6 +97,36 @@ def test_leader_rejects_task_of_another_adversary():
         verify_leader(adv, build_r_a(make_k_of(3, 3)))
     with pytest.raises(LeaderError, match="n=2"):
         verify_leader(adv, build_r_a(make_k_of(2, 1)))
+
+
+def test_robustness_catches_a_restriction_that_elects_another(
+        monkeypatch, fixture_adversaries, fixture_tasks):
+    """A map patched at one vertex: the full query elects a seen process
+    other than the leader of the query restricted to the seen processes."""
+    adv = fixture_adversaries["obstruction_free_2"]
+    task = fixture_tasks["obstruction_free_2"]
+    mu = LeaderMap(agreement_function(adv))
+    full = 0b111
+    target = next(v for v in sorted(task.complex.vertices, key=lambda u: u.uid)
+                  if mu.seen(v) != full and mu.seen(v).bit_count() >= 2)
+    seen = mu.seen(target)
+    honest = mu._entry(target)[2][full]
+    assert honest == mu._entry(target)[2][seen]
+    other = next(1 << c - 1 for c in sorted(colors_of(seen)) if 1 << c - 1 != honest)
+    entry = LeaderMap._entry
+
+    def patched(self, v):
+        critical, views, leaders = entry(self, v)
+        if v == target:
+            leaders = leaders[:full] + (other,) + leaders[full + 1:]
+        return critical, views, leaders
+
+    monkeypatch.setattr(LeaderMap, "_entry", patched)
+    validity, _, robustness = verify_leader(adv, task)
+    assert validity.ok
+    assert robustness.violations == [{
+        "vertex": target.uid, "Q": [1, 2, 3], "leader": other.bit_length(),
+        "restricted_leader": honest.bit_length()}]
 
 
 def test_leader_verifies_intersection_variant(fixture_adversaries):

@@ -9,7 +9,8 @@ from affinetask import (ProtocolModel, SimulationError, StateCapExceeded,
                         state_cap_from_env, two_round_facet,
                         valid_participations, wait_predicate)
 from affinetask.simulate import DONE, STATE_CAP_ENV
-from oracles import r_a_intersection_task, successors_by_registers
+from oracles import (explore_unreduced, r_a_intersection_task,
+                     successors_by_registers)
 
 
 # --- tiny instances, exactly ----------------------------------------------------
@@ -73,7 +74,7 @@ def test_wait_predicate_loosens_as_concurrency_grows():
 
 def test_registers_are_write_once():
     model = ProtocolModel(make_k_of(2, 1))
-    exploration = model.explore(track_parents=True)
+    exploration = explore_unreduced(model, track_parents=True)
     states = {0, *exploration.parents}
     for state in states:
         is1, _, is1w, is2w, _, _ = model._masks(state)
@@ -103,7 +104,7 @@ def test_successors_match_register_lists(name, fixture_adversaries):
     """The mask-coded step equals the register-list step on every state
     reached at full participation."""
     model = ProtocolModel(fixture_adversaries[name])
-    exploration = model.explore(track_parents=True)
+    exploration = explore_unreduced(model, track_parents=True)
     states = [0, *exploration.parents]
     assert len(states) == exploration.state_count
     for state in states:
@@ -186,22 +187,25 @@ def test_liveness_fails_when_crashes_exceed_budget():
     assert "states" not in report.to_dict()
     assert all(any(p["pc"] == "Crashed" for p in v["state"]["processes"].values())
                for v in report.violations)
-    first = report.states[0]
-    assert model.decode(first) == report.violations[0]["state"]
-    trace = model.trace_to(first, exploration.parents)
-    assert replay(model, trace) == first
-    round_tripped = events_from_jsonable(events_to_jsonable(trace))
-    assert replay(model, round_tripped) == first
+    for state, violation in zip(report.states, report.violations):
+        assert model.decode(state) == violation["state"]
+        trace = model.trace_to(state, exploration.parents)
+        assert replay(model, trace) == state
+        round_tripped = events_from_jsonable(events_to_jsonable(trace))
+        assert replay(model, round_tripped) == state
 
 
 def test_states_with_only_crashes_enabled_are_terminal():
     """Two crashes allowed where alpha is 1: processes left waiting can
     still crash, and those states count as quiescent."""
     model = ProtocolModel(make_k_of(3, 1), fault_budget=2)
-    exploration = model.explore()
+    exploration = model.explore(track_parents=True)
     assert (exploration.state_count, len(exploration.terminals)) == (11018, 1759)
     assert sum(1 for s in exploration.terminals if model.successors(s)) == 105
-    assert len(check_liveness(model, exploration).violations) == 372
+    report = check_liveness(model, exploration)
+    assert len(report.violations) == 372
+    for state in report.states:
+        assert replay(model, model.trace_to(state, exploration.parents)) == state
 
 
 def test_safety_distinguishes_the_task_variants(fixture_adversaries):
@@ -220,6 +224,22 @@ def test_safety_distinguishes_the_task_variants(fixture_adversaries):
     assert safety.ok
 
 
+def test_every_unsafe_terminal_replays(fixture_adversaries):
+    """The 480 safety violations against the intersection reading, each
+    rebuilt as a trace from its participation's parent links."""
+    adv = fixture_adversaries["obstruction_free_2"]
+    inter = r_a_intersection_task(adv)
+    unsafe = 0
+    for P in valid_participations(adv):
+        model = ProtocolModel(adv, participation=P)
+        exploration = model.explore(track_parents=True)
+        report = check_safety(model, exploration, inter)
+        for state in report.states:
+            assert replay(model, model.trace_to(state, exploration.parents)) == state
+        unsafe += len(report.states)
+    assert unsafe == 480
+
+
 def test_safety_report_hands_back_the_unsafe_terminals(fixture_adversaries):
     adv = fixture_adversaries["obstruction_free_2"]
     inter = r_a_intersection_task(adv)
@@ -233,6 +253,70 @@ def test_safety_report_hands_back_the_unsafe_terminals(fixture_adversaries):
         sigma = model.output_simplex(state)
         assert sigma not in inter.complex
         assert list(sigma.uids) == violation["outputs"]
+
+
+# --- symmetry reduction against the unreduced explorer ----------------------------
+
+
+def _assert_reduction_exact(model: ProtocolModel, task) -> None:
+    """The reduced exploration against `explore_unreduced`: equal state
+    counts, the same concrete terminals, and the same offending states
+    from both deciders."""
+    reduced, full = model.explore(), explore_unreduced(model)
+    assert reduced.state_count == full.state_count
+    assert sorted(reduced.terminals) == sorted(full.terminals)
+    if not model._classes:
+        assert reduced.orbits == reduced.state_count
+    for decide in (lambda e: check_safety(model, e, task),
+                   lambda e: check_liveness(model, e)):
+        a, b = decide(reduced), decide(full)
+        assert a.checked == b.checked
+        assert sorted(a.states) == sorted(b.states)
+
+
+def test_reduction_is_exact_on_every_fair_n3_family(fair_live_adversaries):
+    singleton_models = 0
+    for adv in fair_live_adversaries:
+        task = build_r_a(adv)
+        for P in valid_participations(adv):
+            model = ProtocolModel(adv, participation=P)
+            _assert_reduction_exact(model, task)
+            singleton_models += not model._classes
+    assert singleton_models > 0
+
+
+def test_reduction_is_exact_on_k_of_4_1():
+    adv = make_k_of(4, 1)
+    task = build_r_a(adv)
+    for P in valid_participations(adv):
+        _assert_reduction_exact(ProtocolModel(adv, participation=P), task)
+    model = ProtocolModel(adv)
+    assert model._classes == ((0, 1, 2, 3),)
+    exploration = model.explore()
+    assert (exploration.state_count, exploration.orbits) == (75_210, 3_884)
+    assert "orbits" not in exploration.row()
+
+
+@pytest.mark.parametrize("fault_budget", [None, 1])
+def test_reduction_is_exact_on_the_fixtures(fault_budget, fixture_adversaries,
+                                            fixture_tasks):
+    """Default and one-crash budgets; superset_closed_2_13's only class is
+    {1, 3}."""
+    assert ProtocolModel(fixture_adversaries["superset_closed_2_13"])._classes == ((0, 2),)
+    for name, adv in fixture_adversaries.items():
+        for P in valid_participations(adv):
+            model = ProtocolModel(adv, participation=P, fault_budget=fault_budget)
+            _assert_reduction_exact(model, fixture_tasks[name])
+
+
+def test_orbit_traces_replay_to_every_concrete_terminal(fixture_adversaries):
+    """Each member of a terminal orbit, not only its representative, gets a
+    trace that replays to it."""
+    model = ProtocolModel(fixture_adversaries["superset_closed_2_13"], fault_budget=1)
+    exploration = model.explore(track_parents=True)
+    assert exploration.orbits < exploration.state_count
+    for state in exploration.terminals:
+        assert replay(model, model.trace_to(state, exploration.parents)) == state
 
 
 # --- participation handling -----------------------------------------------------
@@ -310,6 +394,13 @@ def test_state_cap_enforced():
     model = ProtocolModel(make_k_of(2, 1), max_states=50)
     with pytest.raises(StateCapExceeded):
         model.explore()
+
+
+def test_state_cap_counts_concrete_states():
+    """75,210 concrete states in 3,884 orbits: the cap is on the former."""
+    with pytest.raises(StateCapExceeded):
+        ProtocolModel(make_k_of(4, 1), max_states=75_209).explore()
+    assert ProtocolModel(make_k_of(4, 1), max_states=75_210).explore().state_count == 75_210
 
 
 def test_state_cap_from_env(monkeypatch):
