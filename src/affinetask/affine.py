@@ -162,6 +162,16 @@ def _chr2_table(n: int) -> tuple:
             tuple(faces))
 
 
+def task_alpha(adv: Adversary) -> AgreementFunction:
+    """The alpha of an adversary that has an affine task: a fair one with a
+    live set. Any other adversary raises."""
+    require_fair(adv)
+    alpha = agreement_function(adv)
+    if alpha(range(1, adv.n + 1)) < 1:
+        raise AdversaryError("adversary admits no live set; no task to build")
+    return alpha
+
+
 def build_r_a(adv: Adversary) -> AffineTask:
     """The adversary's affine task: facets all of whose contending faces
     either touch the guard colors or stay below the concurrency level of
@@ -170,10 +180,7 @@ def build_r_a(adv: Adversary) -> AffineTask:
     The guard is the union of the critical-member colors of the facet's
     carrier and the critical-carrier colors of the face's carrier.
     """
-    require_fair(adv)
-    alpha = agreement_function(adv)
-    if alpha(range(1, adv.n + 1)) < 1:
-        raise AdversaryError("adversary admits no live set; no task to build")
+    alpha = task_alpha(adv)
     facets, groups, rhos, faces = _chr2_table(adv.n)
     csm_of, csv_of, conc_of = zip(*(
         _critical_summary(_critical_faces(g, alpha), alpha) for g in groups))

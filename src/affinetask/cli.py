@@ -21,7 +21,7 @@ from .adversary import (Adversary, AdversaryError, adversary_from_dict,
                         check_fairness, classify, enumerate_adversaries,
                         make_k_of, make_t_resilient, setcon,
                         verify_fair_subtraction)
-from .affine import (build_r_a, concurrency_levels, task_to_dict,
+from .affine import (build_r_a, concurrency_levels, task_alpha, task_to_dict,
                      verify_cs_distribution, verify_single_carrier)
 from .complexes import (MAX_PROCESSES, ChromaticComplex, ComplexError,
                         complex_from_dict, complex_to_dict)
@@ -191,14 +191,17 @@ def cmd_simulate_check(args) -> int:
     adv = _load_adversary(args.adversary)
     if args.n is not None and args.n != adv.n:
         raise SimulationError(f"--n {args.n} disagrees with adversary n={adv.n}")
-    task = build_r_a(adv)
+    want_safety = args.safety or not args.liveness
+    want_liveness = args.liveness or not args.safety
+    if want_safety:
+        task = build_r_a(adv)
+    else:
+        task_alpha(adv)  # the input errors of build_r_a, without R_A
     cap = state_cap_from_env()
     parts = ([_parse_colors(args.participation)]
              if args.participation is not None else valid_participations(adv))
     doc = {"adversary": adversary_to_dict(adv), "participations": []}
     ok = True
-    want_safety = args.safety or not args.liveness
-    want_liveness = args.liveness or not args.safety
     trace_dir = Path(args.trace_out) if args.trace_out else None
     if trace_dir is not None:
         trace_dir.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .complexes import ChromaticComplex, ComplexError, Simplex, Vertex
-from .subdivision import geometry
+from .subdivision import barycentric_points
 
 # vertex dot fill, by process color
 PROCESS_COLORS = {1: "#d62728", 2: "#2ca02c", 3: "#1f77b4",
@@ -24,22 +24,22 @@ HIGHLIGHT_COLORS = ("#1f77b4", "#d62728", "#ff7f0e", "#9467bd",
 
 # planar corners of the base simplex, process 1 bottom-left, 2 top, 3 bottom-right
 _CORNERS_2D = {
-    1: ((Fraction(0), Fraction(0)),),
-    2: ((Fraction(0), Fraction(0)), (Fraction(1000), Fraction(0))),
-    3: ((Fraction(0), Fraction(0)), (Fraction(500), Fraction(866)),
-        (Fraction(1000), Fraction(0))),
+    1: ((0, 0),),
+    2: ((0, 0), (1000, 0)),
+    3: ((0, 0), (500, 866), (1000, 0)),
 }
 
 # tetrahedron corners for the n=4 mesh export
-_CORNERS_3D = ((Fraction(0), Fraction(0), Fraction(0)),
-               (Fraction(1000), Fraction(0), Fraction(0)),
-               (Fraction(500), Fraction(866), Fraction(0)),
-               (Fraction(500), Fraction(289), Fraction(816)))
+_CORNERS_3D = ((0, 0, 0), (1000, 0, 0), (500, 866, 0), (500, 289, 816))
 
 
-def _fmt(x: Fraction) -> str:
-    """Fixed-point decimal with three places, trailing zeros stripped."""
-    scaled = round(x * 1000)
+def _fmt(x: Fraction | int, den: int = 1) -> str:
+    """x / den as a fixed-point decimal with three places, rounded half to
+    even (as round() rounds a Fraction), trailing zeros stripped."""
+    num, den = x.numerator * 1000, x.denominator * den
+    scaled, rest = divmod(num, den)
+    if 2 * rest > den or 2 * rest == den and scaled % 2:
+        scaled += 1
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
     whole, frac = divmod(scaled, 1000)
@@ -47,19 +47,22 @@ def _fmt(x: Fraction) -> str:
     return f"{sign}{whole}.{tail}" if tail else f"{sign}{whole}"
 
 
+def _project(vertices: Iterable[Vertex], n: int, corners: Sequence[tuple[int, ...]]
+             ) -> tuple[dict[Vertex, tuple[int, ...]], int]:
+    """Each vertex's exact position among the corners, as integer
+    coordinates over one common denominator."""
+    points, den = barycentric_points(vertices, n)
+    axes = tuple(zip(*corners))
+    return {v: tuple(sum(w * c for w, c in zip(weights, axis)) for axis in axes)
+            for v, weights in points.items()}, den
+
+
 def project_vertex(v: Vertex, n: int) -> tuple[Fraction, Fraction]:
     if n not in _CORNERS_2D:
         raise ComplexError(f"planar drawing needs n <= 3, got n={n}")
-    corners = _CORNERS_2D[n]
-    weights = geometry(v, n)
-    x = sum((w * c[0] for w, c in zip(weights, corners)), Fraction(0))
-    y = sum((w * c[1] for w, c in zip(weights, corners)), Fraction(0))
-    return x, y
-
-
-def _xy(v: Vertex, n: int, height: Fraction) -> tuple[str, str]:
-    x, y = project_vertex(v, n)
-    return _fmt(x), _fmt(height - y)
+    points, den = _project((v,), n, _CORNERS_2D[n])
+    x, y = points[v]
+    return Fraction(x, den), Fraction(y, den)
 
 
 def render_complex_svg(K: ChromaticComplex,
@@ -74,16 +77,23 @@ def render_complex_svg(K: ChromaticComplex,
     n = K.n
     if n not in _CORNERS_2D:
         raise ComplexError(f"SVG rendering needs n <= 3, got n={n}")
-    height = Fraction(866) if n == 3 else Fraction(0)
+    height = 866 if n == 3 else 0
     view_h = 966 if n == 3 else 140
+    layers = [(sorted(set(simplices), key=lambda s: (-len(s), s.uids)), color)
+              for simplices, color in highlights]
+    # every vertex drawn is placed and formatted once; y grows downward
+    points, den = _project(
+        K.vertices.union(*(s.vertices for ordered, _ in layers for s in ordered)),
+        n, _CORNERS_2D[n])
+    xy = {v: (_fmt(x, den), _fmt(height * den - y, den))
+          for v, (x, y) in points.items()}
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="-50 -50 1100 {view_h}" width="550" height="{view_h // 2}">',
     ]
 
     def poly_points(s: Simplex) -> str:
-        pts = [_xy(v, n, height) for v in s]
-        return " ".join(f"{x},{y}" for x, y in pts)
+        return " ".join(f"{x},{y}" for x, y in map(xy.__getitem__, s))
 
     parts.append('<g fill="#ececec" stroke="none">')
     for facet in K.sorted_facets():
@@ -95,40 +105,40 @@ def render_complex_svg(K: ChromaticComplex,
                    key=lambda s: s.uids)
     parts.append('<g stroke="#888888" stroke-width="2">')
     for e in edges:
-        (x1, y1), (x2, y2) = (_xy(v, n, height) for v in e)
+        (x1, y1), (x2, y2) = map(xy.__getitem__, e)
         parts.append(f'<line class="edge" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
     parts.append("</g>")
 
-    for idx, (simplices, color) in enumerate(highlights):
+    for idx, (ordered, color) in enumerate(layers):
         cls = f"hl{idx}"
-        ordered = sorted(set(simplices), key=lambda s: (-len(s), s.uids))
         parts.append(f'<g fill="{color}" stroke="{color}">')
         for s in ordered:
             if s.dim >= 2:
                 parts.append(f'<polygon class="{cls}" points="{poly_points(s)}" '
                              'fill-opacity="0.55" stroke-width="3"/>')
             elif s.dim == 1:
-                (x1, y1), (x2, y2) = (_xy(v, n, height) for v in s)
+                (x1, y1), (x2, y2) = map(xy.__getitem__, s)
                 parts.append(f'<line class="{cls}" x1="{x1}" y1="{y1}" '
                              f'x2="{x2}" y2="{y2}" stroke-width="10" '
                              'stroke-linecap="round" stroke-opacity="0.85"/>')
             else:
-                x, y = _xy(s.vertices[0], n, height)
+                x, y = xy[s.vertices[0]]
                 parts.append(f'<circle class="{cls}" cx="{x}" cy="{y}" r="17" '
                              'fill-opacity="0.85" stroke="none"/>')
         parts.append("</g>")
 
+    vertices = sorted(K.vertices, key=lambda v: (v.color, v.uid))
     parts.append('<g stroke="#333333" stroke-width="1.5">')
-    for v in sorted(K.vertices, key=lambda v: (v.color, v.uid)):
-        x, y = _xy(v, n, height)
+    for v in vertices:
+        x, y = xy[v]
         fill = PROCESS_COLORS[v.color]
         parts.append(f'<circle class="vertex" cx="{x}" cy="{y}" r="9" fill="{fill}"/>')
     parts.append("</g>")
 
     if labels:
         parts.append('<g font-family="monospace" font-size="22" fill="#222222">')
-        for v in sorted(K.vertices, key=lambda v: (v.color, v.uid)):
-            x, y = _xy(v, n, height)
+        for v in vertices:
+            x, y = xy[v]
             parts.append(f'<text class="label" x="{x}" y="{y}" dx="12" dy="-12">'
                          f"{_escape(v.uid)}</text>")
         parts.append("</g>")
@@ -147,15 +157,13 @@ def render_off(K: ChromaticComplex) -> str:
     if K.n != 4:
         raise ComplexError(f"OFF export is for n=4, got n={K.n}")
     verts = sorted(K.vertices, key=lambda v: v.uid)
-    index = {v.uid: i for i, v in enumerate(verts)}
-    triangles = sorted({tri for f in K.facets for tri in combinations(f.uids, 3)})
+    index = {v: i for i, v in enumerate(verts)}
+    # a facet's vertices are sorted by uid, so its index triples sort as
+    # its uid triples do
+    triangles = sorted({tri for f in K.facets
+                        for tri in combinations(map(index.__getitem__, f), 3)})
+    points, den = _project(verts, 4, _CORNERS_3D)
     lines = ["OFF", f"{len(verts)} {len(triangles)} 0"]
-    for v in verts:
-        weights = geometry(v, 4)
-        coords = [sum((w * c[axis] for w, c in zip(weights, _CORNERS_3D)),
-                      Fraction(0)) for axis in range(3)]
-        lines.append(" ".join(_fmt(c) for c in coords))
-    for tri in triangles:
-        ids = " ".join(str(index[uid]) for uid in tri)
-        lines.append(f"3 {ids}")
+    lines.extend(" ".join(_fmt(c, den) for c in points[v]) for v in verts)
+    lines.extend("3 %d %d %d" % tri for tri in triangles)
     return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Standard chromatic subdivision, its integer code, and geometry.
+"""Standard chromatic subdivision, its integer code, and its geometry.
 
 A subdivision vertex's payload is its carrier simplex in the base complex:
 one subdivision level down for vertices of Chr K, two levels down (via the
@@ -14,12 +14,16 @@ mask); `packed_views` packs a Chr s simplex into one int, so the Chr s
 carrier of a set of Chr Chr s vertices is the OR of their packed carriers.
 Facets are built on this code by the pooled `chr1_vertex`/`chr2_vertex`,
 from one enumeration of the runs per n, `all_runs`.
+
+Geometry is exact and on integers: `barycentric_points` places each vertex
+once per call, from its carrier's points, over one common denominator.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .bits import colors_of, iter_bits, mask_of
@@ -186,23 +190,45 @@ def packed_views(sigma: Simplex) -> int:
 # --- geometry ---------------------------------------------------------------
 
 
-def geometry(v: Vertex, n: int) -> tuple[Fraction, ...]:
-    """Exact barycentric coordinates of a subdivision vertex over corners 1..n.
+def barycentric_points(vertices: Iterable[Vertex], n: int
+                       ) -> tuple[dict[Vertex, tuple[int, ...]], int]:
+    """Exact barycentric coordinates of subdivision vertices over corners
+    1..n, as integer numerators over one common denominator.
 
     A corner maps to a unit vector. A subdivision vertex with carrier rho of
     size k sits at 1/(2k-1) times its own-color anchor plus 2/(2k-1) times
-    each remaining vertex of rho, recursively.
+    each remaining vertex of rho. Each vertex, and each vertex of a carrier
+    below it, is placed once per call.
     """
-    if v.payload is None:
-        return tuple(Fraction(1 if c == v.color else 0)
-                     for c in range(1, n + 1))
-    rho = v.payload
-    k = len(rho)
-    own = Fraction(1, 2 * k - 1)
-    other = Fraction(2, 2 * k - 1)
-    coords = [Fraction(0)] * n
-    for u in rho:
-        w = own if u.color == v.color else other
-        for i, x in enumerate(geometry(u, n)):
-            coords[i] += w * x
-    return tuple(coords)
+    placed: dict[Vertex, tuple[tuple[int, ...], int]] = {}
+
+    # each point over its own denominator: 2k-1 times the lcm of its carrier's
+    def place(v: Vertex) -> tuple[tuple[int, ...], int]:
+        got = placed.get(v)
+        if got is None:
+            if v.payload is None:
+                got = tuple(int(c == v.color) for c in range(1, n + 1)), 1
+            else:
+                rho = [(1 if u.color == v.color else 2, *place(u))
+                       for u in v.payload]
+                den = lcm(*(d for _, _, d in rho))
+                coords = [0] * n
+                for w, nums, d in rho:
+                    scale = w * (den // d)
+                    for i, x in enumerate(nums):
+                        coords[i] += scale * x
+                got = tuple(coords), (2 * len(rho) - 1) * den
+            placed[v] = got
+        return got
+
+    points = {v: place(v) for v in vertices}
+    den = lcm(*(d for _, d in points.values()))
+    return {v: tuple(x * (den // d) for x in nums)
+            for v, (nums, d) in points.items()}, den
+
+
+def geometry(v: Vertex, n: int) -> tuple[Fraction, ...]:
+    """Exact barycentric coordinates of a subdivision vertex over corners
+    1..n, as Fractions: its point from `barycentric_points`."""
+    points, den = barycentric_points((v,), n)
+    return tuple(Fraction(x, den) for x in points[v])

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written against different primitives than
 the package: Chr K by walking prefix-carrier Simplex objects of each base
-facet (`build_chr`), partition counting via the surjection formula, the pure
+facet (`build_chr`), barycentric geometry by a recursive Fraction sum
+(`geometry_by_definition`), partition counting via the surjection formula, the pure
 complement via brute-force filtering, the resilient task via a per-vertex
 view filter, the contention-ban task via contending simplices, the affine
 task via Simplex objects and frozenset views (in the package's union-guard
@@ -20,6 +21,7 @@ tests use: `is_pure`, `facet_to_partition` and `symmetric_setcon`.
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -91,6 +93,28 @@ def build_chr(base: ChromaticComplex) -> ChromaticComplex:
                 verts.extend(pooled(v.color, carrier) for v in block)
             new_facets.append(Simplex(tuple(verts)))
     return ChromaticComplex(n=base.n, facets=frozenset(new_facets))
+
+
+def geometry_by_definition(v: Vertex, n: int) -> tuple[Fraction, ...]:
+    """Exact barycentric coordinates of a subdivision vertex over corners 1..n.
+
+    A corner maps to a unit vector. A subdivision vertex with carrier rho of
+    size k sits at 1/(2k-1) times its own-color anchor plus 2/(2k-1) times
+    each remaining vertex of rho, recursively.
+    """
+    if v.payload is None:
+        return tuple(Fraction(1 if c == v.color else 0)
+                     for c in range(1, n + 1))
+    rho = v.payload
+    k = len(rho)
+    own = Fraction(1, 2 * k - 1)
+    other = Fraction(2, 2 * k - 1)
+    coords = [Fraction(0)] * n
+    for u in rho:
+        w = own if u.color == v.color else other
+        for i, x in enumerate(geometry_by_definition(u, n)):
+            coords[i] += w * x
+    return tuple(coords)
 
 
 def facet_to_partition(facet: Simplex) -> tuple[frozenset[int], ...]:

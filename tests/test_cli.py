@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from affinetask import adversary_to_dict, complex_from_dict, make_k_of
+from affinetask import cli
 from affinetask.cli import main
 from affinetask.simulate import STATE_CAP_ENV
 from conftest import FIXTURE_DIR
@@ -15,13 +16,48 @@ OF1 = str(FIXTURE_DIR / "obstruction_free_1.json")
 RES1 = str(FIXTURE_DIR / "resilient_1.json")
 SS = str(FIXTURE_DIR / "superset_closed_2_13.json")
 
-REPRO_FILES = [
-    "subdivision_one_round.svg", "task_resilient_1.svg",
-    "contention_two_rounds.svg", "critical_simplices.svg",
-    "concurrency_map.svg", "task_affine.svg",
-    "classification.json", "affine_report.json",
-    "leader_report.json", "model_check.json",
-]
+# sha256 of each file of the repro bundle, default and with --adversary SS:
+# a change to a drawing's placement or rounding moves them
+REPRO_SHA256 = {
+    "subdivision_one_round.svg":
+        "f12fba88f44e4646bacfe88be9cb00e0daa9f0db6b533225da44f5a678c3af35",
+    "task_resilient_1.svg":
+        "23f10a4f752e274835cfdd48a19aaf4ee7c2848d42d629a1a77c0715514363ef",
+    "contention_two_rounds.svg":
+        "c74b56c1683d7a6ab4e6da8056670e1a1b4face821394be6f585cca093ffc2ed",
+    "critical_simplices.svg":
+        "9a57c7a5eb06fe3d090b0fb54cca6cd2c1dc12bc63dbbfbe9aab5063b20fdb18",
+    "concurrency_map.svg":
+        "2ec600f0f7f63b8f73d35f49d34ad28794bf1bb9f757758ced1b09fd326f22cf",
+    "task_affine.svg":
+        "3db2a7a7d7f65451011fce9bdf569d215f724f07a179b07b87396cde6b68ac45",
+    "classification.json":
+        "162c8645d560d115d02083c93f8fcf5c3c9faeac378c013bcc1adc3d84c46c35",
+    "affine_report.json":
+        "a73b18f80008bcdc39bd82ea5f494ce96d33f1c8cdc62104322c76a546854f5b",
+    "leader_report.json":
+        "0e4673a5629e3ad855cdafcc19a81a985aefbadd7c54238985d15a717fd0b05f",
+    "model_check.json":
+        "7a87ac245980f957d7e0e2add3c2a9ce5e73b58fd018a97166e6a52b606b38c1",
+}
+REPRO_SS_SHA256 = {**REPRO_SHA256,
+    "critical_simplices.svg":
+        "d19d109c504a691cd28de524590601668f0c69e6f0da5dbd0c830cbc828b1fbb",
+    "concurrency_map.svg":
+        "095850ade88d5b3c00cc39ab1ceee2491add5a6f8e684a60d9c1864e7cc120d3",
+    "task_affine.svg":
+        "a06d640a53506dfbb621a3ad239d66df284933efee37211366475a4b57eb9f0d",
+    "affine_report.json":
+        "b0337be662df9e935c9437a0486c7bd16e8af580181bab5a5217b3d3a1fad9a1",
+    "leader_report.json":
+        "7f42436ed4b3e44a0708d2c5217122ddf91319208da12ad0adedb5082f92a654",
+    "model_check.json":
+        "7449061df81d87d03a5d179bebd0cbf6b5b9495263662e7abcf8aa15a1471d95",
+}
+
+
+def sha256_of(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def run_json(capsys, argv) -> tuple[int, dict]:
@@ -61,6 +97,16 @@ def test_task_json_doubles_as_highlight_overlay(tmp_path):
                  "--highlight", str(task_file), "--out", str(svg_file)]) == 0
     svg = svg_file.read_text()
     assert svg.count('class="hl0"') == 73
+    # the same bytes as the bundle's drawing of this task
+    assert sha256_of(svg_file) == REPRO_SHA256["task_affine.svg"]
+
+
+def test_chr_labels_svg_bytes_are_frozen(tmp_path):
+    svg_file = tmp_path / "labels.svg"
+    assert main(["chr", "--n", "3", "--rounds", "2", "--format", "svg",
+                 "--labels", "--out", str(svg_file)]) == 0
+    assert sha256_of(svg_file) == (
+        "fbc605818f541509856ba6764cba106950fd0e4e56677a228599f736ee5eab25")
 
 
 def test_chr_accepts_highlight_from_a_sub_complex(tmp_path):
@@ -285,6 +331,34 @@ def test_simulate_check_rejects_mismatched_n(capsys):
     assert main(["simulate", "check", "--adversary", OF1, "--n", "4"]) == 2
 
 
+@pytest.mark.parametrize("mode", [["--liveness"], ["--safety"],
+                                  ["--safety", "--liveness"], []])
+@pytest.mark.parametrize("live_sets,message", [
+    ([[1, 2], [3]], "adversary is not fair"),
+    ([], "adversary admits no live set"),
+])
+def test_simulate_check_rejects_an_adversary_without_a_task(
+        tmp_path, capsys, mode, live_sets, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 3, "live_sets": live_sets}))
+    assert main(["simulate", "check", "--adversary", str(bad), *mode]) == 2
+    assert message in one_error_line(capsys)
+
+
+def test_simulate_liveness_does_not_build_the_task(monkeypatch, capsys):
+    def no_task(adv):
+        raise AssertionError("R_A built for a liveness-only check")
+
+    monkeypatch.setattr(cli, "build_r_a", no_task)
+    code, doc = run_json(capsys, [
+        "simulate", "check", "--adversary", OF1, "--participation", "1,2",
+        "--liveness"])
+    assert code == 0
+    (row,) = doc["participations"]
+    assert row["liveness"]["ok"] is True
+    assert "safety" not in row
+
+
 def test_simulate_traces_round_trip_through_replay(tmp_path, capsys):
     traces = tmp_path / "traces"
     code = main(["simulate", "check", "--adversary", OF1,
@@ -411,11 +485,11 @@ def test_repro_bundle_is_byte_identical(tmp_path):
     a = tmp_path / "a"
     assert main(["repro", "--out", str(a)]) == 0
     names = sorted(p.name for p in a.iterdir())
-    assert names == sorted(REPRO_FILES + ["manifest.json"])
+    assert names == sorted([*REPRO_SHA256, "manifest.json"])
     manifest = json.loads((a / "manifest.json").read_text())
-    assert sorted(manifest["files"]) == sorted(REPRO_FILES)
     for name, digest in manifest["files"].items():
-        assert hashlib.sha256((a / name).read_bytes()).hexdigest() == digest, name
+        assert sha256_of(a / name) == digest, name
+    assert manifest["files"] == REPRO_SHA256
     classification = json.loads((a / "classification.json").read_text())
     assert classification["count"] == 128
     affine_doc = json.loads((a / "affine_report.json").read_text())
@@ -426,6 +500,8 @@ def test_repro_bundle_is_byte_identical(tmp_path):
 def test_repro_with_selected_adversary(tmp_path):
     out = tmp_path / "bundle"
     assert main(["repro", "--out", str(out), "--adversary", SS]) == 0
+    assert {p.name: sha256_of(p) for p in out.iterdir()
+            if p.name != "manifest.json"} == REPRO_SS_SHA256
     assert (out / "task_affine.svg").read_text().count('class="hl0"') == 145
     doc = json.loads((out / "affine_report.json").read_text())
     assert doc["facet_count"] == 145

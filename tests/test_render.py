@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,11 @@ def test_fixed_point_formatting():
     assert _fmt(Fraction(500)) == "500"
     assert _fmt(Fraction(-1, 8)) == "-0.125"
     assert _fmt(Fraction(1, 2)) == "0.5"
+    # ties round half to even, as round() of a Fraction does
+    assert _fmt(Fraction(1, 2000)) == "0"
+    assert _fmt(Fraction(3, 2000)) == "0.002"
+    assert _fmt(Fraction(-1, 2000)) == "0"
+    assert _fmt(Fraction(-3, 2000)) == "-0.002"
 
 
 def test_projection_places_corners():
@@ -64,6 +70,19 @@ def test_off_export_golden():
     assert len(lines) == 2 + 32 + 176
     with pytest.raises(ComplexError):
         render_off(chr_complex(3))
+
+
+# sha256 of the OFF meshes of Chr s and Chr Chr s at n=4
+OFF_SHA256 = {
+    1: "a7770d235c5e3696c26cb60ce864e2a3b9a7fbcd9ab5e103bb9333f4ea961b6d",
+    2: "155b8b7b8b7cd7006cdf3e4c752cba2b520d713224ff1a6a30ba0607bd50d42f",
+}
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_off_bytes_are_frozen(rounds):
+    off = render_off((chr_complex if rounds == 1 else chr2_complex)(4))
+    assert hashlib.sha256(off.encode()).hexdigest() == OFF_SHA256[rounds]
 
 
 def test_verification_report_shape():

@@ -9,9 +9,10 @@ from affinetask import (ComplexError, Simplex, chr2_complex, chr_complex,
                         chr_vertex, geometry, ordered_set_partitions,
                         partition_to_facet, standard_simplex, two_round_facet)
 
+from affinetask.subdivision import barycentric_points
 from oracles import (build_chr, facet_to_partition, fubini,
-                     immediate_snapshot_views, ordered_partitions_by_merging,
-                     view1, view2)
+                     geometry_by_definition, immediate_snapshot_views,
+                     ordered_partitions_by_merging, view1, view2)
 
 
 def base_facet(n: int) -> Simplex:
@@ -204,6 +205,22 @@ def test_geometry_corner_vertices_fixed():
             if len(v.payload) == 1:
                 coords = geometry(v, n)
                 assert coords[v.color - 1] == 1
+
+
+@pytest.mark.parametrize("rounds,n", [(1, n) for n in range(1, 6)]
+                         + [(2, n) for n in range(1, 5)])
+def test_geometry_matches_definition(rounds, n):
+    """The integer points, one vertex at a time (`geometry`) and all of a
+    complex's vertices over one denominator (as the drawings place them),
+    equal the recursive Fraction sum on every vertex."""
+    K = (chr_complex if rounds == 1 else chr2_complex)(n)
+    points, den = barycentric_points(K.vertices, n)
+    for v in K.vertices:
+        want = geometry_by_definition(v, n)
+        got = geometry(v, n)
+        assert got == want, v.uid
+        assert all(type(c) is Fraction for c in got), v.uid
+        assert tuple(Fraction(x, den) for x in points[v]) == want, v.uid
 
 
 def test_chr_vertex_requires_self_inclusion():
