@@ -13,8 +13,12 @@ and read only on masks: a Chr Chr s vertex is `_vertex_code(v)`, a Chr s
 simplex its view groups. `build_r_a` reads `_chr2_table(n)`, Chr Chr s
 coded as ints once per n straight from its pairs of runs (Kozlov 2012):
 numbered Chr s carriers as view groups, and per facet its carrier's id and
-its contending faces. Per alpha only a guard loop over ints runs; kept
-facets are the `chr2_facets(n)` Simplex objects at the same positions.
+its contending faces. In the facet of runs r1, r2 two colors contend when
+r1 and r2 order them strictly and oppositely, so contention is read off
+each run's order code (`_run_code`), and the contending faces of one
+contention graph and one round-two color order are listed once
+(`_cliques`). Per alpha only a guard loop over ints runs; kept facets are
+the `chr2_facets(n)` Simplex objects at the same positions.
 """
 from __future__ import annotations
 
@@ -130,34 +134,84 @@ def critical_simplices(adv: Adversary) -> list[Simplex]:
 # --- task constructions -----------------------------------------------------------
 
 
+def _run_code(run: tuple[tuple[int, int], ...], n: int
+              ) -> tuple[int, int, tuple[int, ...], list[int]]:
+    """A run's order code: the pairs of colors a < b it orders a strictly
+    before b, as bits (a - 1) * MAX_PROCESSES + b - 1; the pairs it orders b
+    strictly before a; its colors in run order; and, per color mask, the
+    union of those colors' views."""
+    lt = gt = 0
+    for (a, va), (b, vb) in combinations(sorted(run), 2):
+        if va != vb:
+            bit = 1 << (a - 1) * MAX_PROCESSES + b - 1
+            if va | vb == vb:
+                lt |= bit
+            else:
+                gt |= bit
+    view = dict(run)
+    unions = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        unions[m] = unions[m & m - 1] | view[(m & -m).bit_length()]
+    return lt, gt, tuple(c for c, _ in run), unions
+
+
+def _cliques(graph: int, order: tuple[int, ...]) -> list[int]:
+    """The contending faces, as color masks, of a facet whose contention
+    graph has the pair bits `graph` and whose round-two run lists its
+    colors in `order`: each color in turn joins every earlier face it
+    contends with all of, then stands alone."""
+    rivals = [0] * MAX_PROCESSES
+    while graph:
+        a, b = divmod((graph & -graph).bit_length() - 1, MAX_PROCESSES)
+        rivals[a] |= 1 << b
+        rivals[b] |= 1 << a
+        graph &= graph - 1
+    cliques: list[int] = []
+    for c in order:
+        bit, mine = 1 << c - 1, rivals[c - 1]
+        cliques += [m | bit for m in cliques if m & mine == m]
+        cliques.append(bit)
+    return cliques
+
+
 @lru_cache(maxsize=MAX_PROCESSES)
 def _chr2_table(n: int) -> tuple:
     """(facets, groups, rhos, faces) of Chr Chr s, coded straight from the
     pairs of runs that build its facets: the facets in run-pair order; the
     view groups of each Chr s simplex id; per facet, the id of its carrier
     rho, the packed round-one run; per facet, its contending faces packed
-    as tau id << MAX_PROCESSES | colors."""
+    as tau id << MAX_PROCESSES | colors.
+
+    The contending faces are listed once per contention graph and
+    round-two color order; a face's carrier tau is the packed round-one
+    run restricted to the colors that the face's round-two views hold."""
     runs = all_runs(n)
+    codes = [_run_code(run, n) for run in runs]
     ids: dict[int, int] = {}  # packed Chr s simplex -> id
     pool: dict[int, int] = {}  # one int object per packed face
+    cliques: dict[tuple, list[int]] = {}  # (graph, r2 order) -> color masks
     rhos, faces = [], []
-    for views1 in map(pack, runs):
-        for run2 in runs:
-            # the vertices' codes, as by `_vertex_code`
-            vs = [(1 << c - 1, views1 >> MAX_PROCESSES * (c - 1) & _VIEW, v2,
-                   views1 & _FIELDS[v2]) for c, v2 in run2]
-            cliques: list[tuple[int, int, int]] = []  # members, colors, tau
-            for i, (bit, v1, v2, car) in enumerate(vs):
-                rivals = sum(1 << j for j, u in enumerate(vs[:i])
-                             if _contending(v1, v2, u[1], u[2]))
-                cliques += [(members | 1 << i, colors | bit, tau | car)
-                            for members, colors, tau in cliques
-                            if members & rivals == members]
-                cliques.append((1 << i, bit, car))
-            rhos.append(ids.setdefault(views1, len(ids)))
-            packed = (ids.setdefault(tau, len(ids)) << MAX_PROCESSES | colors
-                      for _, colors, tau in cliques)
-            faces.append(tuple(pool.setdefault(x, x) for x in packed))
+    for run1, (lt1, gt1, _, _) in zip(runs, codes):
+        views1 = pack(run1)
+        rho = ids.setdefault(views1, len(ids))
+        # per (union of its round-two views, colors), a face of this round one
+        packed: list[int | None] = [None] * (1 << 2 * MAX_PROCESSES)
+        for lt2, gt2, order, unions in codes:
+            key = (lt1 & gt2 | gt1 & lt2, order)
+            masks = cliques.get(key)
+            if masks is None:
+                masks = cliques[key] = _cliques(*key)
+            out = []
+            for colors in masks:
+                k = unions[colors] << MAX_PROCESSES | colors
+                face = packed[k]
+                if face is None:
+                    tau = views1 & _FIELDS[unions[colors]]
+                    face = ids.setdefault(tau, len(ids)) << MAX_PROCESSES | colors
+                    face = packed[k] = pool.setdefault(face, face)
+                out.append(face)
+            rhos.append(rho)
+            faces.append(tuple(out))
     return (chr2_facets(n), tuple(_view_groups(p) for p in ids), tuple(rhos),
             tuple(faces))
 

@@ -61,9 +61,12 @@ def _emit(text: str, out: str | None) -> None:
 
 def _parse_colors(raw: str) -> frozenset[int]:
     try:
-        return frozenset(int(tok) for tok in raw.split(",") if tok.strip())
+        ids = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise AdversaryError(f"expected comma-separated integers, got {raw!r}")
+    if len(set(ids)) < len(ids):
+        raise AdversaryError(f"repeated process id in {raw!r}")
+    return frozenset(ids)
 
 
 def _subdivision(n: int, rounds: int) -> ChromaticComplex:

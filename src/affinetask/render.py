@@ -57,14 +57,6 @@ def _project(vertices: Iterable[Vertex], n: int, corners: Sequence[tuple[int, ..
             for v, weights in points.items()}, den
 
 
-def project_vertex(v: Vertex, n: int) -> tuple[Fraction, Fraction]:
-    if n not in _CORNERS_2D:
-        raise ComplexError(f"planar drawing needs n <= 3, got n={n}")
-    points, den = _project((v,), n, _CORNERS_2D[n])
-    x, y = points[v]
-    return Fraction(x, den), Fraction(y, den)
-
-
 def render_complex_svg(K: ChromaticComplex,
                        highlights: Sequence[tuple[Iterable[Simplex], str]] = (),
                        labels: bool = False) -> str:

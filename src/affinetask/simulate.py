@@ -576,6 +576,9 @@ def check_safety(model: ProtocolModel, exploration: Exploration,
     """
     _require_task_n(task, model.n)
     chr2 = chr2_complex(model.n)
+    # a face of a Chr Chr s facet is in Chr Chr s: when every facet of the
+    # task is one, a simplex in the task needs no second membership test
+    nested = task.complex.facets <= chr2.facets
     report = VerificationReport(kind="safety", info=exploration.row())
     # the output simplex depends only on the returned prefixes and the
     # round-one views; remember it per key with its Chr Chr s membership
@@ -586,9 +589,12 @@ def check_safety(model: ProtocolModel, exploration: Exploration,
         key = (tuple(model.outputs(state)), model._round(state, model._off_fblk)[1])
         if key not in unsafe:
             sigma = model.output_simplex(state)
-            inside = sigma is None or sigma in chr2
-            ok = inside and (sigma is None or sigma in task.complex)
-            unsafe[key] = None if ok else (sigma, inside)
+            if sigma is None:
+                unsafe[key] = None
+            else:
+                in_task = sigma in task.complex
+                inside = in_task and nested or sigma in chr2
+                unsafe[key] = None if inside and in_task else (sigma, inside)
         if unsafe[key] is not None:
             sigma, inside = unsafe[key]
             report.add(outputs=list(sigma.uids), in_subdivision=inside,

@@ -8,15 +8,19 @@ complement via brute-force filtering, the resilient task via a per-vertex
 view filter, the contention-ban task via contending simplices, the affine
 task via Simplex objects and frozenset views (in the package's union-guard
 reading and in the intersection-guard reading the protocol escapes, with
-the facet diff of the two), the level-two contention gap
+the facet diff of the two), the Chr Chr s table of `build_r_a` via
+`_contending` on every vertex pair of every facet
+(`chr2_table_by_vertex_pairs`), the level-two contention gap
 via carriers and colors, the leader map via its own criticality test and a
 pairwise inclusion minimum (and the three leader sweeps, one by one, on that
 map), setcon and fairness via the recursive definition
 on frozensets of live sets, the explorer's step on per-state register
-lists and list-form guards, and the explorer before symmetry reduction
+lists and list-form guards, the safety check via `has_face` on facets
+(`safety_by_definition`), and the explorer before symmetry reduction
 (`explore_unreduced`, over every concrete state). Views and carriers are read straight off vertex
 payloads (`view1`, `view2`, `base_colors`). It also holds the helpers only
-tests use: `is_pure`, `facet_to_partition` and `symmetric_setcon`.
+tests use: `is_pure`, `facet_to_partition`, `symmetric_setcon` and
+`project_vertex`.
 """
 from __future__ import annotations
 
@@ -32,7 +36,11 @@ from affinetask import (Adversary, AdversaryError, AffineTask,
                         build_r_a, chr2_complex, chr_vertex, closure,
                         contention_simplices, is_symmetric, make_k_of,
                         ordered_set_partitions, require_fair)
+from affinetask.affine import _contending, _view_groups
 from affinetask.bits import colors_of, mask_of
+from affinetask.complexes import MAX_PROCESSES
+from affinetask.render import _CORNERS_2D, _project
+from affinetask.subdivision import _FIELDS, _VIEW, all_runs, pack
 
 
 def view2(v) -> frozenset[int]:
@@ -115,6 +123,16 @@ def geometry_by_definition(v: Vertex, n: int) -> tuple[Fraction, ...]:
         for i, x in enumerate(geometry_by_definition(u, n)):
             coords[i] += w * x
     return tuple(coords)
+
+
+def project_vertex(v: Vertex, n: int) -> tuple[Fraction, Fraction]:
+    """A vertex's exact position in the planar drawing of n <= 3 colors,
+    as Fractions."""
+    if n not in _CORNERS_2D:
+        raise ComplexError(f"planar drawing needs n <= 3, got n={n}")
+    points, den = _project((v,), n, _CORNERS_2D[n])
+    x, y = points[v]
+    return Fraction(x, den), Fraction(y, den)
 
 
 def facet_to_partition(facet: Simplex) -> tuple[frozenset[int], ...]:
@@ -223,6 +241,35 @@ def r_a_by_definition(adv: Adversary, combine: str) -> set[Simplex]:
     return {f for f in chr2_complex(adv.n).facets if obeys(f)}
 
 
+def chr2_table_by_vertex_pairs(n: int) -> tuple:
+    """(groups, rhos, faces) of the Chr Chr s table, the library's
+    `_chr2_table` without its facets, by the reference clique loop: per
+    facet, `_contending` on every vertex pair, growing the contending
+    faces vertex by vertex in round-two run order."""
+    runs = all_runs(n)
+    ids: dict[int, int] = {}  # packed Chr s simplex -> id
+    pool: dict[int, int] = {}  # one int object per packed face
+    rhos, faces = [], []
+    for views1 in map(pack, runs):
+        for run2 in runs:
+            # the vertices' codes, as by `_vertex_code`
+            vs = [(1 << c - 1, views1 >> MAX_PROCESSES * (c - 1) & _VIEW, v2,
+                   views1 & _FIELDS[v2]) for c, v2 in run2]
+            cliques: list[tuple[int, int, int]] = []  # members, colors, tau
+            for i, (bit, v1, v2, car) in enumerate(vs):
+                rivals = sum(1 << j for j, u in enumerate(vs[:i])
+                             if _contending(v1, v2, u[1], u[2]))
+                cliques += [(members | 1 << i, colors | bit, tau | car)
+                            for members, colors, tau in cliques
+                            if members & rivals == members]
+                cliques.append((1 << i, bit, car))
+            rhos.append(ids.setdefault(views1, len(ids)))
+            packed = (ids.setdefault(tau, len(ids)) << MAX_PROCESSES | colors
+                      for _, colors, tau in cliques)
+            faces.append(tuple(pool.setdefault(x, x) for x in packed))
+    return tuple(_view_groups(p) for p in ids), tuple(rhos), tuple(faces)
+
+
 def r_a_intersection_task(adv: Adversary) -> AffineTask:
     """The intersection-guard reading of R_A as a task, with the adversary's
     alpha; the two-round protocol escapes it."""
@@ -248,6 +295,30 @@ def variant_divergence_report(advs) -> dict:
                 list(f.uids) for f in inter - union),
         })
     return {"kind": "task_variant_divergence", "rows": rows}
+
+
+def safety_by_definition(model, exploration: Exploration,
+                         task: AffineTask) -> VerificationReport:
+    """`check_safety` one terminal at a time: each output simplex is looked
+    up among the facets of Chr Chr s and among the task's facets by
+    `has_face`, and reported when it misses either."""
+    chr2 = chr2_complex(model.n).facets
+    report = VerificationReport(kind="safety")
+    memo: dict[Simplex, tuple[bool, bool]] = {}
+    for state in exploration.terminals:
+        report.checked += 1
+        sigma = model.output_simplex(state)
+        if sigma is None:
+            continue
+        if sigma not in memo:
+            memo[sigma] = (any(f.has_face(sigma) for f in chr2),
+                           any(f.has_face(sigma) for f in task.complex.facets))
+        inside, in_task = memo[sigma]
+        if not (inside and in_task):
+            report.add(outputs=list(sigma.uids), in_subdivision=inside,
+                       state=model.decode(state))
+            report.states.append(state)
+    return report
 
 
 def resilient_facets_by_vertex_filter(chr2: ChromaticComplex, n: int,

@@ -18,9 +18,9 @@ from affinetask import (Adversary, AdversaryError, ComplexError, Simplex,
 from affinetask import affine as affine_module
 from affinetask import subdivision as subdivision_module
 from conftest import DATA_DIR
-from oracles import (base_colors, build_r_kof, critical_faces,
-                     facets_with_lone_full_view_leader, r_a_by_definition,
-                     resilient_facets_by_vertex_filter,
+from oracles import (base_colors, build_r_kof, chr2_table_by_vertex_pairs,
+                     critical_faces, facets_with_lone_full_view_leader,
+                     r_a_by_definition, resilient_facets_by_vertex_filter,
                      variant_divergence_report, view2)
 
 
@@ -243,6 +243,13 @@ def test_table_is_coded_from_runs_without_decoding_vertices(monkeypatch):
         assert task.facet_count() == count
         held = {id(f) for f in chr2_complex(n).facets}
         assert all(id(f) in held for f in task.complex.facets)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_table_matches_the_reference_clique_loop(n):
+    """The table read off the runs' order codes equals the one of the
+    reference loop over every vertex pair, ids and order included."""
+    assert affine_module._chr2_table(n)[1:] == chr2_table_by_vertex_pairs(n)
 
 
 # facet counts of R_A for each symmetric n=4 family

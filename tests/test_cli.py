@@ -448,6 +448,16 @@ def test_empty_participation_is_an_input_error(tmp_path, capsys, command):
     assert "participation [] has agreement level 0" in one_error_line(capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "check", "--adversary", OF1, "--participation", "1,1"],
+    ["leader", "verify", "--adversary", OF1, "--Q", "1,1"],
+], ids=["participation", "Q"])
+def test_repeated_process_id_is_an_input_error(capsys, argv):
+    """A repeated id is a typo, not the set it collapses to."""
+    assert main(argv) == 2
+    assert "repeated process id in '1,1'" in one_error_line(capsys)
+
+
 def test_simulate_rejects_negative_fault_budget(capsys):
     assert main(["simulate", "check", "--adversary", OF1,
                  "--participation", "1,2", "--fault-budget", "-1"]) == 2

@@ -8,7 +8,8 @@ import pytest
 from affinetask import (ComplexError, Simplex, VerificationReport, build_r_a,
                         chr2_complex, chr_complex, make_k_of, render_complex_svg,
                         render_off)
-from affinetask.render import _fmt, project_vertex
+from affinetask.render import _fmt
+from oracles import project_vertex
 
 
 def test_fixed_point_formatting():

@@ -2,15 +2,16 @@ from __future__ import annotations
 
 import pytest
 
-from affinetask import (ProtocolModel, SimulationError, StateCapExceeded,
+from affinetask import (AffineTask, ChromaticComplex, ProtocolModel,
+                        Simplex, SimulationError, StateCapExceeded,
                         build_r_a, check_liveness, check_model, check_safety,
                         chr2_complex, events_from_jsonable, events_to_jsonable,
-                        make_k_of, make_t_resilient, replay,
+                        closure, make_k_of, make_t_resilient, replay,
                         state_cap_from_env, two_round_facet,
                         valid_participations, wait_predicate)
 from affinetask.simulate import DONE, STATE_CAP_ENV
 from oracles import (explore_unreduced, r_a_intersection_task,
-                     successors_by_registers)
+                     safety_by_definition, successors_by_registers)
 
 
 # --- tiny instances, exactly ----------------------------------------------------
@@ -253,6 +254,79 @@ def test_safety_report_hands_back_the_unsafe_terminals(fixture_adversaries):
         sigma = model.output_simplex(state)
         assert sigma not in inter.complex
         assert list(sigma.uids) == violation["outputs"]
+
+
+def _ridges(task: AffineTask) -> AffineTask:
+    """The task made of the ridges of the task's facets: none of its facets
+    is a facet of Chr Chr s."""
+    ridges = {Simplex(tuple(v for v in f if v is not u))
+              for f in task.complex.facets for u in f}
+    return AffineTask(name="ridges", n=task.n,
+                      complex=closure(ridges, n=task.n), alpha=task.alpha)
+
+
+@pytest.mark.parametrize("name,fault_budget,checked,unsafe", [
+    ("obstruction_free_1", 1, 721, 133),
+    ("obstruction_free_2", None, 1615, 232),
+])
+def test_safety_against_a_task_outside_the_facets_of_chr2(
+        fixture_adversaries, name, fault_budget, checked, unsafe):
+    """A task of ridges asks Chr Chr s membership of every output simplex:
+    the report is the one of the facet-by-facet reference."""
+    adv = fixture_adversaries[name]
+    task = _ridges(build_r_a(adv))
+    model = ProtocolModel(adv, fault_budget=fault_budget)
+    exploration = model.explore()
+    report = check_safety(model, exploration, task)
+    want = safety_by_definition(model, exploration, task)
+    assert (report.checked, len(report.violations)) == (checked, unsafe)
+    assert report.violations == want.violations
+    assert report.states == want.states
+
+
+def test_safety_reports_an_output_outside_chr2_that_the_task_holds(
+        monkeypatch, fixture_adversaries):
+    """A task may hold a simplex outside Chr Chr s; an output equal to it is
+    still unsafe, with in_subdivision false."""
+    adv = fixture_adversaries["obstruction_free_1"]
+    # the colors 1 and 2 each alone in both rounds share no facet
+    foreign = Simplex(tuple(
+        next(v for v in two_round_facet(blocks, blocks, 3) if v.color == c)
+        for c, blocks in [(1, [[1], [2], [3]]), (2, [[2], [1], [3]])]))
+    assert foreign not in chr2_complex(3)
+    r_a = build_r_a(adv)
+    task = AffineTask(name="r_a_and_foreign", n=3, alpha=r_a.alpha,
+                      complex=closure(r_a.complex.facets | {foreign}, n=3))
+    model = ProtocolModel(adv)
+    monkeypatch.setattr(model, "output_simplex", lambda state: foreign)
+    exploration = model.explore()
+    report = check_safety(model, exploration, task)
+    assert len(report.violations) == report.checked == 133
+    assert not any(v["in_subdivision"] for v in report.violations)
+    assert report.violations == safety_by_definition(
+        model, exploration, task).violations
+
+
+@pytest.mark.parametrize("name", ["obstruction_free_1", "obstruction_free_2",
+                                  "resilient_1", "superset_closed_2_13"])
+def test_safety_of_r_a_asks_only_the_task(monkeypatch, fixture_adversaries,
+                                          name):
+    """An output simplex in R_A lies in a facet of Chr Chr s, so a safe run
+    against R_A never asks Chr Chr s for membership."""
+    adv = fixture_adversaries[name]
+    task = build_r_a(adv)
+    asked = []
+    contains = ChromaticComplex.__contains__
+
+    def spy(K, sigma):
+        asked.append(K)
+        return contains(K, sigma)
+
+    monkeypatch.setattr(ChromaticComplex, "__contains__", spy)
+    model = ProtocolModel(adv)
+    report = check_safety(model, model.explore(), task)
+    assert report.ok and report.checked > 0
+    assert asked and all(K is task.complex for K in asked)
 
 
 # --- symmetry reduction against the unreduced explorer ----------------------------
