@@ -13,9 +13,8 @@ from .adversary import (Adversary, AdversaryError, AgreementFunction,
                         make_t_resilient, require_fair,
                         setcon, verify_fair_subtraction)
 from .affine import (AffineTask, build_r_a, concurrency_levels,
-                     contention_simplices, critical_simplices, is_contention,
-                     is_critical, task_to_dict, verify_cs_distribution,
-                     verify_single_carrier)
+                     contention_simplices, critical_simplices, task_to_dict,
+                     verify_cs_distribution, verify_single_carrier)
 from .complexes import (ChromaticComplex, ComplexError, Simplex, Vertex,
                         closure, complex_from_dict, complex_to_dict)
 from .leader import LeaderError, LeaderMap, verify_leader

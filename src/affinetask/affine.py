@@ -8,17 +8,17 @@ sigma's carrier and removing sigma's colors from that carrier strictly drops
 alpha. The affine task R_A of a fair adversary, `build_r_a`, combines the
 two notions; it is the only task this package builds.
 
-Each notion is decided once, on masks (`_contending`, `_critical_faces`),
-and read only on masks: a Chr Chr s vertex is `_vertex_code(v)`, a Chr s
-simplex its view groups. `build_r_a` reads `_chr2_table(n)`, Chr Chr s
+Each notion is decided once, on masks: criticality by `_critical_faces` on
+a Chr s simplex's view groups, contention in `_chr2_table(n)`, Chr Chr s
 coded as ints once per n straight from its pairs of runs (Kozlov 2012):
 numbered Chr s carriers as view groups, and per facet its carrier's id and
 its contending faces. In the facet of runs r1, r2 two colors contend when
 r1 and r2 order them strictly and oppositely, so contention is read off
 each run's order code (`_run_code`), and the contending faces of one
 contention graph and one round-two color order are listed once
-(`_cliques`). Per alpha only a guard loop over ints runs; kept facets are
-the `chr2_facets(n)` Simplex objects at the same positions.
+(`_cliques`). `build_r_a` runs only a guard loop over these ints per
+alpha; kept facets are the `chr2_facets(n)` Simplex objects at the same
+positions. `contention_simplices` reads the same table.
 """
 from __future__ import annotations
 
@@ -28,11 +28,11 @@ from itertools import combinations
 from typing import Iterator
 
 from .adversary import (Adversary, AdversaryError, AgreementFunction,
-                        agreement_function, alpha_to_dict, hitting_number,
+                        _hitting_number, agreement_function, alpha_to_dict,
                         require_fair)
-from .bits import colors_of, mask_of, submasks
-from .complexes import (MAX_PROCESSES, ChromaticComplex, ComplexError,
-                        Simplex, Vertex, closure, complex_to_dict)
+from .bits import colors_of, submasks
+from .complexes import (MAX_PROCESSES, ChromaticComplex, Simplex, _sort_key,
+                        closure, complex_to_dict)
 from .reports import VerificationReport
 from .subdivision import (_FIELDS, _VIEW, all_runs, chr2_facets, chr_complex,
                           pack, packed_views)
@@ -52,39 +52,6 @@ class AffineTask:
 
     def __repr__(self) -> str:
         return f"AffineTask({self.name}, facets={self.facet_count()})"
-
-
-# --- contention ---------------------------------------------------------------
-
-
-def _contending(v1: int, v2: int, u1: int, u2: int) -> bool:
-    """Round-1 views v1, u1 and round-2 views v2, u2 of two vertices, as
-    color masks, strictly ordered in opposite directions: v1 < u1 and
-    u2 < v2, or u1 < v1 and v2 < u2."""
-    return v1 != u1 and v2 != u2 and (v1 | u1, v2 | u2) in ((u1, v2), (v1, u2))
-
-
-def _vertex_code(v: Vertex) -> tuple[int, int, int, int]:
-    """A Chr Chr s vertex as (color bit, round-1 view, round-2 view, packed
-    carrier): the views are color masks, the carrier is its round-two view
-    packed by `packed_views`."""
-    if v.payload is None:
-        raise ComplexError(f"{v!r} is a base vertex, not a Chr Chr s vertex")
-    car = packed_views(v.payload)
-    return (1 << v.color - 1, car >> MAX_PROCESSES * (v.color - 1) & _VIEW,
-            mask_of(v.payload.colors), car)
-
-
-def is_contention(sigma: Simplex) -> bool:
-    """Every vertex pair strictly reversed; single vertices vacuously yes."""
-    views = [_vertex_code(v)[1:3] for v in sigma]
-    return all(_contending(*a, *b) for a, b in combinations(views, 2))
-
-
-def contention_simplices(K: ChromaticComplex, min_dim: int = 0) -> list[Simplex]:
-    """All contending simplices of K with dimension at least min_dim."""
-    return [s for s in K.simplices()
-            if s.dim >= min_dim and is_contention(s)]
 
 
 # --- criticality ----------------------------------------------------------------
@@ -116,19 +83,6 @@ def _critical_summary(faces, alpha: AgreementFunction) -> tuple[int, int, int]:
         csm, csv = csm | colors, csv | view
         conc = max(conc, alpha.of_mask(view))
     return csm, csv, conc
-
-
-def is_critical(sigma: Simplex, alpha: AgreementFunction) -> bool:
-    """All vertices carry sigma's carrier and dropping sigma's colors lowers alpha."""
-    groups = _view_groups(packed_views(sigma))
-    return len(groups) == 1 and groups[0] in _critical_faces(groups, alpha)
-
-
-def critical_simplices(adv: Adversary) -> list[Simplex]:
-    """Every critical simplex of the first subdivision under the adversary."""
-    alpha = agreement_function(adv)
-    return [s for s in chr_complex(adv.n).simplices()
-            if is_critical(s, alpha)]
 
 
 # --- task constructions -----------------------------------------------------------
@@ -216,6 +170,17 @@ def _chr2_table(n: int) -> tuple:
             tuple(faces))
 
 
+def contention_simplices(n: int, min_dim: int = 0) -> list[Simplex]:
+    """Every contending simplex of Chr Chr s over n colors with dimension at
+    least min_dim, canonically sorted: the contending faces `_chr2_table`
+    lists per facet, on that facet's vertices."""
+    facets, _, _, faces = _chr2_table(n)
+    found = {Simplex(tuple(v for v in facet if face & 1 << v.color - 1))
+             for facet, packed in zip(facets, faces) for face in packed
+             if (face & _VIEW).bit_count() > min_dim}
+    return sorted(found, key=_sort_key)
+
+
 def task_alpha(adv: Adversary) -> AgreementFunction:
     """The alpha of an adversary that has an affine task: a fair one with a
     live set. Any other adversary raises."""
@@ -265,6 +230,14 @@ def _chr_faces(adv: Adversary):
     return alpha, [(s, g, list(_critical_faces(g, alpha))) for s, g in rows]
 
 
+def critical_simplices(adv: Adversary) -> list[Simplex]:
+    """Every critical simplex of Chr s under the adversary: one view group,
+    which is a critical face of itself."""
+    _, rows = _chr_faces(adv)
+    return [s for s, groups, faces in rows
+            if len(groups) == 1 and groups[0] in faces]
+
+
 def verify_cs_distribution(adv: Adversary) -> VerificationReport:
     """Hitting-set lower bounds on critical sub-simplices, per level l in 1..n.
 
@@ -280,8 +253,9 @@ def verify_cs_distribution(adv: Adversary) -> VerificationReport:
         for view, members in groups:
             car, colors = car | view, colors | members
         for l in range(1, adv.n + 1):
-            hit = hitting_number([colors_of(c) for view, c in faces
-                                  if alpha.of_mask(view) >= l])
+            # the family mask: one bit per distinct color mask
+            hit = _hitting_number(adv.n, sum({1 << c for view, c in faces
+                                              if alpha.of_mask(view) >= l}))
             report.checked += 1
             if colors == car:
                 bound = alpha.of_mask(colors) - l + 1

@@ -289,7 +289,7 @@ def cmd_repro(args) -> int:
     put("task_resilient_1.svg", render_complex_svg(
         chr2, [(resilient.complex.sorted_facets(), HIGHLIGHT_COLORS[0])]))
 
-    contending = contention_simplices(chr2, min_dim=1)
+    contending = contention_simplices(n, min_dim=1)
     put("contention_two_rounds.svg",
         render_complex_svg(chr2, [(contending, HIGHLIGHT_COLORS[1])]))
 

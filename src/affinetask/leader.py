@@ -14,10 +14,11 @@ from itertools import combinations
 from typing import Iterable
 
 from .adversary import Adversary, AgreementFunction, agreement_function, require_fair
-from .affine import AffineTask, _critical_faces, _vertex_code, _view_groups, build_r_a
+from .affine import AffineTask, _critical_faces, _view_groups, build_r_a
 from .bits import colors_of, mask_of
-from .complexes import Vertex
+from .complexes import ComplexError, Vertex
 from .reports import VerificationReport
+from .subdivision import packed_views
 
 
 class LeaderError(ValueError):
@@ -34,33 +35,27 @@ def _chain(views: Iterable[int], what: str) -> tuple[int, ...]:
     return tuple(chain)
 
 
-def _least(chain: tuple[int, ...], Q: Iterable[int], what: str) -> frozenset[int]:
-    """Colors of the least view of the chain meeting Q."""
-    q = mask_of(Q)
-    for view in chain:
-        if view & q:
-            return colors_of(view)
-    raise LeaderError(f"no candidate for {what}")
-
-
 class LeaderMap:
     """The leader map of one agreement function, as one table per vertex.
 
     A vertex is decoded once, when it is first met: its critical views and
     its views are sorted into chains, and the leader of every query mask
     holding its color is elected into a tuple indexed by mask, as a one-bit
-    color mask (0 for the masks without its color).
+    color mask (0 for the masks without its color). Only that tuple and the
+    vertex's base carrier are kept.
     """
 
     def __init__(self, alpha: AgreementFunction):
         self.alpha = alpha
-        # vertex -> (its critical views, its views, its leader bit per mask)
-        self._table: dict[Vertex, tuple] = {}
+        # vertex -> (its base carrier's colors, its leader bit per mask)
+        self._table: dict[Vertex, tuple[int, tuple[int, ...]]] = {}
 
-    def _entry(self, v: Vertex) -> tuple:
+    def _entry(self, v: Vertex) -> tuple[int, tuple[int, ...]]:
         entry = self._table.get(v)
-        if entry is None:  # v must be a Chr Chr s vertex
-            groups = _view_groups(_vertex_code(v)[3])
+        if entry is None:
+            if v.payload is None:
+                raise ComplexError(f"{v!r} is a base vertex, not a Chr Chr s vertex")
+            groups = _view_groups(packed_views(v.payload))
             critical = _chain((view for view, _ in _critical_faces(groups, self.alpha)),
                               "delta")
             views = _chain((view for view, _ in groups), "gamma")
@@ -72,26 +67,16 @@ class LeaderMap:
                     pool = next(view for chain in (critical, views)
                                 for view in chain if view & q) & q
                     leaders[q] = pool & -pool
-            entry = self._table[v] = (critical, views, tuple(leaders))
+            entry = self._table[v] = (views[-1], tuple(leaders))
         return entry
-
-    def delta(self, v: Vertex, Q: Iterable[int]) -> frozenset[int]:
-        """Colors of the smallest critical view in v's second-round view
-        that meets Q."""
-        return _least(self._entry(v)[0], Q, "delta")
-
-    def gamma(self, v: Vertex, Q: Iterable[int]) -> frozenset[int]:
-        """Colors of the smallest view of a vertex seen in round two that
-        meets Q."""
-        return _least(self._entry(v)[1], Q, "gamma")
 
     def seen(self, v: Vertex) -> int:
         """The colors of v's base carrier: its largest round-two view."""
-        return self._entry(v)[1][-1]
+        return self._entry(v)[0]
 
     def __call__(self, v: Vertex, Q: Iterable[int]) -> int:
         """The elected process of Q for vertex v."""
-        leaders = self._entry(v)[2]
+        leaders = self._entry(v)[1]
         Q = frozenset(Q)
         if v.color not in Q:
             raise LeaderError(f"own color {v.color} must belong to Q={sorted(Q)}")
@@ -143,16 +128,16 @@ def verify_leader(adv: Adversary, task: AffineTask | None = None,
     Robustness: restricting Q to those processes leaves mu unchanged. Both
     run per vertex, by uid, and per query set holding its color.
     Agreement: faces inside Q elect at most alpha(base carrier) distinct
-    leaders. Faces are the vertex combinations of each top facet; a
-    face's base carrier is the union of its vertices' base carriers.
+    leaders. Faces are the vertex combinations of each facet, whatever its
+    dimension; a face's base carrier is the union of its vertices' base
+    carriers.
     """
     task, mu = _prepare(adv, task)
     queries = [(sorted(Q), mask_of(Q)) for Q in _queries_for(adv.n, queries)]
     validity = VerificationReport(kind="mu_validity")
     robustness = VerificationReport(kind="mu_robustness")
     for v in sorted(task.complex.vertices, key=lambda u: u.uid):
-        _, views, leaders = mu._entry(v)
-        seen = views[-1]
+        seen, leaders = mu._entry(v)
         own = 1 << v.color - 1
         for Q, q in queries:
             if not q & own:
@@ -172,13 +157,9 @@ def verify_leader(adv: Adversary, task: AffineTask | None = None,
     # per color mask of a face, the query sets holding it, in query order
     holding = [[(Q, q) for Q, q in queries if not colors & ~q]
                for colors in range(1 << adv.n)]
-    top = task.complex.dim
     for facet in task.complex.sorted_facets():
-        if facet.dim != top:
-            continue
         verts = facet.vertices
-        rows = [(1 << v.color - 1, mu.seen(v), mu._entry(v)[2], v.uid)
-                for v in verts]
+        rows = [(1 << v.color - 1, *mu._entry(v), v.uid) for v in verts]
         for size in range(1, len(verts) + 1):
             for combo in combinations(rows, size):
                 colors = base = 0

@@ -5,12 +5,13 @@ the package: Chr K by walking prefix-carrier Simplex objects of each base
 facet (`build_chr`), barycentric geometry by a recursive Fraction sum
 (`geometry_by_definition`), partition counting via the surjection formula, the pure
 complement via brute-force filtering, the resilient task via a per-vertex
-view filter, the contention-ban task via contending simplices, the affine
-task via Simplex objects and frozenset views (in the package's union-guard
-reading and in the intersection-guard reading the protocol escapes, with
-the facet diff of the two), the Chr Chr s table of `build_r_a` via
-`_contending` on every vertex pair of every facet
-(`chr2_table_by_vertex_pairs`), the level-two contention gap
+view filter, contention by comparing the frozenset views of every vertex
+pair (`reversed_views`, `contending`), the contention-ban task by banning
+the simplices so found, the affine task via Simplex objects and frozenset
+views (in the package's union-guard reading and in the intersection-guard
+reading the protocol escapes, with the facet diff of the two), the Chr Chr
+s table of `build_r_a` via `reversed_views` on every vertex pair of every
+facet (`chr2_table_by_vertex_pairs`), the level-two contention gap
 via carriers and colors, the leader map via its own criticality test and a
 pairwise inclusion minimum (and the three leader sweeps, one by one, on that
 map), setcon and fairness via the recursive definition
@@ -34,9 +35,9 @@ from affinetask import (Adversary, AdversaryError, AffineTask,
                         Exploration, StateCapExceeded, VerificationReport,
                         Vertex, agreement_function,
                         build_r_a, chr2_complex, chr_vertex, closure,
-                        contention_simplices, is_symmetric, make_k_of,
-                        ordered_set_partitions, require_fair)
-from affinetask.affine import _contending, _view_groups
+                        is_symmetric, make_k_of, ordered_set_partitions,
+                        require_fair)
+from affinetask.affine import _view_groups
 from affinetask.bits import colors_of, mask_of
 from affinetask.complexes import MAX_PROCESSES
 from affinetask.render import _CORNERS_2D, _project
@@ -52,6 +53,19 @@ def view1(v) -> frozenset[int]:
     """Colors a Chr Chr s vertex saw in round one: the view of its own
     color's vertex in its round-two view."""
     return next(u.payload.colors for u in v.payload if u.color == v.color)
+
+
+def reversed_views(a1, a2, b1, b2) -> bool:
+    """Round-one views a1, b1 and round-two views a2, b2 of two vertices,
+    as frozensets, strictly ordered in opposite directions."""
+    return a1 < b1 and b2 < a2 or b1 < a1 and a2 < b2
+
+
+def contending(theta: Simplex) -> bool:
+    """Every vertex pair of a Chr Chr s simplex has reversed views; a single
+    vertex vacuously."""
+    return all(reversed_views(view1(v), view2(v), view1(u), view2(u))
+               for v, u in combinations(theta.vertices, 2))
 
 
 def base_colors(vertices) -> frozenset[int]:
@@ -191,7 +205,7 @@ def build_r_kof(n: int, k: int) -> AffineTask:
     if not 1 <= k <= n:
         raise AdversaryError(f"k={k} out of range 1..{n}")
     chr2 = chr2_complex(n)
-    banned = contention_simplices(chr2, min_dim=k)
+    banned = [s for s in chr2.simplices() if s.dim >= k and contending(s)]
     return AffineTask(name=f"r_{k}of", n=n,
                       complex=closure(pure_complement_brute(banned, chr2), n=n),
                       alpha=agreement_function(make_k_of(n, k)))
@@ -210,11 +224,6 @@ def r_a_by_definition(adv: Adversary, combine: str) -> set[Simplex]:
     require_fair(adv)
     alpha = agreement_function(adv)
     memo: dict[frozenset, tuple] = {}
-
-    def contending(theta: Simplex) -> bool:
-        return all((view1(v) < view1(u) and view2(u) < view2(v))
-                   or (view1(u) < view1(v) and view2(v) < view2(u))
-                   for v, u in combinations(theta.vertices, 2))
 
     def crit(theta: Simplex) -> tuple:
         """(csm colors, csv colors, conc) of the Chr s carrier of theta."""
@@ -244,21 +253,22 @@ def r_a_by_definition(adv: Adversary, combine: str) -> set[Simplex]:
 def chr2_table_by_vertex_pairs(n: int) -> tuple:
     """(groups, rhos, faces) of the Chr Chr s table, the library's
     `_chr2_table` without its facets, by the reference clique loop: per
-    facet, `_contending` on every vertex pair, growing the contending
+    facet, `reversed_views` on every vertex pair, growing the contending
     faces vertex by vertex in round-two run order."""
     runs = all_runs(n)
+    sets = [colors_of(m) for m in range(1 << n)]
     ids: dict[int, int] = {}  # packed Chr s simplex -> id
     pool: dict[int, int] = {}  # one int object per packed face
     rhos, faces = [], []
     for views1 in map(pack, runs):
         for run2 in runs:
-            # the vertices' codes, as by `_vertex_code`
-            vs = [(1 << c - 1, views1 >> MAX_PROCESSES * (c - 1) & _VIEW, v2,
-                   views1 & _FIELDS[v2]) for c, v2 in run2]
+            # per vertex: color bit, round-1 and round-2 views, packed carrier
+            vs = [(1 << c - 1, sets[views1 >> MAX_PROCESSES * (c - 1) & _VIEW],
+                   sets[v2], views1 & _FIELDS[v2]) for c, v2 in run2]
             cliques: list[tuple[int, int, int]] = []  # members, colors, tau
             for i, (bit, v1, v2, car) in enumerate(vs):
                 rivals = sum(1 << j for j, u in enumerate(vs[:i])
-                             if _contending(v1, v2, u[1], u[2]))
+                             if reversed_views(v1, v2, u[1], u[2]))
                 cliques += [(members | 1 << i, colors | bit, tau | car)
                             for members, colors, tau in cliques
                             if members & rivals == members]
@@ -470,18 +480,15 @@ def verify_mu_agreement(adv: Adversary, task: AffineTask | None = None,
                         queries=None) -> VerificationReport:
     """Faces inside Q elect at most alpha(carrier colors) distinct leaders.
 
-    Faces are index combinations of a facet's vertices, with color and
-    base-carrier masks: a face's base carrier is the union of its vertices'
-    base carriers.
+    Faces are index combinations of the vertices of every facet, whatever
+    its dimension, with color and base-carrier masks: a face's base carrier
+    is the union of its vertices' base carriers.
     """
     task, mu = _prepare(adv, task)
     report = VerificationReport(kind="mu_agreement")
     queries = [(Q, mask_of(Q)) for Q in _queries_for(adv.n, queries)]
-    top = task.complex.dim
     seen = {v: mu.seen(v) for v in task.complex.vertices}
     for facet in task.complex.sorted_facets():
-        if facet.dim != top:
-            continue
         verts = facet.vertices
         bits = [(1 << v.color - 1, seen[v]) for v in verts]
         for size in range(1, len(verts) + 1):

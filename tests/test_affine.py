@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -10,16 +10,18 @@ from affinetask import (Adversary, AdversaryError, ComplexError, Simplex,
                         agreement_function, build_r_a, chr2_complex,
                         chr_complex, concurrency_levels,
                         contention_simplices, critical_simplices,
-                        enumerate_adversaries, is_contention, is_critical,
-                        is_fair, make_k_of, make_superset_closed,
-                        make_symmetric, make_t_resilient, standard_simplex,
+                        enumerate_adversaries, is_fair, make_k_of,
+                        make_superset_closed, make_symmetric,
+                        make_t_resilient, standard_simplex,
                         task_to_dict, two_round_facet,
                         verify_cs_distribution, verify_single_carrier)
 from affinetask import affine as affine_module
 from affinetask import subdivision as subdivision_module
+from affinetask.subdivision import packed_views
 from conftest import DATA_DIR
 from oracles import (base_colors, build_r_kof, chr2_table_by_vertex_pairs,
-                     critical_faces, facets_with_lone_full_view_leader,
+                     contending, critical_faces,
+                     facets_with_lone_full_view_leader,
                      r_a_by_definition, resilient_facets_by_vertex_filter,
                      variant_divergence_report, view2)
 
@@ -38,37 +40,51 @@ def fair_live_up_to_3() -> list[Adversary]:
 def test_contending_pair_from_inverted_schedules():
     # round 1: 1 before 2; round 2: 2 before 1
     f = two_round_facet(((1,), (2,)), ((2,), (1,)), 2)
-    assert is_contention(f)
+    assert f in contention_simplices(2)
 
 
 def test_synchronized_schedule_is_not_contending():
+    contending2 = contention_simplices(2)
     f = two_round_facet(((1, 2),), ((1, 2),), 2)
-    assert not is_contention(f)
+    assert f not in contending2
     # same round-1 order repeated: views agree in direction, no inversion
     g = two_round_facet(((1,), (2,)), ((1,), (2,)), 2)
-    assert not is_contention(g)
+    assert g not in contending2
 
 
 def test_single_vertices_are_vacuously_contending():
     f = two_round_facet(((1, 2),), ((1, 2),), 2)
+    contending2 = contention_simplices(2)
     for v in f:
-        assert is_contention(Simplex((v,)))
+        assert Simplex((v,)) in contending2
 
 
 def test_contention_counts():
-    assert [s.dim for s in contention_simplices(chr2_complex(2), min_dim=1)] == [1, 1]
-    by_dim = Counter(s.dim for s in contention_simplices(chr2_complex(3), min_dim=1))
+    assert [s.dim for s in contention_simplices(2, min_dim=1)] == [1, 1]
+    by_dim = Counter(s.dim for s in contention_simplices(3, min_dim=1))
     assert by_dim == {1: 78, 2: 6}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_contention_simplices_match_the_pairwise_oracle(n):
+    """The contending faces read off the table equal the simplices of
+    Chr Chr s whose every vertex pair has reversed frozenset views, in
+    order, at every minimum dimension."""
+    found = [s for s in chr2_complex(n).simplices() if contending(s)]
+    for k in range(n + 1):
+        assert contention_simplices(n, k) == [s for s in found if s.dim >= k], k
 
 
 # --- criticality ------------------------------------------------------------------
 
 
-def test_is_critical_requires_subdivision_vertices():
-    base = next(iter(standard_simplex(2).facets))
-    alpha = agreement_function(make_k_of(2, 1))
-    with pytest.raises(ComplexError):
-        is_critical(base, alpha)
+def test_packed_views_require_first_subdivision_simplices(chr2_3):
+    """Criticality is read off the packed views of a Chr s simplex; a base
+    simplex or a Chr Chr s simplex has none."""
+    for sigma in (next(iter(standard_simplex(2).facets)),
+                  next(iter(chr2_3.facets))):
+        with pytest.raises(ComplexError):
+            packed_views(sigma)
 
 
 def test_critical_simplices_solo_level():
@@ -94,15 +110,17 @@ def test_critical_set_is_not_closed_under_faces():
     crits = critical_simplices(make_k_of(3, 1))
     full = next(s for s in crits if len(s.vertices) == 3)
     proper = Simplex(full.vertices[:2])
-    assert not is_critical(proper, alpha)
+    assert proper not in crits
+    assert tuple(proper) not in critical_faces(proper, alpha)
 
 
 def test_critical_data_solo_level():
     """The full central triangle is its only critical face, at level 1."""
     alpha = agreement_function(make_k_of(3, 1))
-    full = next(s for s in critical_simplices(make_k_of(3, 1))
-                if len(s.vertices) == 3)
-    assert [f for f in full.faces() if is_critical(f, alpha)] == [full]
+    crits = critical_simplices(make_k_of(3, 1))
+    full = next(s for s in crits if len(s.vertices) == 3)
+    assert [f for f in full.faces() if f in crits] == [full]
+    assert critical_faces(full, alpha) == [full.vertices]
     assert base_colors(full) == frozenset({1, 2, 3})
     assert concurrency_levels(make_k_of(3, 1))[full] == 1
 
@@ -111,12 +129,14 @@ def test_critical_data_empty_for_center_vertex():
     # center vertices never drop a two-level alpha on their own
     alpha = agreement_function(make_k_of(3, 2))
     conc = concurrency_levels(make_k_of(3, 2))
+    crits = critical_simplices(make_k_of(3, 2))
     zeros = [s for s, c in conc.items() if c == 0]
     assert len(zeros) == 3
     for s in zeros:
         assert len(s.vertices) == 1
         assert base_colors(s) == frozenset({1, 2, 3})
-        assert not is_critical(s, alpha)
+        assert s not in crits
+        assert critical_faces(s, alpha) == []
 
 
 def test_concurrency_level_distribution():
@@ -234,13 +254,14 @@ def test_table_is_coded_from_runs_without_decoding_vertices(monkeypatch):
     def no_decoding(*args):
         raise AssertionError("decoded a Simplex while building the table")
 
-    monkeypatch.setattr(affine_module, "_vertex_code", no_decoding)
     monkeypatch.setattr(affine_module, "packed_views", no_decoding)
     monkeypatch.setattr(subdivision_module, "packed_views", no_decoding)
     affine_module._chr2_table.cache_clear()
     for n, count in [(2, 9), (3, 142), (4, 3851)]:
         task = build_r_a(make_t_resilient(n, 1))
         assert task.facet_count() == count
+        # the contending facets too are read off the table
+        assert len(contention_simplices(n, n - 1)) == factorial(n)
         held = {id(f) for f in chr2_complex(n).facets}
         assert all(id(f) in held for f in task.complex.facets)
 

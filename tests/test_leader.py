@@ -5,12 +5,12 @@ from itertools import combinations
 import pytest
 
 from affinetask import (AffineTask, ComplexError, LeaderError, LeaderMap,
-                        agreement_function, build_r_a, chr_complex,
-                        make_k_of, make_t_resilient, standard_simplex,
-                        two_round_facet, verify_leader)
+                        Simplex, agreement_function, build_r_a, chr_complex,
+                        closure, make_k_of, make_t_resilient,
+                        standard_simplex, two_round_facet, verify_leader)
 from affinetask import leader as leader_module
 from affinetask.bits import colors_of
-from oracles import (mu_by_definition, r_a_intersection_task,
+from oracles import (critical_faces, mu_by_definition, r_a_intersection_task,
                      verify_mu_agreement, verify_mu_robustness,
                      verify_mu_validity)
 
@@ -31,15 +31,28 @@ def staircase_facet():
     return two_round_facet(((1,), (2,), (3,)), ((1, 2, 3),), 3)
 
 
-def test_delta_picks_smallest_critical_carrier(solo_map, staircase_facet):
+def test_delta_picks_smallest_critical_carrier(solo_map, solo_alpha,
+                                               staircase_facet):
+    """The one critical view of v3's round-two view is process 1's, so a
+    query meeting it elects inside it."""
     v3 = next(v for v in staircase_facet if v.color == 3)
-    assert solo_map.delta(v3, {1, 2, 3}) == frozenset({1})
+    critical = [theta[0].payload.colors
+                for theta in critical_faces(v3.payload, solo_alpha)]
+    assert critical == [frozenset({1})]
+    for Q in ({1, 3}, {1, 2, 3}):
+        assert solo_map(v3, Q) == mu_by_definition(v3, Q, solo_alpha) == 1
 
 
-def test_gamma_picks_smallest_seen_carrier(solo_map, staircase_facet):
+def test_gamma_picks_smallest_seen_carrier(solo_map, solo_alpha,
+                                           staircase_facet):
+    """Queries missing the critical view elect inside the smallest view v3
+    saw that meets them: {1, 2, 3} for {3}, {1, 2} for {2, 3}."""
     v3 = next(v for v in staircase_facet if v.color == 3)
-    assert solo_map.gamma(v3, {3}) == frozenset({1, 2, 3})
-    assert solo_map.gamma(v3, {2, 3}) == frozenset({1, 2})
+    assert sorted(u.payload.colors for u in v3.payload) == [
+        frozenset({1}), frozenset({1, 2}), frozenset({1, 2, 3})]
+    assert solo_map.seen(v3) == 0b111
+    for Q, leader in (({3}, 3), ({2, 3}, 2)):
+        assert solo_map(v3, Q) == mu_by_definition(v3, Q, solo_alpha) == leader
 
 
 def test_mu_examples(solo_map, staircase_facet):
@@ -70,7 +83,7 @@ def test_leader_map_rejects_vertices_outside_chr2(solo_map):
         with pytest.raises(ComplexError):
             solo_map(v, {1, 2, 3})
         with pytest.raises(ComplexError):
-            solo_map.gamma(v, {1, 2, 3})
+            solo_map.seen(v)
 
 
 def test_leader_reports_on_fixture_task(fixture_adversaries, fixture_tasks):
@@ -110,16 +123,16 @@ def test_robustness_catches_a_restriction_that_elects_another(
     target = next(v for v in sorted(task.complex.vertices, key=lambda u: u.uid)
                   if mu.seen(v) != full and mu.seen(v).bit_count() >= 2)
     seen = mu.seen(target)
-    honest = mu._entry(target)[2][full]
-    assert honest == mu._entry(target)[2][seen]
+    honest = mu._entry(target)[1][full]
+    assert honest == mu._entry(target)[1][seen]
     other = next(1 << c - 1 for c in sorted(colors_of(seen)) if 1 << c - 1 != honest)
     entry = LeaderMap._entry
 
     def patched(self, v):
-        critical, views, leaders = entry(self, v)
+        seen, leaders = entry(self, v)
         if v == target:
             leaders = leaders[:full] + (other,) + leaders[full + 1:]
-        return critical, views, leaders
+        return seen, leaders
 
     monkeypatch.setattr(LeaderMap, "_entry", patched)
     validity, _, robustness = verify_leader(adv, task)
@@ -161,9 +174,9 @@ def test_leader_map_matches_definition(chr2_3, fixture_adversaries):
 def test_leader_map_decodes_each_vertex_once(monkeypatch, chr2_3, solo_alpha):
     """Every query set of a vertex is elected from one decoding of its views."""
     decoded = []
-    code = leader_module._vertex_code
-    monkeypatch.setattr(leader_module, "_vertex_code",
-                        lambda v: decoded.append(v) or code(v))
+    code = leader_module.packed_views
+    monkeypatch.setattr(leader_module, "packed_views",
+                        lambda sigma: decoded.append(sigma) or code(sigma))
     mu = LeaderMap(solo_alpha)
     queries = [frozenset(Q) for k in (1, 2, 3)
                for Q in combinations((1, 2, 3), k)]
@@ -172,7 +185,8 @@ def test_leader_map_decodes_each_vertex_once(monkeypatch, chr2_3, solo_alpha):
             if v.color in Q:
                 mu(v, Q)
         mu.seen(v)
-    assert sorted(decoded) == sorted(chr2_3.vertices)
+    assert sorted(decoded, key=repr) == sorted(
+        (v.payload for v in chr2_3.vertices), key=repr)
 
 
 @pytest.fixture(scope="module")
@@ -232,3 +246,29 @@ def test_verify_leader_matches_the_sweeps_by_definition(
                 == _by_oracle(adv, task, queries)), (adv, task)
     assert ([r.to_dict() for r in kof41_reports]
             == _by_oracle(make_k_of(4, 1), None))
+
+
+def test_agreement_checks_facets_below_the_top_dimension(chr2_3):
+    """A facet of lower dimension than the task is checked for agreement
+    too: R_A(k_of(3,1)) with one more Chr Chr s edge, on which processes 2
+    and 3 elect themselves from Q = {2, 3} although their base carrier has
+    alpha 1."""
+    adv = make_k_of(3, 1)
+    by_uid = {v.uid: v for v in chr2_3.vertices}
+    edge = Simplex((by_uid["2(1(1),2(1,2,3))"],
+                    by_uid["3(1(1),2(1,2,3),3(1,3))"]))
+    alone = AffineTask("edge", 3, closure([edge], n=3), agreement_function(adv))
+    task = build_r_a(adv)
+    both = AffineTask("r_adv_and_edge", 3,
+                      closure([*task.complex.facets, edge], n=3), task.alpha)
+    assert edge in both.complex.facets
+    edge_only = verify_leader(adv, alone)[1]
+    assert [(bad["Q"], bad["leaders"]) for bad in edge_only.violations] == [
+        ([2, 3], [2, 3])]
+    agreement = verify_leader(adv, both)[1]
+    assert agreement.violations == edge_only.violations
+    assert agreement.checked == (verify_leader(adv, task)[1].checked
+                                 + edge_only.checked)
+    for case in (alone, both):
+        assert ([r.to_dict() for r in verify_leader(adv, case)]
+                == _by_oracle(adv, case)), case
