@@ -21,8 +21,8 @@ from .leader import LeaderError, LeaderMap, verify_leader
 from .render import render_complex_svg, render_off
 from .reports import VerificationReport
 from .simulate import (Exploration, ProtocolModel, SimulationError,
-                       StateCapExceeded, check_liveness, check_model,
-                       check_safety, events_from_jsonable,
+                       StateCapExceeded, Terminals, check_liveness,
+                       check_model, check_safety, events_from_jsonable,
                        events_to_jsonable, finish_predicate, replay,
                        state_cap_from_env, valid_participations,
                        wait_predicate)

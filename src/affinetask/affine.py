@@ -18,13 +18,15 @@ each run's order code (`_run_code`), and the contending faces of one
 contention graph and one round-two color order are listed once
 (`_cliques`). `build_r_a` runs only a guard loop over these ints per
 alpha; kept facets are the `chr2_facets(n)` Simplex objects at the same
-positions. `contention_simplices` reads the same table.
+positions, and the task flags those positions, its run-pair ids, so a swap
+of two colors is tested on ints (`AffineTask.symmetric_under`).
+`contention_simplices` reads the same table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress, count
 from typing import Iterator
 
 from .adversary import (Adversary, AdversaryError, AgreementFunction,
@@ -35,20 +37,45 @@ from .complexes import (MAX_PROCESSES, ChromaticComplex, Simplex, _sort_key,
                         closure, complex_to_dict)
 from .reports import VerificationReport
 from .subdivision import (_FIELDS, _VIEW, all_runs, chr2_facets, chr_complex,
-                          pack, packed_views)
+                          pack, packed_views, swapped_runs)
 
 
 @dataclass(frozen=True, eq=False)
 class AffineTask:
-    """A sub-complex of Chr Chr s with the agreement function it was built for."""
+    """A sub-complex of Chr Chr s with the agreement function it was built for.
+
+    `kept` flags the facets `build_r_a` kept by their run-pair ids:
+    kept[i * len(all_runs(n)) + j] is 1 when the facet of runs i and j is
+    one, else 0 (one byte per facet of Chr Chr s). A task assembled by hand
+    has none."""
 
     name: str
     n: int
     complex: ChromaticComplex
     alpha: AgreementFunction
+    kept: bytes | None = None
+    # (a, b) -> whether exchanging colors a and b maps the facets onto
+    # themselves
+    _swaps: dict[tuple[int, int], bool] = field(
+        default_factory=dict, init=False, repr=False)
 
     def facet_count(self) -> int:
         return len(self.complex.facets)
+
+    def symmetric_under(self, a: int, b: int) -> bool:
+        """Whether exchanging colors a and b maps the task's facets onto
+        themselves: every kept id's image is kept. Decided once per pair; a
+        task without kept ids is never taken as symmetric."""
+        if self.kept is None:
+            return False
+        closed = self._swaps.get((a, b))
+        if closed is None:
+            swap, kept = swapped_runs(self.n, a, b), self.kept
+            runs = len(swap)
+            closed = self._swaps[a, b] = all(
+                kept[swap[i] * runs + swap[j]]
+                for i, j in (divmod(p, runs) for p in compress(count(), kept)))
+        return closed
 
     def __repr__(self) -> str:
         return f"AffineTask({self.name}, facets={self.facet_count()})"
@@ -203,8 +230,8 @@ def build_r_a(adv: Adversary) -> AffineTask:
     facets, groups, rhos, faces = _chr2_table(adv.n)
     csm_of, csv_of, conc_of = zip(*(
         _critical_summary(_critical_faces(g, alpha), alpha) for g in groups))
-    kept = []
-    for facet, rho, packed in zip(facets, rhos, faces):
+    kept = bytearray(len(facets))
+    for p, (rho, packed) in enumerate(zip(rhos, faces)):
         csm = csm_of[rho]
         for face in packed:
             tau = face >> MAX_PROCESSES
@@ -213,9 +240,10 @@ def build_r_a(adv: Adversary) -> AffineTask:
             if not face & guard and (face & _VIEW).bit_count() > conc_of[tau]:
                 break
         else:
-            kept.append(facet)
-    return AffineTask(name="r_adv", n=adv.n, complex=closure(kept, n=adv.n),
-                      alpha=alpha)
+            kept[p] = 1
+    return AffineTask(name="r_adv", n=adv.n,
+                      complex=closure(compress(facets, kept), n=adv.n),
+                      alpha=alpha, kept=bytes(kept))
 
 
 # --- verification sweeps ------------------------------------------------------------

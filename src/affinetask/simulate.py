@@ -47,10 +47,16 @@ and Emerson & Sistla 1996), with every count kept exact:
   |c|! / prod(t! for each run of t equal signatures in c) concrete states;
   `Exploration.state_count` is the sum of these sizes, so it counts
   concrete states, and so does the state cap.
-- Terminals. Every terminal orbit is expanded into its concrete states, in a
-  fixed order, so `check_safety` and `check_liveness` see every reachable
-  quiescent state and no invariance of the task under relabeling is
-  assumed.
+- Terminals. Each terminal orbit is kept as (representative, orbit size);
+  iterating `Exploration.terminals` expands them into their concrete
+  states, in a fixed order. Stuckness and Chr Chr s membership relabel with
+  the state, so `check_liveness` decides one state per orbit. So does
+  `check_safety`, once it has tested that the task's facets are closed
+  under every swap of two processes of one class (on the run-pair ids
+  `build_r_a` keeps); otherwise, and for a task without those ids, it
+  decides every concrete state. An orbit that violates is expanded, and
+  each of its states is reported, so the reports list every offending
+  concrete state in terminal order.
 - Traces. Each parent link keeps the permutation that carried the
   successor to its representative; `trace_to` composes them and relabels
   the events, so a trace replays to the concrete state asked for.
@@ -62,7 +68,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .adversary import Adversary, agreement_function
 from .affine import AffineTask
@@ -128,12 +134,31 @@ def _process_id(x, what: str) -> int:
     return x
 
 
+class Terminals:
+    """The concrete terminal states of an exploration, held as
+    (representative, orbit size) pairs in visiting order. `len()` is the
+    number of concrete states; iterating expands each orbit with `expand`."""
+
+    def __init__(self, orbits: list[tuple[int, int]],
+                 expand: Callable[[int], Sequence[int]]):
+        self.orbits = orbits
+        self.expand = expand
+        self._count = sum(size for _, size in orbits)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[int]:
+        for rep, _ in self.orbits:
+            yield from self.expand(rep)
+
+
 @dataclass
 class Exploration:
     participation: frozenset[int]
     fault_budget: int
     state_count: int
-    terminals: list[int]
+    terminals: Terminals
     # representatives visited, one per orbit; not part of row()
     orbits: int
     # representative -> (parent representative, event, permutation)
@@ -462,20 +487,20 @@ class ProtocolModel:
     # --- exploration -----------------------------------------------------
 
     def explore(self, track_parents: bool = False) -> Exploration:
-        """Breadth-first over representatives; counts and terminals are
-        concrete (see the module docstring)."""
+        """Breadth-first over representatives; counts are concrete, and
+        terminals are kept per orbit (see the module docstring)."""
         init = self.initial_state()
         orbit: dict[int, int] = {init: 1}  # representative -> orbit size
         state_count = 1
         parents: dict[int, tuple[int, tuple, tuple[int, ...]]] | None = (
             {} if track_parents else None)
-        terminals: list[int] = []
+        terminals: list[tuple[int, int]] = []
         queue = deque([init])
         while queue:
             state = queue.popleft()
             succ = self.successors(state)
             if not succ or succ[0][0][0] == "crash":  # crashes come last
-                terminals.extend(self.orbit_states(state))
+                terminals.append((state, orbit[state]))
             for ev, s2 in succ:
                 if s2 in orbit:  # a visited representative itself
                     continue
@@ -493,7 +518,8 @@ class ProtocolModel:
                 queue.append(rep)
         return Exploration(participation=self.participation,
                            fault_budget=self.fault_budget,
-                           state_count=state_count, terminals=terminals,
+                           state_count=state_count,
+                           terminals=Terminals(terminals, self.orbit_states),
                            orbits=len(orbit), parents=parents)
 
     def trace_to(self, state: int,
@@ -546,19 +572,41 @@ def valid_participations(adv: Adversary) -> list[frozenset[int]]:
     return sorted(out, key=lambda P: (len(P), sorted(P)))
 
 
+def _check_orbits(report: VerificationReport, terminals: Terminals,
+                  violation: Callable[[int], dict | None],
+                  symmetric: bool) -> None:
+    """Add every terminal state that violates to report, in terminal
+    order; violation(state) gives the fields of its violation, or None.
+
+    When symmetric, a state violates exactly when its orbit's
+    representative does, so an orbit whose representative passes counts its
+    size at once; any other orbit is decided state by state."""
+    for rep, size in terminals.orbits:
+        if symmetric and violation(rep) is None:
+            report.checked += size
+            continue
+        for state in terminals.expand(rep):
+            report.checked += 1
+            found = violation(state)
+            if found is not None:
+                report.add(**found)
+                report.states.append(state)
+
+
 def check_liveness(model: ProtocolModel, exploration: Exploration) -> VerificationReport:
     """No reachable quiescent state may strand a non-crashed process.
 
     report.states holds the stuck terminal states, one per violation.
+    Stuckness relabels with the state, so one state per orbit is decided.
     """
     report = VerificationReport(kind="liveness", info=exploration.row())
-    for state in exploration.terminals:
-        report.checked += 1
+
+    def violation(state: int) -> dict | None:
         stuck = [i + 1 for i in model._procs
                  if not (state >> (5 * i + 3)) & 1 and model._prog(state, i) != DONE]
-        if stuck:
-            report.add(stuck=stuck, state=model.decode(state))
-            report.states.append(state)
+        return dict(stuck=stuck, state=model.decode(state)) if stuck else None
+
+    _check_orbits(report, exploration.terminals, violation, symmetric=True)
     return report
 
 
@@ -568,24 +616,31 @@ def _require_task_n(task: AffineTask, n: int) -> None:
                               f"the model over n={n}")
 
 
+def _task_symmetric(model: ProtocolModel, task: AffineTask) -> bool:
+    """Whether the task's facets are closed under the swap of every two
+    adjacent members of each class of the model; these swaps generate every
+    relabeling within the classes."""
+    return all(task.symmetric_under(a + 1, b + 1)
+               for c in model._classes for a, b in zip(c, c[1:]))
+
+
 def check_safety(model: ProtocolModel, exploration: Exploration,
                  task: AffineTask) -> VerificationReport:
     """Returned views of every quiescent state form a face of the task.
 
-    report.states holds the unsafe terminal states, one per violation.
+    report.states holds the unsafe terminal states, one per violation. One
+    state per orbit is decided when the task's facets are closed under every
+    swap of two interchangeable processes of the model, else every state.
     """
     _require_task_n(task, model.n)
-    chr2 = chr2_complex(model.n)
-    # a face of a Chr Chr s facet is in Chr Chr s: when every facet of the
-    # task is one, a simplex in the task needs no second membership test
-    nested = task.complex.facets <= chr2.facets
+    symmetric = _task_symmetric(model, task)
     report = VerificationReport(kind="safety", info=exploration.row())
     # the output simplex depends only on the returned prefixes and the
     # round-one views; remember it per key with its Chr Chr s membership
     # when it is unsafe, else None
     unsafe: dict[tuple, tuple[Simplex, bool] | None] = {}
-    for state in exploration.terminals:
-        report.checked += 1
+
+    def violation(state: int) -> dict | None:
         key = (tuple(model.outputs(state)), model._round(state, model._off_fblk)[1])
         if key not in unsafe:
             sigma = model.output_simplex(state)
@@ -593,13 +648,18 @@ def check_safety(model: ProtocolModel, exploration: Exploration,
                 unsafe[key] = None
             else:
                 in_task = sigma in task.complex
-                inside = in_task and nested or sigma in chr2
+                # a task carved out of Chr Chr s by build_r_a lies inside
+                # it; Chr Chr s is built only to place any other simplex
+                inside = (in_task and task.kept is not None
+                          or sigma in chr2_complex(model.n))
                 unsafe[key] = None if inside and in_task else (sigma, inside)
-        if unsafe[key] is not None:
-            sigma, inside = unsafe[key]
-            report.add(outputs=list(sigma.uids), in_subdivision=inside,
-                       state=model.decode(state))
-            report.states.append(state)
+        if unsafe[key] is None:
+            return None
+        sigma, inside = unsafe[key]
+        return dict(outputs=list(sigma.uids), in_subdivision=inside,
+                    state=model.decode(state))
+
+    _check_orbits(report, exploration.terminals, violation, symmetric)
     return report
 
 

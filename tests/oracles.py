@@ -17,7 +17,9 @@ pairwise inclusion minimum (and the three leader sweeps, one by one, on that
 map), setcon and fairness via the recursive definition
 on frozensets of live sets, the explorer's step on per-state register
 lists and list-form guards, the safety check via `has_face` on facets
-(`safety_by_definition`), and the explorer before symmetry reduction
+(`safety_by_definition`), the safety and liveness checks deciding every
+concrete terminal (`safety_per_state`, `liveness_per_state`), and the
+explorer before symmetry reduction
 (`explore_unreduced`, over every concrete state). Views and carriers are read straight off vertex
 payloads (`view1`, `view2`, `base_colors`). It also holds the helpers only
 tests use: `is_pure`, `facet_to_partition`, `symmetric_setcon` and
@@ -32,15 +34,17 @@ from math import comb, factorial
 
 from affinetask import (Adversary, AdversaryError, AffineTask,
                         ChromaticComplex, ComplexError, LeaderError, Simplex,
-                        Exploration, StateCapExceeded, VerificationReport,
+                        Exploration, StateCapExceeded, Terminals,
+                        VerificationReport,
                         Vertex, agreement_function,
                         build_r_a, chr2_complex, chr_vertex, closure,
                         is_symmetric, make_k_of, ordered_set_partitions,
-                        require_fair)
+                        require_fair, two_round_facet)
 from affinetask.affine import _view_groups
 from affinetask.bits import colors_of, mask_of
 from affinetask.complexes import MAX_PROCESSES
 from affinetask.render import _CORNERS_2D, _project
+from affinetask.simulate import DONE
 from affinetask.subdivision import _FIELDS, _VIEW, all_runs, pack
 
 
@@ -164,6 +168,26 @@ def facet_to_partition(facet: Simplex) -> tuple[frozenset[int], ...]:
         if carrier_.colors != covered:
             raise ComplexError(f"carriers of {facet!r} do not form a run")
     return blocks
+
+
+def swapped_facet(facet: Simplex, a: int, b: int, n: int) -> Simplex:
+    """The Chr Chr s facet with colors a and b exchanged, rebuilt from its
+    two runs: the round-two run groups its vertices by carrier, and the
+    round-one run is the run of the largest carrier."""
+    def swap(blocks):
+        return [[b if c == a else a if c == b else c for c in block]
+                for block in blocks]
+
+    base = max((v.payload for v in facet), key=len)
+    return two_round_facet(swap(facet_to_partition(base)),
+                           swap(facet_to_partition(facet)), n)
+
+
+def symmetric_by_facets(task: AffineTask, a: int, b: int) -> bool:
+    """Whether exchanging colors a and b maps the task's facets onto
+    themselves, facet by facet."""
+    facets = task.complex.facets
+    return {swapped_facet(f, a, b, task.n) for f in facets} == facets
 
 
 def fubini(n: int) -> int:
@@ -327,6 +351,47 @@ def safety_by_definition(model, exploration: Exploration,
         if not (inside and in_task):
             report.add(outputs=list(sigma.uids), in_subdivision=inside,
                        state=model.decode(state))
+            report.states.append(state)
+    return report
+
+
+def safety_per_state(model, exploration: Exploration,
+                     task: AffineTask) -> VerificationReport:
+    """`check_safety` deciding every concrete terminal state in turn, as it
+    did before it decided one state per orbit: Chr Chr s is built, and its
+    membership is asked unless every facet of the task is one of its."""
+    chr2 = chr2_complex(model.n)
+    nested = task.complex.facets <= chr2.facets
+    report = VerificationReport(kind="safety", info=exploration.row())
+    unsafe: dict[tuple, tuple[Simplex, bool] | None] = {}
+    for state in exploration.terminals:
+        report.checked += 1
+        key = (tuple(model.outputs(state)), model._round(state, model._off_fblk)[1])
+        if key not in unsafe:
+            sigma = model.output_simplex(state)
+            if sigma is None:
+                unsafe[key] = None
+            else:
+                in_task = sigma in task.complex
+                inside = in_task and nested or sigma in chr2
+                unsafe[key] = None if inside and in_task else (sigma, inside)
+        if unsafe[key] is not None:
+            sigma, inside = unsafe[key]
+            report.add(outputs=list(sigma.uids), in_subdivision=inside,
+                       state=model.decode(state))
+            report.states.append(state)
+    return report
+
+
+def liveness_per_state(model, exploration: Exploration) -> VerificationReport:
+    """`check_liveness` deciding every concrete terminal state in turn."""
+    report = VerificationReport(kind="liveness", info=exploration.row())
+    for state in exploration.terminals:
+        report.checked += 1
+        stuck = [i + 1 for i in model._procs
+                 if not (state >> (5 * i + 3)) & 1 and model._prog(state, i) != DONE]
+        if stuck:
+            report.add(stuck=stuck, state=model.decode(state))
             report.states.append(state)
     return report
 
@@ -739,7 +804,10 @@ def explore_unreduced(model, track_parents: bool = False) -> Exploration:
             if parents is not None:
                 parents[s2] = (state, ev)
             queue.append(s2)
+    # each terminal is its own orbit, never expanded through the classes
     return Exploration(participation=model.participation,
                        fault_budget=model.fault_budget,
-                       state_count=len(visited), terminals=terminals,
+                       state_count=len(visited),
+                       terminals=Terminals([(s, 1) for s in terminals],
+                                           lambda s: (s,)),
                        orbits=len(visited), parents=parents)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -17,12 +18,14 @@ from affinetask import (Adversary, AdversaryError, ComplexError, Simplex,
                         verify_cs_distribution, verify_single_carrier)
 from affinetask import affine as affine_module
 from affinetask import subdivision as subdivision_module
-from affinetask.subdivision import packed_views
+from affinetask.subdivision import (all_runs, chr2_facets, packed_views,
+                                    swapped_runs)
 from conftest import DATA_DIR
 from oracles import (base_colors, build_r_kof, chr2_table_by_vertex_pairs,
                      contending, critical_faces,
                      facets_with_lone_full_view_leader,
                      r_a_by_definition, resilient_facets_by_vertex_filter,
+                     swapped_facet, symmetric_by_facets,
                      variant_divergence_report, view2)
 
 
@@ -286,6 +289,60 @@ N4_COUNTS = {
                          ids=lambda sizes: ",".join(map(str, sizes)))
 def test_symmetric_n4_task_counts(sizes):
     assert build_r_a(make_symmetric(4, sizes)).facet_count() == N4_COUNTS[sizes]
+
+
+# --- kept run-pair ids and color swaps -------------------------------------------
+
+
+def test_kept_ids_are_the_positions_of_the_facets():
+    """One flag per facet of Chr Chr s, set at the run-pair ids of the
+    task's facets."""
+    for adv in fair_live_up_to_3():
+        task = build_r_a(adv)
+        facets = chr2_facets(adv.n)
+        assert len(task.kept) == len(facets) and set(task.kept) <= {0, 1}
+        kept = [p for p, flag in enumerate(task.kept) if flag]
+        assert len(kept) == task.facet_count()
+        assert {facets[p] for p in kept} == task.complex.facets
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_swapped_runs_exchange_colors_in_every_facet(n):
+    """The run-pair id of a facet's swapped image is the pair of swapped
+    runs; the image is rebuilt from the facet's two runs."""
+    facets, runs = chr2_facets(n), len(all_runs(n))
+    for a, b in combinations(range(1, n + 1), 2):
+        swap = swapped_runs(n, a, b)
+        assert sorted(swap) == list(range(runs))
+        assert all(swap[swap[i]] == i for i in range(runs))
+        for p, facet in enumerate(facets):
+            i, j = divmod(p, runs)
+            assert facets[swap[i] * runs + swap[j]] == swapped_facet(facet, a, b, n)
+
+
+def test_symmetric_under_matches_the_facet_oracle():
+    """Every color swap of R_A of every fair family up to n = 3, decided on
+    the kept ids and facet by facet."""
+    asymmetric = 0
+    for adv in fair_live_up_to_3():
+        task = build_r_a(adv)
+        for a, b in combinations(range(1, adv.n + 1), 2):
+            closed = task.symmetric_under(a, b)
+            assert closed == symmetric_by_facets(task, a, b)
+            asymmetric += not closed
+    assert asymmetric == 74
+
+
+def test_symmetric_n4_tasks_are_closed_under_every_swap():
+    for sizes in N4_COUNTS:
+        task = build_r_a(make_symmetric(4, sizes))
+        assert all(task.symmetric_under(a, b) for a, b in combinations(range(1, 5), 2))
+
+
+def test_a_task_without_kept_ids_is_never_taken_as_symmetric():
+    task = build_r_kof(3, 2)
+    assert task.kept is None and symmetric_by_facets(task, 1, 2)
+    assert not task.symmetric_under(1, 2)
 
 
 def test_union_variant_contains_intersection_variant(fixture_adversaries):

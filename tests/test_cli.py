@@ -519,3 +519,17 @@ def test_repro_with_selected_adversary(tmp_path):
 
 def test_repro_only_defined_at_three(tmp_path):
     assert main(["repro", "--n", "2", "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("live_sets,message", [
+    ([[1, 2], [3]], "not fair"),
+    ([], "adversary admits no live set"),
+])
+def test_repro_rejects_an_adversary_without_a_task_before_writing(
+        tmp_path, capsys, live_sets, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 3, "live_sets": live_sets}))
+    out = tmp_path / "bundle"
+    assert main(["repro", "--out", str(out), "--adversary", str(bad)]) == 2
+    assert message in one_error_line(capsys)
+    assert not out.exists()

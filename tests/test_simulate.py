@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import pytest
 
-from affinetask import (AffineTask, ChromaticComplex, ProtocolModel,
-                        Simplex, SimulationError, StateCapExceeded,
+from affinetask import (Adversary, AffineTask, ChromaticComplex,
+                        ProtocolModel, Simplex, SimulationError,
+                        StateCapExceeded,
                         build_r_a, check_liveness, check_model, check_safety,
                         chr2_complex, events_from_jsonable, events_to_jsonable,
                         closure, make_k_of, make_t_resilient, replay,
                         state_cap_from_env, two_round_facet,
                         valid_participations, wait_predicate)
-from affinetask.simulate import DONE, STATE_CAP_ENV
-from oracles import (explore_unreduced, r_a_intersection_task,
-                     safety_by_definition, successors_by_registers)
+from affinetask.simulate import DONE, STATE_CAP_ENV, _task_symmetric
+from oracles import (explore_unreduced, liveness_per_state,
+                     r_a_intersection_task, safety_by_definition,
+                     safety_per_state, successors_by_registers)
 
 
 # --- tiny instances, exactly ----------------------------------------------------
@@ -22,7 +24,7 @@ def test_single_process_runs_a_linear_chain():
     exploration = model.explore()
     assert exploration.state_count == 8
     assert len(exploration.terminals) == 1
-    terminal = exploration.terminals[0]
+    [terminal] = exploration.terminals
     assert model.outputs(terminal) == [(1, 1)]
     sigma = model.output_simplex(terminal)
     assert sigma in chr2_complex(1)
@@ -332,10 +334,24 @@ def test_safety_of_r_a_asks_only_the_task(monkeypatch, fixture_adversaries,
 # --- symmetry reduction against the unreduced explorer ----------------------------
 
 
+def _assert_orbit_checks_exact(model: ProtocolModel, exploration,
+                               task) -> None:
+    """check_safety and check_liveness against the per-state references:
+    equal counts, and the same violations and states in the same order."""
+    for a, b in ((check_safety(model, exploration, task),
+                  safety_per_state(model, exploration, task)),
+                 (check_liveness(model, exploration),
+                  liveness_per_state(model, exploration))):
+        assert a.checked == b.checked == len(exploration.terminals)
+        assert a.violations == b.violations
+        assert a.states == b.states
+
+
 def _assert_reduction_exact(model: ProtocolModel, task) -> None:
     """The reduced exploration against `explore_unreduced`: equal state
     counts, the same concrete terminals, and the same offending states
-    from both deciders."""
+    from both deciders; on the reduced one, the deciders against the
+    per-state references."""
     reduced, full = model.explore(), explore_unreduced(model)
     assert reduced.state_count == full.state_count
     assert sorted(reduced.terminals) == sorted(full.terminals)
@@ -346,6 +362,7 @@ def _assert_reduction_exact(model: ProtocolModel, task) -> None:
         a, b = decide(reduced), decide(full)
         assert a.checked == b.checked
         assert sorted(a.states) == sorted(b.states)
+    _assert_orbit_checks_exact(model, reduced, task)
 
 
 def test_reduction_is_exact_on_every_fair_n3_family(fair_live_adversaries):
@@ -381,6 +398,113 @@ def test_reduction_is_exact_on_the_fixtures(fault_budget, fixture_adversaries,
         for P in valid_participations(adv):
             model = ProtocolModel(adv, participation=P, fault_budget=fault_budget)
             _assert_reduction_exact(model, fixture_tasks[name])
+
+
+# --- one terminal per orbit against the per-state checks ---------------------------
+
+
+def test_orbit_checks_are_exact_at_one_crash_on_every_fair_n3_family(
+        fair_live_adversaries):
+    """Every participation of the 43 families at a one-crash budget, which
+    strands processes wherever alpha is 1 (the default budget is covered by
+    `test_reduction_is_exact_on_every_fair_n3_family`). The 24 (family,
+    participation) pairs whose R_A is not closed under a swap of
+    interchangeable processes are checked state by state."""
+    asymmetric = stranded = 0
+    for adv in fair_live_adversaries:
+        task = build_r_a(adv)
+        for P in valid_participations(adv):
+            model = ProtocolModel(adv, participation=P, fault_budget=1)
+            exploration = model.explore()
+            _assert_orbit_checks_exact(model, exploration, task)
+            asymmetric += bool(model._classes) and not _task_symmetric(model, task)
+            stranded += not check_liveness(model, exploration).ok
+    assert asymmetric == 24
+    assert stranded == 114
+
+
+@pytest.mark.parametrize("fault_budget,unsafe_states", [(0, 99), (None, 429)])
+def test_orbit_checks_report_every_state_of_an_unsafe_orbit(fault_budget,
+                                                             unsafe_states):
+    """k_of(3, 2) against the smaller task of k_of(3, 1): both tasks are
+    closed under every swap, so one state per orbit is decided, and each
+    unsafe orbit is reported state by state."""
+    task = build_r_a(make_k_of(3, 1))
+    adv = make_k_of(3, 2)
+    unsafe = 0
+    for P in valid_participations(adv):
+        model = ProtocolModel(adv, participation=P, fault_budget=fault_budget)
+        exploration = model.explore()
+        assert _task_symmetric(model, task)
+        _assert_orbit_checks_exact(model, exploration, task)
+        unsafe += len(check_safety(model, exploration, task).states)
+    assert unsafe == unsafe_states
+
+
+def _expanded_orbits(exploration) -> list[int]:
+    """The representatives whose orbits get expanded from now on."""
+    expanded, expand = [], exploration.terminals.expand
+
+    def spy(rep):
+        expanded.append(rep)
+        return expand(rep)
+
+    exploration.terminals.expand = spy
+    return expanded
+
+
+def test_a_task_without_the_models_symmetry_is_checked_per_state():
+    """Live sets {1, 2} and {1, 3} at P = {1, 2}: 1 and 2 are
+    interchangeable on the subsets of P, but R_A is not closed under their
+    swap, so every terminal orbit is expanded."""
+    adv = Adversary(3, [{1, 2}, {1, 3}])
+    task = build_r_a(adv)
+    model = ProtocolModel(adv, participation={1, 2})
+    assert model._classes == ((0, 1),)
+    assert not task.symmetric_under(1, 2) and not _task_symmetric(model, task)
+    exploration = model.explore()
+    orbits = exploration.terminals.orbits
+    assert any(size > 1 for _, size in orbits)
+    want = safety_per_state(model, exploration, task)
+    expanded = _expanded_orbits(exploration)
+    report = check_safety(model, exploration, task)
+    assert expanded == [rep for rep, _ in orbits]
+    assert report.checked == want.checked and report.ok == want.ok
+
+
+def test_a_symmetric_safe_task_decides_one_state_per_orbit():
+    adv = make_k_of(3, 2)
+    task = build_r_a(adv)
+    model = ProtocolModel(adv)
+    exploration = model.explore()
+    assert exploration.orbits < exploration.state_count
+    expanded = _expanded_orbits(exploration)
+    safety, liveness = (check_safety(model, exploration, task),
+                        check_liveness(model, exploration))
+    assert safety.ok and liveness.ok and expanded == []
+    assert safety.checked == liveness.checked == len(exploration.terminals)
+
+
+def test_terminals_expand_only_when_iterated():
+    model = ProtocolModel(make_k_of(4, 1))
+    exploration = model.explore()
+    expanded = _expanded_orbits(exploration)
+    assert (len(exploration.terminals), exploration.row()["terminals"]) == (1_907, 1_907)
+    assert expanded == []
+    assert len(list(exploration.terminals)) == 1_907
+    assert len(expanded) == len(exploration.terminals.orbits) == 118
+
+
+def test_safety_of_r_a_never_builds_chr2(monkeypatch, fixture_adversaries):
+    """A task build_r_a kept lies inside Chr Chr s, so a safe check against
+    it needs no Chr Chr s."""
+    def no_chr2(n):
+        raise AssertionError("Chr Chr s was built")
+    monkeypatch.setattr("affinetask.simulate.chr2_complex", no_chr2)
+    for name, adv in fixture_adversaries.items():
+        model = ProtocolModel(adv)
+        report = check_safety(model, model.explore(), build_r_a(adv))
+        assert report.ok and report.checked > 0
 
 
 def test_orbit_traces_replay_to_every_concrete_terminal(fixture_adversaries):
