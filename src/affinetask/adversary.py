@@ -35,7 +35,6 @@ class UnfairAdversaryError(AdversaryError):
 class Adversary:
     n: int
     live_sets: frozenset[frozenset[int]]
-    provenance: str = field(default="explicit", compare=False)
     family: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -136,14 +135,25 @@ class AgreementFunction:
     def values(self) -> dict[frozenset[int], int]:
         return {colors_of(m): a for m, a in enumerate(self.table)}
 
+    def swap_keeps(self, a: int, b: int, within: int) -> bool:
+        """Whether exchanging colors a and b keeps alpha on every subset of
+        the color mask `within`, which holds both."""
+        table, both = self.table, 1 << a - 1 | 1 << b - 1
+        return all(table[S ^ both] == table[S] for S in submasks(within)
+                   if (S >> a - 1 ^ S >> b - 1) & 1)
+
 
 def agreement_function(adv: Adversary) -> AgreementFunction:
-    """alpha(P) = setcon of the live sets inside P, for every P.
+    """alpha(P) = setcon of the live sets inside P, for every P."""
+    return _alpha(adv.n, _levels(adv))
+
+
+def _alpha(n: int, levels: list[list[int]]) -> AgreementFunction:
+    """The agreement function of the given levels.
 
     Fails loudly if the derived table is not monotone of bounded growth;
     that would indicate a broken setcon, not data to be normalized away.
     """
-    n, levels = adv.n, _levels(adv)
     table = [sum(level[P] >> P & 1 for level in levels) for P in range(1 << n)]
     for mask in range(1 << n):
         for b in range(n):
@@ -195,12 +205,15 @@ def is_fair(adv: Adversary) -> bool:
     return check_fairness(adv).fair
 
 
-def require_fair(adv: Adversary) -> None:
-    verdict = check_fairness(adv)
+def require_fair(adv: Adversary) -> AgreementFunction:
+    """The agreement function of a fair adversary; any other raises."""
+    levels = _levels(adv)
+    verdict = _unfair_pair(adv.n, levels)
     if not verdict:
         P, Q = verdict.witness
         raise UnfairAdversaryError(
             f"adversary is not fair: witness P={sorted(P)}, Q={sorted(Q)}")
+    return _alpha(adv.n, levels)
 
 
 # --- structure predicates and generators ------------------------------------
@@ -228,7 +241,7 @@ def make_superset_closed(n: int, minimal_sets: Iterable[Iterable[int]]) -> Adver
         for k in range(len(rest) + 1):
             for extra in combinations(rest, k):
                 out.add(s | frozenset(extra))
-    return Adversary(n, frozenset(out), provenance="superset_closed")
+    return Adversary(n, frozenset(out))
 
 
 def make_symmetric(n: int, sizes: Iterable[int]) -> Adversary:
@@ -237,23 +250,21 @@ def make_symmetric(n: int, sizes: Iterable[int]) -> Adversary:
         raise AdversaryError(f"sizes {sizes} outside 1..{n}")
     out = {frozenset(c) for k in sizes
            for c in combinations(range(1, n + 1), k)}
-    return Adversary(n, frozenset(out), provenance="symmetric")
+    return Adversary(n, frozenset(out))
 
 
 def make_t_resilient(n: int, t: int) -> Adversary:
     """Live sets are exactly the sets of size at least n - t."""
     if not 0 <= t < n:
         raise AdversaryError(f"t={t} out of range 0..{n - 1}")
-    adv = make_symmetric(n, range(n - t, n + 1))
-    return Adversary(n, adv.live_sets, provenance=f"{t}-resilient")
+    return make_symmetric(n, range(n - t, n + 1))
 
 
 def make_k_of(n: int, k: int) -> Adversary:
     """k-obstruction-free: all nonempty sets of size at most k."""
     if not 1 <= k <= n:
         raise AdversaryError(f"k={k} out of range 1..{n}")
-    adv = make_symmetric(n, range(1, k + 1))
-    return Adversary(n, adv.live_sets, provenance=f"{k}-obstruction-free")
+    return make_symmetric(n, range(1, k + 1))
 
 
 def enumerate_adversaries(n: int) -> Iterator[Adversary]:
@@ -300,8 +311,7 @@ def csize(adv: Adversary) -> int:
 
 def verify_fair_subtraction(adv: Adversary) -> VerificationReport:
     """For fair adversaries: alpha(P) >= alpha(P - Q) >= alpha(P) - |Q|."""
-    require_fair(adv)
-    alpha = agreement_function(adv)
+    alpha = require_fair(adv)
     report = VerificationReport(kind="fair_subtraction")
     full = (1 << adv.n) - 1
     for pmask in range(full + 1):

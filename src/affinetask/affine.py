@@ -18,64 +18,53 @@ each run's order code (`_run_code`), and the contending faces of one
 contention graph and one round-two color order are listed once
 (`_cliques`). `build_r_a` runs only a guard loop over these ints per
 alpha; kept facets are the `chr2_facets(n)` Simplex objects at the same
-positions, and the task flags those positions, its run-pair ids, so a swap
-of two colors is tested on ints (`AffineTask.symmetric_under`).
-`contention_simplices` reads the same table.
+positions. `contention_simplices` reads the same table.
+
+R_A reads colors only through alpha and view masks, so a swap of two
+colors that keeps alpha maps R_A onto itself (the scalarset argument of Ip
+& Dill 1996, applied to the task); `AffineTask.symmetric_under` decides a
+swap on alpha alone, for a task marked as R_A.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress, count
+from itertools import combinations
 from typing import Iterator
 
 from .adversary import (Adversary, AdversaryError, AgreementFunction,
-                        _hitting_number, agreement_function, alpha_to_dict,
-                        require_fair)
+                        _hitting_number, alpha_to_dict, require_fair)
 from .bits import colors_of, submasks
 from .complexes import (MAX_PROCESSES, ChromaticComplex, Simplex, _sort_key,
                         closure, complex_to_dict)
 from .reports import VerificationReport
 from .subdivision import (_FIELDS, _VIEW, all_runs, chr2_facets, chr_complex,
-                          pack, packed_views, swapped_runs)
+                          pack, packed_views)
 
 
 @dataclass(frozen=True, eq=False)
 class AffineTask:
     """A sub-complex of Chr Chr s with the agreement function it was built for.
 
-    `kept` flags the facets `build_r_a` kept by their run-pair ids:
-    kept[i * len(all_runs(n)) + j] is 1 when the facet of runs i and j is
-    one, else 0 (one byte per facet of Chr Chr s). A task assembled by hand
-    has none."""
+    `is_r_a` holds only for a task `build_r_a` made: its complex is R_A of
+    `alpha`. A task assembled by hand is not taken to be one."""
 
     name: str
     n: int
     complex: ChromaticComplex
     alpha: AgreementFunction
-    kept: bytes | None = None
-    # (a, b) -> whether exchanging colors a and b maps the facets onto
-    # themselves
-    _swaps: dict[tuple[int, int], bool] = field(
-        default_factory=dict, init=False, repr=False)
+    is_r_a: bool = False
 
     def facet_count(self) -> int:
         return len(self.complex.facets)
 
     def symmetric_under(self, a: int, b: int) -> bool:
         """Whether exchanging colors a and b maps the task's facets onto
-        themselves: every kept id's image is kept. Decided once per pair; a
-        task without kept ids is never taken as symmetric."""
-        if self.kept is None:
-            return False
-        closed = self._swaps.get((a, b))
-        if closed is None:
-            swap, kept = swapped_runs(self.n, a, b), self.kept
-            runs = len(swap)
-            closed = self._swaps[a, b] = all(
-                kept[swap[i] * runs + swap[j]]
-                for i, j in (divmod(p, runs) for p in compress(count(), kept)))
-        return closed
+        themselves. R_A reads colors only through alpha and view masks, so
+        a swap that keeps alpha on every subset of 1..n maps it onto itself
+        (and on every fair live family up to n = 4, no other swap does). A
+        task that is not R_A is never taken as symmetric."""
+        return self.is_r_a and self.alpha.swap_keeps(a, b, (1 << self.n) - 1)
 
     def __repr__(self) -> str:
         return f"AffineTask({self.name}, facets={self.facet_count()})"
@@ -211,8 +200,7 @@ def contention_simplices(n: int, min_dim: int = 0) -> list[Simplex]:
 def task_alpha(adv: Adversary) -> AgreementFunction:
     """The alpha of an adversary that has an affine task: a fair one with a
     live set. Any other adversary raises."""
-    require_fair(adv)
-    alpha = agreement_function(adv)
+    alpha = require_fair(adv)
     if alpha(range(1, adv.n + 1)) < 1:
         raise AdversaryError("adversary admits no live set; no task to build")
     return alpha
@@ -230,8 +218,8 @@ def build_r_a(adv: Adversary) -> AffineTask:
     facets, groups, rhos, faces = _chr2_table(adv.n)
     csm_of, csv_of, conc_of = zip(*(
         _critical_summary(_critical_faces(g, alpha), alpha) for g in groups))
-    kept = bytearray(len(facets))
-    for p, (rho, packed) in enumerate(zip(rhos, faces)):
+    kept = []
+    for facet, rho, packed in zip(facets, rhos, faces):
         csm = csm_of[rho]
         for face in packed:
             tau = face >> MAX_PROCESSES
@@ -240,10 +228,9 @@ def build_r_a(adv: Adversary) -> AffineTask:
             if not face & guard and (face & _VIEW).bit_count() > conc_of[tau]:
                 break
         else:
-            kept[p] = 1
-    return AffineTask(name="r_adv", n=adv.n,
-                      complex=closure(compress(facets, kept), n=adv.n),
-                      alpha=alpha, kept=bytes(kept))
+            kept.append(facet)
+    return AffineTask(name="r_adv", n=adv.n, complex=closure(kept, n=adv.n),
+                      alpha=alpha, is_r_a=True)
 
 
 # --- verification sweeps ------------------------------------------------------------
@@ -252,8 +239,7 @@ def build_r_a(adv: Adversary) -> AffineTask:
 def _chr_faces(adv: Adversary):
     """The alpha of a fair adversary and, per simplex sigma of Chr s, sigma
     with its view groups and its critical faces as (view, colors) pairs."""
-    require_fair(adv)
-    alpha = agreement_function(adv)
+    alpha = require_fair(adv)
     rows = [(s, _view_groups(packed_views(s))) for s in chr_complex(adv.n).simplices()]
     return alpha, [(s, g, list(_critical_faces(g, alpha))) for s, g in rows]
 

@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .adversary import (Adversary, AdversaryError, adversary_from_dict,
                         adversary_to_dict, agreement_function, alpha_to_dict,
@@ -28,7 +28,7 @@ from .complexes import (MAX_PROCESSES, ChromaticComplex, ComplexError,
 from .leader import LeaderError, verify_leader
 from .render import HIGHLIGHT_COLORS, render_complex_svg, render_off
 from .simulate import (ProtocolModel, SimulationError, StateCapExceeded,
-                       check_liveness, check_model, check_safety,
+                       Terminals, check_liveness, check_model, check_safety,
                        events_from_jsonable, events_to_jsonable, replay,
                        state_cap_from_env, valid_participations)
 from .subdivision import chr2_complex, chr_complex
@@ -190,6 +190,21 @@ def cmd_leader(args) -> int:
 # --- simulate ------------------------------------------------------------------
 
 
+def _numbered(model: ProtocolModel, terminals: Terminals, states: set[int]
+              ) -> Iterator[tuple[int, int]]:
+    """(k, state) for each terminal state among `states`, k its position
+    in the terminals' iteration order; only the orbits that hold one of
+    them are expanded."""
+    reps = {model.canonical(state)[0] for state in states}
+    offset = 0
+    for rep, size in terminals.orbits:
+        if rep in reps:
+            for k, term in enumerate(terminals.expand(rep), offset):
+                if term in states:
+                    yield k, term
+        offset += size
+
+
 def cmd_simulate_check(args) -> int:
     adv = _load_adversary(args.adversary)
     if args.n is not None and args.n != adv.n:
@@ -225,12 +240,11 @@ def cmd_simulate_check(args) -> int:
         if trace_dir is not None:
             bad = {state for rep in reports for state in rep.states}
             stem = "trace_" + "".join(map(str, sorted(P)))
-            for k, term in enumerate(exploration.terminals):
-                if term in bad:
-                    events = model.trace_to(term, exploration.parents)
-                    _dump({"participation": sorted(P),
-                           "events": events_to_jsonable(events)},
-                          str(trace_dir / f"{stem}_{k}.json"))
+            for k, term in _numbered(model, exploration.terminals, bad):
+                events = model.trace_to(term, exploration.parents)
+                _dump({"participation": sorted(P),
+                       "events": events_to_jsonable(events)},
+                      str(trace_dir / f"{stem}_{k}.json"))
     _dump(doc, args.out)
     return 0 if ok else 1
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from .adversary import Adversary, AgreementFunction, agreement_function, require_fair
+from .adversary import Adversary, AgreementFunction, require_fair
 from .affine import AffineTask, _critical_faces, _view_groups, build_r_a
 from .bits import colors_of, mask_of
 from .complexes import ComplexError, Vertex
@@ -90,8 +90,7 @@ class LeaderMap:
 def _prepare(adv: Adversary, task: AffineTask | None) -> tuple[AffineTask, LeaderMap]:
     """The task and the leader map, both of the adversary's own alpha;
     the task defaults to `build_r_a(adv)`."""
-    require_fair(adv)
-    alpha = agreement_function(adv)
+    alpha = require_fair(adv)
     if task is None:
         task = build_r_a(adv)
     if task.n != adv.n:

@@ -51,9 +51,9 @@ and Emerson & Sistla 1996), with every count kept exact:
   iterating `Exploration.terminals` expands them into their concrete
   states, in a fixed order. Stuckness and Chr Chr s membership relabel with
   the state, so `check_liveness` decides one state per orbit. So does
-  `check_safety`, once it has tested that the task's facets are closed
-  under every swap of two processes of one class (on the run-pair ids
-  `build_r_a` keeps); otherwise, and for a task without those ids, it
+  `check_safety` when the task is R_A and every swap of two processes of
+  one class keeps the task's alpha on every subset of 1..n, for then R_A
+  maps onto itself; otherwise, and for a task assembled by hand, it
   decides every concrete state. An orbit that violates is expanded, and
   each of its states is reported, so the reports list every offending
   concrete state in terminal order.
@@ -296,19 +296,10 @@ class ProtocolModel:
         """The interchangeability classes of P with two members or more:
         i and j share one when the swap (i j) keeps alpha on every subset
         of P."""
-        table, subsets = self.alpha_table, submasks(self.pmask)
-
-        def swap_keeps_alpha(i: int, j: int) -> bool:
-            both = 1 << i | 1 << j
-            for S in subsets:
-                if (S >> i ^ S >> j) & 1 and table[S ^ both] != table[S]:
-                    return False
-            return True
-
         classes: list[list[int]] = []
         for i in self._procs:
             for c in classes:
-                if swap_keeps_alpha(c[0], i):
+                if self.alpha.swap_keeps(c[0] + 1, i + 1, self.pmask):
                     c.append(i)
                     break
             else:
@@ -648,9 +639,9 @@ def check_safety(model: ProtocolModel, exploration: Exploration,
                 unsafe[key] = None
             else:
                 in_task = sigma in task.complex
-                # a task carved out of Chr Chr s by build_r_a lies inside
-                # it; Chr Chr s is built only to place any other simplex
-                inside = (in_task and task.kept is not None
+                # R_A lies inside Chr Chr s; Chr Chr s is built only to
+                # place any other simplex
+                inside = (in_task and task.is_r_a
                           or sigma in chr2_complex(model.n))
                 unsafe[key] = None if inside and in_task else (sigma, inside)
         if unsafe[key] is None:

@@ -142,22 +142,6 @@ def all_runs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def swapped_runs(n: int, a: int, b: int) -> tuple[int, ...]:
-    """Per run of `all_runs(n)`, the index of the run with colors a and b
-    exchanged."""
-    runs = all_runs(n)
-    index = {tuple(sorted(run)): k for k, run in enumerate(runs)}
-    both = 1 << a - 1 | 1 << b - 1
-
-    def swap(c: int, view: int) -> tuple[int, int]:
-        if (view >> a - 1 ^ view >> b - 1) & 1:
-            view ^= both
-        return (b if c == a else a if c == b else c), view
-
-    return tuple(index[tuple(sorted(swap(c, v) for c, v in run))] for run in runs)
-
-
-@lru_cache(maxsize=None)
 def chr_complex(n: int) -> ChromaticComplex:
     """Chr s for the standard n-process simplex: one facet per run."""
     return ChromaticComplex(n=n, facets=frozenset(

@@ -595,8 +595,7 @@ def verify_mu_robustness(adv: Adversary, task: AffineTask | None = None,
 def restrict(adv: Adversary, P) -> Adversary:
     """Live sets fully contained in P."""
     P = frozenset(P)
-    return Adversary(adv.n, frozenset(s for s in adv.live_sets if s <= P),
-                     provenance=adv.provenance)
+    return Adversary(adv.n, frozenset(s for s in adv.live_sets if s <= P))
 
 
 def restrict2(adv: Adversary, P, Q) -> Adversary:
@@ -605,7 +604,7 @@ def restrict2(adv: Adversary, P, Q) -> Adversary:
     if not Q <= P:
         raise AdversaryError(f"Q={sorted(Q)} must be a subset of P={sorted(P)}")
     return Adversary(adv.n, frozenset(
-        s for s in adv.live_sets if s <= P and s & Q), provenance=adv.provenance)
+        s for s in adv.live_sets if s <= P and s & Q))
 
 
 def setcon_by_definition(family, memo: dict | None = None) -> int:

@@ -194,6 +194,33 @@ def test_agreement_function_monotone_bounded(fixture_adversaries):
                 assert lo <= hi <= lo + 1
 
 
+def test_swap_keeps_alpha_on_the_subsets_of_the_mask():
+    """swap_keeps against alpha read on color sets: for every n <= 3
+    family, every swap (a b) and every mask holding both."""
+    for n in (2, 3):
+        for adv in enumerate_adversaries(n):
+            alpha = agreement_function(adv)
+            for a, b in combinations(range(1, n + 1), 2):
+                def swap(P):
+                    return {b if c == a else a if c == b else c for c in P}
+                for within in range(1 << n):
+                    colors = [c for c in range(1, n + 1) if within >> c - 1 & 1]
+                    if a not in colors or b not in colors:
+                        continue
+                    want = all(alpha(P) == alpha(swap(P))
+                               for k in range(len(colors) + 1)
+                               for P in combinations(colors, k))
+                    assert alpha.swap_keeps(a, b, within) == want
+
+
+def test_require_fair_returns_the_agreement_function(fair_live_adversaries):
+    for adv in fair_live_adversaries:
+        assert require_fair(adv) == agreement_function(adv)
+    with pytest.raises(UnfairAdversaryError,
+                       match=r"^adversary is not fair: witness P=\[1, 3\], Q=\[1\]$"):
+        require_fair(Adversary(3, [frozenset({1, 2}), frozenset({3})]))
+
+
 # --- hitting sets ---------------------------------------------------------------
 
 

@@ -18,14 +18,13 @@ from affinetask import (Adversary, AdversaryError, ComplexError, Simplex,
                         verify_cs_distribution, verify_single_carrier)
 from affinetask import affine as affine_module
 from affinetask import subdivision as subdivision_module
-from affinetask.subdivision import (all_runs, chr2_facets, packed_views,
-                                    swapped_runs)
+from affinetask.subdivision import packed_views
 from conftest import DATA_DIR
 from oracles import (base_colors, build_r_kof, chr2_table_by_vertex_pairs,
                      contending, critical_faces,
                      facets_with_lone_full_view_leader,
                      r_a_by_definition, resilient_facets_by_vertex_filter,
-                     swapped_facet, symmetric_by_facets,
+                     symmetric_by_facets,
                      variant_divergence_report, view2)
 
 
@@ -291,38 +290,12 @@ def test_symmetric_n4_task_counts(sizes):
     assert build_r_a(make_symmetric(4, sizes)).facet_count() == N4_COUNTS[sizes]
 
 
-# --- kept run-pair ids and color swaps -------------------------------------------
-
-
-def test_kept_ids_are_the_positions_of_the_facets():
-    """One flag per facet of Chr Chr s, set at the run-pair ids of the
-    task's facets."""
-    for adv in fair_live_up_to_3():
-        task = build_r_a(adv)
-        facets = chr2_facets(adv.n)
-        assert len(task.kept) == len(facets) and set(task.kept) <= {0, 1}
-        kept = [p for p, flag in enumerate(task.kept) if flag]
-        assert len(kept) == task.facet_count()
-        assert {facets[p] for p in kept} == task.complex.facets
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_swapped_runs_exchange_colors_in_every_facet(n):
-    """The run-pair id of a facet's swapped image is the pair of swapped
-    runs; the image is rebuilt from the facet's two runs."""
-    facets, runs = chr2_facets(n), len(all_runs(n))
-    for a, b in combinations(range(1, n + 1), 2):
-        swap = swapped_runs(n, a, b)
-        assert sorted(swap) == list(range(runs))
-        assert all(swap[swap[i]] == i for i in range(runs))
-        for p, facet in enumerate(facets):
-            i, j = divmod(p, runs)
-            assert facets[swap[i] * runs + swap[j]] == swapped_facet(facet, a, b, n)
+# --- color swaps ------------------------------------------------------------------
 
 
 def test_symmetric_under_matches_the_facet_oracle():
     """Every color swap of R_A of every fair family up to n = 3, decided on
-    the kept ids and facet by facet."""
+    alpha and facet by facet."""
     asymmetric = 0
     for adv in fair_live_up_to_3():
         task = build_r_a(adv)
@@ -340,8 +313,11 @@ def test_symmetric_n4_tasks_are_closed_under_every_swap():
 
 
 def test_a_task_without_kept_ids_is_never_taken_as_symmetric():
+    """A task assembled by hand is not marked as R_A, so even a closed one
+    with a swap-invariant alpha is not taken as symmetric."""
     task = build_r_kof(3, 2)
-    assert task.kept is None and symmetric_by_facets(task, 1, 2)
+    assert not task.is_r_a and symmetric_by_facets(task, 1, 2)
+    assert task.alpha.swap_keeps(1, 2, 0b111)
     assert not task.symmetric_under(1, 2)
 
 

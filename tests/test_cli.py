@@ -6,13 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from affinetask import adversary_to_dict, complex_from_dict, make_k_of
+from affinetask import (ProtocolModel, adversary_to_dict, build_r_a,
+                        check_liveness, check_safety, complex_from_dict,
+                        make_k_of, valid_participations)
 from affinetask import cli
 from affinetask.cli import main
 from affinetask.simulate import STATE_CAP_ENV
 from conftest import FIXTURE_DIR
 
 OF1 = str(FIXTURE_DIR / "obstruction_free_1.json")
+OF2 = str(FIXTURE_DIR / "obstruction_free_2.json")
 RES1 = str(FIXTURE_DIR / "resilient_1.json")
 SS = str(FIXTURE_DIR / "superset_closed_2_13.json")
 
@@ -407,6 +410,56 @@ def test_every_trace_replays_to_its_violation(tmp_path, capsys):
         assert replayed == bad
         replays += len(written)
     assert replays == 3 * 10 + 105
+
+
+def _expanded_orbits(monkeypatch) -> list[int]:
+    """The representatives whose terminal orbits get expanded, in every
+    exploration made from now on."""
+    expanded, explore = [], ProtocolModel.explore
+
+    def spied(model, *args, **kwargs):
+        exploration = explore(model, *args, **kwargs)
+        expand = exploration.terminals.expand
+
+        def spy(rep):
+            expanded.append(rep)
+            return expand(rep)
+
+        exploration.terminals.expand = spy
+        return exploration
+
+    monkeypatch.setattr(ProtocolModel, "explore", spied)
+    return expanded
+
+
+def test_safe_live_run_with_traces_expands_no_orbit(tmp_path, monkeypatch):
+    expanded = _expanded_orbits(monkeypatch)
+    traces = tmp_path / "traces"
+    code = main(["simulate", "check", "--adversary", OF2,
+                 "--trace-out", str(traces), "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    assert expanded == [] and list(traces.iterdir()) == []
+
+
+def test_trace_names_number_the_terminals_in_iteration_order(tmp_path):
+    """The trace of the k-th terminal, counted over every concrete
+    terminal, is trace_<P>_<k>.json, though only the orbits that hold a
+    violation are expanded."""
+    traces = tmp_path / "traces"
+    code = main(["simulate", "check", "--adversary", OF2, "--fault-budget", "2",
+                 "--trace-out", str(traces), "--out", str(tmp_path / "report.json")])
+    assert code == 1
+    adv, want = make_k_of(3, 2), set()
+    for P in valid_participations(adv):
+        model = ProtocolModel(adv, participation=P, fault_budget=2)
+        exploration = model.explore()
+        bad = {*check_safety(model, exploration, build_r_a(adv)).states,
+               *check_liveness(model, exploration).states}
+        stem = "trace_" + "".join(map(str, sorted(P)))
+        want |= {f"{stem}_{k}.json"
+                 for k, term in enumerate(exploration.terminals) if term in bad}
+    assert len(want) == 189
+    assert {path.name for path in traces.iterdir()} == want
 
 
 def test_malformed_trace_is_an_input_error(tmp_path, capsys):

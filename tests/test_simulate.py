@@ -472,6 +472,28 @@ def test_a_task_without_the_models_symmetry_is_checked_per_state():
     assert report.checked == want.checked and report.ok == want.ok
 
 
+def test_r_a_minus_a_facet_is_checked_per_state():
+    """R_A of k_of(3,2) without its first facet, with that family's alpha:
+    every swap keeps alpha, but the task is not R_A, so it is never taken
+    as symmetric, and its report is the per-state one."""
+    adv = make_k_of(3, 2)
+    r_a = build_r_a(adv)
+    task = AffineTask(name="r_minus_one", n=3, alpha=r_a.alpha,
+                      complex=closure(r_a.complex.sorted_facets()[1:], n=3))
+    model = ProtocolModel(adv)
+    assert model._classes == ((0, 1, 2),)
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    assert all(task.alpha.swap_keeps(a, b, 0b111) for a, b in pairs)
+    assert not any(task.symmetric_under(a, b) for a, b in pairs)
+    assert not _task_symmetric(model, task)
+    exploration = model.explore()
+    report = check_safety(model, exploration, task)
+    want = safety_per_state(model, exploration, task)
+    assert report.checked == want.checked == len(exploration.terminals)
+    assert report.violations == want.violations
+    assert report.states == want.states and len(want.states) == 6
+
+
 def test_a_symmetric_safe_task_decides_one_state_per_orbit():
     adv = make_k_of(3, 2)
     task = build_r_a(adv)
