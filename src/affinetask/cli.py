@@ -218,14 +218,16 @@ def cmd_simulate_check(args) -> int:
     cap = state_cap_from_env()
     parts = ([_parse_colors(args.participation)]
              if args.participation is not None else valid_participations(adv))
+    # build every model, and so check its input, before anything is
+    # written; the trace directory is made once every participation is
+    # checked, so an error or an exceeded state cap leaves none behind
+    models = [ProtocolModel(adv, participation=P, fault_budget=args.fault_budget,
+                            max_states=cap) for P in parts]
     doc = {"adversary": adversary_to_dict(adv), "participations": []}
     ok = True
     trace_dir = Path(args.trace_out) if args.trace_out else None
-    if trace_dir is not None:
-        trace_dir.mkdir(parents=True, exist_ok=True)
-    for P in parts:
-        model = ProtocolModel(adv, participation=P,
-                              fault_budget=args.fault_budget, max_states=cap)
+    traces: dict[str, dict] = {}
+    for model in models:
         exploration = model.explore(track_parents=trace_dir is not None)
         row = exploration.row()
         reports = []
@@ -239,12 +241,16 @@ def cmd_simulate_check(args) -> int:
         doc["participations"].append(row)
         if trace_dir is not None:
             bad = {state for rep in reports for state in rep.states}
-            stem = "trace_" + "".join(map(str, sorted(P)))
+            P = sorted(model.participation)
+            stem = "trace_" + "".join(map(str, P))
             for k, term in _numbered(model, exploration.terminals, bad):
                 events = model.trace_to(term, exploration.parents)
-                _dump({"participation": sorted(P),
-                       "events": events_to_jsonable(events)},
-                      str(trace_dir / f"{stem}_{k}.json"))
+                traces[f"{stem}_{k}.json"] = {"participation": P,
+                                              "events": events_to_jsonable(events)}
+    if trace_dir is not None:
+        trace_dir.mkdir(parents=True, exist_ok=True)
+        for name, trace in traces.items():
+            _dump(trace, str(trace_dir / name))
     _dump(doc, args.out)
     return 0 if ok else 1
 

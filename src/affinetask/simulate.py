@@ -26,6 +26,16 @@ participation set.
 States pack into one int: 5 bits per process (3 progress + crashed + conc
 written), a pending mask per object, and n blocks of n bits per object.
 
+Moves are read off the slot word, the low 5n bits. The slots fix both
+pending masks: i is pending in round r exactly when it has not crashed and
+its progress is INV_r. So one table entry per distinct slot word, built
+when first met, holds the step moves in process order with their guard
+kinds, the crash moves, and the IS1-written, IS2-written, Conc-written and
+pending masks. Every move is the state plus a delta; commit deltas are
+cached per pending mask and block slot, and each event is built once. Per
+state, only the guards of WROTE1 and WROTE2 processes read the round-one
+views and the largest Conc value.
+
 Exploration is symmetry-reduced (the scalarset reduction of Ip & Dill 1996
 and Emerson & Sistla 1996), with every count kept exact:
 
@@ -44,9 +54,11 @@ and Emerson & Sistla 1996), with every count kept exact:
   back gives one representative per orbit, in O(n log n) per state. When
   every class is a singleton it is the state itself.
 - Orbit size. A representative stands for prod over classes c of
-  |c|! / prod(t! for each run of t equal signatures in c) concrete states;
-  `Exploration.state_count` is the sum of these sizes, so it counts
-  concrete states, and so does the state cap.
+  |c|! / prod(t! for each run of t equal signatures in c) concrete states,
+  worked out while canonicalizing: a class whose signatures all differ
+  contributes |c|!, computed once per class. `Exploration.state_count` is
+  the sum of these sizes, so it counts concrete states, and so does the
+  state cap.
 - Terminals. Each terminal orbit is kept as (representative, orbit size);
   iterating `Exploration.terminals` expands them into their concrete
   states, in a fixed order. Stuckness and Chr Chr s membership relabel with
@@ -82,6 +94,9 @@ STATE_CAP_ENV = "AFFINE_STATE_CAP"
 
 # progress values (low 3 bits of each process slot)
 IDLE, INV1, GOT1, WROTE1, INV2, GOT2, WROTE2, DONE = range(8)
+
+# guard kinds of a step move: none, the wait rule, the Conc update
+_GO, _WAIT, _FINISH = range(3)
 
 # coarse program-counter names for traces and reports
 PC_NAMES = {IDLE: "Init", INV1: "Init", GOT1: "Init", WROTE1: "Waiting",
@@ -219,9 +234,17 @@ class ProtocolModel:
         # to; state >> first pending bit -> the upper signature fields
         self._packed: dict[int, int] = {}
         self._upper: dict[int, tuple[int, ...]] = {}
-        # pending mask -> its nonempty subsets as (block, colors, one
-        # progress step per member)
-        self._subsets: dict[int, tuple[tuple[int, tuple[int, ...], int], ...]] = {}
+        # per process and 5-bit slot, its step move (guard, process, event,
+        # delta) and its crash move (event, delta), or None; the events are
+        # shared, one per process
+        self._step_move, self._crash_move = self._process_moves()
+        # slot word -> its moves and registers (`_slot_entry`)
+        self._slot_bits = (1 << 5 * n) - 1
+        self._moves: dict[int, tuple] = {}
+        # block shift << n | pending mask -> (commit events, deltas)
+        self._commit_moves: dict[int, tuple[tuple, tuple[int, ...]]] = {}
+        # per class, |c|!: the orbit factor of a class whose signatures differ
+        self._full = tuple(factorial(len(c)) for c in self._classes)
 
     # --- packed-state helpers -------------------------------------------
 
@@ -247,24 +270,6 @@ class ProtocolModel:
             entry = self._rounds[field] = (tuple(blocks), tuple(views),
                                            tuple(group), tuple(index))
         return entry
-
-    def _masks(self, state: int) -> tuple:
-        """(IS1 views, IS1 blocks, IS1-written, IS2-written, crashed, max
-        Conc): the registers of a state as masks; a process's IS1 view is
-        its round-one view, read only once it is written."""
-        is1, group = self._round(state, self._off_fblk)[1:3]
-        is1w = is2w = crashed = cmax = 0
-        for i in self._procs:
-            slot = state >> 5 * i
-            if slot & 8:
-                crashed |= 1 << i
-            if slot & 7 >= WROTE1:
-                is1w |= 1 << i
-                if slot & 7 >= WROTE2:
-                    is2w |= 1 << i
-            if slot & 16:
-                cmax = max(cmax, self.alpha_table[is1[i]])
-        return is1, group, is1w, is2w, crashed, cmax
 
     def decode(self, state: int) -> dict:
         """Readable snapshot of a packed state, for traces and debugging."""
@@ -312,8 +317,18 @@ class ProtocolModel:
         A signature is the 5-bit slot, then the round-one and round-two
         block indices (3 bits each) and the two pending bits; those upper
         fields are read once per distinct upper part of a state."""
+        out: list[list[int]] = []
+        if not self._classes:
+            return out
         upper = self._upper.get(state >> self._off_fpend) or self._upper_fields(state)
-        return [[state >> 5 * i & 31 | upper[i] for i in c] for c in self._classes]
+        # explicit loops: on CPython 3.11 a comprehension is one more
+        # function call, and this runs once per successor
+        for c in self._classes:
+            sigs = []
+            for i in c:
+                sigs.append(state >> 5 * i & 31 | upper[i])
+            out.append(sigs)
+        return out
 
     def _upper_fields(self, state: int) -> tuple[int, ...]:
         idx1 = self._round(state, self._off_fblk)[3]
@@ -340,20 +355,21 @@ class ProtocolModel:
             self._packed[key] = bits
         return bits
 
-    def _representative(self, state: int) -> tuple[int, list[list[int]]]:
-        """(representative, per class its signatures sorted): each class of
-        the representative holds its signatures sorted, in ascending
-        position."""
-        rep, orders = state, []
-        for c, unowned, sigs in zip(self._classes, self._unowned,
-                                    self._signatures(state)):
+    def _representative(self, state: int) -> tuple[int, int]:
+        """(representative, orbit size): each class of the representative
+        holds its signatures sorted, in ascending position. A class whose
+        signatures all differ contributes |c|!; only a class with tied
+        signatures goes through `_orbit_size`."""
+        rep, size = state, 1
+        for c, unowned, full, sigs in zip(self._classes, self._unowned,
+                                          self._full, self._signatures(state)):
             order = sorted(sigs)
             if order != sigs:
                 rep &= unowned
                 for pos, sig in zip(c, order):
                     rep |= self._pack(pos, sig)
-            orders.append(order)
-        return rep, orders
+            size *= full if len(set(order)) == len(c) else self._orbit_size(order)
+        return rep, size
 
     def canonical(self, state: int) -> tuple[int, tuple[int, ...]]:
         """(representative, pi) with the representative pi applied to
@@ -365,16 +381,14 @@ class ProtocolModel:
         return self._representative(state)[0], tuple(perm)
 
     @staticmethod
-    def _orbit_size(orders: list[list[int]]) -> int:
-        """prod over classes c of |c|! / prod(t!) over the runs of t equal
-        signatures among c's sorted signatures."""
-        size = 1
-        for sigs in orders:
-            size *= factorial(len(sigs))
-            run = 1
-            for k in range(1, len(sigs)):
-                run = run + 1 if sigs[k] == sigs[k - 1] else 1
-                size //= run
+    def _orbit_size(sigs: list[int]) -> int:
+        """|c|! / prod(t!) over the runs of t equal signatures among one
+        class's sorted signatures."""
+        size = factorial(len(sigs))
+        run = 1
+        for k in range(1, len(sigs)):
+            run = run + 1 if sigs[k] == sigs[k - 1] else 1
+            size //= run
         return size
 
     def orbit_states(self, rep: int) -> list[int]:
@@ -402,63 +416,126 @@ class ProtocolModel:
     def initial_state(self) -> int:
         return 0
 
-    def successors(self, state: int) -> list[tuple[tuple, int]]:
-        """(event, next_state) pairs; crash events come last.
+    def _process_moves(self) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
+        """Per process and 5-bit slot, (step moves, crash moves). A step
+        moves the process to its next progress value, and invoking a
+        snapshot also sets its pending bit; a crash sets the crashed bit
+        and, from INV2, clears the pending bit. A crashed process has no
+        move, and only GOT1..WROTE2 may crash."""
+        steps, crashes = [], []
+        for i in range(self.n):
+            step_ev, crash_ev = ("step", i + 1), ("crash", i + 1)
+            one = 1 << 5 * i
+            fp, sp = 1 << self._off_fpend + i, 1 << self._off_spend + i
+            by_progress = {IDLE: (_GO, i, step_ev, one + fp),
+                           GOT1: (_GO, i, step_ev, one),
+                           WROTE1: (_WAIT, i, step_ev, one + sp),
+                           GOT2: (_GO, i, step_ev, one),
+                           WROTE2: (_FINISH, i, step_ev, one)}
+            steps.append(tuple(None if slot & 8 else by_progress.get(slot & 7)
+                               for slot in range(32)))
+            crashes.append(tuple(
+                (crash_ev, (8 << 5 * i) - (sp if slot & 7 == INV2 else 0))
+                if not slot & 8 and GOT1 <= slot & 7 <= WROTE2 else None
+                for slot in range(32)))
+        return tuple(steps), tuple(crashes)
 
-        Every step and commit moves a process to the next progress value,
-        so it adds 1 << 5 * i to the state."""
-        alpha = self.alpha_table
-        is1, group, is1w, is2w, crashed, cmax = self._masks(state)
-        out: list[tuple[tuple, int]] = []
-
+    def _slot_entry(self, word: int) -> tuple:
+        """The moves and registers of every state whose slot word is word:
+        (step moves in process order, whether one is guarded, the
+        Conc-written processes, IS1-written, IS2-written, round-one and
+        round-two pending masks, crash events, crash deltas). The slots fix
+        the pending masks: i is pending in round r exactly when it has not
+        crashed and its progress is INV_r. There is no crash move once the
+        fault budget is spent."""
+        steps, conc, crash_events, crash_deltas = [], [], [], []
+        is1w = is2w = fpend = spend = crashed = guarded = 0
         for i in self._procs:
-            bit = 1 << i
-            if crashed & bit:
-                continue
-            p = (state >> 5 * i) & 7
-            s2 = state + (1 << 5 * i)
-            if p == IDLE:
-                out.append((("step", i + 1), s2 | bit << self._off_fpend))
-            elif p == GOT1 or p == GOT2:
-                out.append((("step", i + 1), s2))
-            elif p == WROTE1:
-                if wait_predicate(alpha, is1[i], group[i] & is1w, is2w, cmax):
-                    out.append((("step", i + 1), s2 | bit << self._off_spend))
-            elif p == WROTE2:
-                if finish_predicate(alpha, is1[i], group[i] & is1w, is2w):
-                    s2 |= 1 << (5 * i + 4)
-                out.append((("step", i + 1), s2))
+            slot, bit = word >> 5 * i & 31, 1 << i
+            p = slot & 7
+            if slot & 8:
+                crashed |= bit
+            elif p == INV1:
+                fpend |= bit
+            elif p == INV2:
+                spend |= bit
+            if p >= WROTE1:
+                is1w |= bit
+                if p >= WROTE2:
+                    is2w |= bit
+            if slot & 16:
+                conc.append(i)
+            step, crash = self._step_move[i][slot], self._crash_move[i][slot]
+            if step:
+                steps.append(step)
+                guarded |= step[0]
+            if crash:
+                crash_events.append(crash[0])
+                crash_deltas.append(crash[1])
+        if crashed.bit_count() >= self.fault_budget:
+            crash_events = crash_deltas = []
+        entry = self._moves[word] = (
+            tuple(steps), guarded, tuple(conc), is1w, is2w, fpend, spend,
+            tuple(crash_events), tuple(crash_deltas))
+        return entry
 
-        self._commits(out, state, self._off_fblk, self._off_fpend, "commit1")
-        self._commits(out, state, self._off_sblk, self._off_spend, "commit2")
+    def successors(self, state: int) -> list[tuple[tuple, int]]:
+        """(event, next_state) pairs: steps in process order, commits of
+        round one then round two, crashes last.
 
-        if crashed.bit_count() < self.fault_budget:
-            for i in self._procs:
-                bit = 1 << i
-                if not crashed & bit and GOT1 <= (state >> 5 * i) & 7 <= WROTE2:
-                    s2 = state | (1 << (5 * i + 3))
-                    s2 &= ~(bit << self._off_fpend)
-                    s2 &= ~(bit << self._off_spend)
-                    out.append((("crash", i + 1), s2))
+        Every move adds its delta to the state; the moves are read off the
+        state's slot word (`_slot_entry`), and only the guards of WROTE1 and
+        WROTE2 processes read the rest of the state."""
+        word = state & self._slot_bits
+        (steps, guarded, conc, is1w, is2w, fpend, spend, crash_events,
+         crash_deltas) = self._moves.get(word) or self._slot_entry(word)
+        if guarded:
+            alpha = self.alpha_table
+            _, is1, group, _ = self._round(state, self._off_fblk)
+            # the largest Conc value written
+            cmax = max(map(alpha.__getitem__, map(is1.__getitem__, conc))) if conc else 0
+            out = []
+            for kind, i, ev, delta in steps:
+                if kind == _WAIT:
+                    if not wait_predicate(alpha, is1[i], group[i] & is1w, is2w, cmax):
+                        continue
+                elif kind == _FINISH and finish_predicate(alpha, is1[i],
+                                                          group[i] & is1w, is2w):
+                    delta += 16 << 5 * i
+                out.append((ev, state + delta))
+        else:
+            out = []
+            for _, _, ev, delta in steps:
+                out.append((ev, state + delta))
+        if fpend:
+            out += self._commits(state, fpend, self._off_fblk)
+        if spend:
+            out += self._commits(state, spend, self._off_sblk)
+        if crash_events:
+            out += zip(crash_events, map(state.__add__, crash_deltas))
         return out
 
-    def _commits(self, out: list[tuple[tuple, int]], state: int, off_blk: int,
-                 off_pend: int, label: str) -> None:
-        """Append a commit of every nonempty subset of the pending set,
-        ascending for determinism, into the round's next block slot."""
-        pending = (state >> off_pend) & ((1 << self.n) - 1)
-        if not pending:
-            return
-        subsets = self._subsets.get(pending)
-        if subsets is None:
-            subsets = self._subsets[pending] = tuple(
-                (block, tuple(sorted(colors_of(block))),
-                 sum(1 << 5 * i for i in iter_bits(block)))
-                for block in submasks(pending)[1:])
-        shift = off_blk + self.n * len(self._round(state, off_blk)[0])
-        for block, colors, members in subsets:
-            s2 = (state | block << shift) & ~(block << off_pend)
-            out.append(((label, list(colors)), s2 + members))
+    def _commits(self, state: int, pending: int,
+                 off_blk: int) -> Iterator[tuple[tuple, int]]:
+        """The commits of a round, one per nonempty subset of its pending
+        mask, ascending: each moves its block from the pending mask into the
+        round's next block slot, and each member one progress step on. The
+        events and deltas are built once per (block slot, pending mask)."""
+        n = self.n
+        shift = off_blk + n * len(self._round(state, off_blk)[0])
+        key = shift << n | pending
+        moves = self._commit_moves.get(key)
+        if moves is None:
+            first = off_blk == self._off_fblk
+            off_pend = self._off_fpend if first else self._off_spend
+            label = "commit1" if first else "commit2"
+            blocks = submasks(pending)[1:]
+            moves = self._commit_moves[key] = (
+                tuple((label, sorted(colors_of(block))) for block in blocks),
+                tuple((block << shift) - (block << off_pend)
+                      + sum(1 << 5 * i for i in iter_bits(block)) for block in blocks))
+        events, deltas = moves
+        return zip(events, map(state.__add__, deltas))
 
     def apply_event(self, state: int, event: tuple) -> int:
         """Replay one event, validating its process ids and that it is enabled."""
@@ -487,26 +564,28 @@ class ProtocolModel:
             {} if track_parents else None)
         terminals: list[tuple[int, int]] = []
         queue = deque([init])
+        successors, representative = self.successors, self._representative
+        push, cap = queue.append, self.max_states
         while queue:
             state = queue.popleft()
-            succ = self.successors(state)
+            succ = successors(state)
             if not succ or succ[0][0][0] == "crash":  # crashes come last
                 terminals.append((state, orbit[state]))
             for ev, s2 in succ:
                 if s2 in orbit:  # a visited representative itself
                     continue
-                rep, orders = self._representative(s2)
+                rep, size = representative(s2)
                 if rep in orbit:
                     continue
-                size = orbit[rep] = self._orbit_size(orders)
+                orbit[rep] = size
                 state_count += size
-                if state_count > self.max_states:
+                if state_count > cap:
                     raise StateCapExceeded(
-                        f"exceeded state cap {self.max_states} "
+                        f"exceeded state cap {cap} "
                         f"(participation {sorted(self.participation)})")
                 if parents is not None:
                     parents[rep] = (state, ev, self.canonical(s2)[1])
-                queue.append(rep)
+                push(rep)
         return Exploration(participation=self.participation,
                            fault_budget=self.fault_budget,
                            state_count=state_count,

@@ -16,7 +16,8 @@ via carriers and colors, the leader map via its own criticality test and a
 pairwise inclusion minimum (and the three leader sweeps, one by one, on that
 map), setcon and fairness via the recursive definition
 on frozensets of live sets, the explorer's step on per-state register
-lists and list-form guards, the safety check via `has_face` on facets
+lists and list-form guards, a state's register masks by a loop over the
+processes (`masks`), the safety check via `has_face` on facets
 (`safety_by_definition`), the safety and liveness checks deciding every
 concrete terminal (`safety_per_state`, `liveness_per_state`), and the
 explorer before symmetry reduction
@@ -41,10 +42,10 @@ from affinetask import (Adversary, AdversaryError, AffineTask,
                         is_symmetric, make_k_of, ordered_set_partitions,
                         require_fair, two_round_facet)
 from affinetask.affine import _view_groups
-from affinetask.bits import colors_of, mask_of
+from affinetask.bits import colors_of, iter_bits, mask_of
 from affinetask.complexes import MAX_PROCESSES
 from affinetask.render import _CORNERS_2D, _project
-from affinetask.simulate import DONE
+from affinetask.simulate import DONE, WROTE1, WROTE2
 from affinetask.subdivision import _FIELDS, _VIEW, all_runs, pack
 
 
@@ -691,6 +692,27 @@ def finish_predicate_by_registers(alpha_table, V: int, reg_is1,
         if r == V and is2_written[j]:
             removed |= 1 << j
     return alpha_table[V] > alpha_table[V & ~removed]
+
+
+def masks(model, state: int) -> tuple:
+    """(IS1 views, IS1 blocks, IS1-written, IS2-written, crashed, max Conc):
+    the registers of a state as masks, read by a loop over the processes,
+    as `ProtocolModel.successors` read them per state before it read its
+    moves off the slot word; a process's IS1 view is its round-one view,
+    read only once it is written."""
+    is1, group = model._round(state, model._off_fblk)[1:3]
+    is1w = is2w = crashed = cmax = 0
+    for i in iter_bits(model.pmask):
+        slot = state >> 5 * i
+        if slot & 8:
+            crashed |= 1 << i
+        if slot & 7 >= WROTE1:
+            is1w |= 1 << i
+            if slot & 7 >= WROTE2:
+                is2w |= 1 << i
+        if slot & 16:
+            cmax = max(cmax, model.alpha_table[is1[i]])
+    return is1, group, is1w, is2w, crashed, cmax
 
 
 def registers(model, state: int):

@@ -524,6 +524,25 @@ def test_simulate_respects_state_cap_env(monkeypatch, capsys):
     assert "state cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, cap, message", [
+    (["--participation", "7"], None, "participation [7] outside 1..3"),
+    (["--fault-budget", "-1"], None, "fault budget must be >= 0"),
+    ([], "10", "exceeded state cap 10"),
+], ids=["participation", "fault-budget", "state-cap"])
+def test_simulate_check_makes_no_trace_dir_when_it_fails(
+        monkeypatch, tmp_path, capsys, extra, cap, message):
+    """Bad input or an exceeded state cap exits 2 and leaves no trace
+    directory behind."""
+    monkeypatch.delenv(STATE_CAP_ENV, raising=False)
+    if cap is not None:
+        monkeypatch.setenv(STATE_CAP_ENV, cap)
+    traces = tmp_path / "traces"
+    assert main(["simulate", "check", "--adversary", RES1,
+                 "--trace-out", str(traces)] + extra) == 2
+    assert message in one_error_line(capsys)
+    assert not traces.exists()
+
+
 def test_state_cap_env_counts_concrete_states(monkeypatch, tmp_path, capsys):
     """k_of(4,1) at full participation has 75,210 states in 3,884 orbits."""
     adv_file = tmp_path / "k_of_4_1.json"

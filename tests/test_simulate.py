@@ -10,8 +10,9 @@ from affinetask import (Adversary, AffineTask, ChromaticComplex,
                         closure, make_k_of, make_t_resilient, replay,
                         state_cap_from_env, two_round_facet,
                         valid_participations, wait_predicate)
-from affinetask.simulate import DONE, STATE_CAP_ENV, _task_symmetric
-from oracles import (explore_unreduced, liveness_per_state,
+from affinetask.simulate import (DONE, INV1, INV2, STATE_CAP_ENV,
+                                 _task_symmetric)
+from oracles import (explore_unreduced, liveness_per_state, masks,
                      r_a_intersection_task, safety_by_definition,
                      safety_per_state, successors_by_registers)
 
@@ -80,9 +81,9 @@ def test_registers_are_write_once():
     exploration = explore_unreduced(model, track_parents=True)
     states = {0, *exploration.parents}
     for state in states:
-        is1, _, is1w, is2w, _, _ = model._masks(state)
+        is1, _, is1w, is2w, _, _ = masks(model, state)
         for _, nxt in model.successors(state):
-            is1_2, _, is1w2, is2w2, _, _ = model._masks(nxt)
+            is1_2, _, is1w2, is2w2, _, _ = masks(model, nxt)
             assert is1w & ~is1w2 == 0 and is2w & ~is2w2 == 0
             for j in range(2):
                 if (is1w >> j) & 1:
@@ -96,22 +97,52 @@ def test_masks_take_the_largest_conc():
     state = (0b010 | 0b101 << 3) << model._off_fblk
     for i in (0, 1):
         state |= (DONE | 16) << 5 * i
-    is1, group, is1w, is2w, crashed, cmax = model._masks(state)
+    is1, group, is1w, is2w, crashed, cmax = masks(model, state)
     assert is1 == (7, 2, 7) and group == (5, 2, 5)
     assert (is1w, is2w, crashed, cmax) == (3, 3, 0, 2)
 
 
-@pytest.mark.parametrize("name", ["obstruction_free_1", "obstruction_free_2",
-                                  "resilient_1", "superset_closed_2_13"])
+FIXTURES = ["obstruction_free_1", "obstruction_free_2", "resilient_1",
+            "superset_closed_2_13"]
+
+
+def _reached_at_budgets(adv, budgets=(0, 1, 2)):
+    """(model, every state it reaches, the initial state first) for every
+    participation of adv at each fault budget, explored state by state;
+    each fixture's default budget is one of 0, 1 and 2."""
+    for budget in budgets:
+        for P in valid_participations(adv):
+            model = ProtocolModel(adv, participation=P, fault_budget=budget)
+            exploration = explore_unreduced(model, track_parents=True)
+            states = [0, *exploration.parents]
+            assert len(states) == exploration.state_count
+            yield model, states
+
+
+@pytest.mark.parametrize("name", FIXTURES)
 def test_successors_match_register_lists(name, fixture_adversaries):
-    """The mask-coded step equals the register-list step on every state
-    reached at full participation."""
-    model = ProtocolModel(fixture_adversaries[name])
-    exploration = explore_unreduced(model, track_parents=True)
-    states = [0, *exploration.parents]
-    assert len(states) == exploration.state_count
-    for state in states:
-        assert model.successors(state) == successors_by_registers(model, state)
+    """The step read off the slot-word table equals the register-list step
+    on every state reached, at every participation and fault budget 0, 1
+    and 2."""
+    for model, states in _reached_at_budgets(fixture_adversaries[name]):
+        for state in states:
+            assert model.successors(state) == successors_by_registers(model, state)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_pending_masks_are_a_function_of_the_slots(name, fixture_adversaries):
+    """On every state reached, at every participation and fault budget 0,
+    1 and 2, process i is pending in round r exactly when it has not
+    crashed and its progress is INV_r: the slot-word table reads both
+    pending masks off the slots."""
+    for model, states in _reached_at_budgets(fixture_adversaries[name]):
+        full = (1 << model.n) - 1
+        for state in states:
+            slots = [state >> 5 * i & 15 for i in range(model.n)]
+            want = [sum(1 << i for i, slot in enumerate(slots) if slot == progress)
+                    for progress in (INV1, INV2)]
+            assert [state >> model._off_fpend & full,
+                    state >> model._off_spend & full] == want
 
 
 # --- full sweeps against the tasks ------------------------------------------------
