@@ -17,8 +17,12 @@ r1 and r2 order them strictly and oppositely, so contention is read off
 each run's order code (`_run_code`), and the contending faces of one
 contention graph and one round-two color order are listed once
 (`_cliques`). `build_r_a` runs only a guard loop over these ints per
-alpha; kept facets are the `chr2_facets(n)` Simplex objects at the same
-positions. `contention_simplices` reads the same table.
+alpha and keeps the run-pair ids of its facets, i * |runs| + j for runs i
+and j of `all_runs(n)`; it makes no Simplex. Membership in a task is asked
+on vertex codes (`chr2_code`), through a facet index built from the ids,
+and R_A's complex, the `chr2_facets(n)` Simplex objects at those ids, is
+built only where a task is written, drawn or swept.
+`contention_simplices` reads the same table.
 
 R_A reads colors only through alpha and view masks, so a swap of two
 colors that keeps alpha maps R_A onto itself (the scalarset argument of Ip
@@ -27,36 +31,73 @@ swap on alpha alone, for a task marked as R_A.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from array import array
+from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .adversary import (Adversary, AdversaryError, AgreementFunction,
                         _hitting_number, alpha_to_dict, require_fair)
 from .bits import colors_of, submasks
 from .complexes import (MAX_PROCESSES, ChromaticComplex, Simplex, _sort_key,
-                        closure, complex_to_dict)
+                        complex_to_dict, facet_index, in_one_facet)
 from .reports import VerificationReport
-from .subdivision import (_FIELDS, _VIEW, all_runs, chr2_facets, chr_complex,
-                          pack, packed_views)
+from .subdivision import (_FIELDS, _VIEW, all_runs, chr2_code, chr2_facets,
+                          chr_complex, code_of, pack, packed_views)
 
 
-@dataclass(frozen=True, eq=False)
 class AffineTask:
     """A sub-complex of Chr Chr s with the agreement function it was built for.
 
-    `is_r_a` holds only for a task `build_r_a` made: its complex is R_A of
-    `alpha`. A task assembled by hand is not taken to be one."""
+    A task assembled by hand holds its complex. R_A, as `build_r_a` makes
+    it, holds instead `r_a_ids`, the run-pair ids of its facets (the
+    positions in `chr2_facets(n)`), and builds its complex on first access.
+    `is_r_a` holds only for such a task: a task assembled by hand is not
+    taken to be R_A.
 
-    name: str
-    n: int
-    complex: ChromaticComplex
-    alpha: AgreementFunction
-    is_r_a: bool = False
+    Membership is asked on vertex codes (`holds`), through one facet index
+    per task: built from the ids for R_A, from the complex otherwise."""
+
+    def __init__(self, name: str, n: int, complex: ChromaticComplex | None,
+                 alpha: AgreementFunction, r_a_ids: array | None = None):
+        if (complex is None) == (r_a_ids is None):
+            raise ValueError("a task holds either its complex or R_A's run-pair ids")
+        self.name, self.n, self.alpha = name, n, alpha
+        self.r_a_ids = r_a_ids
+        self._complex = complex
+
+    @property
+    def is_r_a(self) -> bool:
+        return self.r_a_ids is not None
+
+    @property
+    def complex(self) -> ChromaticComplex:
+        if self._complex is None:
+            facets = chr2_facets(self.n)
+            self._complex = ChromaticComplex(
+                self.n, frozenset(facets[i] for i in self.r_a_ids))
+        return self._complex
 
     def facet_count(self) -> int:
+        if self.r_a_ids is not None:
+            return len(self.r_a_ids)
         return len(self.complex.facets)
+
+    @cached_property
+    def _index(self) -> dict[int, array]:
+        """Per vertex code, the positions of the task's facets holding it."""
+        if self.r_a_ids is None:
+            return facet_index(map(code_of, f) for f in self.complex.facets)
+        views1 = _chr2_table(self.n)[0]
+        runs = [[(c, _FIELDS[view]) for c, view in run] for run in all_runs(self.n)]
+        return facet_index(
+            [chr2_code(c, views1[i] & field) for c, field in runs[j]]
+            for i, j in (divmod(k, len(runs)) for k in self.r_a_ids))
+
+    def holds(self, codes: Iterable[int]) -> bool:
+        """Whether the Chr Chr s vertices of the given codes (`chr2_code`)
+        lie in one facet of the task."""
+        return in_one_facet(self._index, codes)
 
     def symmetric_under(self, a: int, b: int) -> bool:
         """Whether exchanging colors a and b maps the task's facets onto
@@ -146,11 +187,11 @@ def _cliques(graph: int, order: tuple[int, ...]) -> list[int]:
 
 @lru_cache(maxsize=MAX_PROCESSES)
 def _chr2_table(n: int) -> tuple:
-    """(facets, groups, rhos, faces) of Chr Chr s, coded straight from the
-    pairs of runs that build its facets: the facets in run-pair order; the
-    view groups of each Chr s simplex id; per facet, the id of its carrier
-    rho, the packed round-one run; per facet, its contending faces packed
-    as tau id << MAX_PROCESSES | colors.
+    """(views1, groups, rhos, faces) of Chr Chr s, coded straight from the
+    pairs of runs that build its facets, in run-pair order: each run of
+    `all_runs(n)` packed (`pack`); the view groups of each Chr s simplex
+    id; per facet, the id of its carrier rho, the packed round-one run; per
+    facet, its contending faces packed as tau id << MAX_PROCESSES | colors.
 
     The contending faces are listed once per contention graph and
     round-two color order; a face's carrier tau is the packed round-one
@@ -161,8 +202,8 @@ def _chr2_table(n: int) -> tuple:
     pool: dict[int, int] = {}  # one int object per packed face
     cliques: dict[tuple, list[int]] = {}  # (graph, r2 order) -> color masks
     rhos, faces = [], []
-    for run1, (lt1, gt1, _, _) in zip(runs, codes):
-        views1 = pack(run1)
+    packed_runs = tuple(map(pack, runs))
+    for views1, (lt1, gt1, _, _) in zip(packed_runs, codes):
         rho = ids.setdefault(views1, len(ids))
         # per (union of its round-two views, colors), a face of this round one
         packed: list[int | None] = [None] * (1 << 2 * MAX_PROCESSES)
@@ -182,7 +223,7 @@ def _chr2_table(n: int) -> tuple:
                 out.append(face)
             rhos.append(rho)
             faces.append(tuple(out))
-    return (chr2_facets(n), tuple(_view_groups(p) for p in ids), tuple(rhos),
+    return (packed_runs, tuple(_view_groups(p) for p in ids), tuple(rhos),
             tuple(faces))
 
 
@@ -190,7 +231,7 @@ def contention_simplices(n: int, min_dim: int = 0) -> list[Simplex]:
     """Every contending simplex of Chr Chr s over n colors with dimension at
     least min_dim, canonically sorted: the contending faces `_chr2_table`
     lists per facet, on that facet's vertices."""
-    facets, _, _, faces = _chr2_table(n)
+    facets, faces = chr2_facets(n), _chr2_table(n)[3]
     found = {Simplex(tuple(v for v in facet if face & 1 << v.color - 1))
              for facet, packed in zip(facets, faces) for face in packed
              if (face & _VIEW).bit_count() > min_dim}
@@ -215,11 +256,11 @@ def build_r_a(adv: Adversary) -> AffineTask:
     carrier and the critical-carrier colors of the face's carrier.
     """
     alpha = task_alpha(adv)
-    facets, groups, rhos, faces = _chr2_table(adv.n)
+    _, groups, rhos, faces = _chr2_table(adv.n)
     csm_of, csv_of, conc_of = zip(*(
         _critical_summary(_critical_faces(g, alpha), alpha) for g in groups))
-    kept = []
-    for facet, rho, packed in zip(facets, rhos, faces):
+    kept = array("I")
+    for k, (rho, packed) in enumerate(zip(rhos, faces)):
         csm = csm_of[rho]
         for face in packed:
             tau = face >> MAX_PROCESSES
@@ -228,9 +269,9 @@ def build_r_a(adv: Adversary) -> AffineTask:
             if not face & guard and (face & _VIEW).bit_count() > conc_of[tau]:
                 break
         else:
-            kept.append(facet)
-    return AffineTask(name="r_adv", n=adv.n, complex=closure(kept, n=adv.n),
-                      alpha=alpha, is_r_a=True)
+            kept.append(k)
+    return AffineTask(name="r_adv", n=adv.n, complex=None, alpha=alpha,
+                      r_a_ids=kept)
 
 
 # --- verification sweeps ------------------------------------------------------------

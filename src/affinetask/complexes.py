@@ -6,13 +6,17 @@ Vertex identity is the canonical uid string, which is derived from color and
 payload, so structural equality and uid equality coincide.
 
 Complexes store facets only; faces are generated on demand, and membership
-is read off a per-vertex bitset of the facets holding each vertex.
+is read off a facet index (`facet_index`): per vertex, the ascending
+positions of the facets holding it, linear in the facets' total size.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from operator import attrgetter
 from typing import Any, Iterable, Iterator
 
 MAX_PROCESSES = 5
@@ -41,24 +45,29 @@ class Vertex:
         return self.uid < other.uid
 
 
+_UID, _COLOR = attrgetter("uid"), attrgetter("color")
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class Simplex:
     """Nonempty set of vertices with pairwise distinct colors."""
 
     vertices: tuple[Vertex, ...]
+    # set once, from the sorted vertices
+    uids: tuple[str, ...] = field(init=False)
+    _hash: int = field(init=False)
 
     def __post_init__(self):
-        vs = tuple(sorted(set(self.vertices), key=lambda v: v.uid))
+        vs = tuple(sorted(set(self.vertices), key=_UID))
         if not vs:
             raise ComplexError("a simplex needs at least one vertex")
-        if len({v.color for v in vs}) != len(vs):
+        if len(set(map(_COLOR, vs))) != len(vs):
             raise ComplexError(
                 "repeated colors in simplex: %s" % [v.uid for v in vs])
+        uids = tuple(map(_UID, vs))
         object.__setattr__(self, "vertices", vs)
-
-    @cached_property
-    def uids(self) -> tuple[str, ...]:
-        return tuple(v.uid for v in self.vertices)
+        object.__setattr__(self, "uids", uids)
+        object.__setattr__(self, "_hash", hash(uids))
 
     @cached_property
     def vertex_set(self) -> frozenset[Vertex]:
@@ -94,7 +103,7 @@ class Simplex:
         return isinstance(other, Simplex) and self.uids == other.uids
 
     def __hash__(self) -> int:
-        return hash(self.uids)
+        return self._hash
 
     def __repr__(self) -> str:
         return "S{%s}" % ", ".join(self.uids)
@@ -125,13 +134,9 @@ class ChromaticComplex:
         return frozenset(out)
 
     @cached_property
-    def _facets_of(self) -> dict[Vertex, int]:
-        """Each vertex's facets, as a bitset over the facet iteration order."""
-        out: dict[Vertex, int] = {}
-        for i, f in enumerate(self.facets):
-            for v in f.vertices:
-                out[v] = out.get(v, 0) | 1 << i
-        return out
+    def _facets_of(self) -> dict[Vertex, array]:
+        """Each vertex's facets, as positions in the facet iteration order."""
+        return facet_index(f.vertices for f in self.facets)
 
     @cached_property
     def _simplex_set(self) -> frozenset[Simplex]:
@@ -146,10 +151,7 @@ class ChromaticComplex:
 
     def __contains__(self, sigma: Simplex) -> bool:
         """True when sigma's vertices lie in one facet."""
-        shared = -1
-        for v in sigma.vertices:
-            shared &= self._facets_of.get(v, 0)
-        return shared != 0
+        return in_one_facet(self._facets_of, sigma.vertices)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ChromaticComplex)
@@ -167,6 +169,37 @@ class ChromaticComplex:
 
     def sorted_facets(self) -> list[Simplex]:
         return sorted(self.facets, key=_sort_key)
+
+
+def facet_index(facets: Iterable[Iterable]) -> dict[Any, array]:
+    """Per key, the positions of the facets (each an iterable of keys) that
+    hold it, ascending, as an array of unsigned ints: one entry per
+    (facet, key) pair."""
+    index: dict[Any, array] = {}
+    for pos, keys in enumerate(facets):
+        for key in keys:
+            held = index.get(key)
+            if held is None:
+                held = index[key] = array("I")
+            held.append(pos)
+    return index
+
+
+def in_one_facet(index: dict[Any, array], keys: Iterable) -> bool:
+    """Whether some facet of the index holds every key: a position of the
+    rarest key found, by bisection, among the positions of all the others."""
+    try:
+        rarest, *rest = sorted((index[key] for key in keys), key=len)
+    except KeyError:
+        return False
+    for pos in rarest:
+        for held in rest:
+            i = bisect_left(held, pos)
+            if i == len(held) or held[i] != pos:
+                break
+        else:
+            return True
+    return False
 
 
 def _maximal(simplices: Iterable[Simplex]) -> set[Simplex]:

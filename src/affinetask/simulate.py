@@ -68,7 +68,10 @@ and Emerson & Sistla 1996), with every count kept exact:
   maps onto itself; otherwise, and for a task assembled by hand, it
   decides every concrete state. An orbit that violates is expanded, and
   each of its states is reported, so the reports list every offending
-  concrete state in terminal order.
+  concrete state in terminal order. Safety reads a terminal's returned
+  views as Chr Chr s vertex codes (`output_codes`), asks the task on them
+  once per distinct output, and builds a Simplex only for an output that
+  may be unsafe.
 - Traces. Each parent link keeps the permutation that carried the
   successor to its representative; `trace_to` composes them and relabels
   the events, so a trace replays to the concrete state asked for.
@@ -87,7 +90,8 @@ from .affine import AffineTask
 from .bits import colors_of, iter_bits, mask_of, submasks
 from .complexes import Simplex
 from .reports import VerificationReport
-from .subdivision import chr2_complex, chr2_simplex, pack
+from .subdivision import (_FIELDS, chr2_code, chr2_complex, pack,
+                          simplex_of_codes)
 
 DEFAULT_STATE_CAP = 10_000_000
 STATE_CAP_ENV = "AFFINE_STATE_CAP"
@@ -251,10 +255,11 @@ class ProtocolModel:
     def _prog(self, state: int, i: int) -> int:
         return (state >> (5 * i)) & 7
 
-    def _round(self, state: int, off: int) -> tuple[tuple[int, ...], ...]:
+    def _round(self, state: int, off: int) -> tuple:
         """(blocks, per-process view mask, per-process block, per-process
-        1-based block index) of the round whose blocks start at bit off; 0
-        for an uncommitted process. Decoded once per distinct block field."""
+        1-based block index, packed views) of the round whose blocks start
+        at bit off; 0 for an uncommitted process. Decoded once per distinct
+        block field."""
         n = self.n
         field = (state >> off) & ((1 << n * n) - 1)
         entry = self._rounds.get(field)
@@ -268,7 +273,8 @@ class ProtocolModel:
                 for i in iter_bits(blk):
                     views[i], group[i], index[i] = prefix, blk, len(blocks)
             entry = self._rounds[field] = (tuple(blocks), tuple(views),
-                                           tuple(group), tuple(index))
+                                           tuple(group), tuple(index),
+                                           pack(enumerate(views, 1)))
         return entry
 
     def decode(self, state: int) -> dict:
@@ -491,7 +497,7 @@ class ProtocolModel:
          crash_deltas) = self._moves.get(word) or self._slot_entry(word)
         if guarded:
             alpha = self.alpha_table
-            _, is1, group, _ = self._round(state, self._off_fblk)
+            _, is1, group, _, _ = self._round(state, self._off_fblk)
             # the largest Conc value written
             cmax = max(map(alpha.__getitem__, map(is1.__getitem__, conc))) if conc else 0
             out = []
@@ -611,22 +617,25 @@ class ProtocolModel:
 
     # --- terminal-state interpretation ------------------------------------
 
-    def outputs(self, state: int) -> list[tuple[int, int]]:
-        """(process, second-round prefix mask) of every returned process."""
+    def output_codes(self, state: int) -> tuple[int, ...]:
+        """The vertex codes (`chr2_code`) of the returned views, in process
+        order: each returned process's color with the round-one views its
+        round-two view holds, packed."""
+        blocks, _, _, _, views1 = self._round(state, self._off_fblk)
         spfx = self._round(state, self._off_sblk)[1]
-        return [(i + 1, spfx[i]) for i in self._procs
-                if self._prog(state, i) == DONE]
+        codes = []
+        for i in self._procs:
+            if (state >> (5 * i)) & 7 == DONE:
+                if spfx[i] & ~sum(blocks):
+                    raise SimulationError("a returned process saw a process "
+                                          "without a round-one view")
+                codes.append(chr2_code(i + 1, views1 & _FIELDS[spfx[i]]))
+        return tuple(codes)
 
     def output_simplex(self, state: int) -> Simplex | None:
         """The chromatic simplex spanned by the returned views, if any."""
-        outs = self.outputs(state)
-        if not outs:
-            return None
-        is1 = self._round(state, self._off_fblk)[1]
-        if any(not is1[q] for _, prefix in outs for q in iter_bits(prefix)):
-            raise SimulationError("a returned process saw a process "
-                                  "without a round-one view")
-        return chr2_simplex(pack(enumerate(is1, 1)), outs)
+        codes = self.output_codes(state)
+        return simplex_of_codes(codes) if codes else None
 
 
 # --- sweeps over participation sets -------------------------------------------
@@ -705,27 +714,29 @@ def check_safety(model: ProtocolModel, exploration: Exploration,
     _require_task_n(task, model.n)
     symmetric = _task_symmetric(model, task)
     report = VerificationReport(kind="safety", info=exploration.row())
-    # the output simplex depends only on the returned prefixes and the
-    # round-one views; remember it per key with its Chr Chr s membership
-    # when it is unsafe, else None
-    unsafe: dict[tuple, tuple[Simplex, bool] | None] = {}
+    # per output's vertex codes: its simplex and Chr Chr s membership when
+    # it is unsafe, else None
+    unsafe: dict[tuple[int, ...], tuple[Simplex, bool] | None] = {}
+
+    def decide(codes: tuple[int, ...]) -> tuple[Simplex, bool] | None:
+        if not codes:
+            return None
+        in_task = task.holds(codes)
+        # R_A lies inside Chr Chr s; a simplex is built, and Chr Chr s
+        # asked, only for an output that may be unsafe
+        if in_task and task.is_r_a:
+            return None
+        sigma = simplex_of_codes(codes)
+        inside = sigma in chr2_complex(model.n)
+        return None if inside and in_task else (sigma, inside)
 
     def violation(state: int) -> dict | None:
-        key = (tuple(model.outputs(state)), model._round(state, model._off_fblk)[1])
-        if key not in unsafe:
-            sigma = model.output_simplex(state)
-            if sigma is None:
-                unsafe[key] = None
-            else:
-                in_task = sigma in task.complex
-                # R_A lies inside Chr Chr s; Chr Chr s is built only to
-                # place any other simplex
-                inside = (in_task and task.is_r_a
-                          or sigma in chr2_complex(model.n))
-                unsafe[key] = None if inside and in_task else (sigma, inside)
-        if unsafe[key] is None:
+        codes = model.output_codes(state)
+        if codes not in unsafe:
+            unsafe[codes] = decide(codes)
+        if unsafe[codes] is None:
             return None
-        sigma, inside = unsafe[key]
+        sigma, inside = unsafe[codes]
         return dict(outputs=list(sigma.uids), in_subdivision=inside,
                     state=model.decode(state))
 

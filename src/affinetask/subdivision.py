@@ -13,7 +13,8 @@ Integer code: a Chr s vertex is its color and view (its carrier's color
 mask); `packed_views` packs a Chr s simplex into one int, so the Chr s
 carrier of a set of Chr Chr s vertices is the OR of their packed carriers.
 Facets are built on this code by the pooled `chr1_vertex`/`chr2_vertex`,
-from one enumeration of the runs per n, `all_runs`.
+from one enumeration of the runs per n, `all_runs`; a Chr Chr s vertex is
+coded as one int by `chr2_code`.
 
 Geometry is exact and on integers: `barycentric_points` places each vertex
 once per call, from its carrier's points, over one common denominator.
@@ -115,6 +116,22 @@ def chr2_vertex(color: int, carrier: int) -> Vertex:
     fields = (carrier >> MAX_PROCESSES * c & _VIEW for c in range(MAX_PROCESSES))
     return chr_vertex(color, Simplex(tuple(
         chr1_vertex(c, view) for c, view in enumerate(fields, 1) if view)))
+
+
+def chr2_code(color: int, carrier: int) -> int:
+    """A Chr Chr s vertex as one int: the (color, packed carrier) pair that
+    `chr2_vertex` pools on, the color in the low three bits."""
+    return carrier << 3 | color
+
+
+def code_of(v: Vertex) -> int:
+    """The `chr2_code` of a Chr Chr s vertex."""
+    return chr2_code(v.color, packed_views(v.payload))
+
+
+def simplex_of_codes(codes: Iterable[int]) -> Simplex:
+    """The Chr Chr s simplex of the given vertex codes."""
+    return Simplex(tuple(chr2_vertex(code & 7, code >> 3) for code in codes))
 
 
 def chr2_simplex(views1: int, views2: Iterable[tuple[int, int]]) -> Simplex:

@@ -277,7 +277,7 @@ def r_a_by_definition(adv: Adversary, combine: str) -> set[Simplex]:
 
 def chr2_table_by_vertex_pairs(n: int) -> tuple:
     """(groups, rhos, faces) of the Chr Chr s table, the library's
-    `_chr2_table` without its facets, by the reference clique loop: per
+    `_chr2_table` without its packed runs, by the reference clique loop: per
     facet, `reversed_views` on every vertex pair, growing the contending
     faces vertex by vertex in round-two run order."""
     runs = all_runs(n)
@@ -356,6 +356,14 @@ def safety_by_definition(model, exploration: Exploration,
     return report
 
 
+def outputs(model, state: int) -> list[tuple[int, int]]:
+    """(process, second-round prefix mask) of every returned process of a
+    `ProtocolModel` state."""
+    spfx = model._round(state, model._off_sblk)[1]
+    return [(i + 1, spfx[i]) for i in model._procs
+            if model._prog(state, i) == DONE]
+
+
 def safety_per_state(model, exploration: Exploration,
                      task: AffineTask) -> VerificationReport:
     """`check_safety` deciding every concrete terminal state in turn, as it
@@ -367,7 +375,7 @@ def safety_per_state(model, exploration: Exploration,
     unsafe: dict[tuple, tuple[Simplex, bool] | None] = {}
     for state in exploration.terminals:
         report.checked += 1
-        key = (tuple(model.outputs(state)), model._round(state, model._off_fblk)[1])
+        key = (tuple(outputs(model, state)), model._round(state, model._off_fblk)[1])
         if key not in unsafe:
             sigma = model.output_simplex(state)
             if sigma is None:

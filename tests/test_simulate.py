@@ -10,9 +10,11 @@ from affinetask import (Adversary, AffineTask, ChromaticComplex,
                         closure, make_k_of, make_t_resilient, replay,
                         state_cap_from_env, two_round_facet,
                         valid_participations, wait_predicate)
+from affinetask import affine as affine_module
 from affinetask.simulate import (DONE, INV1, INV2, STATE_CAP_ENV,
                                  _task_symmetric)
-from oracles import (explore_unreduced, liveness_per_state, masks,
+from affinetask.subdivision import code_of
+from oracles import (explore_unreduced, liveness_per_state, masks, outputs,
                      r_a_intersection_task, safety_by_definition,
                      safety_per_state, successors_by_registers)
 
@@ -26,7 +28,7 @@ def test_single_process_runs_a_linear_chain():
     assert exploration.state_count == 8
     assert len(exploration.terminals) == 1
     [terminal] = exploration.terminals
-    assert model.outputs(terminal) == [(1, 1)]
+    assert outputs(model, terminal) == [(1, 1)]
     sigma = model.output_simplex(terminal)
     assert sigma in chr2_complex(1)
     # no choice anywhere: every state has at most one successor
@@ -58,7 +60,7 @@ def test_synchronized_schedule_reaches_the_synchronized_facet():
     ]
     state = replay(model, events)
     assert state in model.explore().terminals
-    assert model.outputs(state) == [(1, 3), (2, 3)]
+    assert outputs(model, state) == [(1, 3), (2, 3)]
     assert model.output_simplex(state) == two_round_facet(((1, 2),), ((1, 2),), 2)
 
 
@@ -298,6 +300,67 @@ def _ridges(task: AffineTask) -> AffineTask:
                       complex=closure(ridges, n=task.n), alpha=task.alpha)
 
 
+def _foreign() -> Simplex:
+    """An edge on two vertices of Chr Chr s over 3 colors that share no
+    facet: the colors 1 and 2 each alone in both rounds."""
+    foreign = Simplex(tuple(
+        next(v for v in two_round_facet(blocks, blocks, 3) if v.color == c)
+        for c, blocks in [(1, [[1], [2], [3]]), (2, [[2], [1], [3]])]))
+    assert foreign not in chr2_complex(3)
+    return foreign
+
+
+def _r_a_and_foreign(adv: Adversary) -> AffineTask:
+    """R_A of a 3-color family with the foreign edge added."""
+    r_a = build_r_a(adv)
+    return AffineTask(name="r_a_and_foreign", n=3, alpha=r_a.alpha,
+                      complex=closure(r_a.complex.facets | {_foreign()}, n=3))
+
+
+def test_code_membership_is_simplex_membership(fair_live_adversaries, chr2_3,
+                                               fixture_adversaries):
+    """Membership on vertex codes equals the face closure of the task's
+    complex, and its Simplex membership, on every simplex of Chr Chr s: for
+    R_A of the 43 fair live n=3 families, indexed from run-pair ids before
+    any complex is built, and for two tasks assembled by hand, indexed from
+    their complexes."""
+    adv = fixture_adversaries["obstruction_free_1"]
+    tasks = [build_r_a(a) for a in fair_live_adversaries]
+    tasks += [_ridges(build_r_a(adv)), _r_a_and_foreign(adv)]
+    sigmas = chr2_3.simplices()
+    codes = [tuple(map(code_of, sigma)) for sigma in sigmas]
+    assert len(tasks) == 45 and len(sigmas) == 535
+    proper = 0  # tasks that miss some simplex of Chr Chr s
+    for task in tasks:
+        held = [task.holds(c) for c in codes]
+        faces = set(task.complex.simplices())
+        assert held == [sigma in faces for sigma in sigmas]
+        assert held == [sigma in task.complex for sigma in sigmas]
+        proper += not all(held)
+    assert proper == 44  # all but the wait-free family
+    assert tasks[-1].holds(map(code_of, _foreign()))
+    assert not tasks[-2].holds(map(code_of, _foreign()))
+
+
+def test_r_a_is_carved_counted_and_checked_without_simplices(
+        monkeypatch, fixture_adversaries):
+    """build_r_a (its table too), facet_count and check_model on R_A run on
+    run-pair ids and vertex codes: no Simplex is made, so neither a facet of
+    chr2_facets nor the task's complex."""
+    def made(*args):
+        raise AssertionError("a Simplex or a complex was made")
+
+    affine_module._chr2_table.cache_clear()
+    monkeypatch.setattr(Simplex, "__post_init__", made)
+    monkeypatch.setattr(ChromaticComplex, "__post_init__", made)
+    for name, adv in fixture_adversaries.items():
+        task = build_r_a(adv)
+        assert task.facet_count() == len(task.r_a_ids) > 0
+        safety, liveness, rows = check_model(adv, task)
+        assert safety.ok and liveness.ok and safety.checked > 0, name
+        assert task._complex is None
+
+
 @pytest.mark.parametrize("name,fault_budget,checked,unsafe", [
     ("obstruction_free_1", 1, 721, 133),
     ("obstruction_free_2", None, 1615, 232),
@@ -322,16 +385,12 @@ def test_safety_reports_an_output_outside_chr2_that_the_task_holds(
     """A task may hold a simplex outside Chr Chr s; an output equal to it is
     still unsafe, with in_subdivision false."""
     adv = fixture_adversaries["obstruction_free_1"]
-    # the colors 1 and 2 each alone in both rounds share no facet
-    foreign = Simplex(tuple(
-        next(v for v in two_round_facet(blocks, blocks, 3) if v.color == c)
-        for c, blocks in [(1, [[1], [2], [3]]), (2, [[2], [1], [3]])]))
-    assert foreign not in chr2_complex(3)
-    r_a = build_r_a(adv)
-    task = AffineTask(name="r_a_and_foreign", n=3, alpha=r_a.alpha,
-                      complex=closure(r_a.complex.facets | {foreign}, n=3))
+    foreign = _foreign()
+    task = _r_a_and_foreign(adv)
     model = ProtocolModel(adv)
-    monkeypatch.setattr(model, "output_simplex", lambda state: foreign)
+    codes = tuple(code_of(v) for v in sorted(foreign, key=lambda v: v.color))
+    monkeypatch.setattr(model, "output_codes", lambda state: codes)
+    assert model.output_simplex(0) == foreign
     exploration = model.explore()
     report = check_safety(model, exploration, task)
     assert len(report.violations) == report.checked == 133
@@ -345,21 +404,25 @@ def test_safety_reports_an_output_outside_chr2_that_the_task_holds(
 def test_safety_of_r_a_asks_only_the_task(monkeypatch, fixture_adversaries,
                                           name):
     """An output simplex in R_A lies in a facet of Chr Chr s, so a safe run
-    against R_A never asks Chr Chr s for membership."""
+    against R_A asks the task alone, on vertex codes: no complex is asked
+    for membership, and the task's own complex is never built."""
     adv = fixture_adversaries[name]
     task = build_r_a(adv)
-    asked = []
-    contains = ChromaticComplex.__contains__
+    asked, complexes_asked = [], []
+    holds = AffineTask.holds
 
-    def spy(K, sigma):
-        asked.append(K)
-        return contains(K, sigma)
+    def spy(self, codes):
+        asked.append(self)
+        return holds(self, codes)
 
-    monkeypatch.setattr(ChromaticComplex, "__contains__", spy)
+    monkeypatch.setattr(AffineTask, "holds", spy)
+    monkeypatch.setattr(ChromaticComplex, "__contains__",
+                        lambda K, sigma: complexes_asked.append(K))
     model = ProtocolModel(adv)
     report = check_safety(model, model.explore(), task)
     assert report.ok and report.checked > 0
-    assert asked and all(K is task.complex for K in asked)
+    assert asked and all(t is task for t in asked)
+    assert not complexes_asked and task._complex is None
 
 
 # --- symmetry reduction against the unreduced explorer ----------------------------
@@ -606,7 +669,7 @@ def test_output_simplex_needs_round_one_views_of_the_seen():
     got a round-one view."""
     model = ProtocolModel(make_k_of(2, 1))
     state = DONE | 0b01 << model._off_fblk | 0b11 << model._off_sblk
-    assert model.outputs(state) == [(1, 3)]
+    assert outputs(model, state) == [(1, 3)]
     with pytest.raises(SimulationError, match="without a round-one view"):
         model.output_simplex(state)
 
