@@ -18,16 +18,16 @@ each run's order code (`_run_code`), and the contending faces of one
 contention graph and one round-two color order are listed once
 (`_cliques`). `build_r_a` runs only a guard loop over these ints per
 alpha and keeps the run-pair ids of its facets, i * |runs| + j for runs i
-and j of `all_runs(n)`; it makes no Simplex. Membership in a task is asked
-on vertex codes (`chr2_code`), through a facet index built from the ids,
-and R_A's complex, the `chr2_facets(n)` Simplex objects at those ids, is
-built only where a task is written, drawn or swept.
-`contention_simplices` reads the same table.
+and j of `all_runs(n)`; it makes no Simplex. `AffineTask` is these ids:
+its facets read as vertex codes (`facet_codes`, `chr2_code`) serve both
+membership, through a facet index, and the leader sweep. R_A's complex,
+the `chr2_facets(n)` Simplex objects at those ids, is built only where a
+task is written or drawn. `contention_simplices` reads the same table.
 
 R_A reads colors only through alpha and view masks, so a swap of two
 colors that keeps alpha maps R_A onto itself (the scalarset argument of Ip
 & Dill 1996, applied to the task); `AffineTask.symmetric_under` decides a
-swap on alpha alone, for a task marked as R_A.
+swap on alpha alone.
 """
 from __future__ import annotations
 
@@ -43,56 +43,42 @@ from .complexes import (MAX_PROCESSES, ChromaticComplex, Simplex, _sort_key,
                         complex_to_dict, facet_index, in_one_facet)
 from .reports import VerificationReport
 from .subdivision import (_FIELDS, _VIEW, all_runs, chr2_code, chr2_facets,
-                          chr_complex, code_of, pack, packed_views)
+                          chr_complex, pack, packed_views)
 
 
 class AffineTask:
-    """A sub-complex of Chr Chr s with the agreement function it was built for.
+    """R_A of an agreement function: the run-pair ids of its facets, i *
+    |runs| + j for runs i and j of `all_runs(n)` (the positions in
+    `chr2_facets(n)`), ascending.
 
-    A task assembled by hand holds its complex. R_A, as `build_r_a` makes
-    it, holds instead `r_a_ids`, the run-pair ids of its facets (the
-    positions in `chr2_facets(n)`), and builds its complex on first access.
-    `is_r_a` holds only for such a task: a task assembled by hand is not
-    taken to be R_A.
+    Membership is asked on vertex codes (`holds`), through a facet index
+    built from the ids. The complex is built on first access, for JSON,
+    drawings and the tests."""
 
-    Membership is asked on vertex codes (`holds`), through one facet index
-    per task: built from the ids for R_A, from the complex otherwise."""
+    name = "r_adv"
 
-    def __init__(self, name: str, n: int, complex: ChromaticComplex | None,
-                 alpha: AgreementFunction, r_a_ids: array | None = None):
-        if (complex is None) == (r_a_ids is None):
-            raise ValueError("a task holds either its complex or R_A's run-pair ids")
-        self.name, self.n, self.alpha = name, n, alpha
-        self.r_a_ids = r_a_ids
-        self._complex = complex
+    def __init__(self, alpha: AgreementFunction, ids: array):
+        self.alpha, self.n, self.ids = alpha, alpha.n, ids
 
-    @property
-    def is_r_a(self) -> bool:
-        return self.r_a_ids is not None
-
-    @property
+    @cached_property
     def complex(self) -> ChromaticComplex:
-        if self._complex is None:
-            facets = chr2_facets(self.n)
-            self._complex = ChromaticComplex(
-                self.n, frozenset(facets[i] for i in self.r_a_ids))
-        return self._complex
+        facets = chr2_facets(self.n)
+        return ChromaticComplex(self.n, frozenset(facets[i] for i in self.ids))
 
     def facet_count(self) -> int:
-        if self.r_a_ids is not None:
-            return len(self.r_a_ids)
-        return len(self.complex.facets)
+        return len(self.ids)
+
+    def facet_codes(self) -> Iterator[list[int]]:
+        """Each facet's vertex codes (`chr2_code`), in id order."""
+        views1 = _chr2_table(self.n)[0]
+        runs = [[(c, _FIELDS[view]) for c, view in run] for run in all_runs(self.n)]
+        for i, j in (divmod(k, len(runs)) for k in self.ids):
+            yield [chr2_code(c, views1[i] & field) for c, field in runs[j]]
 
     @cached_property
     def _index(self) -> dict[int, array]:
         """Per vertex code, the positions of the task's facets holding it."""
-        if self.r_a_ids is None:
-            return facet_index(map(code_of, f) for f in self.complex.facets)
-        views1 = _chr2_table(self.n)[0]
-        runs = [[(c, _FIELDS[view]) for c, view in run] for run in all_runs(self.n)]
-        return facet_index(
-            [chr2_code(c, views1[i] & field) for c, field in runs[j]]
-            for i, j in (divmod(k, len(runs)) for k in self.r_a_ids))
+        return facet_index(self.facet_codes())
 
     def holds(self, codes: Iterable[int]) -> bool:
         """Whether the Chr Chr s vertices of the given codes (`chr2_code`)
@@ -103,9 +89,8 @@ class AffineTask:
         """Whether exchanging colors a and b maps the task's facets onto
         themselves. R_A reads colors only through alpha and view masks, so
         a swap that keeps alpha on every subset of 1..n maps it onto itself
-        (and on every fair live family up to n = 4, no other swap does). A
-        task that is not R_A is never taken as symmetric."""
-        return self.is_r_a and self.alpha.swap_keeps(a, b, (1 << self.n) - 1)
+        (and on every fair live family up to n = 4, no other swap does)."""
+        return self.alpha.swap_keeps(a, b, (1 << self.n) - 1)
 
     def __repr__(self) -> str:
         return f"AffineTask({self.name}, facets={self.facet_count()})"
@@ -270,8 +255,7 @@ def build_r_a(adv: Adversary) -> AffineTask:
                 break
         else:
             kept.append(k)
-    return AffineTask(name="r_adv", n=adv.n, complex=None, alpha=alpha,
-                      r_a_ids=kept)
+    return AffineTask(alpha, kept)
 
 
 # --- verification sweeps ------------------------------------------------------------

@@ -1,24 +1,26 @@
 """Leader choice on second-subdivision vertices, restricted to a query set.
 
-For a vertex v of the task complex and a query set Q containing v's color,
+For a vertex v of the task and a query set Q containing v's color,
 the leader map picks the smallest process of Q inside a distinguished view:
 the smallest critical view meeting Q when some critical view of v's
 second-round view meets Q, otherwise the smallest view of a seen vertex
 meeting Q. Views are color masks, read off the view groups of v's round-two
 view. "Smallest" is by inclusion; the views and the critical views each
 form a chain and this is asserted, never tie-broken.
+
+A vertex is its code (`subdivision.chr2_code`), and `verify_leader` reads
+the task's facets as codes (`AffineTask.facet_codes`), never its complex.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable
 
 from .adversary import Adversary, AgreementFunction, require_fair
 from .affine import AffineTask, _critical_faces, _view_groups, build_r_a
 from .bits import colors_of, mask_of
-from .complexes import ComplexError, Vertex
 from .reports import VerificationReport
-from .subdivision import packed_views
+from .subdivision import chr2_vertex
 
 
 class LeaderError(ValueError):
@@ -38,28 +40,28 @@ def _chain(views: Iterable[int], what: str) -> tuple[int, ...]:
 class LeaderMap:
     """The leader map of one agreement function, as one table per vertex.
 
-    A vertex is decoded once, when it is first met: its critical views and
-    its views are sorted into chains, and the leader of every query mask
-    holding its color is elected into a tuple indexed by mask, as a one-bit
-    color mask (0 for the masks without its color). Only that tuple and the
-    vertex's base carrier are kept.
+    A vertex is its code (`subdivision.chr2_code`): its color in the low
+    three bits, its packed round-two view above them. A vertex is decoded
+    once, when it is first met: its critical views and its views are sorted
+    into chains, and the leader of every query mask holding its color is
+    elected into a tuple indexed by mask, as a one-bit color mask (0 for the
+    masks without its color). Only that tuple and the vertex's base carrier
+    are kept.
     """
 
     def __init__(self, alpha: AgreementFunction):
         self.alpha = alpha
-        # vertex -> (its base carrier's colors, its leader bit per mask)
-        self._table: dict[Vertex, tuple[int, tuple[int, ...]]] = {}
+        # vertex code -> (its base carrier's colors, its leader bit per mask)
+        self._table: dict[int, tuple[int, tuple[int, ...]]] = {}
 
-    def _entry(self, v: Vertex) -> tuple[int, tuple[int, ...]]:
-        entry = self._table.get(v)
+    def _entry(self, code: int) -> tuple[int, tuple[int, ...]]:
+        entry = self._table.get(code)
         if entry is None:
-            if v.payload is None:
-                raise ComplexError(f"{v!r} is a base vertex, not a Chr Chr s vertex")
-            groups = _view_groups(packed_views(v.payload))
+            groups = _view_groups(code >> 3)
             critical = _chain((view for view, _ in _critical_faces(groups, self.alpha)),
                               "delta")
             views = _chain((view for view, _ in groups), "gamma")
-            own = 1 << v.color - 1
+            own = 1 << (code & 7) - 1
             leaders = [0] * (1 << self.alpha.n)
             for q in range(own, len(leaders)):
                 if q & own:
@@ -67,19 +69,20 @@ class LeaderMap:
                     pool = next(view for chain in (critical, views)
                                 for view in chain if view & q) & q
                     leaders[q] = pool & -pool
-            entry = self._table[v] = (views[-1], tuple(leaders))
+            entry = self._table[code] = (views[-1], tuple(leaders))
         return entry
 
-    def seen(self, v: Vertex) -> int:
-        """The colors of v's base carrier: its largest round-two view."""
-        return self._entry(v)[0]
+    def seen(self, code: int) -> int:
+        """The colors of the vertex's base carrier: its largest round-two
+        view."""
+        return self._entry(code)[0]
 
-    def __call__(self, v: Vertex, Q: Iterable[int]) -> int:
-        """The elected process of Q for vertex v."""
-        leaders = self._entry(v)[1]
+    def __call__(self, code: int, Q: Iterable[int]) -> int:
+        """The elected process of Q for the vertex of the given code."""
+        leaders = self._entry(code)[1]
         Q = frozenset(Q)
-        if v.color not in Q:
-            raise LeaderError(f"own color {v.color} must belong to Q={sorted(Q)}")
+        if code & 7 not in Q:
+            raise LeaderError(f"own color {code & 7} must belong to Q={sorted(Q)}")
         # colors outside 1..n lie in no view, so they never change the leader
         return leaders[mask_of(Q) & len(leaders) - 1].bit_length()
 
@@ -133,34 +136,42 @@ def verify_leader(adv: Adversary, task: AffineTask | None = None,
     """
     task, mu = _prepare(adv, task)
     queries = [(sorted(Q), mask_of(Q)) for Q in _queries_for(adv.n, queries)]
+    # the vertex codes by uid, and the facets as ascending positions among
+    # them by size, then positions: the orders of the task's complex
+    uids = {code: chr2_vertex(code & 7, code >> 3).uid
+            for code in set(chain.from_iterable(task.facet_codes()))}
+    codes = sorted(uids, key=uids.__getitem__)
+    rank = {code: r for r, code in enumerate(codes)}
+    facets = sorted((sorted(map(rank.__getitem__, f)) for f in task.facet_codes()),
+                    key=lambda f: (len(f), f))
+    # per position: (color bit, base carrier, leader bits, uid)
+    rows = [(1 << (code & 7) - 1, *mu._entry(code), uids[code]) for code in codes]
+
     validity = VerificationReport(kind="mu_validity")
     robustness = VerificationReport(kind="mu_robustness")
-    for v in sorted(task.complex.vertices, key=lambda u: u.uid):
-        seen, leaders = mu._entry(v)
-        own = 1 << v.color - 1
+    for own, seen, leaders, uid in rows:
         for Q, q in queries:
             if not q & own:
                 continue
             leader = leaders[q]
             validity.checked += 1
             if not leader & q & seen:
-                validity.add(vertex=v.uid, Q=Q, leader=leader.bit_length(),
+                validity.add(vertex=uid, Q=Q, leader=leader.bit_length(),
                              seen=sorted(colors_of(seen)))
             restricted = leaders[seen & q]
             robustness.checked += 1
             if leader != restricted:
-                robustness.add(vertex=v.uid, Q=Q, leader=leader.bit_length(),
+                robustness.add(vertex=uid, Q=Q, leader=leader.bit_length(),
                                restricted_leader=restricted.bit_length())
 
     agreement = VerificationReport(kind="mu_agreement")
     # per color mask of a face, the query sets holding it, in query order
     holding = [[(Q, q) for Q, q in queries if not colors & ~q]
                for colors in range(1 << adv.n)]
-    for facet in task.complex.sorted_facets():
-        verts = facet.vertices
-        rows = [(1 << v.color - 1, *mu._entry(v), v.uid) for v in verts]
+    for facet in facets:
+        verts = [rows[r] for r in facet]
         for size in range(1, len(verts) + 1):
-            for combo in combinations(rows, size):
+            for combo in combinations(verts, size):
                 colors = base = 0
                 for bit, seen, _, _ in combo:
                     colors |= bit

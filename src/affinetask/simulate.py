@@ -63,15 +63,15 @@ and Emerson & Sistla 1996), with every count kept exact:
   iterating `Exploration.terminals` expands them into their concrete
   states, in a fixed order. Stuckness and Chr Chr s membership relabel with
   the state, so `check_liveness` decides one state per orbit. So does
-  `check_safety` when the task is R_A and every swap of two processes of
-  one class keeps the task's alpha on every subset of 1..n, for then R_A
-  maps onto itself; otherwise, and for a task assembled by hand, it
-  decides every concrete state. An orbit that violates is expanded, and
-  each of its states is reported, so the reports list every offending
-  concrete state in terminal order. Safety reads a terminal's returned
-  views as Chr Chr s vertex codes (`output_codes`), asks the task on them
-  once per distinct output, and builds a Simplex only for an output that
-  may be unsafe.
+  `check_safety` when every swap of two processes of one class keeps the
+  task's alpha on every subset of 1..n, for then R_A maps onto itself;
+  otherwise it decides every concrete state. An orbit that violates is
+  expanded, and each of its states is reported, so the reports list every
+  offending concrete state in terminal order. Safety reads a terminal's
+  returned views as Chr Chr s vertex codes (`output_codes`) and asks the
+  task on them once per distinct output. R_A lies inside Chr Chr s, so an
+  output it holds is safe, and a Simplex is built, and Chr Chr s asked,
+  only for an output outside R_A.
 - Traces. Each parent link keeps the permutation that carried the
   successor to its representative; `trace_to` composes them and relabels
   the events, so a trace replays to the concrete state asked for.
@@ -710,6 +710,8 @@ def check_safety(model: ProtocolModel, exploration: Exploration,
     report.states holds the unsafe terminal states, one per violation. One
     state per orbit is decided when the task's facets are closed under every
     swap of two interchangeable processes of the model, else every state.
+    The task lies inside Chr Chr s, as R_A does, so a Simplex is built, and
+    Chr Chr s asked, only for an output outside the task.
     """
     _require_task_n(task, model.n)
     symmetric = _task_symmetric(model, task)
@@ -719,16 +721,10 @@ def check_safety(model: ProtocolModel, exploration: Exploration,
     unsafe: dict[tuple[int, ...], tuple[Simplex, bool] | None] = {}
 
     def decide(codes: tuple[int, ...]) -> tuple[Simplex, bool] | None:
-        if not codes:
-            return None
-        in_task = task.holds(codes)
-        # R_A lies inside Chr Chr s; a simplex is built, and Chr Chr s
-        # asked, only for an output that may be unsafe
-        if in_task and task.is_r_a:
+        if not codes or task.holds(codes):
             return None
         sigma = simplex_of_codes(codes)
-        inside = sigma in chr2_complex(model.n)
-        return None if inside and in_task else (sigma, inside)
+        return sigma, sigma in chr2_complex(model.n)
 
     def violation(state: int) -> dict | None:
         codes = model.output_codes(state)

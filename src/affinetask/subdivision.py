@@ -125,7 +125,9 @@ def chr2_code(color: int, carrier: int) -> int:
 
 
 def code_of(v: Vertex) -> int:
-    """The `chr2_code` of a Chr Chr s vertex."""
+    """The `chr2_code` of a Chr Chr s vertex; any other vertex raises."""
+    if v.payload is None or v.payload.vertices[0].payload is None:
+        raise ComplexError(f"{v!r} is not a Chr Chr s vertex")
     return chr2_code(v.color, packed_views(v.payload))
 
 

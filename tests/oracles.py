@@ -24,7 +24,8 @@ explorer before symmetry reduction
 (`explore_unreduced`, over every concrete state). Views and carriers are read straight off vertex
 payloads (`view1`, `view2`, `base_colors`). It also holds the helpers only
 tests use: `is_pure`, `facet_to_partition`, `symmetric_setcon` and
-`project_vertex`.
+`project_vertex`, and `ComplexTask`, a task held as its complex for the
+tasks only tests pose.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from itertools import combinations, permutations
 from math import comb, factorial
 
 from affinetask import (Adversary, AdversaryError, AffineTask,
+                        AgreementFunction,
                         ChromaticComplex, ComplexError, LeaderError, Simplex,
                         Exploration, StateCapExceeded, Terminals,
                         VerificationReport,
@@ -46,7 +48,30 @@ from affinetask.bits import colors_of, iter_bits, mask_of
 from affinetask.complexes import MAX_PROCESSES
 from affinetask.render import _CORNERS_2D, _project
 from affinetask.simulate import DONE, WROTE1, WROTE2
-from affinetask.subdivision import _FIELDS, _VIEW, all_runs, pack
+from affinetask.subdivision import (_FIELDS, _VIEW, all_runs, code_of, pack,
+                                   simplex_of_codes)
+
+
+class ComplexTask:
+    """A task held as its complex, with the agreement function it is posed
+    for: the interface of `AffineTask`, read off the complex, for the tasks
+    that only the tests pose. It is never taken as symmetric."""
+
+    def __init__(self, name: str, n: int, complex: ChromaticComplex,
+                 alpha: AgreementFunction):
+        self.name, self.n, self.complex, self.alpha = name, n, complex, alpha
+
+    def holds(self, codes) -> bool:
+        return simplex_of_codes(codes) in self.complex
+
+    def facet_codes(self):
+        return ([code_of(v) for v in f] for f in self.complex.facets)
+
+    def facet_count(self) -> int:
+        return len(self.complex.facets)
+
+    def symmetric_under(self, a: int, b: int) -> bool:
+        return False
 
 
 def view2(v) -> frozenset[int]:
@@ -224,16 +249,15 @@ def pure_complement_brute(simplices, K: ChromaticComplex) -> set[Simplex]:
     return {f for f in K.facets if not any(f.has_face(s) for s in wanted)}
 
 
-def build_r_kof(n: int, k: int) -> AffineTask:
+def build_r_kof(n: int, k: int) -> ComplexTask:
     """The contention ban: facets of Chr Chr s avoiding every contending
     simplex of dim >= k, tagged with the alpha of k-obstruction-freedom."""
     if not 1 <= k <= n:
         raise AdversaryError(f"k={k} out of range 1..{n}")
     chr2 = chr2_complex(n)
     banned = [s for s in chr2.simplices() if s.dim >= k and contending(s)]
-    return AffineTask(name=f"r_{k}of", n=n,
-                      complex=closure(pure_complement_brute(banned, chr2), n=n),
-                      alpha=agreement_function(make_k_of(n, k)))
+    return ComplexTask(f"r_{k}of", n, closure(pure_complement_brute(banned, chr2), n=n),
+                       agreement_function(make_k_of(n, k)))
 
 
 def r_a_by_definition(adv: Adversary, combine: str) -> set[Simplex]:
@@ -305,13 +329,12 @@ def chr2_table_by_vertex_pairs(n: int) -> tuple:
     return tuple(_view_groups(p) for p in ids), tuple(rhos), tuple(faces)
 
 
-def r_a_intersection_task(adv: Adversary) -> AffineTask:
+def r_a_intersection_task(adv: Adversary) -> ComplexTask:
     """The intersection-guard reading of R_A as a task, with the adversary's
     alpha; the two-round protocol escapes it."""
-    return AffineTask(name="r_adv_intersection", n=adv.n,
-                      complex=closure(r_a_by_definition(adv, "intersection"),
-                                      n=adv.n),
-                      alpha=agreement_function(adv))
+    return ComplexTask("r_adv_intersection", adv.n,
+                       closure(r_a_by_definition(adv, "intersection"), n=adv.n),
+                       agreement_function(adv))
 
 
 def variant_divergence_report(advs) -> dict:

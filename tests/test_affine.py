@@ -312,15 +312,6 @@ def test_symmetric_n4_tasks_are_closed_under_every_swap():
         assert all(task.symmetric_under(a, b) for a, b in combinations(range(1, 5), 2))
 
 
-def test_a_task_without_kept_ids_is_never_taken_as_symmetric():
-    """A task assembled by hand is not marked as R_A, so even a closed one
-    with a swap-invariant alpha is not taken as symmetric."""
-    task = build_r_kof(3, 2)
-    assert not task.is_r_a and symmetric_by_facets(task, 1, 2)
-    assert task.alpha.swap_keeps(1, 2, 0b111)
-    assert not task.symmetric_under(1, 2)
-
-
 def test_union_variant_contains_intersection_variant(fixture_adversaries):
     for adv in fixture_adversaries.values():
         union = build_r_a(adv).complex.facets

@@ -4,15 +4,16 @@ from itertools import combinations
 
 import pytest
 
-from affinetask import (AffineTask, ComplexError, LeaderError, LeaderMap,
-                        Simplex, agreement_function, build_r_a, chr_complex,
-                        closure, make_k_of, make_t_resilient,
-                        standard_simplex, two_round_facet, verify_leader)
+from affinetask import (ComplexError, LeaderError, LeaderMap, Simplex,
+                        agreement_function, build_r_a, chr_complex, closure,
+                        make_k_of, make_t_resilient, standard_simplex,
+                        two_round_facet, verify_leader)
 from affinetask import leader as leader_module
 from affinetask.bits import colors_of
-from oracles import (critical_faces, mu_by_definition, r_a_intersection_task,
-                     verify_mu_agreement, verify_mu_robustness,
-                     verify_mu_validity)
+from affinetask.subdivision import chr2_facets, code_of
+from oracles import (ComplexTask, critical_faces, mu_by_definition,
+                     r_a_intersection_task, verify_mu_agreement,
+                     verify_mu_robustness, verify_mu_validity)
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +41,7 @@ def test_delta_picks_smallest_critical_carrier(solo_map, solo_alpha,
                 for theta in critical_faces(v3.payload, solo_alpha)]
     assert critical == [frozenset({1})]
     for Q in ({1, 3}, {1, 2, 3}):
-        assert solo_map(v3, Q) == mu_by_definition(v3, Q, solo_alpha) == 1
+        assert solo_map(code_of(v3), Q) == mu_by_definition(v3, Q, solo_alpha) == 1
 
 
 def test_gamma_picks_smallest_seen_carrier(solo_map, solo_alpha,
@@ -50,13 +51,14 @@ def test_gamma_picks_smallest_seen_carrier(solo_map, solo_alpha,
     v3 = next(v for v in staircase_facet if v.color == 3)
     assert sorted(u.payload.colors for u in v3.payload) == [
         frozenset({1}), frozenset({1, 2}), frozenset({1, 2, 3})]
-    assert solo_map.seen(v3) == 0b111
+    assert solo_map.seen(code_of(v3)) == 0b111
     for Q, leader in (({3}, 3), ({2, 3}, 2)):
-        assert solo_map(v3, Q) == mu_by_definition(v3, Q, solo_alpha) == leader
+        assert (solo_map(code_of(v3), Q) == mu_by_definition(v3, Q, solo_alpha)
+                == leader)
 
 
 def test_mu_examples(solo_map, staircase_facet):
-    by_color = {v.color: v for v in staircase_facet}
+    by_color = {v.color: code_of(v) for v in staircase_facet}
     # the lone critical member is process 1: everyone who may pick it does
     for c in (1, 2, 3):
         assert solo_map(by_color[c], {1, 2, 3}) == 1
@@ -68,22 +70,21 @@ def test_mu_examples(solo_map, staircase_facet):
 
 
 def test_mu_requires_own_color_in_query(solo_map, staircase_facet):
-    v3 = next(v for v in staircase_facet if v.color == 3)
+    v3 = next(code_of(v) for v in staircase_facet if v.color == 3)
     # the error is raised on every call: a failed election is never memoized
     for _ in range(2):
         with pytest.raises(LeaderError):
             solo_map(v3, {1, 2})
 
 
-def test_leader_map_rejects_vertices_outside_chr2(solo_map):
-    """A base vertex or a Chr s vertex has no round-two view to elect from."""
+def test_leader_map_rejects_vertices_outside_chr2():
+    """A base vertex or a Chr s vertex has no round-two view to elect from,
+    so it has no vertex code to pass to the leader map."""
     outside = [next(iter(standard_simplex(3).vertices)),
                next(v for v in chr_complex(3).vertices if v.color == 1)]
     for v in outside:
-        with pytest.raises(ComplexError):
-            solo_map(v, {1, 2, 3})
-        with pytest.raises(ComplexError):
-            solo_map.seen(v)
+        with pytest.raises(ComplexError, match="is not a Chr Chr s vertex"):
+            code_of(v)
 
 
 def test_leader_reports_on_fixture_task(fixture_adversaries, fixture_tasks):
@@ -120,17 +121,19 @@ def test_robustness_catches_a_restriction_that_elects_another(
     task = fixture_tasks["obstruction_free_2"]
     mu = LeaderMap(agreement_function(adv))
     full = 0b111
-    target = next(v for v in sorted(task.complex.vertices, key=lambda u: u.uid)
-                  if mu.seen(v) != full and mu.seen(v).bit_count() >= 2)
+    vertex = next(v for v in sorted(task.complex.vertices, key=lambda u: u.uid)
+                  if mu.seen(code_of(v)) != full
+                  and mu.seen(code_of(v)).bit_count() >= 2)
+    target = code_of(vertex)
     seen = mu.seen(target)
     honest = mu._entry(target)[1][full]
     assert honest == mu._entry(target)[1][seen]
     other = next(1 << c - 1 for c in sorted(colors_of(seen)) if 1 << c - 1 != honest)
     entry = LeaderMap._entry
 
-    def patched(self, v):
-        seen, leaders = entry(self, v)
-        if v == target:
+    def patched(self, code):
+        seen, leaders = entry(self, code)
+        if code == target:
             leaders = leaders[:full] + (other,) + leaders[full + 1:]
         return seen, leaders
 
@@ -138,7 +141,7 @@ def test_robustness_catches_a_restriction_that_elects_another(
     validity, _, robustness = verify_leader(adv, task)
     assert validity.ok
     assert robustness.violations == [{
-        "vertex": target.uid, "Q": [1, 2, 3], "leader": other.bit_length(),
+        "vertex": vertex.uid, "Q": [1, 2, 3], "leader": other.bit_length(),
         "restricted_leader": honest.bit_length()}]
 
 
@@ -168,25 +171,54 @@ def test_leader_map_matches_definition(chr2_3, fixture_adversaries):
         expected = {(v, Q): mu_by_definition(v, Q, alpha) for v, Q in pairs}
         for _ in range(2):  # computed first, looked up second
             for (v, Q), leader in expected.items():
-                assert mu(v, Q) == leader, (adv, v, Q)
+                assert mu(code_of(v), Q) == leader, (adv, v, Q)
 
 
 def test_leader_map_decodes_each_vertex_once(monkeypatch, chr2_3, solo_alpha):
     """Every query set of a vertex is elected from one decoding of its views."""
     decoded = []
-    code = leader_module.packed_views
-    monkeypatch.setattr(leader_module, "packed_views",
-                        lambda sigma: decoded.append(sigma) or code(sigma))
+    groups = leader_module._view_groups
+    monkeypatch.setattr(leader_module, "_view_groups",
+                        lambda packed: decoded.append(packed) or groups(packed))
     mu = LeaderMap(solo_alpha)
     queries = [frozenset(Q) for k in (1, 2, 3)
                for Q in combinations((1, 2, 3), k)]
-    for v in chr2_3.vertices:
+    codes = [code_of(v) for v in chr2_3.vertices]
+    for code in codes:
         for Q in queries:
-            if v.color in Q:
-                mu(v, Q)
-        mu.seen(v)
-    assert sorted(decoded, key=repr) == sorted(
-        (v.payload for v in chr2_3.vertices), key=repr)
+            if code & 7 in Q:
+                mu(code, Q)
+        mu.seen(code)
+    assert sorted(decoded) == sorted(code >> 3 for code in codes)
+
+
+# fixture -> (validity, agreement, robustness) checks of the leader sweep on R_A
+LEADER_CHECKS = {
+    "obstruction_free_1": [348, 1387, 348],
+    "obstruction_free_2": [396, 2698, 396],
+    "resilient_1": [384, 2698, 384],
+    "superset_closed_2_13": [388, 2755, 388],
+}
+
+
+def test_leader_sweep_of_r_a_builds_no_complex(fixture_adversaries):
+    """verify_leader reads R_A's facets as vertex codes: it builds neither
+    the task's complex nor chr2_facets, and its reports are the frozen
+    counts and those of the sweep over the task's complex."""
+    chr2_facets.cache_clear()
+    swept = {}
+    for name, adv in sorted(fixture_adversaries.items()):
+        task = build_r_a(adv)
+        swept[name] = task, verify_leader(adv, task)
+        assert chr2_facets.cache_info().currsize == 0, name
+        assert "complex" not in vars(task), name
+    for name, (task, reports) in swept.items():
+        assert [r.checked for r in reports] == LEADER_CHECKS[name]
+        assert all(r.ok for r in reports), name
+        adv = fixture_adversaries[name]
+        held = ComplexTask(task.name, task.n, task.complex, task.alpha)
+        assert ([r.to_dict() for r in reports]
+                == [r.to_dict() for r in verify_leader(adv, held)]), name
 
 
 @pytest.fixture(scope="module")
@@ -199,9 +231,9 @@ def test_leader_properties_hold_at_n4(kof41_reports):
     assert [len(r.violations) for r in kof41_reports] == [0, 0, 0]
 
 
-def _chr2_task(chr2_3, adv) -> AffineTask:
+def _chr2_task(chr2_3, adv) -> ComplexTask:
     """All of Chr Chr s at n=3, posed as the task of the adversary's alpha."""
-    return AffineTask("chr2", 3, chr2_3, agreement_function(adv))
+    return ComplexTask("chr2", 3, chr2_3, agreement_function(adv))
 
 
 # alpha of the family -> agreement violations on all of Chr Chr s
@@ -257,10 +289,10 @@ def test_agreement_checks_facets_below_the_top_dimension(chr2_3):
     by_uid = {v.uid: v for v in chr2_3.vertices}
     edge = Simplex((by_uid["2(1(1),2(1,2,3))"],
                     by_uid["3(1(1),2(1,2,3),3(1,3))"]))
-    alone = AffineTask("edge", 3, closure([edge], n=3), agreement_function(adv))
+    alone = ComplexTask("edge", 3, closure([edge], n=3), agreement_function(adv))
     task = build_r_a(adv)
-    both = AffineTask("r_adv_and_edge", 3,
-                      closure([*task.complex.facets, edge], n=3), task.alpha)
+    both = ComplexTask("r_adv_and_edge", 3,
+                       closure([*task.complex.facets, edge], n=3), task.alpha)
     assert edge in both.complex.facets
     edge_only = verify_leader(adv, alone)[1]
     assert [(bad["Q"], bad["leaders"]) for bad in edge_only.violations] == [

@@ -14,7 +14,8 @@ from affinetask import affine as affine_module
 from affinetask.simulate import (DONE, INV1, INV2, STATE_CAP_ENV,
                                  _task_symmetric)
 from affinetask.subdivision import code_of
-from oracles import (explore_unreduced, liveness_per_state, masks, outputs,
+from oracles import (ComplexTask, explore_unreduced, liveness_per_state,
+                     masks, outputs,
                      r_a_intersection_task, safety_by_definition,
                      safety_per_state, successors_by_registers)
 
@@ -291,13 +292,12 @@ def test_safety_report_hands_back_the_unsafe_terminals(fixture_adversaries):
         assert list(sigma.uids) == violation["outputs"]
 
 
-def _ridges(task: AffineTask) -> AffineTask:
+def _ridges(task: AffineTask) -> ComplexTask:
     """The task made of the ridges of the task's facets: none of its facets
     is a facet of Chr Chr s."""
     ridges = {Simplex(tuple(v for v in f if v is not u))
               for f in task.complex.facets for u in f}
-    return AffineTask(name="ridges", n=task.n,
-                      complex=closure(ridges, n=task.n), alpha=task.alpha)
+    return ComplexTask("ridges", task.n, closure(ridges, n=task.n), task.alpha)
 
 
 def _foreign() -> Simplex:
@@ -310,26 +310,15 @@ def _foreign() -> Simplex:
     return foreign
 
 
-def _r_a_and_foreign(adv: Adversary) -> AffineTask:
-    """R_A of a 3-color family with the foreign edge added."""
-    r_a = build_r_a(adv)
-    return AffineTask(name="r_a_and_foreign", n=3, alpha=r_a.alpha,
-                      complex=closure(r_a.complex.facets | {_foreign()}, n=3))
-
-
-def test_code_membership_is_simplex_membership(fair_live_adversaries, chr2_3,
-                                               fixture_adversaries):
+def test_code_membership_is_simplex_membership(fair_live_adversaries, chr2_3):
     """Membership on vertex codes equals the face closure of the task's
     complex, and its Simplex membership, on every simplex of Chr Chr s: for
     R_A of the 43 fair live n=3 families, indexed from run-pair ids before
-    any complex is built, and for two tasks assembled by hand, indexed from
-    their complexes."""
-    adv = fixture_adversaries["obstruction_free_1"]
+    any complex is built. No task holds an edge outside Chr Chr s."""
     tasks = [build_r_a(a) for a in fair_live_adversaries]
-    tasks += [_ridges(build_r_a(adv)), _r_a_and_foreign(adv)]
     sigmas = chr2_3.simplices()
     codes = [tuple(map(code_of, sigma)) for sigma in sigmas]
-    assert len(tasks) == 45 and len(sigmas) == 535
+    assert len(tasks) == 43 and len(sigmas) == 535
     proper = 0  # tasks that miss some simplex of Chr Chr s
     for task in tasks:
         held = [task.holds(c) for c in codes]
@@ -337,9 +326,8 @@ def test_code_membership_is_simplex_membership(fair_live_adversaries, chr2_3,
         assert held == [sigma in faces for sigma in sigmas]
         assert held == [sigma in task.complex for sigma in sigmas]
         proper += not all(held)
-    assert proper == 44  # all but the wait-free family
-    assert tasks[-1].holds(map(code_of, _foreign()))
-    assert not tasks[-2].holds(map(code_of, _foreign()))
+    assert proper == 42  # all but the wait-free family
+    assert not any(task.holds(map(code_of, _foreign())) for task in tasks)
 
 
 def test_r_a_is_carved_counted_and_checked_without_simplices(
@@ -355,10 +343,10 @@ def test_r_a_is_carved_counted_and_checked_without_simplices(
     monkeypatch.setattr(ChromaticComplex, "__post_init__", made)
     for name, adv in fixture_adversaries.items():
         task = build_r_a(adv)
-        assert task.facet_count() == len(task.r_a_ids) > 0
+        assert task.facet_count() == len(task.ids) > 0
         safety, liveness, rows = check_model(adv, task)
         assert safety.ok and liveness.ok and safety.checked > 0, name
-        assert task._complex is None
+        assert "complex" not in vars(task)
 
 
 @pytest.mark.parametrize("name,fault_budget,checked,unsafe", [
@@ -380,13 +368,13 @@ def test_safety_against_a_task_outside_the_facets_of_chr2(
     assert report.states == want.states
 
 
-def test_safety_reports_an_output_outside_chr2_that_the_task_holds(
+def test_safety_reports_an_output_outside_chr2_as_outside_the_subdivision(
         monkeypatch, fixture_adversaries):
-    """A task may hold a simplex outside Chr Chr s; an output equal to it is
-    still unsafe, with in_subdivision false."""
+    """An output simplex outside Chr Chr s lies outside R_A too: it is
+    unsafe, with in_subdivision false."""
     adv = fixture_adversaries["obstruction_free_1"]
     foreign = _foreign()
-    task = _r_a_and_foreign(adv)
+    task = build_r_a(adv)
     model = ProtocolModel(adv)
     codes = tuple(code_of(v) for v in sorted(foreign, key=lambda v: v.color))
     monkeypatch.setattr(model, "output_codes", lambda state: codes)
@@ -422,7 +410,7 @@ def test_safety_of_r_a_asks_only_the_task(monkeypatch, fixture_adversaries,
     report = check_safety(model, model.explore(), task)
     assert report.ok and report.checked > 0
     assert asked and all(t is task for t in asked)
-    assert not complexes_asked and task._complex is None
+    assert not complexes_asked and "complex" not in vars(task)
 
 
 # --- symmetry reduction against the unreduced explorer ----------------------------
@@ -572,8 +560,8 @@ def test_r_a_minus_a_facet_is_checked_per_state():
     as symmetric, and its report is the per-state one."""
     adv = make_k_of(3, 2)
     r_a = build_r_a(adv)
-    task = AffineTask(name="r_minus_one", n=3, alpha=r_a.alpha,
-                      complex=closure(r_a.complex.sorted_facets()[1:], n=3))
+    task = ComplexTask("r_minus_one", 3,
+                       closure(r_a.complex.sorted_facets()[1:], n=3), r_a.alpha)
     model = ProtocolModel(adv)
     assert model._classes == ((0, 1, 2),)
     pairs = [(1, 2), (1, 3), (2, 3)]
