@@ -289,6 +289,9 @@ def cmd_repro(args) -> int:
         raise ComplexError("the artifact bundle is defined at n=3")
     adv = (_load_adversary(args.adversary) if args.adversary
            else make_k_of(n, 1))
+    if adv.n != n:
+        raise ComplexError("the artifact bundle is defined at n=3; "
+                           f"the adversary is over n={adv.n}")
     task_alpha(adv)  # reject an adversary without a task before any write
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

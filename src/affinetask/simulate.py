@@ -23,18 +23,22 @@ are allowed from the moment a process's value is committed until it returns,
 and their number stays below the adversary's agreement level of the (fixed)
 participation set.
 
-States pack into one int: 5 bits per process (3 progress + crashed + conc
-written), a pending mask per object, and n blocks of n bits per object.
+States pack into one int of 13 bits per process. Process i owns bits
+13i to 13i+12: its progress (3 bits), crashed, Conc written, the index of
+its round-one block (3 bits, 0 while uncommitted), the index of its
+round-two block (3 bits), and its round-one and round-two pending bits.
+The low 5 bits of a field are the process's slot.
 
-Moves are read off the slot word, the low 5n bits. The slots fix both
-pending masks: i is pending in round r exactly when it has not crashed and
-its progress is INV_r. So one table entry per distinct slot word, built
-when first met, holds the step moves in process order with their guard
-kinds, the crash moves, and the IS1-written, IS2-written, Conc-written and
-pending masks. Every move is the state plus a delta; commit deltas are
-cached per pending mask and block slot, and each event is built once. Per
-state, only the guards of WROTE1 and WROTE2 processes read the round-one
-views and the largest Conc value.
+Moves are read off the slot word, the slot bits of every field. The slots
+fix both pending bits: i is pending in round r exactly when it has not
+crashed and its progress is INV_r. So one table entry per distinct slot
+word, built when first met, holds the step moves in process order with
+their guard kinds, the crash moves, and the IS1-written, IS2-written,
+Conc-written and pending masks. Every move is the state plus a delta;
+commit deltas are cached per round, next block index and pending mask, and
+each event is built once. A round's blocks and views are decoded once per
+distinct field of its block indices. Per state, only the guards of WROTE1
+and WROTE2 processes read the round-one views and the largest Conc value.
 
 Exploration is symmetry-reduced (the scalarset reduction of Ip & Dill 1996
 and Emerson & Sistla 1996), with every count kept exact:
@@ -46,13 +50,12 @@ and Emerson & Sistla 1996), with every count kept exact:
   subsets of P, and the fault budget and the event kinds do not name a
   process, so relabeling a state by a permutation within the classes
   relabels its successors the same way.
-- Signature. A process's signature is its 5-bit slot, the index of its
-  round-one block, the index of its round-two block (0 while uncommitted)
-  and its two pending bits. The signatures fix the state: each block is the
-  set of processes carrying its index.
-- Canonical form. Sorting the signatures within each class and packing them
-  back gives one representative per orbit, in O(n log n) per state. When
-  every class is a singleton it is the state itself.
+- Signature. A process's signature is its 13-bit field. The signatures
+  fix the state: each block is the set of processes carrying its index.
+- Canonical form. Clearing a class's fields and writing its sorted
+  signatures back, in ascending position, gives one representative per
+  orbit, in O(n log n) per state. When every class is a singleton it is the
+  state itself.
 - Orbit size. A representative stands for prod over classes c of
   |c|! / prod(t! for each run of t equal signatures in c) concrete states,
   worked out while canonicalizing: a class whose signatures all differ
@@ -61,11 +64,11 @@ and Emerson & Sistla 1996), with every count kept exact:
   state cap.
 - Terminals. Each terminal orbit is kept as (representative, orbit size);
   iterating `Exploration.terminals` expands them into their concrete
-  states, in a fixed order. Stuckness and Chr Chr s membership relabel with
-  the state, so `check_liveness` decides one state per orbit. So does
-  `check_safety` when every swap of two processes of one class keeps the
-  task's alpha on every subset of 1..n, for then R_A maps onto itself;
-  otherwise it decides every concrete state. An orbit that violates is
+  states, ascending within an orbit. Stuckness and Chr Chr s membership
+  relabel with the state, so `check_liveness` decides one state per orbit.
+  So does `check_safety` when every swap of two processes of one class
+  keeps the task's alpha on every subset of 1..n, for then R_A maps onto
+  itself; otherwise it decides every concrete state. An orbit that violates is
   expanded, and each of its states is reported, so the reports list every
   offending concrete state in terminal order. Safety reads a terminal's
   returned views as Chr Chr s vertex codes (`output_codes`) and asks the
@@ -98,6 +101,10 @@ STATE_CAP_ENV = "AFFINE_STATE_CAP"
 
 # progress values (low 3 bits of each process slot)
 IDLE, INV1, GOT1, WROTE1, INV2, GOT2, WROTE2, DONE = range(8)
+
+# process i owns the 13-bit field from bit FIELD * i on; round r's block
+# index sits 2 + 3r bits into it, and its pending bit is 1 << 10 + r
+FIELD, SIGNATURE = 13, (1 << 13) - 1
 
 # guard kinds of a step move: none, the wait rule, the Conc update
 _GO, _WAIT, _FINISH = range(3)
@@ -217,35 +224,28 @@ class ProtocolModel:
             raise SimulationError(f"fault budget must be >= 0, got {fault_budget}")
         self.fault_budget = fault_budget
         self.max_states = max_states
-        n = self.n
-        self._off_fpend = 5 * n
-        self._off_spend = 5 * n + n
-        self._off_fblk = 5 * n + 2 * n
-        self._off_sblk = 5 * n + 2 * n + n * n
+        fields = [FIELD * i for i in range(self.n)]
         self._procs = tuple(iter_bits(self.pmask))
-        # block field -> (blocks, views, block of each process, 1-based
-        # block index of each process)
-        self._rounds: dict[int, tuple[tuple[int, ...], ...]] = {}
+        # per round r, the bits of every block index; those bits of a state
+        # -> (blocks, views, block of each process, packed views)
+        self._index_bits = (0, *(sum(7 << f + 2 + 3 * r for f in fields)
+                                 for r in (1, 2)))
+        self._rounds: dict[int, tuple] = {}
         self._classes = self._interchangeable()
-        # per class, the complement of every state bit its members own:
-        # their slots, pending bits and block bits
-        owned = [31 << 5 * i | 1 << self._off_fpend + i | 1 << self._off_spend + i
-                 | sum(1 << off + n * b + i for off in (self._off_fblk, self._off_sblk)
-                       for b in range(n))
-                 for i in range(n)]
-        self._unowned = tuple(~sum(owned[i] for i in c) for c in self._classes)
-        # (signature << 3 | process) -> the state bits that signature packs
-        # to; state >> first pending bit -> the upper signature fields
-        self._packed: dict[int, int] = {}
-        self._upper: dict[int, tuple[int, ...]] = {}
+        # per class, its members' field offsets, and the complement of
+        # their fields
+        self._shifts = tuple(tuple(fields[i] for i in c) for c in self._classes)
+        self._unowned = tuple(~sum(SIGNATURE << f for f in shifts)
+                              for shifts in self._shifts)
         # per process and 5-bit slot, its step move (guard, process, event,
         # delta) and its crash move (event, delta), or None; the events are
         # shared, one per process
         self._step_move, self._crash_move = self._process_moves()
         # slot word -> its moves and registers (`_slot_entry`)
-        self._slot_bits = (1 << 5 * n) - 1
+        self._slot_bits = sum(31 << f for f in fields)
         self._moves: dict[int, tuple] = {}
-        # block shift << n | pending mask -> (commit events, deltas)
+        # (next block index << 2 | round) << n | pending mask -> (commit
+        # events, deltas)
         self._commit_moves: dict[int, tuple[tuple, tuple[int, ...]]] = {}
         # per class, |c|!: the orbit factor of a class whose signatures differ
         self._full = tuple(factorial(len(c)) for c in self._classes)
@@ -253,51 +253,53 @@ class ProtocolModel:
     # --- packed-state helpers -------------------------------------------
 
     def _prog(self, state: int, i: int) -> int:
-        return (state >> (5 * i)) & 7
+        return state >> FIELD * i & 7
 
-    def _round(self, state: int, off: int) -> tuple:
-        """(blocks, per-process view mask, per-process block, per-process
-        1-based block index, packed views) of the round whose blocks start
-        at bit off; 0 for an uncommitted process. Decoded once per distinct
-        block field."""
+    def _round(self, state: int, r: int) -> tuple:
+        """(blocks, per-process view mask, per-process block, packed views)
+        of round r, rebuilt from the block indices; 0 for an uncommitted
+        process. Decoded once per distinct field of round-r indices, which
+        a round-one and a round-two field share only when empty."""
         n = self.n
-        field = (state >> off) & ((1 << n * n) - 1)
-        entry = self._rounds.get(field)
+        indices = state & self._index_bits[r]
+        entry = self._rounds.get(indices)
         if entry is None:
-            blocks: list[int] = []
-            views, group, index = [0] * n, [0] * n, [0] * n
+            index = [indices >> FIELD * i + 2 + 3 * r & 7 for i in range(n)]
+            blocks = [0] * max(index)
+            for i, b in enumerate(index):
+                if b:
+                    blocks[b - 1] |= 1 << i
+            views, group = [0] * n, [0] * n
             prefix = 0
-            while blk := (field >> n * len(blocks)) & ((1 << n) - 1):
-                blocks.append(blk)
+            for blk in blocks:
                 prefix |= blk
                 for i in iter_bits(blk):
-                    views[i], group[i], index[i] = prefix, blk, len(blocks)
-            entry = self._rounds[field] = (tuple(blocks), tuple(views),
-                                           tuple(group), tuple(index),
-                                           pack(enumerate(views, 1)))
+                    views[i], group[i] = prefix, blk
+            entry = self._rounds[indices] = (tuple(blocks), tuple(views),
+                                             tuple(group),
+                                             pack(enumerate(views, 1)))
         return entry
 
     def decode(self, state: int) -> dict:
         """Readable snapshot of a packed state, for traces and debugging."""
-        n = self.n
         procs = {}
-        fb, is1 = self._round(state, self._off_fblk)[:2]
-        sb = self._round(state, self._off_sblk)[0]
+        fb, is1 = self._round(state, 1)[:2]
+        sb = self._round(state, 2)[0]
         for i in self._procs:
             prog = self._prog(state, i)
             procs[i + 1] = {
-                "pc": "Crashed" if (state >> (5 * i + 3)) & 1 else PC_NAMES[prog],
+                "pc": "Crashed" if state >> FIELD * i + 3 & 1 else PC_NAMES[prog],
                 "progress": prog,
                 "is1": sorted(colors_of(is1[i])) if prog >= WROTE1 else None,
                 "is2_written": prog >= WROTE2,
-                "conc": self.alpha_table[is1[i]] if (state >> (5 * i + 4)) & 1 else 0,
+                "conc": self.alpha_table[is1[i]] if state >> FIELD * i + 4 & 1 else 0,
             }
         return {
             "participation": sorted(self.participation),
             "first_blocks": [sorted(colors_of(b)) for b in fb],
             "second_blocks": [sorted(colors_of(b)) for b in sb],
-            "first_pending": sorted(colors_of((state >> self._off_fpend) & ((1 << n) - 1))),
-            "second_pending": sorted(colors_of((state >> self._off_spend) & ((1 << n) - 1))),
+            "first_pending": [i + 1 for i in self._procs if state >> FIELD * i + 11 & 1],
+            "second_pending": [i + 1 for i in self._procs if state >> FIELD * i + 12 & 1],
             "processes": procs,
         }
 
@@ -318,48 +320,17 @@ class ProtocolModel:
         return tuple(tuple(c) for c in classes if len(c) > 1)
 
     def _signatures(self, state: int) -> list[list[int]]:
-        """Per class, its members' signatures in member order.
-
-        A signature is the 5-bit slot, then the round-one and round-two
-        block indices (3 bits each) and the two pending bits; those upper
-        fields are read once per distinct upper part of a state."""
+        """Per class, its members' signatures, their fields, in member
+        order."""
         out: list[list[int]] = []
-        if not self._classes:
-            return out
-        upper = self._upper.get(state >> self._off_fpend) or self._upper_fields(state)
         # explicit loops: on CPython 3.11 a comprehension is one more
         # function call, and this runs once per successor
-        for c in self._classes:
+        for shifts in self._shifts:
             sigs = []
-            for i in c:
-                sigs.append(state >> 5 * i & 31 | upper[i])
+            for f in shifts:
+                sigs.append(state >> f & SIGNATURE)
             out.append(sigs)
         return out
-
-    def _upper_fields(self, state: int) -> tuple[int, ...]:
-        idx1 = self._round(state, self._off_fblk)[3]
-        idx2 = self._round(state, self._off_sblk)[3]
-        fp, sp = state >> self._off_fpend, state >> self._off_spend
-        upper = self._upper[state >> self._off_fpend] = tuple(
-            idx1[i] << 5 | idx2[i] << 8 | (fp >> i & 1) << 11 | (sp >> i & 1) << 12
-            for i in range(self.n))
-        return upper
-
-    def _pack(self, i: int, sig: int) -> int:
-        """The state bits of process i carrying signature sig."""
-        key = sig << 3 | i
-        bits = self._packed.get(key)
-        if bits is None:
-            n = self.n
-            b1, b2 = sig >> 5 & 7, sig >> 8 & 7
-            bits = ((sig & 31) << 5 * i | (sig >> 11 & 1) << self._off_fpend + i
-                    | (sig >> 12 & 1) << self._off_spend + i)
-            if b1:
-                bits |= 1 << self._off_fblk + n * (b1 - 1) + i
-            if b2:
-                bits |= 1 << self._off_sblk + n * (b2 - 1) + i
-            self._packed[key] = bits
-        return bits
 
     def _representative(self, state: int) -> tuple[int, int]:
         """(representative, orbit size): each class of the representative
@@ -367,14 +338,14 @@ class ProtocolModel:
         signatures all differ contributes |c|!; only a class with tied
         signatures goes through `_orbit_size`."""
         rep, size = state, 1
-        for c, unowned, full, sigs in zip(self._classes, self._unowned,
-                                          self._full, self._signatures(state)):
+        for shifts, unowned, full, sigs in zip(self._shifts, self._unowned,
+                                               self._full, self._signatures(state)):
             order = sorted(sigs)
             if order != sigs:
                 rep &= unowned
-                for pos, sig in zip(c, order):
-                    rep |= self._pack(pos, sig)
-            size *= full if len(set(order)) == len(c) else self._orbit_size(order)
+                for f, sig in zip(shifts, order):
+                    rep |= sig << f
+            size *= full if len(set(order)) == len(order) else self._orbit_size(order)
         return rep, size
 
     def canonical(self, state: int) -> tuple[int, tuple[int, ...]]:
@@ -398,16 +369,16 @@ class ProtocolModel:
         return size
 
     def orbit_states(self, rep: int) -> list[int]:
-        """Every concrete state of rep's orbit: per class the distinct
-        arrangements of its signatures in ascending packed order, the
-        classes combined in product order."""
+        """Every concrete state of rep's orbit, ascending: the distinct
+        arrangements of each class's signatures over its members' fields,
+        combined across the classes."""
         base = rep
         for unowned in self._unowned:
             base &= unowned
-        per_class = [sorted({sum(map(self._pack, c, arrangement))
-                             for arrangement in permutations(sigs)})
-                     for c, sigs in zip(self._classes, self._signatures(rep))]
-        return [base + sum(parts) for parts in product(*per_class)]
+        per_class = [{sum(sig << f for f, sig in zip(shifts, arrangement))
+                      for arrangement in permutations(sigs)}
+                     for shifts, sigs in zip(self._shifts, self._signatures(rep))]
+        return sorted(base + sum(parts) for parts in product(*per_class))
 
     @staticmethod
     def _relabel(event: tuple, perm: Sequence[int]) -> tuple:
@@ -431,8 +402,8 @@ class ProtocolModel:
         steps, crashes = [], []
         for i in range(self.n):
             step_ev, crash_ev = ("step", i + 1), ("crash", i + 1)
-            one = 1 << 5 * i
-            fp, sp = 1 << self._off_fpend + i, 1 << self._off_spend + i
+            one = 1 << FIELD * i
+            fp, sp = one << 11, one << 12
             by_progress = {IDLE: (_GO, i, step_ev, one + fp),
                            GOT1: (_GO, i, step_ev, one),
                            WROTE1: (_WAIT, i, step_ev, one + sp),
@@ -441,7 +412,7 @@ class ProtocolModel:
             steps.append(tuple(None if slot & 8 else by_progress.get(slot & 7)
                                for slot in range(32)))
             crashes.append(tuple(
-                (crash_ev, (8 << 5 * i) - (sp if slot & 7 == INV2 else 0))
+                (crash_ev, (8 << FIELD * i) - (sp if slot & 7 == INV2 else 0))
                 if not slot & 8 and GOT1 <= slot & 7 <= WROTE2 else None
                 for slot in range(32)))
         return tuple(steps), tuple(crashes)
@@ -457,7 +428,7 @@ class ProtocolModel:
         steps, conc, crash_events, crash_deltas = [], [], [], []
         is1w = is2w = fpend = spend = crashed = guarded = 0
         for i in self._procs:
-            slot, bit = word >> 5 * i & 31, 1 << i
+            slot, bit = word >> FIELD * i & 31, 1 << i
             p = slot & 7
             if slot & 8:
                 crashed |= bit
@@ -497,7 +468,7 @@ class ProtocolModel:
          crash_deltas) = self._moves.get(word) or self._slot_entry(word)
         if guarded:
             alpha = self.alpha_table
-            _, is1, group, _, _ = self._round(state, self._off_fblk)
+            _, is1, group, _ = self._round(state, 1)
             # the largest Conc value written
             cmax = max(map(alpha.__getitem__, map(is1.__getitem__, conc))) if conc else 0
             out = []
@@ -507,39 +478,38 @@ class ProtocolModel:
                         continue
                 elif kind == _FINISH and finish_predicate(alpha, is1[i],
                                                           group[i] & is1w, is2w):
-                    delta += 16 << 5 * i
+                    delta += 16 << FIELD * i
                 out.append((ev, state + delta))
         else:
             out = []
             for _, _, ev, delta in steps:
                 out.append((ev, state + delta))
         if fpend:
-            out += self._commits(state, fpend, self._off_fblk)
+            out += self._commits(state, fpend, 1)
         if spend:
-            out += self._commits(state, spend, self._off_sblk)
+            out += self._commits(state, spend, 2)
         if crash_events:
             out += zip(crash_events, map(state.__add__, crash_deltas))
         return out
 
     def _commits(self, state: int, pending: int,
-                 off_blk: int) -> Iterator[tuple[tuple, int]]:
-        """The commits of a round, one per nonempty subset of its pending
-        mask, ascending: each moves its block from the pending mask into the
-        round's next block slot, and each member one progress step on. The
-        events and deltas are built once per (block slot, pending mask)."""
-        n = self.n
-        shift = off_blk + n * len(self._round(state, off_blk)[0])
-        key = shift << n | pending
+                 r: int) -> Iterator[tuple[tuple, int]]:
+        """The commits of round r, one per nonempty subset of its pending
+        mask, ascending: each gives its members the round's next block
+        index, clears their pending bits and moves them one progress step
+        on. The events and deltas are built once per (round, next block
+        index, pending mask)."""
+        index = len(self._round(state, r)[0]) + 1
+        key = (index << 2 | r) << self.n | pending
         moves = self._commit_moves.get(key)
         if moves is None:
-            first = off_blk == self._off_fblk
-            off_pend = self._off_fpend if first else self._off_spend
-            label = "commit1" if first else "commit2"
+            # one member's field delta
+            delta = (index << 2 + 3 * r) - (1 << 10 + r) + 1
             blocks = submasks(pending)[1:]
             moves = self._commit_moves[key] = (
-                tuple((label, sorted(colors_of(block))) for block in blocks),
-                tuple((block << shift) - (block << off_pend)
-                      + sum(1 << 5 * i for i in iter_bits(block)) for block in blocks))
+                tuple((f"commit{r}", sorted(colors_of(block))) for block in blocks),
+                tuple(sum(delta << FIELD * i for i in iter_bits(block))
+                      for block in blocks))
         events, deltas = moves
         return zip(events, map(state.__add__, deltas))
 
@@ -621,21 +591,16 @@ class ProtocolModel:
         """The vertex codes (`chr2_code`) of the returned views, in process
         order: each returned process's color with the round-one views its
         round-two view holds, packed."""
-        blocks, _, _, _, views1 = self._round(state, self._off_fblk)
-        spfx = self._round(state, self._off_sblk)[1]
+        blocks, _, _, views1 = self._round(state, 1)
+        spfx = self._round(state, 2)[1]
         codes = []
         for i in self._procs:
-            if (state >> (5 * i)) & 7 == DONE:
+            if self._prog(state, i) == DONE:
                 if spfx[i] & ~sum(blocks):
                     raise SimulationError("a returned process saw a process "
                                           "without a round-one view")
                 codes.append(chr2_code(i + 1, views1 & _FIELDS[spfx[i]]))
         return tuple(codes)
-
-    def output_simplex(self, state: int) -> Simplex | None:
-        """The chromatic simplex spanned by the returned views, if any."""
-        codes = self.output_codes(state)
-        return simplex_of_codes(codes) if codes else None
 
 
 # --- sweeps over participation sets -------------------------------------------
@@ -682,7 +647,7 @@ def check_liveness(model: ProtocolModel, exploration: Exploration) -> Verificati
 
     def violation(state: int) -> dict | None:
         stuck = [i + 1 for i in model._procs
-                 if not (state >> (5 * i + 3)) & 1 and model._prog(state, i) != DONE]
+                 if not state >> FIELD * i + 3 & 1 and model._prog(state, i) != DONE]
         return dict(stuck=stuck, state=model.decode(state)) if stuck else None
 
     _check_orbits(report, exploration.terminals, violation, symmetric=True)

@@ -124,13 +124,6 @@ def chr2_code(color: int, carrier: int) -> int:
     return carrier << 3 | color
 
 
-def code_of(v: Vertex) -> int:
-    """The `chr2_code` of a Chr Chr s vertex; any other vertex raises."""
-    if v.payload is None or v.payload.vertices[0].payload is None:
-        raise ComplexError(f"{v!r} is not a Chr Chr s vertex")
-    return chr2_code(v.color, packed_views(v.payload))
-
-
 def simplex_of_codes(codes: Iterable[int]) -> Simplex:
     """The Chr Chr s simplex of the given vertex codes."""
     return Simplex(tuple(chr2_vertex(code & 7, code >> 3) for code in codes))

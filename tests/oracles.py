@@ -23,16 +23,17 @@ concrete terminal (`safety_per_state`, `liveness_per_state`), and the
 explorer before symmetry reduction
 (`explore_unreduced`, over every concrete state). Views and carriers are read straight off vertex
 payloads (`view1`, `view2`, `base_colors`). It also holds the helpers only
-tests use: `is_pure`, `facet_to_partition`, `symmetric_setcon` and
-`project_vertex`, and `ComplexTask`, a task held as its complex for the
-tasks only tests pose.
+tests use: `is_pure`, `facet_to_partition`, `symmetric_setcon`,
+`project_vertex`, `code_of` (a Chr Chr s vertex's code) and
+`output_simplex` (a terminal's returned views as a Simplex), and
+`ComplexTask`, a task held as its complex for the tasks only tests pose.
 """
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import comb
 
 from affinetask import (Adversary, AdversaryError, AffineTask,
                         AgreementFunction,
@@ -48,8 +49,15 @@ from affinetask.bits import colors_of, iter_bits, mask_of
 from affinetask.complexes import MAX_PROCESSES
 from affinetask.render import _CORNERS_2D, _project
 from affinetask.simulate import DONE, WROTE1, WROTE2
-from affinetask.subdivision import (_FIELDS, _VIEW, all_runs, code_of, pack,
-                                   simplex_of_codes)
+from affinetask.subdivision import (_FIELDS, _VIEW, all_runs, chr2_code, pack,
+                                   packed_views, simplex_of_codes)
+
+
+def code_of(v: Vertex) -> int:
+    """The `chr2_code` of a Chr Chr s vertex; any other vertex raises."""
+    if v.payload is None or v.payload.vertices[0].payload is None:
+        raise ComplexError(f"{v!r} is not a Chr Chr s vertex")
+    return chr2_code(v.color, packed_views(v.payload))
 
 
 class ComplexTask:
@@ -365,7 +373,7 @@ def safety_by_definition(model, exploration: Exploration,
     memo: dict[Simplex, tuple[bool, bool]] = {}
     for state in exploration.terminals:
         report.checked += 1
-        sigma = model.output_simplex(state)
+        sigma = output_simplex(model, state)
         if sigma is None:
             continue
         if sigma not in memo:
@@ -382,9 +390,16 @@ def safety_by_definition(model, exploration: Exploration,
 def outputs(model, state: int) -> list[tuple[int, int]]:
     """(process, second-round prefix mask) of every returned process of a
     `ProtocolModel` state."""
-    spfx = model._round(state, model._off_sblk)[1]
+    spfx = model._round(state, 2)[1]
     return [(i + 1, spfx[i]) for i in model._procs
             if model._prog(state, i) == DONE]
+
+
+def output_simplex(model, state: int) -> Simplex | None:
+    """The chromatic simplex spanned by the returned views of a
+    `ProtocolModel` state, if any."""
+    codes = model.output_codes(state)
+    return simplex_of_codes(codes) if codes else None
 
 
 def safety_per_state(model, exploration: Exploration,
@@ -398,9 +413,9 @@ def safety_per_state(model, exploration: Exploration,
     unsafe: dict[tuple, tuple[Simplex, bool] | None] = {}
     for state in exploration.terminals:
         report.checked += 1
-        key = (tuple(outputs(model, state)), model._round(state, model._off_fblk)[1])
+        key = (tuple(outputs(model, state)), model._round(state, 1)[1])
         if key not in unsafe:
-            sigma = model.output_simplex(state)
+            sigma = output_simplex(model, state)
             if sigma is None:
                 unsafe[key] = None
             else:
@@ -421,7 +436,8 @@ def liveness_per_state(model, exploration: Exploration) -> VerificationReport:
     for state in exploration.terminals:
         report.checked += 1
         stuck = [i + 1 for i in model._procs
-                 if not (state >> (5 * i + 3)) & 1 and model._prog(state, i) != DONE]
+                 if not (state >> 13 * i + _CRASHED) & 1
+                 and model._prog(state, i) != DONE]
         if stuck:
             report.add(stuck=stuck, state=model.decode(state))
             report.states.append(state)
@@ -697,7 +713,14 @@ def symmetric_by_definition(adv: Adversary) -> bool:
 #
 # The protocol step as the explorer first computed it: per state, a list of
 # IS1 registers, IS2-written flags and Conc values, read by list-form
-# guards. Only the state layout (`ProtocolModel` offsets) is shared.
+# guards. Only the state layout documented in `affinetask.simulate` is
+# shared: process i owns the 13 bits from 13 i on, holding its progress (3
+# bits), crashed and Conc-written bits, a 3-bit block index per round and a
+# pending bit per round, at these offsets.
+
+_CRASHED, _CONC = 3, 4
+_INDEX = {1: 5, 2: 8}
+_PENDING = {1: 11, 2: 12}
 
 
 def wait_predicate_by_registers(alpha_table, V: int, reg_is1, is2_written,
@@ -731,37 +754,37 @@ def masks(model, state: int) -> tuple:
     as `ProtocolModel.successors` read them per state before it read its
     moves off the slot word; a process's IS1 view is its round-one view,
     read only once it is written."""
-    is1, group = model._round(state, model._off_fblk)[1:3]
+    is1, group = model._round(state, 1)[1:3]
     is1w = is2w = crashed = cmax = 0
     for i in iter_bits(model.pmask):
-        slot = state >> 5 * i
-        if slot & 8:
+        field = state >> 13 * i
+        if field >> _CRASHED & 1:
             crashed |= 1 << i
-        if slot & 7 >= WROTE1:
+        if field & 7 >= WROTE1:
             is1w |= 1 << i
-            if slot & 7 >= WROTE2:
+            if field & 7 >= WROTE2:
                 is2w |= 1 << i
-        if slot & 16:
+        if field >> _CONC & 1:
             cmax = max(cmax, model.alpha_table[is1[i]])
     return is1, group, is1w, is2w, crashed, cmax
 
 
 def registers(model, state: int):
-    """(prog, is1, reg_is1, is2_written, conc) lists of a packed state."""
+    """(prog, is1, reg_is1, is2_written, conc) lists of a packed state; a
+    committed process's round-one view holds every process whose block
+    index is nonzero and at most its own."""
     n = model.n
-    prog = [(state >> 5 * i) & 7 for i in range(n)]
-    is1, prefix = [0] * n, 0
-    for j in range(n):
-        blk = (state >> (model._off_fblk + j * n)) & ((1 << n) - 1)
-        if not blk:
-            break
-        prefix |= blk
-        for i in range(n):
-            if (blk >> i) & 1:
-                is1[i] = prefix
+    prog = [(state >> 13 * i) & 7 for i in range(n)]
+    index = [(state >> 13 * i + _INDEX[1]) & 7 for i in range(n)]
+    is1 = [0] * n
+    for i in range(n):
+        if index[i]:
+            for j in range(n):
+                if 0 < index[j] <= index[i]:
+                    is1[i] |= 1 << j
     reg_is1 = [is1[i] if prog[i] >= 3 else 0 for i in range(n)]
     is2_written = [prog[i] >= 6 for i in range(n)]
-    conc = [model.alpha_table[is1[i]] if (state >> (5 * i + 4)) & 1 else 0
+    conc = [model.alpha_table[is1[i]] if (state >> 13 * i + _CONC) & 1 else 0
             for i in range(n)]
     return prog, is1, reg_is1, is2_written, conc
 
@@ -770,10 +793,13 @@ def successors_by_registers(model, state: int) -> list[tuple[tuple, int]]:
     """(event, next_state) pairs of a state, crash events last."""
     n = model.n
     prog, is1, reg_is1, is2_written, conc = registers(model, state)
-    crashed = sum(1 << i for i in range(n) if (state >> (5 * i + 3)) & 1)
+    crashed = sum(1 << i for i in range(n) if (state >> 13 * i + _CRASHED) & 1)
 
     def set_prog(s: int, i: int, value: int) -> int:
-        return (s & ~(7 << (5 * i))) | (value << (5 * i))
+        return (s & ~(7 << 13 * i)) | (value << 13 * i)
+
+    def pending_bit(i: int, r: int) -> int:
+        return 1 << 13 * i + _PENDING[r]
 
     out = []
     for i in range(n):
@@ -782,36 +808,33 @@ def successors_by_registers(model, state: int) -> list[tuple[tuple, int]]:
             continue
         p = prog[i]
         if p == 0:  # idle: invoke the first snapshot
-            out.append((("step", i + 1),
-                        set_prog(state, i, 1) | (bit << model._off_fpend)))
+            out.append((("step", i + 1), set_prog(state, i, 1) | pending_bit(i, 1)))
         elif p in (2, 5):  # got a view: write it
             out.append((("step", i + 1), set_prog(state, i, p + 1)))
         elif p == 3:  # wrote IS1: wait, then invoke the second snapshot
             if wait_predicate_by_registers(model.alpha_table, is1[i], reg_is1,
                                            is2_written, conc):
                 out.append((("step", i + 1),
-                            set_prog(state, i, 4) | (bit << model._off_spend)))
+                            set_prog(state, i, 4) | pending_bit(i, 2)))
         elif p == 6:  # wrote IS2: return
             s2 = set_prog(state, i, 7)
             if finish_predicate_by_registers(model.alpha_table, is1[i], reg_is1,
                                              is2_written):
-                s2 |= 1 << (5 * i + 4)
+                s2 |= 1 << 13 * i + _CONC
             out.append((("step", i + 1), s2))
 
-    for off_pend, off_blk, label, got in (
-            (model._off_fpend, model._off_fblk, "commit1", 2),
-            (model._off_spend, model._off_sblk, "commit2", 5)):
-        pending = (state >> off_pend) & ((1 << n) - 1)
-        slot = 0
-        while (state >> (off_blk + slot * n)) & ((1 << n) - 1):
-            slot += 1
+    for r, label, got in ((1, "commit1", 2), (2, "commit2", 5)):
+        pending = sum(1 << i for i in range(n) if state & pending_bit(i, r))
+        # the next block index: one past the largest given so far
+        index = 1 + max((state >> 13 * i + _INDEX[r]) & 7 for i in range(n))
         for block in range(1, 1 << n):
             if block & ~pending:
                 continue
-            s2 = (state | (block << (off_blk + slot * n))) & ~(block << off_pend)
+            s2 = state
             members = [i for i in range(n) if (block >> i) & 1]
             for i in members:
-                s2 = set_prog(s2, i, got)
+                s2 = set_prog(s2 & ~pending_bit(i, r), i, got)
+                s2 |= index << 13 * i + _INDEX[r]
             out.append(((label, [i + 1 for i in members]), s2))
 
     if bin(crashed).count("1") < model.fault_budget:
@@ -820,9 +843,9 @@ def successors_by_registers(model, state: int) -> list[tuple[tuple, int]]:
             if not (model.pmask & bit) or (crashed & bit):
                 continue
             if 2 <= prog[i] <= 6:
-                s2 = state | (1 << (5 * i + 3))
-                s2 &= ~(bit << model._off_fpend)
-                s2 &= ~(bit << model._off_spend)
+                s2 = state | (1 << 13 * i + _CRASHED)
+                s2 &= ~pending_bit(i, 1)
+                s2 &= ~pending_bit(i, 2)
                 out.append((("crash", i + 1), s2))
     return out
 

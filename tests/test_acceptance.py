@@ -14,12 +14,9 @@ from __future__ import annotations
 import json
 from itertools import combinations
 
-import pytest
-
 from affinetask import (build_r_a, chr2_complex, chr_complex,
                         check_model, classify, csize, enumerate_adversaries,
-                        is_superset_closed, is_symmetric, make_k_of,
-                        make_symmetric, make_t_resilient, setcon,
+                        make_k_of, make_symmetric, make_t_resilient, setcon,
                         verify_cs_distribution, verify_fair_subtraction,
                         verify_leader, verify_single_carrier)
 from affinetask.cli import main

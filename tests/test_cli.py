@@ -593,6 +593,17 @@ def test_repro_only_defined_at_three(tmp_path):
     assert main(["repro", "--n", "2", "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_repro_rejects_an_adversary_over_another_n_before_writing(
+        tmp_path, capsys, n):
+    adv = tmp_path / "adv.json"
+    adv.write_text(json.dumps({"n": n, "kind": "k_of", "k": 1}))
+    out = tmp_path / "bundle"
+    assert main(["repro", "--out", str(out), "--adversary", str(adv)]) == 2
+    assert f"over n={n}" in one_error_line(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("live_sets,message", [
     ([[1, 2], [3]], "not fair"),
     ([], "adversary admits no live set"),

@@ -10,8 +10,8 @@ from affinetask import (ComplexError, LeaderError, LeaderMap, Simplex,
                         two_round_facet, verify_leader)
 from affinetask import leader as leader_module
 from affinetask.bits import colors_of
-from affinetask.subdivision import chr2_facets, code_of
-from oracles import (ComplexTask, critical_faces, mu_by_definition,
+from affinetask.subdivision import chr2_facets
+from oracles import (ComplexTask, code_of, critical_faces, mu_by_definition,
                      r_a_intersection_task, verify_mu_agreement,
                      verify_mu_robustness, verify_mu_validity)
 

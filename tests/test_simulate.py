@@ -13,9 +13,8 @@ from affinetask import (Adversary, AffineTask, ChromaticComplex,
 from affinetask import affine as affine_module
 from affinetask.simulate import (DONE, INV1, INV2, STATE_CAP_ENV,
                                  _task_symmetric)
-from affinetask.subdivision import code_of
-from oracles import (ComplexTask, explore_unreduced, liveness_per_state,
-                     masks, outputs,
+from oracles import (ComplexTask, code_of, explore_unreduced,
+                     liveness_per_state, masks, output_simplex, outputs,
                      r_a_intersection_task, safety_by_definition,
                      safety_per_state, successors_by_registers)
 
@@ -30,7 +29,7 @@ def test_single_process_runs_a_linear_chain():
     assert len(exploration.terminals) == 1
     [terminal] = exploration.terminals
     assert outputs(model, terminal) == [(1, 1)]
-    sigma = model.output_simplex(terminal)
+    sigma = output_simplex(model, terminal)
     assert sigma in chr2_complex(1)
     # no choice anywhere: every state has at most one successor
     seen, frontier = {0}, [0]
@@ -62,7 +61,7 @@ def test_synchronized_schedule_reaches_the_synchronized_facet():
     state = replay(model, events)
     assert state in model.explore().terminals
     assert outputs(model, state) == [(1, 3), (2, 3)]
-    assert model.output_simplex(state) == two_round_facet(((1, 2),), ((1, 2),), 2)
+    assert output_simplex(model, state) == two_round_facet(((1, 2),), ((1, 2),), 2)
 
 
 # --- guard properties ---------------------------------------------------------
@@ -97,9 +96,11 @@ def test_masks_take_the_largest_conc():
     model = ProtocolModel(make_k_of(3, 2))
     # round one committed {2} then {1, 3}; processes 1 and 2 returned, both
     # with Conc written: alpha({1, 2, 3}) = 2 and alpha({2}) = 1
-    state = (0b010 | 0b101 << 3) << model._off_fblk
+    # process i's field starts at bit 13 i: progress, crashed, Conc
+    # written, then the round-one block index from its bit 5
+    state = 2 << 5 | (1 << 5) << 13 | (2 << 5) << 26
     for i in (0, 1):
-        state |= (DONE | 16) << 5 * i
+        state |= (DONE | 16) << 13 * i
     is1, group, is1w, is2w, crashed, cmax = masks(model, state)
     assert is1 == (7, 2, 7) and group == (5, 2, 5)
     assert (is1w, is2w, crashed, cmax) == (3, 3, 0, 2)
@@ -139,13 +140,14 @@ def test_pending_masks_are_a_function_of_the_slots(name, fixture_adversaries):
     crashed and its progress is INV_r: the slot-word table reads both
     pending masks off the slots."""
     for model, states in _reached_at_budgets(fixture_adversaries[name]):
-        full = (1 << model.n) - 1
         for state in states:
-            slots = [state >> 5 * i & 15 for i in range(model.n)]
-            want = [sum(1 << i for i, slot in enumerate(slots) if slot == progress)
+            # process i's field starts at bit 13 i: its progress and
+            # crashed bit are the low 4 bits, its pending bits 11 and 12
+            fields = [state >> 13 * i for i in range(model.n)]
+            want = [sum(1 << i for i, f in enumerate(fields) if f & 15 == progress)
                     for progress in (INV1, INV2)]
-            assert [state >> model._off_fpend & full,
-                    state >> model._off_spend & full] == want
+            assert [sum((f >> bit & 1) << i for i, f in enumerate(fields))
+                    for bit in (11, 12)] == want
 
 
 # --- full sweeps against the tasks ------------------------------------------------
@@ -195,7 +197,7 @@ def test_reachable_outputs_form_a_strict_subset(name, fixture_adversaries,
     task = fixture_tasks[name]
     model = ProtocolModel(adv)
     exploration = model.explore()
-    reached = {model.output_simplex(s) for s in exploration.terminals}
+    reached = {output_simplex(model, s) for s in exploration.terminals}
     full_dim = {s for s in reached if s is not None and s.dim == 2}
     assert full_dim < task.complex.facets
     assert len(full_dim) == SWEEP_GOLDEN[name][3]
@@ -206,7 +208,7 @@ def test_wait_free_protocol_reaches_every_facet():
     task = build_r_a(adv)
     model = ProtocolModel(adv)
     exploration = model.explore()
-    reached = {model.output_simplex(s) for s in exploration.terminals}
+    reached = {output_simplex(model, s) for s in exploration.terminals}
     full_dim = {s for s in reached if s is not None and s.dim == 2}
     assert full_dim == task.complex.facets
     assert len(full_dim) == 169
@@ -287,7 +289,7 @@ def test_safety_report_hands_back_the_unsafe_terminals(fixture_adversaries):
     unsafe = set(report.states)
     assert report.states == [s for s in exploration.terminals if s in unsafe]
     for state, violation in zip(report.states, report.violations):
-        sigma = model.output_simplex(state)
+        sigma = output_simplex(model, state)
         assert sigma not in inter.complex
         assert list(sigma.uids) == violation["outputs"]
 
@@ -378,7 +380,7 @@ def test_safety_reports_an_output_outside_chr2_as_outside_the_subdivision(
     model = ProtocolModel(adv)
     codes = tuple(code_of(v) for v in sorted(foreign, key=lambda v: v.color))
     monkeypatch.setattr(model, "output_codes", lambda state: codes)
-    assert model.output_simplex(0) == foreign
+    assert output_simplex(model, 0) == foreign
     exploration = model.explore()
     report = check_safety(model, exploration, task)
     assert len(report.violations) == report.checked == 133
@@ -599,6 +601,26 @@ def test_terminals_expand_only_when_iterated():
     assert len(expanded) == len(exploration.terminals.orbits) == 118
 
 
+@pytest.mark.parametrize("name", FIXTURES)
+def test_orbit_states_expand_each_terminal_orbit_exactly(name,
+                                                         fixture_adversaries):
+    """Every terminal orbit of every participation at fault budgets 0, 1
+    and 2: its states ascend strictly, there are exactly as many as its
+    size, and each canonicalizes back to (representative, size)."""
+    adv = fixture_adversaries[name]
+    expanded = 0
+    for budget in (0, 1, 2):
+        for P in valid_participations(adv):
+            model = ProtocolModel(adv, participation=P, fault_budget=budget)
+            for rep, size in model.explore().terminals.orbits:
+                states = model.orbit_states(rep)
+                assert len(states) == size
+                assert all(a < b for a, b in zip(states, states[1:]))
+                assert all(model._representative(s) == (rep, size) for s in states)
+                expanded += size > 1
+    assert expanded > 0
+
+
 def test_safety_of_r_a_never_builds_chr2(monkeypatch, fixture_adversaries):
     """A task build_r_a kept lies inside Chr Chr s, so a safe check against
     it needs no Chr Chr s."""
@@ -656,10 +678,12 @@ def test_output_simplex_needs_round_one_views_of_the_seen():
     """Process 1 returned with 2 in its round-two view, although 2 never
     got a round-one view."""
     model = ProtocolModel(make_k_of(2, 1))
-    state = DONE | 0b01 << model._off_fblk | 0b11 << model._off_sblk
+    # process 1's field: DONE, round-one block 1 (bit 5 on), round-two
+    # block 1 (bit 8 on); process 2's field, from bit 13: round-two block 1
+    state = DONE | 1 << 5 | 1 << 8 | (1 << 8) << 13
     assert outputs(model, state) == [(1, 3)]
     with pytest.raises(SimulationError, match="without a round-one view"):
-        model.output_simplex(state)
+        output_simplex(model, state)
 
 
 def test_fault_budget_must_be_nonnegative():

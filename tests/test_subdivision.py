@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 
