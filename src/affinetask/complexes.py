@@ -3,7 +3,9 @@
 A vertex carries a color (a process id in 1..n) and an optional payload
 describing what the vertex stands for inside a subdivision (its carrier).
 Vertex identity is the canonical uid string, which is derived from color and
-payload, so structural equality and uid equality coincide.
+payload, so structural equality and uid equality coincide. Vertices and
+simplices are slotted and read-only; a simplex is validated in one pass over
+its vertices' uid strings and colors, with no vertex hashed.
 
 Complexes store facets only; faces are generated on demand, and membership
 is read off a facet index (`facet_index`): per vertex, the ascending
@@ -13,9 +15,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from operator import attrgetter
 from typing import Any, Iterable, Iterator
 
@@ -26,11 +28,30 @@ class ComplexError(ValueError):
     """Malformed complex or operator precondition failure."""
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Vertex:
-    uid: str
-    color: int
-    payload: Any = None
+class _ReadOnly:
+    """Slotted instances whose fields, once set by the constructor, cannot
+    be assigned or deleted; the constructor writes them through the slots'
+    own setters."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Vertex(_ReadOnly):
+    __slots__ = ("uid", "color", "payload")
+
+    def __init__(self, uid: str, color: int, payload: Any = None):
+        _set_uid(self, uid)
+        _set_color(self, color)
+        _set_payload(self, payload)
+
+    def __reduce__(self):
+        return Vertex, (self.uid, self.color, self.payload)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Vertex) and self.uid == other.uid
@@ -46,36 +67,53 @@ class Vertex:
 
 
 _UID, _COLOR = attrgetter("uid"), attrgetter("color")
+_VERTICES = attrgetter("vertices")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Simplex:
-    """Nonempty set of vertices with pairwise distinct colors."""
+class Simplex(_ReadOnly):
+    """Nonempty set of vertices with pairwise distinct colors.
 
-    vertices: tuple[Vertex, ...]
-    # set once, from the sorted vertices
-    uids: tuple[str, ...] = field(init=False)
-    _hash: int = field(init=False)
+    The vertices are sorted by uid; of vertices with equal uids (equal
+    vertices) the first given is kept."""
 
-    def __post_init__(self):
-        vs = tuple(sorted(set(self.vertices), key=_UID))
+    # vertices and uids sorted by uid; the last two filled on first use
+    __slots__ = ("vertices", "uids", "_hash", "_vertex_set", "_colors")
+
+    def __init__(self, vertices: Iterable[Vertex]):
+        vs = sorted(vertices, key=_UID)
+        uids = tuple(map(_UID, vs))
+        if len(set(uids)) != len(uids):
+            # equal uids are equal vertices: keep the first, as a set does
+            first: dict[str, Vertex] = {}
+            for uid, v in zip(uids, vs):
+                first.setdefault(uid, v)
+            vs, uids = list(first.values()), tuple(first)
         if not vs:
             raise ComplexError("a simplex needs at least one vertex")
         if len(set(map(_COLOR, vs))) != len(vs):
-            raise ComplexError(
-                "repeated colors in simplex: %s" % [v.uid for v in vs])
-        uids = tuple(map(_UID, vs))
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "uids", uids)
-        object.__setattr__(self, "_hash", hash(uids))
+            raise ComplexError("repeated colors in simplex: %s" % list(uids))
+        _set_vertices(self, tuple(vs))
+        _set_uids(self, uids)
+        _set_hash(self, hash(uids))
 
-    @cached_property
+    def __reduce__(self):
+        return Simplex, (self.vertices,)
+
+    @property
     def vertex_set(self) -> frozenset[Vertex]:
-        return frozenset(self.vertices)
+        try:
+            return self._vertex_set
+        except AttributeError:
+            _set_vertex_set(self, frozenset(self.vertices))
+            return self._vertex_set
 
-    @cached_property
+    @property
     def colors(self) -> frozenset[int]:
-        return frozenset(v.color for v in self.vertices)
+        try:
+            return self._colors
+        except AttributeError:
+            _set_colors(self, frozenset(map(_COLOR, self.vertices)))
+            return self._colors
 
     @property
     def dim(self) -> int:
@@ -109,6 +147,12 @@ class Simplex:
         return "S{%s}" % ", ".join(self.uids)
 
 
+_set_uid, _set_color, _set_payload = (
+    Vertex.__dict__[name].__set__ for name in Vertex.__slots__)
+_set_vertices, _set_uids, _set_hash, _set_vertex_set, _set_colors = (
+    Simplex.__dict__[name].__set__ for name in Simplex.__slots__)
+
+
 def _sort_key(s: Simplex) -> tuple:
     return (len(s.uids), s.uids)
 
@@ -121,10 +165,10 @@ class ChromaticComplex:
     facets: frozenset[Simplex]
 
     def __post_init__(self):
-        for f in self.facets:
-            bad = [v.color for v in f if not 1 <= v.color <= self.n]
-            if bad:
-                raise ComplexError(f"colors {bad} outside 1..{self.n}")
+        colors = set(map(_COLOR, chain.from_iterable(map(_VERTICES, self.facets))))
+        bad = sorted(c for c in colors if not 1 <= c <= self.n)
+        if bad:
+            raise ComplexError(f"colors {bad} outside 1..{self.n}")
 
     @cached_property
     def vertices(self) -> frozenset[Vertex]:

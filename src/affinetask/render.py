@@ -149,11 +149,11 @@ def render_off(K: ChromaticComplex) -> str:
     if K.n != 4:
         raise ComplexError(f"OFF export is for n=4, got n={K.n}")
     verts = sorted(K.vertices, key=lambda v: v.uid)
-    index = {v: i for i, v in enumerate(verts)}
+    index = {v.uid: i for i, v in enumerate(verts)}
     # a facet's vertices are sorted by uid, so its index triples sort as
     # its uid triples do
     triangles = sorted({tri for f in K.facets
-                        for tri in combinations(map(index.__getitem__, f), 3)})
+                        for tri in combinations(map(index.__getitem__, f.uids), 3)})
     points, den = _project(verts, 4, _CORNERS_3D)
     lines = ["OFF", f"{len(verts)} {len(triangles)} 0"]
     lines.extend(" ".join(_fmt(c, den) for c in points[v]) for v in verts)

@@ -25,12 +25,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .bits import colors_of, iter_bits, mask_of
 from .complexes import (MAX_PROCESSES, ChromaticComplex, ComplexError,
                         Simplex, Vertex)
 
+_COLOR = attrgetter("color")
 _CORNERS = {c: Vertex(uid=str(c), color=c) for c in range(1, MAX_PROCESSES + 1)}
 _VIEW = (1 << MAX_PROCESSES) - 1  # one color's field of a packed Chr s simplex
 # per color mask, the fields of its colors with every bit set
@@ -57,7 +59,7 @@ def chr_vertex(color: int, carrier: Simplex) -> Vertex:
 
     The carrier must contain a vertex of the same color (self-inclusion).
     """
-    if color not in carrier.colors:
+    if color not in map(_COLOR, carrier.vertices):
         raise ComplexError(f"carrier {carrier!r} has no vertex of color {color}")
     uid = "%d(%s)" % (color, ",".join(carrier.uids))
     return Vertex(uid=uid, color=color, payload=carrier)
@@ -129,11 +131,19 @@ def simplex_of_codes(codes: Iterable[int]) -> Simplex:
     return Simplex(tuple(chr2_vertex(code & 7, code >> 3) for code in codes))
 
 
-def chr2_simplex(views1: int, views2: Iterable[tuple[int, int]]) -> Simplex:
-    """The Chr Chr s simplex of the (color, round-two view mask) pairs
-    views2, where views1 packs the round-one view of every color seen."""
-    return Simplex(tuple(chr2_vertex(c, views1 & _FIELDS[view])
-                         for c, view in views2))
+def _second_round(run: Iterable[tuple[int, int]]
+                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A round-two run's colors, and per color the `_FIELDS` mask of its
+    view: the fields of a packed round-one run that it sees."""
+    colors, views = zip(*run)
+    return colors, tuple(map(_FIELDS.__getitem__, views))
+
+
+def _chr2_facet(views1: int, colors: tuple[int, ...],
+                fields: tuple[int, ...]) -> Simplex:
+    """The Chr Chr s simplex of the packed round-one run views1 and a
+    round-two run's colors and view fields, as by `_second_round`."""
+    return Simplex(tuple(map(chr2_vertex, colors, map(views1.__and__, fields))))
 
 
 def partition_to_facet(blocks: Sequence[Iterable[int]], n: int) -> Simplex:
@@ -166,8 +176,9 @@ def chr2_facets(n: int) -> tuple[Simplex, ...]:
     """The facets of Chr Chr s in run-pair order: the facet of runs i and j
     of `all_runs(n)` is at i * len(all_runs(n)) + j."""
     runs = all_runs(n)
-    return tuple(chr2_simplex(views1, run2)
-                 for views1 in map(pack, runs) for run2 in runs)
+    seconds = tuple(map(_second_round, runs))
+    return tuple(_chr2_facet(views1, colors, fields)
+                 for views1 in map(pack, runs) for colors, fields in seconds)
 
 
 @lru_cache(maxsize=None)
@@ -183,7 +194,8 @@ def two_round_facet(blocks1: Sequence[Iterable[int]],
     blocks1 and blocks2 are ordered partitions of colors 1..n: the first
     round, and the second round over the first-round facet's vertices.
     """
-    return chr2_simplex(pack(_run(blocks1, n)), _run(blocks2, n))
+    views1 = pack(_run(blocks1, n))
+    return _chr2_facet(views1, *_second_round(_run(blocks2, n)))
 
 
 # --- integer code -----------------------------------------------------------
@@ -212,11 +224,11 @@ def barycentric_points(vertices: Iterable[Vertex], n: int
     each remaining vertex of rho. Each vertex, and each vertex of a carrier
     below it, is placed once per call.
     """
-    placed: dict[Vertex, tuple[tuple[int, ...], int]] = {}
+    placed: dict[str, tuple[tuple[int, ...], int]] = {}  # by uid
 
     # each point over its own denominator: 2k-1 times the lcm of its carrier's
     def place(v: Vertex) -> tuple[tuple[int, ...], int]:
-        got = placed.get(v)
+        got = placed.get(v.uid)
         if got is None:
             if v.payload is None:
                 got = tuple(int(c == v.color) for c in range(1, n + 1)), 1
@@ -230,7 +242,7 @@ def barycentric_points(vertices: Iterable[Vertex], n: int
                     for i, x in enumerate(nums):
                         coords[i] += scale * x
                 got = tuple(coords), (2 * len(rho) - 1) * den
-            placed[v] = got
+            placed[v.uid] = got
         return got
 
     points = {v: place(v) for v in vertices}

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately written against different primitives than
-the package: Chr K by walking prefix-carrier Simplex objects of each base
+the package: a simplex's vertices as a set sorted by uid (`simplex_by_set`),
+Chr K by walking prefix-carrier Simplex objects of each base
 facet (`build_chr`), barycentric geometry by a recursive Fraction sum
 (`geometry_by_definition`), partition counting via the surjection formula, the pure
 complement via brute-force filtering, the resilient task via a per-vertex
@@ -122,6 +123,19 @@ def critical_faces(sigma, alpha) -> list[tuple]:
                     and alpha(view - {v.color for v in theta}) < alpha(view)):
                 out.append(theta)
     return out
+
+
+def simplex_by_set(vertices) -> tuple[Vertex, ...]:
+    """The vertices of `Simplex(vertices)` by the construction it replaced:
+    the set of the vertices (equal uids are equal vertices), sorted by uid,
+    then the empty and repeated-color checks with `Simplex`'s messages."""
+    vs = tuple(sorted(set(vertices), key=lambda v: v.uid))
+    if not vs:
+        raise ComplexError("a simplex needs at least one vertex")
+    if len({v.color for v in vs}) != len(vs):
+        raise ComplexError(
+            "repeated colors in simplex: %s" % [v.uid for v in vs])
+    return vs
 
 
 def is_pure(K: ChromaticComplex) -> bool:

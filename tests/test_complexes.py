@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import pickle
+import re
 from itertools import combinations, product
+from operator import is_
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from affinetask import (ChromaticComplex, ComplexError, Simplex, Vertex,
-                        closure, complex_from_dict, complex_to_dict,
-                        standard_simplex)
-from oracles import is_pure
+                        chr2_complex, closure, complex_from_dict,
+                        complex_to_dict, standard_simplex)
+from oracles import is_pure, simplex_by_set
 
 
 def v(uid: str, color: int) -> Vertex:
@@ -23,11 +28,91 @@ def test_simplex_orders_vertices_by_uid():
     s = Simplex((a, b))
     assert s.uids == ("a", "b")
     assert s.dim == 1
+    assert Simplex(vertices=[b, a]) == s
 
 
 def test_simplex_rejects_repeated_colors():
     with pytest.raises(ComplexError):
         Simplex((v("a", 1), v("b", 1)))
+
+
+@st.composite
+def vertex_lists(draw) -> list[Vertex]:
+    """Up to 6 vertices over uids a..e and colors 1..4: an object drawn
+    again, fresh objects with an equal uid (and maybe another color),
+    repeated colors, and uid orders unlike color orders."""
+    made: list[Vertex] = []
+    for _ in range(draw(st.integers(0, 6))):
+        if made and draw(st.booleans()):
+            made.append(draw(st.sampled_from(made)))
+        else:
+            made.append(v(draw(st.sampled_from("abcde")), draw(st.integers(1, 4))))
+    return made
+
+
+def built(vertices: list[Vertex]):
+    """Simplex(vertices) and simplex_by_set(vertices): each the result, or
+    the message of the ComplexError raised."""
+    out = []
+    for make in (Simplex, simplex_by_set):
+        try:
+            out.append(make(tuple(vertices)))
+        except ComplexError as exc:
+            out.append(str(exc))
+    return out
+
+
+_A1, _B2 = v("a", 1), v("b", 2)
+
+
+@given(vertex_lists(), vertex_lists())
+@example([_A1, _A1], [_A1])  # the same vertex twice
+@example([v("a", 1), v("a", 1), v("b", 2)], [_B2, _A1])  # equal uids
+@example([v("a", 1), v("a", 2), v("b", 2)], [v("a", 2), v("a", 1), _B2])
+@example([v("a", 1), v("b", 1)], [])  # repeated colors; the empty tuple
+@example([v("c", 1), v("b", 2), v("a", 3)], [v("a", 3), v("c", 1), v("b", 2)])
+def test_simplex_matches_the_set_construction(xs, ys):
+    """Simplex against the set-then-sort construction: the same vertex
+    objects in the same order, the same uids, hash and equality, or the
+    same error and message."""
+    (s, want), (t, want_t) = built(xs), built(ys)
+    if isinstance(want, str):
+        assert s == want
+        return
+    assert isinstance(s, Simplex)
+    assert len(s.vertices) == len(want)
+    assert all(map(is_, s.vertices, want))
+    assert s.uids == tuple(u.uid for u in want)
+    assert hash(s) == hash(s.uids) == hash(Simplex(want))
+    assert s == Simplex(want)
+    if isinstance(want_t, tuple):
+        assert isinstance(t, Simplex)
+        assert (s == t) == ({u.uid for u in want} == {u.uid for u in want_t})
+
+
+@pytest.mark.parametrize("make,name", [
+    (lambda: v("a", 1), "uid"),
+    (lambda: v("a", 1), "color"),
+    (lambda: v("a", 1), "payload"),
+    (lambda: base_facet(2), "vertices"),
+    (lambda: base_facet(2), "uids"),
+])
+def test_fields_are_read_only(make, name):
+    obj = make()
+    before = getattr(obj, name)
+    with pytest.raises(AttributeError):
+        setattr(obj, name, None)
+    with pytest.raises(AttributeError):
+        delattr(obj, name)
+    assert getattr(obj, name) == before
+
+
+def test_primitives_pickle_by_their_constructors():
+    s = chr2_complex(2).sorted_facets()[0]
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s and back.uids == s.uids
+    assert [u.payload for u in back] == [u.payload for u in s]
+    assert [u.color for u in back] == [u.color for u in s]
 
 
 def test_simplex_faces_and_has_face():
@@ -66,8 +151,6 @@ def colorful(K: ChromaticComplex):
 
 
 def test_membership_matches_face_closure_on_chr2_2():
-    from affinetask import chr2_complex
-
     K = chr2_complex(2)
     faces = set(K.simplices())
     sigmas = list(colorful(K))
@@ -103,6 +186,11 @@ def test_vertex_color_range_enforced():
     bad = Simplex((v("a", 9),))
     with pytest.raises(ComplexError):
         ChromaticComplex(3, frozenset({bad}))
+    # every color out of range, sorted, whatever the facets' set order
+    facets = frozenset(Simplex((v(f"x{c}", c),)) for c in (8, 9, 7))
+    with pytest.raises(ComplexError,
+                       match=re.escape("colors [7, 8, 9] outside 1..3")):
+        ChromaticComplex(3, facets)
 
 
 def test_json_round_trip(chr_3):
@@ -114,8 +202,6 @@ def test_json_round_trip(chr_3):
 
 
 def test_json_round_trip_two_levels():
-    from affinetask import chr2_complex
-
     K = chr2_complex(2)
     doc = complex_to_dict(K)
     back = complex_from_dict(doc)

@@ -341,7 +341,7 @@ def test_r_a_is_carved_counted_and_checked_without_simplices(
         raise AssertionError("a Simplex or a complex was made")
 
     affine_module._chr2_table.cache_clear()
-    monkeypatch.setattr(Simplex, "__post_init__", made)
+    monkeypatch.setattr(Simplex, "__init__", made)
     monkeypatch.setattr(ChromaticComplex, "__post_init__", made)
     for name, adv in fixture_adversaries.items():
         task = build_r_a(adv)
