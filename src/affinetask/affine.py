@@ -19,10 +19,11 @@ contention graph and one round-two color order are listed once
 (`_cliques`). `build_r_a` runs only a guard loop over these ints per
 alpha and keeps the run-pair ids of its facets, i * |runs| + j for runs i
 and j of `all_runs(n)`; it makes no Simplex. `AffineTask` is these ids:
-its facets read as vertex codes (`facet_codes`, `chr2_code`) serve both
-membership, through a facet index, and the leader sweep. R_A's complex,
-the `chr2_facets(n)` Simplex objects at those ids, is built only where a
-task is written or drawn. `contention_simplices` reads the same table.
+its facets read as vertex codes (`facet_codes`, by
+`subdivision.chr2_facet_codes`) serve both membership, through a facet
+index, and the leader sweep. R_A's complex, the `chr2_facets(n)` Simplex
+objects at those ids, is built only where a task is written or drawn.
+`contention_simplices` reads the same table.
 
 R_A reads colors only through alpha and view masks, so a swap of two
 colors that keeps alpha maps R_A onto itself (the scalarset argument of Ip
@@ -42,8 +43,8 @@ from .bits import colors_of, submasks
 from .complexes import (MAX_PROCESSES, ChromaticComplex, Simplex, _sort_key,
                         complex_to_dict, facet_index, in_one_facet)
 from .reports import VerificationReport
-from .subdivision import (_FIELDS, _VIEW, all_runs, chr2_code, chr2_facets,
-                          chr_complex, pack, packed_views)
+from .subdivision import (_FIELDS, _VIEW, all_runs, chr2_facet_codes,
+                          chr2_facets, chr_complex, pack, packed_views)
 
 
 class AffineTask:
@@ -69,11 +70,8 @@ class AffineTask:
         return len(self.ids)
 
     def facet_codes(self) -> Iterator[list[int]]:
-        """Each facet's vertex codes (`chr2_code`), in id order."""
-        views1 = _chr2_table(self.n)[0]
-        runs = [[(c, _FIELDS[view]) for c, view in run] for run in all_runs(self.n)]
-        for i, j in (divmod(k, len(runs)) for k in self.ids):
-            yield [chr2_code(c, views1[i] & field) for c, field in runs[j]]
+        """Each facet's vertex codes (`chr2_facet_codes`), in id order."""
+        return chr2_facet_codes(self.n, self.ids)
 
     @cached_property
     def _index(self) -> dict[int, array]:
@@ -81,8 +79,9 @@ class AffineTask:
         return facet_index(self.facet_codes())
 
     def holds(self, codes: Iterable[int]) -> bool:
-        """Whether the Chr Chr s vertices of the given codes (`chr2_code`)
-        lie in one facet of the task."""
+        """Whether the Chr Chr s vertices of the given codes
+        (`chr2_codes`) lie in one facet of the task; no codes lie in one
+        exactly when the task has a facet."""
         return in_one_facet(self._index, codes)
 
     def symmetric_under(self, a: int, b: int) -> bool:
@@ -172,11 +171,11 @@ def _cliques(graph: int, order: tuple[int, ...]) -> list[int]:
 
 @lru_cache(maxsize=MAX_PROCESSES)
 def _chr2_table(n: int) -> tuple:
-    """(views1, groups, rhos, faces) of Chr Chr s, coded straight from the
-    pairs of runs that build its facets, in run-pair order: each run of
-    `all_runs(n)` packed (`pack`); the view groups of each Chr s simplex
-    id; per facet, the id of its carrier rho, the packed round-one run; per
-    facet, its contending faces packed as tau id << MAX_PROCESSES | colors.
+    """(groups, rhos, faces) of Chr Chr s, coded straight from the pairs of
+    runs that build its facets, in run-pair order: the view groups of each
+    Chr s simplex id; per facet, the id of its carrier rho, its packed
+    round-one run (`pack`); per facet, its contending faces packed as tau
+    id << MAX_PROCESSES | colors.
 
     The contending faces are listed once per contention graph and
     round-two color order; a face's carrier tau is the packed round-one
@@ -187,8 +186,7 @@ def _chr2_table(n: int) -> tuple:
     pool: dict[int, int] = {}  # one int object per packed face
     cliques: dict[tuple, list[int]] = {}  # (graph, r2 order) -> color masks
     rhos, faces = [], []
-    packed_runs = tuple(map(pack, runs))
-    for views1, (lt1, gt1, _, _) in zip(packed_runs, codes):
+    for views1, (lt1, gt1, _, _) in zip(map(pack, runs), codes):
         rho = ids.setdefault(views1, len(ids))
         # per (union of its round-two views, colors), a face of this round one
         packed: list[int | None] = [None] * (1 << 2 * MAX_PROCESSES)
@@ -208,15 +206,14 @@ def _chr2_table(n: int) -> tuple:
                 out.append(face)
             rhos.append(rho)
             faces.append(tuple(out))
-    return (packed_runs, tuple(_view_groups(p) for p in ids), tuple(rhos),
-            tuple(faces))
+    return tuple(_view_groups(p) for p in ids), tuple(rhos), tuple(faces)
 
 
 def contention_simplices(n: int, min_dim: int = 0) -> list[Simplex]:
     """Every contending simplex of Chr Chr s over n colors with dimension at
     least min_dim, canonically sorted: the contending faces `_chr2_table`
     lists per facet, on that facet's vertices."""
-    facets, faces = chr2_facets(n), _chr2_table(n)[3]
+    facets, faces = chr2_facets(n), _chr2_table(n)[2]
     found = {Simplex(tuple(v for v in facet if face & 1 << v.color - 1))
              for facet, packed in zip(facets, faces) for face in packed
              if (face & _VIEW).bit_count() > min_dim}
@@ -241,7 +238,7 @@ def build_r_a(adv: Adversary) -> AffineTask:
     carrier and the critical-carrier colors of the face's carrier.
     """
     alpha = task_alpha(adv)
-    _, groups, rhos, faces = _chr2_table(adv.n)
+    groups, rhos, faces = _chr2_table(adv.n)
     csm_of, csv_of, conc_of = zip(*(
         _critical_summary(_critical_faces(g, alpha), alpha) for g in groups))
     kept = array("I")

@@ -67,7 +67,7 @@ class Vertex(_ReadOnly):
 
 
 _UID, _COLOR = attrgetter("uid"), attrgetter("color")
-_VERTICES = attrgetter("vertices")
+_UIDS, _VERTICES = attrgetter("uids"), attrgetter("vertices")
 
 
 class Simplex(_ReadOnly):
@@ -172,10 +172,13 @@ class ChromaticComplex:
 
     @cached_property
     def vertices(self) -> frozenset[Vertex]:
-        out: set[Vertex] = set()
-        for f in self.facets:
-            out.update(f.vertices)
-        return frozenset(out)
+        """The facets' vertices, collected by uid: of equal vertices, the
+        first met is kept, as a set keeps it. A later entry of a dict
+        overwrites an earlier one, so the facets are read backwards."""
+        facets = list(self.facets)[::-1]
+        by_uid = dict(zip(chain.from_iterable(map(_UIDS, facets)),
+                          chain.from_iterable(map(_VERTICES, facets))))
+        return frozenset(by_uid.values())
 
     @cached_property
     def _facets_of(self) -> dict[Vertex, array]:
@@ -231,11 +234,15 @@ def facet_index(facets: Iterable[Iterable]) -> dict[Any, array]:
 
 def in_one_facet(index: dict[Any, array], keys: Iterable) -> bool:
     """Whether some facet of the index holds every key: a position of the
-    rarest key found, by bisection, among the positions of all the others."""
+    rarest key found, by bisection, among the positions of all the others.
+    No keys are held exactly when the index has a facet."""
     try:
-        rarest, *rest = sorted((index[key] for key in keys), key=len)
+        by_size = sorted((index[key] for key in keys), key=len)
     except KeyError:
         return False
+    if not by_size:
+        return bool(index)
+    rarest, *rest = by_size
     for pos in rarest:
         for held in rest:
             i = bisect_left(held, pos)

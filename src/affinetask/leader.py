@@ -8,7 +8,7 @@ meeting Q. Views are color masks, read off the view groups of v's round-two
 view. "Smallest" is by inclusion; the views and the critical views each
 form a chain and this is asserted, never tie-broken.
 
-A vertex is its code (`subdivision.chr2_code`), and `verify_leader` reads
+A vertex is its code (`subdivision.chr2_codes`), and `verify_leader` reads
 the task's facets as codes (`AffineTask.facet_codes`), never its complex.
 """
 from __future__ import annotations
@@ -40,7 +40,7 @@ def _chain(views: Iterable[int], what: str) -> tuple[int, ...]:
 class LeaderMap:
     """The leader map of one agreement function, as one table per vertex.
 
-    A vertex is its code (`subdivision.chr2_code`): its color in the low
+    A vertex is its code (`subdivision.chr2_codes`): its color in the low
     three bits, its packed round-two view above them. A vertex is decoded
     once, when it is first met: its critical views and its views are sorted
     into chains, and the leader of every query mask holding its color is
@@ -138,7 +138,7 @@ def verify_leader(adv: Adversary, task: AffineTask | None = None,
     queries = [(sorted(Q), mask_of(Q)) for Q in _queries_for(adv.n, queries)]
     # the vertex codes by uid, and the facets as ascending positions among
     # them by size, then positions: the orders of the task's complex
-    uids = {code: chr2_vertex(code & 7, code >> 3).uid
+    uids = {code: chr2_vertex(code).uid
             for code in set(chain.from_iterable(task.facet_codes()))}
     codes = sorted(uids, key=uids.__getitem__)
     rank = {code: r for r, code in enumerate(codes)}

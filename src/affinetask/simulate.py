@@ -93,8 +93,7 @@ from .affine import AffineTask
 from .bits import colors_of, iter_bits, mask_of, submasks
 from .complexes import Simplex
 from .reports import VerificationReport
-from .subdivision import (_FIELDS, chr2_code, chr2_complex, pack,
-                          simplex_of_codes)
+from .subdivision import chr2_codes, chr2_complex, pack, simplex_of_codes
 
 DEFAULT_STATE_CAP = 10_000_000
 STATE_CAP_ENV = "AFFINE_STATE_CAP"
@@ -108,6 +107,12 @@ FIELD, SIGNATURE = 13, (1 << 13) - 1
 
 # guard kinds of a step move: none, the wait rule, the Conc update
 _GO, _WAIT, _FINISH = range(3)
+
+# per progress value with a step: its guard kind and field delta. A step
+# moves the process to its next progress value, and invoking a snapshot
+# also sets that round's pending bit
+_STEPS = {IDLE: (_GO, 1 + (1 << 11)), GOT1: (_GO, 1),
+          WROTE1: (_WAIT, 1 + (1 << 12)), GOT2: (_GO, 1), WROTE2: (_FINISH, 1)}
 
 # coarse program-counter names for traces and reports
 PC_NAMES = {IDLE: "Init", INV1: "Init", GOT1: "Init", WROTE1: "Waiting",
@@ -237,10 +242,6 @@ class ProtocolModel:
         self._shifts = tuple(tuple(fields[i] for i in c) for c in self._classes)
         self._unowned = tuple(~sum(SIGNATURE << f for f in shifts)
                               for shifts in self._shifts)
-        # per process and 5-bit slot, its step move (guard, process, event,
-        # delta) and its crash move (event, delta), or None; the events are
-        # shared, one per process
-        self._step_move, self._crash_move = self._process_moves()
         # slot word -> its moves and registers (`_slot_entry`)
         self._slot_bits = sum(31 << f for f in fields)
         self._moves: dict[int, tuple] = {}
@@ -393,62 +394,43 @@ class ProtocolModel:
     def initial_state(self) -> int:
         return 0
 
-    def _process_moves(self) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
-        """Per process and 5-bit slot, (step moves, crash moves). A step
-        moves the process to its next progress value, and invoking a
-        snapshot also sets its pending bit; a crash sets the crashed bit
-        and, from INV2, clears the pending bit. A crashed process has no
-        move, and only GOT1..WROTE2 may crash."""
-        steps, crashes = [], []
-        for i in range(self.n):
-            step_ev, crash_ev = ("step", i + 1), ("crash", i + 1)
-            one = 1 << FIELD * i
-            fp, sp = one << 11, one << 12
-            by_progress = {IDLE: (_GO, i, step_ev, one + fp),
-                           GOT1: (_GO, i, step_ev, one),
-                           WROTE1: (_WAIT, i, step_ev, one + sp),
-                           GOT2: (_GO, i, step_ev, one),
-                           WROTE2: (_FINISH, i, step_ev, one)}
-            steps.append(tuple(None if slot & 8 else by_progress.get(slot & 7)
-                               for slot in range(32)))
-            crashes.append(tuple(
-                (crash_ev, (8 << FIELD * i) - (sp if slot & 7 == INV2 else 0))
-                if not slot & 8 and GOT1 <= slot & 7 <= WROTE2 else None
-                for slot in range(32)))
-        return tuple(steps), tuple(crashes)
-
     def _slot_entry(self, word: int) -> tuple:
         """The moves and registers of every state whose slot word is word:
-        (step moves in process order, whether one is guarded, the
-        Conc-written processes, IS1-written, IS2-written, round-one and
-        round-two pending masks, crash events, crash deltas). The slots fix
-        the pending masks: i is pending in round r exactly when it has not
-        crashed and its progress is INV_r. There is no crash move once the
-        fault budget is spent."""
+        (step moves (guard, process, event, delta) in process order,
+        whether one is guarded, the Conc-written processes, IS1-written,
+        IS2-written, round-one and round-two pending masks, crash events,
+        crash deltas). The slots fix the pending masks: i is pending in
+        round r exactly when it has not crashed and its progress is INV_r.
+        A crashed process has no move; a step is read off `_STEPS`; a crash
+        sets the crashed bit and, from INV2, clears the pending bit, and
+        only GOT1..WROTE2 may crash. There is no crash move once the fault
+        budget is spent."""
         steps, conc, crash_events, crash_deltas = [], [], [], []
         is1w = is2w = fpend = spend = crashed = guarded = 0
         for i in self._procs:
-            slot, bit = word >> FIELD * i & 31, 1 << i
+            f = FIELD * i
+            slot, bit = word >> f & 31, 1 << i
             p = slot & 7
-            if slot & 8:
-                crashed |= bit
-            elif p == INV1:
-                fpend |= bit
-            elif p == INV2:
-                spend |= bit
             if p >= WROTE1:
                 is1w |= bit
                 if p >= WROTE2:
                     is2w |= bit
             if slot & 16:
                 conc.append(i)
-            step, crash = self._step_move[i][slot], self._crash_move[i][slot]
+            if slot & 8:
+                crashed |= bit
+                continue
+            if p == INV1:
+                fpend |= bit
+            elif p == INV2:
+                spend |= bit
+            step = _STEPS.get(p)
             if step:
-                steps.append(step)
+                steps.append((step[0], i, ("step", i + 1), step[1] << f))
                 guarded |= step[0]
-            if crash:
-                crash_events.append(crash[0])
-                crash_deltas.append(crash[1])
+            if GOT1 <= p <= WROTE2:
+                crash_events.append(("crash", i + 1))
+                crash_deltas.append((8 - (1 << 12 if p == INV2 else 0)) << f)
         if crashed.bit_count() >= self.fault_budget:
             crash_events = crash_deltas = []
         entry = self._moves[word] = (
@@ -588,19 +570,19 @@ class ProtocolModel:
     # --- terminal-state interpretation ------------------------------------
 
     def output_codes(self, state: int) -> tuple[int, ...]:
-        """The vertex codes (`chr2_code`) of the returned views, in process
-        order: each returned process's color with the round-one views its
-        round-two view holds, packed."""
+        """The vertex codes (`chr2_codes`) of the returned views, in process
+        order: each returned process's color and round-two view over the
+        packed round-one views."""
         blocks, _, _, views1 = self._round(state, 1)
         spfx = self._round(state, 2)[1]
-        codes = []
+        done = []
         for i in self._procs:
             if self._prog(state, i) == DONE:
                 if spfx[i] & ~sum(blocks):
                     raise SimulationError("a returned process saw a process "
                                           "without a round-one view")
-                codes.append(chr2_code(i + 1, views1 & _FIELDS[spfx[i]]))
-        return tuple(codes)
+                done.append((i + 1, spfx[i]))
+        return tuple(chr2_codes(views1, done))
 
 
 # --- sweeps over participation sets -------------------------------------------
@@ -686,7 +668,7 @@ def check_safety(model: ProtocolModel, exploration: Exploration,
     unsafe: dict[tuple[int, ...], tuple[Simplex, bool] | None] = {}
 
     def decide(codes: tuple[int, ...]) -> tuple[Simplex, bool] | None:
-        if not codes or task.holds(codes):
+        if task.holds(codes):
             return None
         sigma = simplex_of_codes(codes)
         return sigma, sigma in chr2_complex(model.n)

@@ -12,9 +12,12 @@ round-two view holds the round-one view of every color it saw (Kozlov 2012).
 Integer code: a Chr s vertex is its color and view (its carrier's color
 mask); `packed_views` packs a Chr s simplex into one int, so the Chr s
 carrier of a set of Chr Chr s vertices is the OR of their packed carriers.
-Facets are built on this code by the pooled `chr1_vertex`/`chr2_vertex`,
-from one enumeration of the runs per n, `all_runs`; a Chr Chr s vertex is
-coded as one int by `chr2_code`.
+A Chr Chr s vertex is one int, its packed carrier above its color in the
+low three bits. This module alone derives it: `chr2_codes` codes a
+round-two run over a packed round-one run, `chr2_facet_codes` the facet
+at each run-pair id, and `chr2_vertex` turns a code into the pooled
+`Vertex`. Facets are built on this code, from one enumeration of the runs
+per n, `all_runs`.
 
 Geometry is exact and on integers: `barycentric_points` places each vertex
 once per call, from its carrier's points, over one common denominator.
@@ -110,40 +113,40 @@ def chr1_vertex(color: int, view: int) -> Vertex:
     return chr_vertex(color, Simplex(tuple(_CORNERS[c] for c in colors_of(view))))
 
 
+def chr2_codes(views1: int, run: Iterable[tuple[int, int]]) -> list[int]:
+    """The vertex codes of a round-two run's (color, view mask) pairs over
+    the packed round-one run views1: each color's packed carrier, the
+    fields of views1 that its view holds, above the color."""
+    return [(views1 & _FIELDS[view]) << 3 | color for color, view in run]
+
+
+def chr2_facet_codes(n: int, ids: Iterable[int]) -> Iterator[list[int]]:
+    """The vertex codes of the Chr Chr s facet at each run-pair id, i *
+    len(all_runs(n)) + j for runs i and j; each round-one run is packed
+    once per run of equal i."""
+    runs = all_runs(n)
+    size, last, views1 = len(runs), -1, -1
+    for k in ids:
+        i, j = divmod(k, size)
+        if i != last:
+            last, views1 = i, pack(runs[i])
+        yield chr2_codes(views1, runs[j])
+
+
 @lru_cache(maxsize=None)
-def chr2_vertex(color: int, carrier: int) -> Vertex:
-    """The Chr Chr s vertex of `color` whose round-two view is the packed
-    Chr s simplex `carrier`: the round-one view mask of each color it saw,
-    in that color's field."""
+def chr2_vertex(code: int) -> Vertex:
+    """The Chr Chr s vertex of a code: its color, code & 7, whose round-two
+    view is the packed Chr s simplex code >> 3, the round-one view mask of
+    each color it saw in that color's field."""
+    carrier = code >> 3
     fields = (carrier >> MAX_PROCESSES * c & _VIEW for c in range(MAX_PROCESSES))
-    return chr_vertex(color, Simplex(tuple(
+    return chr_vertex(code & 7, Simplex(tuple(
         chr1_vertex(c, view) for c, view in enumerate(fields, 1) if view)))
-
-
-def chr2_code(color: int, carrier: int) -> int:
-    """A Chr Chr s vertex as one int: the (color, packed carrier) pair that
-    `chr2_vertex` pools on, the color in the low three bits."""
-    return carrier << 3 | color
 
 
 def simplex_of_codes(codes: Iterable[int]) -> Simplex:
     """The Chr Chr s simplex of the given vertex codes."""
-    return Simplex(tuple(chr2_vertex(code & 7, code >> 3) for code in codes))
-
-
-def _second_round(run: Iterable[tuple[int, int]]
-                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """A round-two run's colors, and per color the `_FIELDS` mask of its
-    view: the fields of a packed round-one run that it sees."""
-    colors, views = zip(*run)
-    return colors, tuple(map(_FIELDS.__getitem__, views))
-
-
-def _chr2_facet(views1: int, colors: tuple[int, ...],
-                fields: tuple[int, ...]) -> Simplex:
-    """The Chr Chr s simplex of the packed round-one run views1 and a
-    round-two run's colors and view fields, as by `_second_round`."""
-    return Simplex(tuple(map(chr2_vertex, colors, map(views1.__and__, fields))))
+    return Simplex(tuple(map(chr2_vertex, codes)))
 
 
 def partition_to_facet(blocks: Sequence[Iterable[int]], n: int) -> Simplex:
@@ -175,10 +178,8 @@ def chr_complex(n: int) -> ChromaticComplex:
 def chr2_facets(n: int) -> tuple[Simplex, ...]:
     """The facets of Chr Chr s in run-pair order: the facet of runs i and j
     of `all_runs(n)` is at i * len(all_runs(n)) + j."""
-    runs = all_runs(n)
-    seconds = tuple(map(_second_round, runs))
-    return tuple(_chr2_facet(views1, colors, fields)
-                 for views1 in map(pack, runs) for colors, fields in seconds)
+    ids = range(len(all_runs(n)) ** 2)
+    return tuple(map(simplex_of_codes, chr2_facet_codes(n, ids)))
 
 
 @lru_cache(maxsize=None)
@@ -194,8 +195,7 @@ def two_round_facet(blocks1: Sequence[Iterable[int]],
     blocks1 and blocks2 are ordered partitions of colors 1..n: the first
     round, and the second round over the first-round facet's vertices.
     """
-    views1 = pack(_run(blocks1, n))
-    return _chr2_facet(views1, *_second_round(_run(blocks2, n)))
+    return simplex_of_codes(chr2_codes(pack(_run(blocks1, n)), _run(blocks2, n)))
 
 
 # --- integer code -----------------------------------------------------------

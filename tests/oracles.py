@@ -25,7 +25,9 @@ explorer before symmetry reduction
 (`explore_unreduced`, over every concrete state). Views and carriers are read straight off vertex
 payloads (`view1`, `view2`, `base_colors`). It also holds the helpers only
 tests use: `is_pure`, `facet_to_partition`, `symmetric_setcon`,
-`project_vertex`, `code_of` (a Chr Chr s vertex's code) and
+`project_vertex`, `code_of` (a Chr Chr s vertex's code, written out from
+its payload), `returned_vertices` (a terminal's returned views as vertices
+made from per-process register lists) and
 `output_simplex` (a terminal's returned views as a Simplex), and
 `ComplexTask`, a task held as its complex for the tasks only tests pose.
 """
@@ -50,15 +52,17 @@ from affinetask.bits import colors_of, iter_bits, mask_of
 from affinetask.complexes import MAX_PROCESSES
 from affinetask.render import _CORNERS_2D, _project
 from affinetask.simulate import DONE, WROTE1, WROTE2
-from affinetask.subdivision import (_FIELDS, _VIEW, all_runs, chr2_code, pack,
+from affinetask.subdivision import (_FIELDS, _VIEW, all_runs, pack,
                                    packed_views, simplex_of_codes)
 
 
 def code_of(v: Vertex) -> int:
-    """The `chr2_code` of a Chr Chr s vertex; any other vertex raises."""
+    """The code of a Chr Chr s vertex, written out from its payload: its
+    packed carrier above its color in the low three bits. Any other vertex
+    raises."""
     if v.payload is None or v.payload.vertices[0].payload is None:
         raise ComplexError(f"{v!r} is not a Chr Chr s vertex")
-    return chr2_code(v.color, packed_views(v.payload))
+    return packed_views(v.payload) << 3 | v.color
 
 
 class ComplexTask:
@@ -71,6 +75,9 @@ class ComplexTask:
         self.name, self.n, self.complex, self.alpha = name, n, complex, alpha
 
     def holds(self, codes) -> bool:
+        codes = tuple(codes)
+        if not codes:
+            return bool(self.complex.facets)
         return simplex_of_codes(codes) in self.complex
 
     def facet_codes(self):
@@ -323,9 +330,9 @@ def r_a_by_definition(adv: Adversary, combine: str) -> set[Simplex]:
 
 def chr2_table_by_vertex_pairs(n: int) -> tuple:
     """(groups, rhos, faces) of the Chr Chr s table, the library's
-    `_chr2_table` without its packed runs, by the reference clique loop: per
-    facet, `reversed_views` on every vertex pair, growing the contending
-    faces vertex by vertex in round-two run order."""
+    `_chr2_table`, by the reference clique loop: per facet,
+    `reversed_views` on every vertex pair, growing the contending faces
+    vertex by vertex in round-two run order."""
     runs = all_runs(n)
     sets = [colors_of(m) for m in range(1 << n)]
     ids: dict[int, int] = {}  # packed Chr s simplex -> id
@@ -801,6 +808,25 @@ def registers(model, state: int):
     conc = [model.alpha_table[is1[i]] if (state >> 13 * i + _CONC) & 1 else 0
             for i in range(n)]
     return prog, is1, reg_is1, is2_written, conc
+
+
+def returned_vertices(model, state: int) -> list[Vertex]:
+    """The Chr Chr s vertex of every returned process of a packed state, in
+    process order, made by `chr_vertex` from the round-one views of
+    `registers`: a returned process's round-two view holds every process
+    whose round-two block index is nonzero and at most its own."""
+    n = model.n
+    prog, is1 = registers(model, state)[:2]
+    index = [(state >> 13 * i + _INDEX[2]) & 7 for i in range(n)]
+    corner = {c: Vertex(uid=str(c), color=c) for c in range(1, n + 1)}
+
+    def round_one(j: int) -> Vertex:
+        return chr_vertex(j + 1, Simplex(tuple(
+            corner[c] for c in sorted(colors_of(is1[j])))))
+
+    return [chr_vertex(i + 1, Simplex(tuple(
+                round_one(j) for j in range(n) if 0 < index[j] <= index[i])))
+            for i in range(n) if prog[i] == DONE]
 
 
 def successors_by_registers(model, state: int) -> list[tuple[tuple, int]]:

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import json
+from array import array
 from collections import Counter
 from itertools import combinations
 from math import comb, factorial
 
 import pytest
 
-from affinetask import (Adversary, AdversaryError, ComplexError, Simplex,
+from affinetask import (Adversary, AdversaryError, AffineTask, ComplexError,
+                        Simplex,
                         agreement_function, build_r_a, chr2_complex,
                         chr_complex, concurrency_levels,
                         contention_simplices, critical_simplices,
@@ -20,7 +22,8 @@ from affinetask import affine as affine_module
 from affinetask import subdivision as subdivision_module
 from affinetask.subdivision import packed_views
 from conftest import DATA_DIR
-from oracles import (base_colors, build_r_kof, chr2_table_by_vertex_pairs,
+from oracles import (ComplexTask, base_colors, build_r_kof,
+                     chr2_table_by_vertex_pairs,
                      contending, critical_faces,
                      facets_with_lone_full_view_leader,
                      r_a_by_definition, resilient_facets_by_vertex_filter,
@@ -272,7 +275,7 @@ def test_table_is_coded_from_runs_without_decoding_vertices(monkeypatch):
 def test_table_matches_the_reference_clique_loop(n):
     """The table read off the runs' order codes equals the one of the
     reference loop over every vertex pair, ids and order included."""
-    assert affine_module._chr2_table(n)[1:] == chr2_table_by_vertex_pairs(n)
+    assert affine_module._chr2_table(n) == chr2_table_by_vertex_pairs(n)
 
 
 # facet counts of R_A for each symmetric n=4 family
@@ -322,6 +325,15 @@ def test_variant_divergence_matches_golden(fixture_adversaries):
     got = variant_divergence_report(sorted(fixture_adversaries.items()))
     want = json.loads((DATA_DIR / "ra_variant_divergence.json").read_text())
     assert got == want
+
+
+def test_no_codes_are_held_exactly_when_the_task_has_a_facet(fixture_tasks):
+    """Membership of the empty set of codes: held by every task with a
+    facet, the fake held as its complex too, and by no task without one."""
+    for task in fixture_tasks.values():
+        assert task.holds(()) and task.holds(iter(()))
+        assert ComplexTask(task.name, task.n, task.complex, task.alpha).holds(())
+    assert not AffineTask(task.alpha, array("I")).holds(())
 
 
 def test_tasks_are_pure_full_dimensional(fixture_tasks):

@@ -175,6 +175,20 @@ def test_membership_matches_face_closure_on_n3(which, chr2_3, fixture_tasks):
     assert not any(sigma in K for sigma in non_faces)
 
 
+def test_vertices_are_the_set_construction_object_for_object(chr2_3):
+    """Collected by uid, a complex's vertices are the set built by
+    set.update over its facets, the same objects: of distinct vertex
+    objects with equal uids the first met is kept."""
+    facets = frozenset(Simplex((v("a", 1), v(uid, 2))) for uid in "bcd")
+    for K in (ChromaticComplex(n=2, facets=facets), chr2_3):
+        want: set[Vertex] = set()
+        for f in K.facets:
+            want.update(f.vertices)
+        assert K.vertices == want
+        assert sorted(map(id, K.vertices)) == sorted(map(id, want))
+    assert len(ChromaticComplex(n=2, facets=facets).vertices) == 4
+
+
 def test_is_pure():
     s3 = base_facet(3)
     lonely = Simplex((v("x", 1),))

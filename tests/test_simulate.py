@@ -15,8 +15,9 @@ from affinetask.simulate import (DONE, INV1, INV2, STATE_CAP_ENV,
                                  _task_symmetric)
 from oracles import (ComplexTask, code_of, explore_unreduced,
                      liveness_per_state, masks, output_simplex, outputs,
-                     r_a_intersection_task, safety_by_definition,
-                     safety_per_state, successors_by_registers)
+                     r_a_intersection_task, returned_vertices,
+                     safety_by_definition, safety_per_state,
+                     successors_by_registers)
 
 
 # --- tiny instances, exactly ----------------------------------------------------
@@ -330,6 +331,23 @@ def test_code_membership_is_simplex_membership(fair_live_adversaries, chr2_3):
         proper += not all(held)
     assert proper == 42  # all but the wait-free family
     assert not any(task.holds(map(code_of, _foreign())) for task in tasks)
+
+
+@pytest.mark.parametrize("fault_budget,terminals",
+                         [(0, 627), (1, 4472), (2, 13454)])
+def test_output_codes_are_the_codes_of_the_register_views(
+        fixture_adversaries, fault_budget, terminals):
+    """The vertex codes of every terminal of the four fixtures are the
+    codes, written out from the payloads, of the vertices that chr_vertex
+    makes from the register-list views."""
+    checked = 0
+    for adv in fixture_adversaries.values():
+        model = ProtocolModel(adv, fault_budget=fault_budget)
+        for state in model.explore().terminals:
+            want = tuple(map(code_of, returned_vertices(model, state)))
+            assert model.output_codes(state) == want, state
+            checked += 1
+    assert checked == terminals
 
 
 def test_r_a_is_carved_counted_and_checked_without_simplices(

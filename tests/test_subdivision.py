@@ -8,8 +8,9 @@ from affinetask import (ComplexError, Simplex, chr2_complex, chr_complex,
                         chr_vertex, geometry, ordered_set_partitions,
                         partition_to_facet, standard_simplex, two_round_facet)
 
-from affinetask.subdivision import barycentric_points
-from oracles import (build_chr, facet_to_partition, fubini,
+from affinetask.subdivision import (barycentric_points, chr2_facet_codes,
+                                   chr2_facets, simplex_of_codes)
+from oracles import (build_chr, code_of, facet_to_partition, fubini,
                      geometry_by_definition, immediate_snapshot_views,
                      ordered_partitions_by_merging, view1, view2)
 
@@ -52,6 +53,19 @@ def test_subdivisions_match_reference_construction(n):
     chr1 = build_chr(standard_simplex(n))
     assert chr_complex(n) == chr1
     assert chr2_complex(n) == build_chr(chr1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_facet_codes_are_the_codes_of_the_facets(n):
+    """The codes of the facet at each run-pair id are the codes, written
+    out from the payloads, of that facet's vertices, and they make the
+    facet again."""
+    facets = chr2_facets(n)
+    codes = list(chr2_facet_codes(n, range(fubini(n) ** 2)))
+    assert len(codes) == len(facets) == fubini(n) ** 2
+    for facet, got in zip(facets, codes):
+        assert set(got) == set(map(code_of, facet))
+        assert simplex_of_codes(got) == facet
 
 
 def test_chr2_4_facet_count_is_square_of_chr_4():
