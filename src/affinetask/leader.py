@@ -78,12 +78,15 @@ class LeaderMap:
         return self._entry(code)[0]
 
     def __call__(self, code: int, Q: Iterable[int]) -> int:
-        """The elected process of Q for the vertex of the given code."""
+        """The elected process of Q for the vertex of the given code. Q must
+        hold the own color and no color below 1."""
         leaders = self._entry(code)[1]
         Q = frozenset(Q)
         if code & 7 not in Q:
             raise LeaderError(f"own color {code & 7} must belong to Q={sorted(Q)}")
-        # colors outside 1..n lie in no view, so they never change the leader
+        if min(Q) < 1:
+            raise LeaderError(f"color {min(Q)} of Q={sorted(Q)} is below 1")
+        # colors above n lie in no view, so they never change the leader
         return leaders[mask_of(Q) & len(leaders) - 1].bit_length()
 
 

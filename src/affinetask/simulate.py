@@ -73,8 +73,8 @@ and Emerson & Sistla 1996), with every count kept exact:
   offending concrete state in terminal order. Safety reads a terminal's
   returned views as Chr Chr s vertex codes (`output_codes`) and asks the
   task on them once per distinct output. R_A lies inside Chr Chr s, so an
-  output it holds is safe, and a Simplex is built, and Chr Chr s asked,
-  only for an output outside R_A.
+  output it holds is safe; only for an output outside R_A is Chr Chr s
+  asked, through its facet index on codes (`chr2_index`), built once.
 - Traces. Each parent link keeps the permutation that carried the
   successor to its representative; `trace_to` composes them and relabels
   the events, so a trace replays to the concrete state asked for.
@@ -91,9 +91,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .adversary import Adversary, agreement_function
 from .affine import AffineTask
 from .bits import colors_of, iter_bits, mask_of, submasks
-from .complexes import Simplex
+from .complexes import in_one_facet
 from .reports import VerificationReport
-from .subdivision import chr2_codes, chr2_complex, pack, simplex_of_codes
+from .subdivision import chr2_codes, chr2_index, chr2_vertex, pack
 
 DEFAULT_STATE_CAP = 10_000_000
 STATE_CAP_ENV = "AFFINE_STATE_CAP"
@@ -225,6 +225,8 @@ class ProtocolModel:
                 f"participation {sorted(part)} has agreement level 0; nothing can run")
         if fault_budget is None:
             fault_budget = self.alpha.of_mask(self.pmask) - 1
+        if type(fault_budget) is not int:
+            raise SimulationError(f"fault budget {fault_budget!r} is not an integer")
         if fault_budget < 0:
             raise SimulationError(f"fault budget must be >= 0, got {fault_budget}")
         self.fault_budget = fault_budget
@@ -657,21 +659,24 @@ def check_safety(model: ProtocolModel, exploration: Exploration,
     report.states holds the unsafe terminal states, one per violation. One
     state per orbit is decided when the task's facets are closed under every
     swap of two interchangeable processes of the model, else every state.
-    The task lies inside Chr Chr s, as R_A does, so a Simplex is built, and
-    Chr Chr s asked, only for an output outside the task.
+    The task lies inside Chr Chr s, as R_A does, so Chr Chr s is asked, on
+    codes (`chr2_index`, built once), only for an output outside the task.
     """
     _require_task_n(task, model.n)
     symmetric = _task_symmetric(model, task)
     report = VerificationReport(kind="safety", info=exploration.row())
-    # per output's vertex codes: its simplex and Chr Chr s membership when
-    # it is unsafe, else None
-    unsafe: dict[tuple[int, ...], tuple[Simplex, bool] | None] = {}
+    # per output's vertex codes: whether it lies in Chr Chr s when it is
+    # unsafe, else None
+    unsafe: dict[tuple[int, ...], bool | None] = {}
+    chr2 = None
 
-    def decide(codes: tuple[int, ...]) -> tuple[Simplex, bool] | None:
+    def decide(codes: tuple[int, ...]) -> bool | None:
+        nonlocal chr2
         if task.holds(codes):
             return None
-        sigma = simplex_of_codes(codes)
-        return sigma, sigma in chr2_complex(model.n)
+        if chr2 is None:
+            chr2 = chr2_index(model.n)
+        return in_one_facet(chr2, codes)
 
     def violation(state: int) -> dict | None:
         codes = model.output_codes(state)
@@ -679,32 +684,26 @@ def check_safety(model: ProtocolModel, exploration: Exploration,
             unsafe[codes] = decide(codes)
         if unsafe[codes] is None:
             return None
-        sigma, inside = unsafe[codes]
-        return dict(outputs=list(sigma.uids), in_subdivision=inside,
-                    state=model.decode(state))
+        return dict(outputs=sorted(chr2_vertex(c).uid for c in codes),
+                    in_subdivision=unsafe[codes], state=model.decode(state))
 
     _check_orbits(report, exploration.terminals, violation, symmetric)
     return report
 
 
 def check_model(adv: Adversary, task: AffineTask,
-                participations: Iterable[Iterable[int]] | None = None,
-                fault_budget: int | None = None,
                 max_states: int = DEFAULT_STATE_CAP,
                 ) -> tuple[VerificationReport, VerificationReport, list[dict]]:
-    """Safety + liveness over every valid participation set.
+    """Safety + liveness per valid participation set, at its default budget.
 
     Returns aggregated (safety, liveness) reports and per-participation rows.
     """
     _require_task_n(task, adv.n)
-    parts = ([frozenset(P) for P in participations]
-             if participations is not None else valid_participations(adv))
     safety = VerificationReport(kind="safety")
     liveness = VerificationReport(kind="liveness")
     rows = []
-    for P in parts:
-        model = ProtocolModel(adv, participation=P,
-                              fault_budget=fault_budget, max_states=max_states)
+    for P in valid_participations(adv):
+        model = ProtocolModel(adv, participation=P, max_states=max_states)
         exploration = model.explore()
         safe = check_safety(model, exploration, task)
         live = check_liveness(model, exploration)

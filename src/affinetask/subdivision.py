@@ -17,7 +17,7 @@ low three bits. This module alone derives it: `chr2_codes` codes a
 round-two run over a packed round-one run, `chr2_facet_codes` the facet
 at each run-pair id, and `chr2_vertex` turns a code into the pooled
 `Vertex`. Facets are built on this code, from one enumeration of the runs
-per n, `all_runs`.
+per n, `all_runs`; `chr2_index` indexes all of them by code.
 
 Geometry is exact and on integers: `barycentric_points` places each vertex
 once per call, from its carrier's points, over one common denominator.
@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .bits import colors_of, iter_bits, mask_of
 from .complexes import (MAX_PROCESSES, ChromaticComplex, ComplexError,
-                        Simplex, Vertex)
+                        Simplex, Vertex, facet_index)
 
 _COLOR = attrgetter("color")
 _CORNERS = {c: Vertex(uid=str(c), color=c) for c in range(1, MAX_PROCESSES + 1)}
@@ -186,6 +186,12 @@ def chr2_facets(n: int) -> tuple[Simplex, ...]:
 def chr2_complex(n: int) -> ChromaticComplex:
     """Chr Chr s: one facet per pair of runs."""
     return ChromaticComplex(n=n, facets=frozenset(chr2_facets(n)))
+
+
+def chr2_index(n: int) -> dict:
+    """Chr Chr s as a facet index on vertex codes (`facet_index`): per
+    code, the run-pair ids of the facets holding it. Not cached."""
+    return facet_index(chr2_facet_codes(n, range(len(all_runs(n)) ** 2)))
 
 
 def two_round_facet(blocks1: Sequence[Iterable[int]],

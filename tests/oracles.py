@@ -26,7 +26,8 @@ explorer before symmetry reduction
 payloads (`view1`, `view2`, `base_colors`). It also holds the helpers only
 tests use: `is_pure`, `facet_to_partition`, `symmetric_setcon`,
 `project_vertex`, `code_of` (a Chr Chr s vertex's code, written out from
-its payload), `returned_vertices` (a terminal's returned views as vertices
+its payload), `color_combinations` (every stride-th set of vertex codes
+with distinct colors), `returned_vertices` (a terminal's returned views as vertices
 made from per-process register lists) and
 `output_simplex` (a terminal's returned views as a Simplex), and
 `ComplexTask`, a task held as its complex for the tasks only tests pose.
@@ -36,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
+from math import comb, prod
 
 from affinetask import (Adversary, AdversaryError, AffineTask,
                         AgreementFunction,
@@ -63,6 +64,22 @@ def code_of(v: Vertex) -> int:
     if v.payload is None or v.payload.vertices[0].payload is None:
         raise ComplexError(f"{v!r} is not a Chr Chr s vertex")
     return packed_views(v.payload) << 3 | v.color
+
+
+def color_combinations(codes, stride: int = 1):
+    """Every stride-th nonempty set of the given vertex codes with pairwise
+    distinct colors, colors ascending: the sets numbered 1, 1 + stride, ...
+    in mixed radix, one digit per color, 0 for the color absent and d for
+    its d-th smallest code."""
+    by_color = [sorted(c for c in set(codes) if c & 7 == color)
+                for color in sorted({c & 7 for c in codes})]
+    for k in range(1, prod(len(b) + 1 for b in by_color), stride):
+        combo, rest = [], k
+        for b in by_color:
+            rest, d = divmod(rest, len(b) + 1)
+            if d:
+                combo.append(b[d - 1])
+        yield tuple(combo)
 
 
 class ComplexTask:

@@ -77,6 +77,17 @@ def test_mu_requires_own_color_in_query(solo_map, staircase_facet):
             solo_map(v3, {1, 2})
 
 
+@pytest.mark.parametrize("Q,color", [([0, 1, 2, 3], 0), ({-2, 3}, -2)])
+def test_mu_rejects_a_query_color_below_one(solo_map, staircase_facet, Q,
+                                            color):
+    """A color below 1 is no process: it raises LeaderError naming it,
+    where colors above n are ignored."""
+    v3 = next(code_of(v) for v in staircase_facet if v.color == 3)
+    with pytest.raises(LeaderError, match=f"color {color} of Q="):
+        solo_map(v3, Q)
+    assert solo_map(v3, [1, 2, 3, 4]) == solo_map(v3, [1, 2, 3]) == 1
+
+
 def test_leader_map_rejects_vertices_outside_chr2():
     """A base vertex or a Chr s vertex has no round-two view to elect from,
     so it has no vertex code to pass to the leader map."""

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import ast
+import inspect
+
 import pytest
 
 from affinetask import (Adversary, AffineTask, ChromaticComplex,
@@ -11,8 +14,10 @@ from affinetask import (Adversary, AffineTask, ChromaticComplex,
                         state_cap_from_env, two_round_facet,
                         valid_participations, wait_predicate)
 from affinetask import affine as affine_module
+from affinetask import simulate as simulate_module
 from affinetask.simulate import (DONE, INV1, INV2, STATE_CAP_ENV,
                                  _task_symmetric)
+from affinetask.subdivision import chr2_index
 from oracles import (ComplexTask, code_of, explore_unreduced,
                      liveness_per_state, masks, output_simplex, outputs,
                      r_a_intersection_task, returned_vertices,
@@ -374,9 +379,16 @@ def test_r_a_is_carved_counted_and_checked_without_simplices(
     ("obstruction_free_2", None, 1615, 232),
 ])
 def test_safety_against_a_task_outside_the_facets_of_chr2(
-        fixture_adversaries, name, fault_budget, checked, unsafe):
+        monkeypatch, fixture_adversaries, name, fault_budget, checked, unsafe):
     """A task of ridges asks Chr Chr s membership of every output simplex:
-    the report is the one of the facet-by-facet reference."""
+    the report is the one of the facet-by-facet reference, and Chr Chr s is
+    indexed once, on the first unsafe output."""
+    built = []
+
+    def counted(n):
+        built.append(n)
+        return chr2_index(n)
+    monkeypatch.setattr("affinetask.simulate.chr2_index", counted)
     adv = fixture_adversaries[name]
     task = _ridges(build_r_a(adv))
     model = ProtocolModel(adv, fault_budget=fault_budget)
@@ -386,6 +398,7 @@ def test_safety_against_a_task_outside_the_facets_of_chr2(
     assert (report.checked, len(report.violations)) == (checked, unsafe)
     assert report.violations == want.violations
     assert report.states == want.states
+    assert built == [3]
 
 
 def test_safety_reports_an_output_outside_chr2_as_outside_the_subdivision(
@@ -644,11 +657,29 @@ def test_safety_of_r_a_never_builds_chr2(monkeypatch, fixture_adversaries):
     it needs no Chr Chr s."""
     def no_chr2(n):
         raise AssertionError("Chr Chr s was built")
-    monkeypatch.setattr("affinetask.simulate.chr2_complex", no_chr2)
+    monkeypatch.setattr("affinetask.simulate.chr2_index", no_chr2)
     for name, adv in fixture_adversaries.items():
         model = ProtocolModel(adv)
         report = check_safety(model, model.explore(), build_r_a(adv))
         assert report.ok and report.checked > 0
+
+
+def test_simulate_reads_chr2_on_codes_alone():
+    """The model checker imports no Simplex and no Chr Chr s complex: it
+    asks Chr Chr s on vertex codes only."""
+    tree = ast.parse(inspect.getsource(simulate_module))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert "chr2_index" in imported
+    assert not imported & {"Simplex", "chr2_complex", "simplex_of_codes"}
+
+
+def test_check_model_takes_only_a_state_cap():
+    """check_model sweeps every valid participation at its default fault
+    budget; the state cap is its one option."""
+    assert list(inspect.signature(check_model).parameters) == [
+        "adv", "task", "max_states"]
 
 
 def test_orbit_traces_replay_to_every_concrete_terminal(fixture_adversaries):
@@ -708,6 +739,14 @@ def test_fault_budget_must_be_nonnegative():
     with pytest.raises(SimulationError, match="fault budget"):
         ProtocolModel(make_k_of(3, 1), fault_budget=-1)
     assert ProtocolModel(make_k_of(3, 1), fault_budget=0).fault_budget == 0
+
+
+@pytest.mark.parametrize("budget", [1.5, 1.0, True, False, "1"])
+def test_fault_budget_must_be_an_int(budget):
+    """A float, a bool or a string budget is rejected, not rounded up by
+    the crash guard nor reported as given."""
+    with pytest.raises(SimulationError, match="is not an integer"):
+        ProtocolModel(make_k_of(3, 1), fault_budget=budget)
 
 
 def test_default_fault_budget_is_alpha_minus_one():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -8,9 +9,11 @@ from affinetask import (ComplexError, Simplex, chr2_complex, chr_complex,
                         chr_vertex, geometry, ordered_set_partitions,
                         partition_to_facet, standard_simplex, two_round_facet)
 
+from affinetask.complexes import in_one_facet
 from affinetask.subdivision import (barycentric_points, chr2_facet_codes,
-                                   chr2_facets, simplex_of_codes)
-from oracles import (build_chr, code_of, facet_to_partition, fubini,
+                                   chr2_facets, chr2_index, simplex_of_codes)
+from oracles import (build_chr, code_of, color_combinations,
+                     facet_to_partition, fubini,
                      geometry_by_definition, immediate_snapshot_views,
                      ordered_partitions_by_merging, view1, view2)
 
@@ -66,6 +69,33 @@ def test_facet_codes_are_the_codes_of_the_facets(n):
     for facet, got in zip(facets, codes):
         assert set(got) == set(map(code_of, facet))
         assert simplex_of_codes(got) == facet
+
+
+@pytest.mark.parametrize("n,stride,checked,inside", [
+    (1, 1, 1, 1), (2, 1, 35, 19), (3, 1, 39303, 535), (4, 100003, 63239, 1)])
+def test_chr2_index_membership_is_simplex_membership(n, stride, checked,
+                                                      inside):
+    """Membership in Chr Chr s on codes, through chr2_index, equals the
+    membership of the Simplex of those codes in chr2_complex: on every set
+    of vertices with distinct colors up to n = 3 (the 535 inside at n = 3
+    are the simplices of Chr Chr s), on every 100003rd at n = 4."""
+    index, K = chr2_index(n), chr2_complex(n)
+    assert len(index) == len(K.vertices)
+    got = [(in_one_facet(index, codes), simplex_of_codes(codes) in K)
+           for codes in color_combinations(index, stride)]
+    assert [a for a, _ in got] == [b for _, b in got]
+    assert (len(got), sum(a for a, _ in got)) == (checked, inside)
+
+
+def test_chr2_index_holds_every_face_of_chr2_4():
+    """Every face of every 7th facet of Chr Chr s at n = 4 lies in one
+    facet of chr2_index(4), and in chr2_complex(4)."""
+    index, K = chr2_index(4), chr2_complex(4)
+    faces = [face for codes in chr2_facet_codes(4, range(0, 75 ** 2, 7))
+             for size in range(1, 5) for face in combinations(codes, size)]
+    assert len(faces) == 804 * 15 == 12060
+    assert all(in_one_facet(index, face) for face in faces)
+    assert all(simplex_of_codes(face) in K for face in faces)
 
 
 def test_chr2_4_facet_count_is_square_of_chr_4():
