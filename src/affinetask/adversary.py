@@ -5,13 +5,14 @@ power (setcon) follows the recursive definition: 0 for the empty family,
 otherwise max over live sets S of min over a in S of setcon of the family
 restricted to S minus {a}, plus one. The agreement function maps every
 subset P of processes to the setcon of the restriction to P. All of them,
-and fairness, are read off one table over the pairs Q <= P of color masks.
+and fairness, are read off one table G over the pairs Q <= P of color masks:
+one integer per level k, whose row P, bits P 2^n on, is {Q : G[P][Q] >= k}.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, NamedTuple
 
 from .bits import colors_of, iter_bits, mask_of, submasks
@@ -38,9 +39,11 @@ class Adversary:
     family: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_PROCESSES:
+        if not 1 <= _int(self.n, "n") <= MAX_PROCESSES:
             raise AdversaryError(f"n={self.n} out of range 1..{MAX_PROCESSES}")
         sets = frozenset(frozenset(s) for s in self.live_sets)
+        if not set(map(type, chain.from_iterable(sets))) <= {int}:
+            _int_sets(sets)  # raises, naming the first member that is not an int
         universe = set(range(1, self.n + 1))
         for s in sets:
             if not s:
@@ -58,11 +61,12 @@ class Adversary:
 class _Tables(NamedTuple):
     """Constant mask tables for one n. A family mask has bit s set when the
     live set with color mask s is in the family; a Q-set has bit Q set for
-    each member Q of a set of color masks."""
+    each member Q of a set of color masks. A packed table has a Q-set per P."""
 
-    steps: tuple[tuple[tuple[int, ...], int], ...]  # per P >= 1: P - b, Qs meeting P
-    inside: tuple[int, ...]  # per P: the nonempty Q <= P
-    fair: tuple[int, ...]  # per k >= 1: the Q with |Q| >= k
+    live: tuple[tuple[int, ...], ...]  # per family byte, per value: its P, Q meeting P
+    lacks: tuple[int, ...]  # per b: every bit of the rows P without b
+    diagonal: int  # packed: Q = P
+    big: tuple[int, ...]  # per k >= 1, packed: the Q <= P with |Q| >= k
     misses: tuple[tuple[int, ...], ...]  # per k, per |H| = k: sets missing H
     layers: tuple[int, ...]  # per k: the sets of size k
     ups: tuple[int, ...]  # per s: the sets s + b, b not in s
@@ -70,49 +74,49 @@ class _Tables(NamedTuple):
 
 @lru_cache(maxsize=MAX_PROCESSES)
 def _tables(n: int) -> _Tables:
-    full = (1 << n) - 1
+    full, width = (1 << n) - 1, 1 << n
 
-    def qset(pred) -> int:
-        return sum(1 << Q for Q in range(full + 1) if pred(Q))
+    def qset(pred, size: int = full + 1) -> int:
+        return sum(1 << Q for Q in range(size) if pred(Q))
 
-    steps = tuple((tuple(P ^ 1 << b for b in iter_bits(P)), qset(lambda Q: Q & P))
-                  for P in range(1, full + 1))
-    inside = tuple(qset(lambda Q: Q and Q & P == Q) for P in range(full + 1))
-    fair = tuple(qset(lambda Q: Q.bit_count() >= k) for k in range(1, n + 1))
+    # packed: the pair (P, Q) is bit x = P 2^n + Q, so row P is bits P 2^n on
+    rows = [qset(lambda Q: Q & P) << P * width for P in range(width)]
+    live = tuple(tuple(sum(rows[j + i] for i in iter_bits(byte))
+                       for byte in range(1 << min(8, width)))
+                 for j in range(0, width, 8))
+    lacks = tuple(qset(lambda x: not x >> n + b & 1, width * width) for b in range(n))
+    diagonal = qset(lambda x: x >> n == x & full, width * width)
+    big = tuple(qset(lambda x: not x & ~(x >> n) & full and (x & full).bit_count() >= k,
+                     width * width) for k in range(1, n + 1))
     misses = tuple(tuple(qset(lambda s: s and not s & H) for H in range(full + 1)
                          if H.bit_count() == k) for k in range(n + 1))
     layers = tuple(qset(lambda s: s and s.bit_count() == k) for k in range(n + 1))
     ups = tuple(qset(lambda t: t != s and t & s == s and (t ^ s).bit_count() == 1)
                 for s in range(full + 1))
-    return _Tables(steps, inside, fair, misses, layers, ups)
+    return _Tables(live, lacks, diagonal, big, misses, layers, ups)
 
 
-def _levels(adv: Adversary) -> list[list[int]]:
-    """levels[k - 1][P] is the Q-set {Q : G[P][Q] >= k}, for k = 1..setcon.
+def _levels(adv: Adversary) -> list[int]:
+    """levels[k - 1] is the packed table {Q : G[P][Q] >= k}, k = 1..setcon.
 
     G[P][Q], the setcon of the live sets inside P that meet Q, is over b in
     P the largest G[P - b][Q], or one more than the smallest of them if that
-    is larger and P is live and meets Q.
-    """
-    n, family = adv.n, adv.family
-    full = (1 << n) - 1
-    levels: list[list[int]] = []
-    below = [(1 << (1 << n)) - 1] * (1 << n)  # G >= 0 everywhere
+    is larger and P is live and meets Q. A shift by 2^b rows moves row P - b
+    onto row P: n shifts of the level below AND to the smallest, n of the
+    level itself OR to the largest over all subsets of P (zeta transform)."""
+    tables, width = _tables(adv.n), 1 << adv.n
+    live = sum(rows[adv.family >> 8 * j & 0xFF] for j, rows in enumerate(tables.live))
+    levels: list[int] = []
+    level = live  # level 1 ANDs in nothing: G >= 0 everywhere
     while True:
-        level = [0] * (1 << n)
-        for P, (kids, meets) in enumerate(_tables(n).steps, 1):
-            reached = 0
-            if family >> P & 1:
-                reached = meets
-                for kid in kids:
-                    reached &= below[kid]
-            for kid in kids:
-                reached |= level[kid]
-            level[P] = reached
-        if not level[full]:
+        for b, lacks in enumerate(tables.lacks):
+            level |= (level & lacks) << (width << b)
+        if not level >> (width - 1) * width:  # the row of 1..n is empty
             return levels
         levels.append(level)
-        below = level
+        below, level = level, live
+        for b, lacks in enumerate(tables.lacks):
+            level &= (below & lacks) << (width << b) | lacks
 
 
 def setcon(adv: Adversary) -> int:
@@ -148,17 +152,15 @@ def agreement_function(adv: Adversary) -> AgreementFunction:
     return _alpha(adv.n, _levels(adv))
 
 
-def _alpha(n: int, levels: list[list[int]]) -> AgreementFunction:
-    """The agreement function of the given levels.
+def _alpha(n: int, levels: list[int]) -> AgreementFunction:
+    """The agreement function of the levels: alpha(P) counts those with (P, P).
 
     Fails loudly if the derived table is not monotone of bounded growth;
     that would indicate a broken setcon, not data to be normalized away.
     """
-    table = [sum(level[P] >> P & 1 for level in levels) for P in range(1 << n)]
+    table = [sum(level >> (P << n | P) & 1 for level in levels) for P in range(1 << n)]
     for mask in range(1 << n):
-        for b in range(n):
-            if mask & (1 << b):
-                continue
+        for b in iter_bits(~mask & (1 << n) - 1):
             lo, hi = table[mask], table[mask | (1 << b)]
             if not lo <= hi <= lo + 1:
                 raise AgreementFunctionError(
@@ -176,21 +178,22 @@ class FairnessVerdict:
         return self.fair
 
 
-def _unfair_pair(n: int, levels: list[list[int]]) -> FairnessVerdict:
+def _unfair_pair(n: int, levels: list[int]) -> FairnessVerdict:
     """The first (P, Q), P ascending and then Q, where G[P][Q] is not
     min(|Q|, alpha(P)). As G[P][Q] <= G[P][P] = alpha(P), a level that
     misses P holds no Q inside P; one that holds P must hold, inside P,
-    exactly the Q with |Q| >= k."""
-    tables = _tables(n)
-    for P in range(1, 1 << n):
-        wrong = 0
-        for level, fair in zip(levels, tables.fair):
-            if level[P] >> P & 1:
-                wrong |= (level[P] ^ fair) & tables.inside[P]
-        if wrong:
-            Q = (wrong & -wrong).bit_length() - 1
-            return FairnessVerdict(False, (colors_of(P), colors_of(Q)))
-    return FairnessVerdict(True)
+    exactly the Q with |Q| >= k: the diagonal bits P (2^n + 1), shifted down
+    2^n - 1 and times 2^n ones, fill row P up to Q = P, free of carries as
+    they lie 2^n + 1 apart. The lowest wrong bit is P 2^n + Q."""
+    tables, width = _tables(n), 1 << n
+    wrong = 0
+    for level, big in zip(levels, tables.big):
+        fair = ((level & tables.diagonal) >> width - 1) * ((1 << width) - 1) & big
+        wrong |= (level & tables.big[0]) ^ fair
+    if not wrong:
+        return FairnessVerdict(True)
+    P, Q = divmod((wrong & -wrong).bit_length() - 1, width)
+    return FairnessVerdict(False, (colors_of(P), colors_of(Q)))
 
 
 def check_fairness(adv: Adversary) -> FairnessVerdict:

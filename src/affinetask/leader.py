@@ -79,9 +79,11 @@ class LeaderMap:
 
     def __call__(self, code: int, Q: Iterable[int]) -> int:
         """The elected process of Q for the vertex of the given code. Q must
-        hold the own color and no color below 1."""
+        hold the own color and only int colors, none below 1."""
         leaders = self._entry(code)[1]
         Q = frozenset(Q)
+        if not set(map(type, Q)) <= {int}:  # bools, floats and strings are no colors
+            raise LeaderError(f"Q={set(Q)} holds a color that is not an integer")
         if code & 7 not in Q:
             raise LeaderError(f"own color {code & 7} must belong to Q={sorted(Q)}")
         if min(Q) < 1:
@@ -111,14 +113,14 @@ def _prepare(adv: Adversary, task: AffineTask | None) -> tuple[AffineTask, Leade
 def _queries_for(n: int, queries: Iterable[frozenset[int]] | None
                  ) -> list[frozenset[int]]:
     """The given query sets, or every nonempty subset of 1..n by size and
-    then lexicographically. A given query set must be a nonempty subset of
-    1..n."""
+    then lexicographically. A given query set must be a nonempty set of
+    ints in 1..n."""
     full = range(1, n + 1)
     if queries is None:
         queries = [c for k in full for c in combinations(full, k)]
     picked = [frozenset(Q) for Q in queries]
     for Q in picked:
-        if not Q or not Q.issubset(full):
+        if not Q or not Q.issubset(full) or not set(map(type, Q)) <= {int}:
             raise LeaderError(f"query set {sorted(Q)} must be a nonempty "
                               f"subset of 1..{n}")
     return picked

@@ -16,8 +16,10 @@ facet (`chr2_table_by_vertex_pairs`), the level-two contention gap
 via carriers and colors, the leader map via its own criticality test and a
 pairwise inclusion minimum (and the three leader sweeps, one by one, on that
 map), setcon and fairness via the recursive definition
-on frozensets of live sets, the explorer's step on per-state register
-lists and list-form guards, a state's register masks by a loop over the
+on frozensets of live sets, the agreement-power levels and the first
+unfairness witness filled one P at a time on lists of Q-sets
+(`levels_by_lists`, `unfair_pair_by_lists`), the explorer's step on
+per-state register lists and list-form guards, a state's register masks by a loop over the
 processes (`masks`), the safety check via `has_face` on facets
 (`safety_by_definition`), the safety and liveness checks deciding every
 concrete terminal (`safety_per_state`, `liveness_per_state`), and the
@@ -36,8 +38,10 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, prod
+from typing import NamedTuple
 
 from affinetask import (Adversary, AdversaryError, AffineTask,
                         AgreementFunction,
@@ -48,6 +52,7 @@ from affinetask import (Adversary, AdversaryError, AffineTask,
                         build_r_a, chr2_complex, chr_vertex, closure,
                         is_symmetric, make_k_of, ordered_set_partitions,
                         require_fair, two_round_facet)
+from affinetask.adversary import FairnessVerdict
 from affinetask.affine import _view_groups
 from affinetask.bits import colors_of, iter_bits, mask_of
 from affinetask.complexes import MAX_PROCESSES
@@ -730,6 +735,74 @@ def fairness_by_definition(adv: Adversary):
                     restrict2(adv, P, Q).live_sets, memo) != min(len(Q), base):
                 return False, (P, Q)
     return True, None
+
+
+class ListTables(NamedTuple):
+    """The per-P tables the list-form levels read."""
+
+    steps: tuple[tuple[tuple[int, ...], int], ...]  # per P >= 1: P - b, Qs meeting P
+    inside: tuple[int, ...]  # per P: the nonempty Q <= P
+    fair: tuple[int, ...]  # per k >= 1: the Q with |Q| >= k
+
+
+@lru_cache(maxsize=None)
+def list_tables(n: int) -> ListTables:
+    full = (1 << n) - 1
+
+    def qset(pred) -> int:
+        return sum(1 << Q for Q in range(full + 1) if pred(Q))
+
+    steps = tuple((tuple(P ^ 1 << b for b in iter_bits(P)), qset(lambda Q: Q & P))
+                  for P in range(1, full + 1))
+    inside = tuple(qset(lambda Q: Q and Q & P == Q) for P in range(full + 1))
+    fair = tuple(qset(lambda Q: Q.bit_count() >= k) for k in range(1, n + 1))
+    return ListTables(steps, inside, fair)
+
+
+def levels_by_lists(adv: Adversary) -> list[list[int]]:
+    """levels[k - 1][P] is the Q-set {Q : G[P][Q] >= k}, for k = 1..setcon,
+    one P at a time in ascending order.
+
+    G[P][Q], the setcon of the live sets inside P that meet Q, is over b in
+    P the largest G[P - b][Q], or one more than the smallest of them if that
+    is larger and P is live and meets Q.
+    """
+    n, family = adv.n, adv.family
+    full = (1 << n) - 1
+    levels: list[list[int]] = []
+    below = [(1 << (1 << n)) - 1] * (1 << n)  # G >= 0 everywhere
+    while True:
+        level = [0] * (1 << n)
+        for P, (kids, meets) in enumerate(list_tables(n).steps, 1):
+            reached = 0
+            if family >> P & 1:
+                reached = meets
+                for kid in kids:
+                    reached &= below[kid]
+            for kid in kids:
+                reached |= level[kid]
+            level[P] = reached
+        if not level[full]:
+            return levels
+        levels.append(level)
+        below = level
+
+
+def unfair_pair_by_lists(n: int, levels: list[list[int]]) -> FairnessVerdict:
+    """The first (P, Q), P ascending and then Q, where G[P][Q] is not
+    min(|Q|, alpha(P)), one P at a time. As G[P][Q] <= G[P][P] = alpha(P),
+    a level that misses P holds no Q inside P; one that holds P must hold,
+    inside P, exactly the Q with |Q| >= k."""
+    tables = list_tables(n)
+    for P in range(1, 1 << n):
+        wrong = 0
+        for level, fair in zip(levels, tables.fair):
+            if level[P] >> P & 1:
+                wrong |= (level[P] ^ fair) & tables.inside[P]
+        if wrong:
+            Q = (wrong & -wrong).bit_length() - 1
+            return FairnessVerdict(False, (colors_of(P), colors_of(Q)))
+    return FairnessVerdict(True)
 
 
 def superset_closed_by_definition(adv: Adversary) -> bool:

@@ -15,10 +15,12 @@ from affinetask import (Adversary, AdversaryError, UnfairAdversaryError,
                         make_superset_closed, make_symmetric, make_t_resilient,
                         require_fair, setcon, verify_fair_subtraction)
 from conftest import DATA_DIR, load_fixture
-from oracles import (fairness_by_definition, hitting_number_brute, restrict,
-                     restrict2, setcon_by_definition,
-                     superset_closed_by_definition, symmetric_by_definition,
-                     symmetric_setcon)
+from affinetask.adversary import _levels, _unfair_pair
+from oracles import (fairness_by_definition, hitting_number_brute,
+                     levels_by_lists, restrict, restrict2,
+                     setcon_by_definition, superset_closed_by_definition,
+                     symmetric_by_definition, symmetric_setcon,
+                     unfair_pair_by_lists)
 
 
 # --- setcon -------------------------------------------------------------------
@@ -96,6 +98,32 @@ def test_adversary_layer_matches_definition():
         assert is_superset_closed(adv) == superset_closed_by_definition(adv), adv
         assert is_symmetric(adv) == symmetric_by_definition(adv), adv
     assert count == 128 + 1928 + 15
+
+
+def _named_n5_families():
+    """The symmetric, t-resilient and k-obstruction-free families at n=5."""
+    for r in range(1, 6):
+        for sizes in combinations(range(1, 6), r):
+            yield make_symmetric(5, sizes)
+    yield from (make_t_resilient(5, t) for t in range(5))
+    yield from (make_k_of(5, k) for k in range(1, 6))
+
+
+def test_packed_levels_match_the_list_reference():
+    """Each packed level, read back row by row, against the levels filled
+    one P at a time by `levels_by_lists`, and the fairness verdict and first
+    witness against `unfair_pair_by_lists`: every family for n <= 3, all
+    32,768 families for n=4 and the named n=5 families."""
+    families = [a for n in range(1, 5) for a in enumerate_adversaries(n)]
+    families += _named_n5_families()
+    for adv in families:
+        n = adv.n
+        row = (1 << (1 << n)) - 1
+        got, want = _levels(adv), levels_by_lists(adv)
+        assert [[level >> (P << n) & row for P in range(1 << n)]
+                for level in got] == want, adv
+        assert _unfair_pair(n, got) == unfair_pair_by_lists(n, want), adv
+    assert len(families) == 2 + 8 + 128 + 32768 + 31 + 5 + 5
 
 
 # --- restriction --------------------------------------------------------------
@@ -271,6 +299,19 @@ def test_csize_equals_setcon_when_superset_closed():
     for adv in enumerate_adversaries(3):
         if adv.live_sets and is_superset_closed(adv):
             assert csize(adv) == setcon(adv)
+
+
+@pytest.mark.parametrize("n,live_sets,bad", [
+    (2.0, [], "2.0"),
+    (True, [[1]], "True"),
+    (3, [[1.0, 2]], "1.0"),
+    (3, [[True, 2]], "True"),
+    (3, [[2], ["1"]], "'1'"),
+])
+def test_adversary_rejects_non_integers(n, live_sets, bad):
+    """n and every live-set member must be an int; a bool is not one."""
+    with pytest.raises(AdversaryError, match=f"must be an integer, got {bad}"):
+        Adversary(n, live_sets)
 
 
 def test_adversary_validation():

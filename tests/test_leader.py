@@ -88,6 +88,21 @@ def test_mu_rejects_a_query_color_below_one(solo_map, staircase_facet, Q,
     assert solo_map(v3, [1, 2, 3, 4]) == solo_map(v3, [1, 2, 3]) == 1
 
 
+@pytest.mark.parametrize("Q", [[1.5, 3], [True, 3], ["1", 3]])
+def test_mu_rejects_a_query_color_that_is_no_int(solo_map, staircase_facet, Q):
+    """A float, a bool or a string is no color, even one equal to a
+    color: it raises LeaderError, as a process id does in the simulator."""
+    v3 = next(code_of(v) for v in staircase_facet if v.color == 3)
+    with pytest.raises(LeaderError, match="holds a color that is not an integer"):
+        solo_map(v3, Q)
+
+
+@pytest.mark.parametrize("Q", [{1.0, 2}, {True, 3}])
+def test_verify_leader_rejects_a_query_color_that_is_no_int(Q):
+    with pytest.raises(LeaderError, match="must be a nonempty subset of 1..3"):
+        verify_leader(make_t_resilient(3, 1), queries=[Q])
+
+
 def test_leader_map_rejects_vertices_outside_chr2():
     """A base vertex or a Chr s vertex has no round-two view to elect from,
     so it has no vertex code to pass to the leader map."""
