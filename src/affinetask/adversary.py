@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import chain, combinations
 from typing import Iterable, Iterator, NamedTuple
 
-from .bits import colors_of, iter_bits, mask_of, submasks
+from .bits import colors_of, integer, iter_bits, mask_of, submasks
 from .complexes import MAX_PROCESSES
 from .reports import VerificationReport
 
@@ -39,11 +39,11 @@ class Adversary:
     family: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 1 <= _int(self.n, "n") <= MAX_PROCESSES:
+        if not 1 <= integer(self.n, "n", AdversaryError) <= MAX_PROCESSES:
             raise AdversaryError(f"n={self.n} out of range 1..{MAX_PROCESSES}")
         sets = frozenset(frozenset(s) for s in self.live_sets)
         if not set(map(type, chain.from_iterable(sets))) <= {int}:
-            _int_sets(sets)  # raises, naming the first member that is not an int
+            list(map(_members, sets))  # raises, naming a member that is not an int
         universe = set(range(1, self.n + 1))
         for s in sets:
             if not s:
@@ -233,11 +233,15 @@ def is_symmetric(adv: Adversary) -> bool:
                for layer in _tables(adv.n).layers)
 
 
+def _members(s: Iterable[int]) -> frozenset[int]:
+    """frozenset(s), its members checked as ints before True can merge into 1."""
+    return frozenset(integer(c, "live-set member", AdversaryError) for c in s)
+
+
 def make_superset_closed(n: int, minimal_sets: Iterable[Iterable[int]]) -> Adversary:
-    universe = frozenset(range(1, n + 1))
+    universe = frozenset(range(1, integer(n, "n", AdversaryError) + 1))
     out: set[frozenset[int]] = set()
-    for s in minimal_sets:
-        s = frozenset(s)
+    for s in map(_members, minimal_sets):
         if not s or not s <= universe:
             raise AdversaryError(f"bad minimal set {sorted(s)} for n={n}")
         rest = sorted(universe - s)
@@ -248,7 +252,8 @@ def make_superset_closed(n: int, minimal_sets: Iterable[Iterable[int]]) -> Adver
 
 
 def make_symmetric(n: int, sizes: Iterable[int]) -> Adversary:
-    sizes = sorted(set(sizes))
+    integer(n, "n", AdversaryError)
+    sizes = sorted({integer(k, "size", AdversaryError) for k in sizes})
     if any(not 1 <= k <= n for k in sizes):
         raise AdversaryError(f"sizes {sizes} outside 1..{n}")
     out = {frozenset(c) for k in sizes
@@ -258,14 +263,14 @@ def make_symmetric(n: int, sizes: Iterable[int]) -> Adversary:
 
 def make_t_resilient(n: int, t: int) -> Adversary:
     """Live sets are exactly the sets of size at least n - t."""
-    if not 0 <= t < n:
+    if not integer(n, "n", AdversaryError) > integer(t, "t", AdversaryError) >= 0:
         raise AdversaryError(f"t={t} out of range 0..{n - 1}")
     return make_symmetric(n, range(n - t, n + 1))
 
 
 def make_k_of(n: int, k: int) -> Adversary:
     """k-obstruction-free: all nonempty sets of size at most k."""
-    if not 1 <= k <= n:
+    if not integer(n, "n", AdversaryError) >= integer(k, "k", AdversaryError) >= 1:
         raise AdversaryError(f"k={k} out of range 1..{n}")
     return make_symmetric(n, range(1, k + 1))
 
@@ -274,7 +279,7 @@ def enumerate_adversaries(n: int) -> Iterator[Adversary]:
     """All 2^(2^n - 1) adversaries over 1..n, empty family included, with no
     budget (2^31 at n=5): the caller bounds it. `adv classify` is the bounded
     entry point; it refuses past `state_cap_from_env()`."""
-    universe = sorted(range(1, n + 1))
+    universe = range(1, integer(n, "n", AdversaryError) + 1)
     pool = [frozenset(c) for k in range(1, n + 1)
             for c in combinations(universe, k)]
     for mask in range(1 << len(pool)):
@@ -288,7 +293,7 @@ def enumerate_adversaries(n: int) -> Iterator[Adversary]:
 def hitting_number(sets: Iterable[Iterable[int]]) -> int:
     """Minimum size of a set meeting every given set of colors in
     1..MAX_PROCESSES (0 for no sets)."""
-    sets = {frozenset(s) for s in sets}
+    sets = set(map(_members, sets))
     colors = frozenset(range(1, MAX_PROCESSES + 1))
     if not all(s and s <= colors for s in sets):
         raise AdversaryError(
@@ -365,17 +370,6 @@ def alpha_to_dict(alpha: AgreementFunction) -> dict[str, int]:
                                key=lambda kv: (len(kv[0]), sorted(kv[0])))}
 
 
-def _int(value, what: str) -> int:
-    # JSON true/false parse to bools, which Python counts as ints
-    if type(value) is not int:
-        raise AdversaryError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _int_sets(sets) -> list[frozenset[int]]:
-    return [frozenset(_int(c, "live-set member") for c in s) for s in sets]
-
-
 def adversary_from_dict(data: dict) -> Adversary:
     """Read an adversary description, rejecting every non-integer n, t, k,
     size or live-set member instead of coercing it."""
@@ -383,18 +377,18 @@ def adversary_from_dict(data: dict) -> Adversary:
         raise AdversaryError(
             f"adversary description must be a JSON object, got {type(data).__name__}")
     try:
-        n = _int(data["n"], "n")
+        n = integer(data["n"], "n", AdversaryError)
         kind = data.get("kind", "explicit")
         if kind == "explicit":
-            return Adversary(n, frozenset(_int_sets(data["live_sets"])))
+            return Adversary(n, frozenset(map(_members, data["live_sets"])))
         if kind == "superset_closed":
-            return make_superset_closed(n, _int_sets(data["live_sets"]))
+            return make_superset_closed(n, data["live_sets"])
         if kind == "symmetric":
-            return make_symmetric(n, [_int(k, "size") for k in data["sizes"]])
+            return make_symmetric(n, data["sizes"])
         if kind == "t_resilient":
-            return make_t_resilient(n, _int(data["t"], "t"))
+            return make_t_resilient(n, data["t"])
         if kind == "k_of":
-            return make_k_of(n, _int(data["k"], "k"))
+            return make_k_of(n, data["k"])
     except KeyError as exc:
         raise AdversaryError(f"adversary description missing field {exc}") from exc
     except TypeError as exc:

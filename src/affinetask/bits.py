@@ -4,6 +4,15 @@ from __future__ import annotations
 from typing import Iterable
 
 
+def integer(value, what: str, error: type[Exception]) -> int:
+    """The one rule for an integer input: value if it is an int, and else
+    error. A bool (JSON true), a float or a string would pass for 1 in a set
+    or dict, or fail later with a bare TypeError."""
+    if type(value) is not int:
+        raise error(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def mask_of(colors: Iterable[int]) -> int:
     m = 0
     for c in colors:

@@ -262,6 +262,8 @@ def cmd_simulate_replay(args) -> int:
         part = (list(payload["participation"])
                 if "participation" in payload else None)
         events = events_from_jsonable(payload["events"])
+    except KeyError as exc:
+        raise SimulationError(f"trace {args.trace} missing field {exc}") from exc
     except (TypeError, AttributeError) as exc:
         raise SimulationError(f"malformed trace {args.trace}: {exc}") from exc
     if args.participation is not None:

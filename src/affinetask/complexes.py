@@ -21,6 +21,8 @@ from itertools import chain, combinations
 from operator import attrgetter
 from typing import Any, Iterable, Iterator
 
+from .bits import integer
+
 MAX_PROCESSES = 5
 
 
@@ -316,26 +318,20 @@ def complex_from_dict(data: dict) -> ChromaticComplex:
         raise ComplexError(
             f"complex document must be a JSON object, got {type(data).__name__}")
 
-    def integer(value: Any, what: str) -> int:
-        # JSON true/false parse to bools, which Python counts as ints, and
-        # 1.0 would find the dict entry of 1
-        if type(value) is not int:
-            raise ComplexError(
-                f"complex document: {what} must be an integer, got {value!r}")
-        return value
-
     def decode_vertex(color: Any, enc: Any) -> Vertex:
-        color = integer(color, "vertex color")
+        color = integer(color, "complex document: vertex color", ComplexError)
         if enc is None:
             return base[color]
         if enc and not isinstance(enc[0], list):  # a color list
-            carrier = Simplex(tuple(base[integer(c, "payload color")] for c in enc))
+            carrier = Simplex(tuple(
+                base[integer(c, "complex document: payload color", ComplexError)]
+                for c in enc))
         else:
             carrier = Simplex(tuple(decode_vertex(c, sub) for c, sub in enc))
         return chr_vertex(color, carrier)
 
     try:
-        n = integer(data["n"], "n")
+        n = integer(data["n"], "complex document: n", ComplexError)
         base = {v.color: v for v in standard_simplex(n).vertices}
         by_uid: dict[str, Vertex] = {}
         for item in data["vertices"]:

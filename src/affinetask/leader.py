@@ -18,9 +18,9 @@ from typing import Iterable
 
 from .adversary import Adversary, AgreementFunction, require_fair
 from .affine import AffineTask, _critical_faces, _view_groups, build_r_a
-from .bits import colors_of, mask_of
+from .bits import colors_of, integer, mask_of
 from .reports import VerificationReport
-from .subdivision import chr2_vertex
+from .subdivision import chr2_vertex, pack
 
 
 class LeaderError(ValueError):
@@ -46,22 +46,27 @@ class LeaderMap:
     into chains, and the leader of every query mask holding its color is
     elected into a tuple indexed by mask, as a one-bit color mask (0 for the
     masks without its color). Only that tuple and the vertex's base carrier
-    are kept.
+    are kept. A code's color and views lie in 1..n; its own view holds its color.
     """
 
     def __init__(self, alpha: AgreementFunction):
         self.alpha = alpha
+        self._inside = pack((c, (1 << alpha.n) - 1) for c in range(1, alpha.n + 1))
         # vertex code -> (its base carrier's colors, its leader bit per mask)
         self._table: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     def _entry(self, code: int) -> tuple[int, tuple[int, ...]]:
         entry = self._table.get(code)
         if entry is None:
-            groups = _view_groups(code >> 3)
+            color, carrier = code & 7, code >> 3
+            if not (0 < color <= self.alpha.n and not carrier & ~self._inside
+                    and carrier & pack([(color, 1 << color - 1)])):
+                raise LeaderError(f"{code!r} is no vertex code over 1..{self.alpha.n}")
+            groups = _view_groups(carrier)
             critical = _chain((view for view, _ in _critical_faces(groups, self.alpha)),
                               "delta")
             views = _chain((view for view, _ in groups), "gamma")
-            own = 1 << (code & 7) - 1
+            own = 1 << color - 1
             leaders = [0] * (1 << self.alpha.n)
             for q in range(own, len(leaders)):
                 if q & own:
@@ -81,9 +86,7 @@ class LeaderMap:
         """The elected process of Q for the vertex of the given code. Q must
         hold the own color and only int colors, none below 1."""
         leaders = self._entry(code)[1]
-        Q = frozenset(Q)
-        if not set(map(type, Q)) <= {int}:  # bools, floats and strings are no colors
-            raise LeaderError(f"Q={set(Q)} holds a color that is not an integer")
+        Q = frozenset(integer(c, "query color", LeaderError) for c in Q)
         if code & 7 not in Q:
             raise LeaderError(f"own color {code & 7} must belong to Q={sorted(Q)}")
         if min(Q) < 1:
@@ -118,9 +121,10 @@ def _queries_for(n: int, queries: Iterable[frozenset[int]] | None
     full = range(1, n + 1)
     if queries is None:
         queries = [c for k in full for c in combinations(full, k)]
-    picked = [frozenset(Q) for Q in queries]
+    picked = [frozenset(integer(c, "query color", LeaderError) for c in Q)
+              for Q in queries]
     for Q in picked:
-        if not Q or not Q.issubset(full) or not set(map(type, Q)) <= {int}:
+        if not Q or not Q.issubset(full):
             raise LeaderError(f"query set {sorted(Q)} must be a nonempty "
                               f"subset of 1..{n}")
     return picked

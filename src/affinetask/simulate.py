@@ -90,7 +90,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .adversary import Adversary, agreement_function
 from .affine import AffineTask
-from .bits import colors_of, iter_bits, mask_of, submasks
+from .bits import colors_of, integer, iter_bits, mask_of, submasks
 from .complexes import in_one_facet
 from .reports import VerificationReport
 from .subdivision import chr2_codes, chr2_index, chr2_vertex, pack
@@ -158,13 +158,6 @@ def finish_predicate(alpha_table: Sequence[int], V: int, same: int,
     return alpha_table[V] > alpha_table[V & ~(same & is2w)]
 
 
-def _process_id(x, what: str) -> int:
-    """x itself if it is an int; bools, floats and strings are rejected."""
-    if type(x) is not int:
-        raise SimulationError(f"{what} {x!r} is not an integer process id")
-    return x
-
-
 class Terminals:
     """The concrete terminal states of an exploration, held as
     (representative, orbit size) pairs in visiting order. `len()` is the
@@ -215,7 +208,8 @@ class ProtocolModel:
         self.alpha = agreement_function(adv)
         self.alpha_table = self.alpha.table
         part = frozenset(range(1, self.n + 1) if participation is None else
-                         (_process_id(c, "participation member") for c in participation))
+                         (integer(c, "participation member", SimulationError)
+                          for c in participation))
         if not part <= frozenset(range(1, self.n + 1)):
             raise SimulationError(f"participation {sorted(part)} outside 1..{self.n}")
         self.participation = part
@@ -225,12 +219,10 @@ class ProtocolModel:
                 f"participation {sorted(part)} has agreement level 0; nothing can run")
         if fault_budget is None:
             fault_budget = self.alpha.of_mask(self.pmask) - 1
-        if type(fault_budget) is not int:
-            raise SimulationError(f"fault budget {fault_budget!r} is not an integer")
-        if fault_budget < 0:
+        if integer(fault_budget, "fault budget", SimulationError) < 0:
             raise SimulationError(f"fault budget must be >= 0, got {fault_budget}")
         self.fault_budget = fault_budget
-        self.max_states = max_states
+        self.max_states = integer(max_states, "state cap", SimulationError)
         fields = [FIELD * i for i in range(self.n)]
         self._procs = tuple(iter_bits(self.pmask))
         # per round r, the bits of every block index; those bits of a state
@@ -502,9 +494,10 @@ class ProtocolModel:
         kind = event[0]
         want: tuple
         if kind in ("commit1", "commit2"):
-            want = (kind, sorted(_process_id(x, "block member") for x in event[1]))
+            want = (kind, sorted(integer(x, "block member", SimulationError)
+                                 for x in event[1]))
         elif kind in ("step", "crash"):
-            want = (kind, _process_id(event[1], "process"))
+            want = (kind, integer(event[1], "process", SimulationError))
         else:
             raise SimulationError(f"unknown event kind {kind!r}")
         for ev, s2 in self.successors(state):
@@ -737,12 +730,12 @@ def events_from_jsonable(items: Iterable[dict]) -> list[tuple]:
     out = []
     for item in items:
         kind = item.get("type")
-        if kind in ("commit1", "commit2"):
-            out.append((kind, list(item["block"])))
-        elif kind in ("step", "crash"):
-            out.append((kind, item["process"]))
-        else:
+        if kind not in ("commit1", "commit2", "step", "crash"):
             raise SimulationError(f"unknown trace event {item!r}")
+        field = "process" if kind in ("step", "crash") else "block"
+        if field not in item:
+            raise SimulationError(f"trace event {item!r} missing field {field!r}")
+        out.append((kind, item[field] if field == "process" else list(item[field])))
     return out
 
 

@@ -31,7 +31,7 @@ from math import lcm
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from .bits import colors_of, iter_bits, mask_of
+from .bits import colors_of, integer, iter_bits, mask_of
 from .complexes import (MAX_PROCESSES, ChromaticComplex, ComplexError,
                         Simplex, Vertex, facet_index)
 
@@ -44,7 +44,7 @@ _FIELDS = tuple(sum(_VIEW << MAX_PROCESSES * b for b in iter_bits(m))
 
 
 def _check_n(n: int) -> None:
-    if not 1 <= n <= MAX_PROCESSES:
+    if not 1 <= integer(n, "n", ComplexError) <= MAX_PROCESSES:
         raise ComplexError(
             f"n={n} out of range: constructions support 1..{MAX_PROCESSES} processes")
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from itertools import combinations, islice
 
 import pytest
@@ -312,6 +313,30 @@ def test_adversary_rejects_non_integers(n, live_sets, bad):
     """n and every live-set member must be an int; a bool is not one."""
     with pytest.raises(AdversaryError, match=f"must be an integer, got {bad}"):
         Adversary(n, live_sets)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+@pytest.mark.parametrize("what,call", [
+    pytest.param("n", lambda x: make_symmetric(x, [1]), id="symmetric-n"),
+    pytest.param("size", lambda x: make_symmetric(3, [1, x]), id="symmetric-size"),
+    pytest.param("n", lambda x: make_t_resilient(x, 1), id="t_resilient-n"),
+    pytest.param("t", lambda x: make_t_resilient(3, x), id="t_resilient-t"),
+    pytest.param("n", lambda x: make_k_of(x, 1), id="k_of-n"),
+    pytest.param("k", lambda x: make_k_of(3, x), id="k_of-k"),
+    pytest.param("n", lambda x: make_superset_closed(x, [[1]]), id="superset_closed-n"),
+    pytest.param("live-set member", lambda x: make_superset_closed(3, [[1, x]]),
+                 id="superset_closed-member"),
+    pytest.param("n", lambda x: next(enumerate_adversaries(x)), id="enumerate-n"),
+    pytest.param("live-set member", lambda x: hitting_number([[1, x]]),
+                 id="hitting_number-member"),
+])
+def test_builders_reject_non_integers(what, call, bad):
+    """Each builder checks its own integers, a member before a set can merge
+    True into 1: a bool is not read as 1, and a float or a string raises
+    AdversaryError rather than a bare TypeError."""
+    with pytest.raises(AdversaryError, match=re.escape(
+            f"{what} must be an integer, got {bad!r}")):
+        call(bad)
 
 
 def test_adversary_validation():

@@ -473,6 +473,8 @@ def test_malformed_trace_is_an_input_error(tmp_path, capsys):
 @pytest.mark.parametrize("field", ["process", "block", "participation"])
 def test_trace_with_non_integer_process_is_an_input_error(tmp_path, capsys,
                                                          field):
+    what = {"process": "process", "block": "block member",
+            "participation": "participation member"}[field]
     for bad in (True, 1.9, "1"):
         doc = {"participation": [1, 2], "events": [
             {"type": "step", "process": 1}, {"type": "commit1", "block": [1]}]}
@@ -486,7 +488,24 @@ def test_trace_with_non_integer_process_is_an_input_error(tmp_path, capsys,
         trace.write_text(json.dumps(doc))
         assert main(["simulate", "replay", "--adversary", OF1,
                      "--trace", str(trace)]) == 2, (field, bad)
-        assert "not an integer process id" in one_error_line(capsys)
+        assert (f"{what} must be an integer, got {bad!r}"
+                in one_error_line(capsys))
+
+
+@pytest.mark.parametrize("doc,missing", [
+    ({}, "trace {path} missing field 'events'"),
+    ({"events": [{"type": "commit2"}]},
+     "trace event {'type': 'commit2'} missing field 'block'"),
+    ({"events": [{"type": "crash"}]},
+     "trace event {'type': 'crash'} missing field 'process'"),
+], ids=["events", "block", "process"])
+def test_trace_missing_a_field_names_it(tmp_path, capsys, doc, missing):
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(doc))
+    assert main(["simulate", "replay", "--adversary", OF1,
+                 "--trace", str(trace)]) == 2
+    line = one_error_line(capsys)
+    assert line == f"error: {missing.replace('{path}', str(trace))}\n", line
 
 
 @pytest.mark.parametrize("command", ["check", "replay"])

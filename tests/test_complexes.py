@@ -220,3 +220,19 @@ def test_json_round_trip_two_levels():
     doc = complex_to_dict(K)
     back = complex_from_dict(doc)
     assert back.facets == K.facets
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+@pytest.mark.parametrize("what", ["n", "vertex color", "payload color"])
+def test_complex_document_rejects_non_integers(what, bad):
+    vertex = {"uid": "1(1,2)", "color": 1, "payload": [1, 2]}
+    doc = {"n": 3, "vertices": [vertex], "facets": [["1(1,2)"]]}
+    if what == "n":
+        doc["n"] = bad
+    elif what == "vertex color":
+        vertex["color"] = bad
+    else:
+        vertex["payload"] = [bad, 2]
+    with pytest.raises(ComplexError, match=re.escape(
+            f"complex document: {what} must be an integer, got {bad!r}")):
+        complex_from_dict(doc)

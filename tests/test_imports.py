@@ -1,5 +1,5 @@
-"""Every imported name is used: a static scan of the package and the tests
-with `ast`, needing no linter."""
+"""Every imported name is used, and only `bits.integer` tests for an int: static
+scans of the package and the tests with `ast`, needing no linter."""
 from __future__ import annotations
 
 import ast
@@ -39,3 +39,30 @@ def test_the_scan_sees_an_unused_import(tmp_path):
                       "import os.path\nfrom math import comb, factorial as f\n"
                       "x: os.PathLike = comb(2, 1)\n")
     assert unused_imports(module) == ["f (line 3)"]
+
+
+def int_type_tests(path: Path) -> list[int]:
+    """The lines of a module that compare `type(...)` with `int` by `is`,
+    `is not`, `==` or `!=`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+            and isinstance(node.left.func, ast.Name) and node.left.func.id == "type"
+            and any(isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq))
+                    and isinstance(right, ast.Name) and right.id == "int"
+                    for op, right in zip(node.ops, node.comparators))]
+
+
+def test_only_bits_tests_for_an_int():
+    """The rule "an integer input is an int, never a bool, float or string"
+    lives in `bits.integer`; every other module calls it."""
+    found = {p.name: int_type_tests(p) for p in ROOT.glob("src/affinetask/*.py")}
+    assert {name for name, lines in found.items() if lines} == {"bits.py"}
+
+
+def test_the_scan_sees_an_int_type_test(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def f(x):\n    return type(x) is str\n"
+                      "ok = type(1) is not int or type(2) == int\n"
+                      "isinstance(3, int)\n")
+    assert int_type_tests(module) == [3, 3]

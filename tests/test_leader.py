@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from itertools import combinations
 
 import pytest
@@ -93,14 +94,40 @@ def test_mu_rejects_a_query_color_that_is_no_int(solo_map, staircase_facet, Q):
     """A float, a bool or a string is no color, even one equal to a
     color: it raises LeaderError, as a process id does in the simulator."""
     v3 = next(code_of(v) for v in staircase_facet if v.color == 3)
-    with pytest.raises(LeaderError, match="holds a color that is not an integer"):
+    with pytest.raises(LeaderError, match=re.escape(
+            f"query color must be an integer, got {Q[0]!r}")):
         solo_map(v3, Q)
 
 
 @pytest.mark.parametrize("Q", [{1.0, 2}, {True, 3}])
 def test_verify_leader_rejects_a_query_color_that_is_no_int(Q):
-    with pytest.raises(LeaderError, match="must be a nonempty subset of 1..3"):
+    bad = min(Q)  # 1.0 or True, the color that is no int
+    with pytest.raises(LeaderError, match=re.escape(
+            f"query color must be an integer, got {bad!r}")):
         verify_leader(make_t_resilient(3, 1), queries=[Q])
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_verify_leader_checks_a_query_color_before_its_range(bad):
+    """A string among ints is reported as no int, not met by a bare
+    TypeError from sorting the set for the range message."""
+    with pytest.raises(LeaderError, match=re.escape(
+            f"query color must be an integer, got {bad!r}")):
+        verify_leader(make_t_resilient(3, 1), queries=[[bad, 2]])
+
+
+@pytest.mark.parametrize("code", [0, 8, 1, 2**40 + 1, -5, 0b10001 << 3 | 1],
+                         ids=["color-0", "color-0-with-view", "no-own-view",
+                              "field-above-n", "negative", "view-above-n"])
+def test_leader_map_rejects_a_number_that_is_no_vertex_code(code):
+    """A code is checked when first met: its color in 1..n, no field above
+    n, no view color above n, its own field holding its color. Each map is
+    fresh, so the code is met first by `seen`, then by the call."""
+    for ask in ("seen", "call"):
+        mu = LeaderMap(agreement_function(make_k_of(3, 1)))
+        with pytest.raises(LeaderError, match=re.escape(
+                f"{code} is no vertex code over 1..3")):
+            mu.seen(code) if ask == "seen" else mu(code, [1, 2, 3])
 
 
 def test_leader_map_rejects_vertices_outside_chr2():

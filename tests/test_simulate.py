@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import re
 
 import pytest
 
@@ -745,8 +746,21 @@ def test_fault_budget_must_be_nonnegative():
 def test_fault_budget_must_be_an_int(budget):
     """A float, a bool or a string budget is rejected, not rounded up by
     the crash guard nor reported as given."""
-    with pytest.raises(SimulationError, match="is not an integer"):
+    with pytest.raises(SimulationError, match=re.escape(
+            f"fault budget must be an integer, got {budget!r}")):
         ProtocolModel(make_k_of(3, 1), fault_budget=budget)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+@pytest.mark.parametrize("what,option", [("participation member", "participation"),
+                                         ("state cap", "max_states")])
+def test_model_options_must_be_ints(what, option, bad):
+    """max_states=True would cap the exploration at one state; a member
+    is checked before the participation set can merge True into 1."""
+    value = [1, bad] if option == "participation" else bad
+    with pytest.raises(SimulationError, match=re.escape(
+            f"{what} must be an integer, got {bad!r}")):
+        ProtocolModel(make_k_of(3, 1), **{option: value})
 
 
 def test_default_fault_budget_is_alpha_minus_one():
@@ -768,8 +782,10 @@ def test_replay_rejects_bad_events():
     with pytest.raises(SimulationError):
         events_from_jsonable([{"type": "halt", "process": 1}])
     for bad in (1.9, "1", True):  # never coerced to process 1
-        for event in (("step", bad), ("commit1", [bad])):
-            with pytest.raises(SimulationError, match="integer process id"):
+        for event, what in ((("step", bad), "process"),
+                            (("commit1", [bad]), "block member")):
+            with pytest.raises(SimulationError, match=re.escape(
+                    f"{what} must be an integer, got {bad!r}")):
                 model.apply_event(0, event)
 
 

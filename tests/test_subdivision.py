@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from affinetask import (ComplexError, Simplex, chr2_complex, chr_complex,
-                        chr_vertex, geometry, ordered_set_partitions,
-                        partition_to_facet, standard_simplex, two_round_facet)
+                        chr_vertex, contention_simplices, geometry,
+                        ordered_set_partitions, partition_to_facet,
+                        standard_simplex, two_round_facet)
 
 from affinetask.complexes import in_one_facet
 from affinetask.subdivision import (barycentric_points, chr2_facet_codes,
@@ -271,3 +273,18 @@ def test_chr_vertex_requires_self_inclusion():
     other = Simplex(v for v in base if v.color != 1)  # colors {2,3}
     with pytest.raises(ComplexError):
         chr_vertex(1, other)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "2"])
+@pytest.mark.parametrize("build", [standard_simplex, chr_complex, chr2_complex,
+                                   chr2_index, contention_simplices,
+                                   lambda n: partition_to_facet([[1], [2]], n)],
+                         ids=["standard_simplex", "chr_complex", "chr2_complex",
+                              "chr2_index", "contention_simplices",
+                              "partition_to_facet"])
+def test_constructions_reject_a_non_integer_n(build, bad):
+    """A bool n builds no complex over n=True, and a float or a string n
+    raises ComplexError rather than a bare TypeError."""
+    with pytest.raises(ComplexError, match=re.escape(
+            f"n must be an integer, got {bad!r}")):
+        build(bad)
