@@ -131,7 +131,7 @@ class AgreementFunction:
     table: tuple[int, ...]
 
     def __call__(self, P: Iterable[int]) -> int:
-        return self.table[mask_of(P)]
+        return self.table[mask_of(integer(c, "color", AdversaryError) for c in P)]
 
     def of_mask(self, mask: int) -> int:
         return self.table[mask]
@@ -142,6 +142,8 @@ class AgreementFunction:
     def swap_keeps(self, a: int, b: int, within: int) -> bool:
         """Whether exchanging colors a and b keeps alpha on every subset of
         the color mask `within`, which holds both."""
+        integer(a, "color", AdversaryError)
+        integer(b, "color", AdversaryError)
         table, both = self.table, 1 << a - 1 | 1 << b - 1
         return all(table[S ^ both] == table[S] for S in submasks(within)
                    if (S >> a - 1 ^ S >> b - 1) & 1)

@@ -16,19 +16,19 @@ its contending faces. In the facet of runs r1, r2 two colors contend when
 r1 and r2 order them strictly and oppositely, so contention is read off
 each run's order code (`_run_code`), and the contending faces of one
 contention graph and one round-two color order are listed once
-(`_cliques`). `build_r_a` runs only a guard loop over these ints per
-alpha and keeps the run-pair ids of its facets, i * |runs| + j for runs i
-and j of `all_runs(n)`; it makes no Simplex. `AffineTask` is these ids:
-its facets read as vertex codes (`facet_codes`, by
-`subdivision.chr2_facet_codes`) serve both membership, through a facet
-index, and the leader sweep. R_A's complex, the `chr2_facets(n)` Simplex
+(`_cliques`). `AffineTask(alpha)` runs only a guard loop over these ints
+and keeps the run-pair ids of R_A's facets, i * |runs| + j for runs i and
+j of `all_runs(n)`; it makes no Simplex. Its facets read as vertex codes
+(`facet_codes`, by `subdivision.chr2_facet_codes`) serve both membership,
+through a facet index, and the leader sweep. R_A's complex, the `chr2_facets(n)` Simplex
 objects at those ids, is built only where a task is written or drawn.
 `contention_simplices` reads the same table.
 
 R_A reads colors only through alpha and view masks, so a swap of two
 colors that keeps alpha maps R_A onto itself (the scalarset argument of Ip
 & Dill 1996, applied to the task); `AffineTask.symmetric_under` decides a
-swap on alpha alone.
+swap on alpha alone. That is sound because an `AffineTask` is always R_A:
+it is built from alpha alone and takes no facets.
 """
 from __future__ import annotations
 
@@ -48,9 +48,10 @@ from .subdivision import (_FIELDS, _VIEW, all_runs, chr2_facet_codes,
 
 
 class AffineTask:
-    """R_A of an agreement function: the run-pair ids of its facets, i *
-    |runs| + j for runs i and j of `all_runs(n)` (the positions in
-    `chr2_facets(n)`), ascending.
+    """R_A of an agreement function, carved on construction: the run-pair
+    ids of its facets, i * |runs| + j for runs i and j of `all_runs(n)`
+    (the positions in `chr2_facets(n)`), ascending. R_A is the only task
+    of this class, so its symmetry is read off alpha (`symmetric_under`).
 
     Membership is asked on vertex codes (`holds`), through a facet index
     built from the ids. The complex is built on first access, for JSON,
@@ -58,8 +59,8 @@ class AffineTask:
 
     name = "r_adv"
 
-    def __init__(self, alpha: AgreementFunction, ids: array):
-        self.alpha, self.n, self.ids = alpha, alpha.n, ids
+    def __init__(self, alpha: AgreementFunction):
+        self.alpha, self.n, self.ids = alpha, alpha.n, _carve(alpha)
 
     @cached_property
     def complex(self) -> ChromaticComplex:
@@ -230,15 +231,19 @@ def task_alpha(adv: Adversary) -> AgreementFunction:
 
 
 def build_r_a(adv: Adversary) -> AffineTask:
-    """The adversary's affine task: facets all of whose contending faces
-    either touch the guard colors or stay below the concurrency level of
-    their carrier.
+    """The adversary's affine task, R_A of its alpha (`AffineTask`)."""
+    return AffineTask(task_alpha(adv))
+
+
+def _carve(alpha: AgreementFunction) -> array:
+    """The run-pair ids of R_A's facets: the facets all of whose contending
+    faces either touch the guard colors or stay below the concurrency level
+    of their carrier.
 
     The guard is the union of the critical-member colors of the facet's
     carrier and the critical-carrier colors of the face's carrier.
     """
-    alpha = task_alpha(adv)
-    groups, rhos, faces = _chr2_table(adv.n)
+    groups, rhos, faces = _chr2_table(alpha.n)
     csm_of, csv_of, conc_of = zip(*(
         _critical_summary(_critical_faces(g, alpha), alpha) for g in groups))
     kept = array("I")
@@ -252,7 +257,7 @@ def build_r_a(adv: Adversary) -> AffineTask:
                 break
         else:
             kept.append(k)
-    return AffineTask(alpha, kept)
+    return kept
 
 
 # --- verification sweeps ------------------------------------------------------------

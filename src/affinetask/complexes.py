@@ -49,7 +49,7 @@ class Vertex(_ReadOnly):
 
     def __init__(self, uid: str, color: int, payload: Any = None):
         _set_uid(self, uid)
-        _set_color(self, color)
+        _set_color(self, integer(color, "vertex color", ComplexError))
         _set_payload(self, payload)
 
     def __reduce__(self):
@@ -167,6 +167,7 @@ class ChromaticComplex:
     facets: frozenset[Simplex]
 
     def __post_init__(self):
+        integer(self.n, "n", ComplexError)
         colors = set(map(_COLOR, chain.from_iterable(map(_VERTICES, self.facets))))
         bad = sorted(c for c in colors if not 1 <= c <= self.n)
         if bad:

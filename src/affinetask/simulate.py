@@ -40,6 +40,12 @@ each event is built once. A round's blocks and views are decoded once per
 distinct field of its block indices. Per state, only the guards of WROTE1
 and WROTE2 processes read the round-one views and the largest Conc value.
 
+None of these tables reads alpha: a slot word's entry depends on n, P and
+the fault budget, a commit's events and deltas and a round's decode on n
+alone. So each table is one dict per key (`_table`), filled on first use by
+every model with that key and kept for the life of the process; a budget
+of |P| or more is one key, since no more than |P| processes can crash.
+
 Exploration is symmetry-reduced (the scalarset reduction of Ip & Dill 1996
 and Emerson & Sistla 1996), with every count kept exact:
 
@@ -78,12 +84,25 @@ and Emerson & Sistla 1996), with every count kept exact:
 - Traces. Each parent link keeps the permutation that carried the
   successor to its representative; `trace_to` composes them and relabels
   the events, so a trace replays to the concrete state asked for.
+
+The same argument runs across participation sets in `check_model`. Colors
+a, b of 1..n share a class when the swap (a b) keeps alpha on every subset
+of 1..n and maps the task onto itself (`symmetric_under`); again this is an
+equivalence. Two participation sets with the same number of members in
+each class are carried one onto the other by a permutation within the
+classes, which keeps alpha, the default fault budget and the task, so it
+relabels one model onto the other: equal state and terminal counts, and
+the same number of violations. So only the first participation set of each
+such group, in `valid_participations` order, is explored; a later one takes
+its row when it had no violation, and is explored itself otherwise, since
+violations carry concrete states.
 """
 from __future__ import annotations
 
 import os
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 from typing import Callable, Iterable, Iterator, Sequence
@@ -158,6 +177,31 @@ def finish_predicate(alpha_table: Sequence[int], V: int, same: int,
     return alpha_table[V] > alpha_table[V & ~(same & is2w)]
 
 
+@lru_cache(maxsize=None)
+def _table(*key) -> dict:
+    """The move table of one key, filled on first use by every model that
+    shares it: ("moves", n, P mask, fault budget at most |P|), ("commits",
+    n) or ("rounds", n). The keys are bounded, as n is."""
+    return {}
+
+
+def _interchangeable(members: Iterable[int],
+                     keeps: Callable[[int, int], bool]) -> list[list[int]]:
+    """The classes of members, in order, under keeps(a, b): whether the
+    swap (a b) keeps what the caller relabels. Swaps that keep it compose,
+    so this is an equivalence, and a member joins the first class whose
+    first member it may be swapped with."""
+    classes: list[list[int]] = []
+    for b in members:
+        for c in classes:
+            if keeps(c[0], b):
+                c.append(b)
+                break
+        else:
+            classes.append([b])
+    return classes
+
+
 class Terminals:
     """The concrete terminal states of an exploration, held as
     (representative, orbit size) pairs in visiting order. `len()` is the
@@ -229,8 +273,13 @@ class ProtocolModel:
         # -> (blocks, views, block of each process, packed views)
         self._index_bits = (0, *(sum(7 << f + 2 + 3 * r for f in fields)
                                  for r in (1, 2)))
-        self._rounds: dict[int, tuple] = {}
-        self._classes = self._interchangeable()
+        self._rounds: dict[int, tuple] = _table("rounds", self.n)
+        # the interchangeability classes of P with two members or more: i
+        # and j share one when the swap (i j) keeps alpha on every subset
+        # of P
+        self._classes = tuple(tuple(c) for c in _interchangeable(
+            self._procs, lambda i, j: self.alpha.swap_keeps(i + 1, j + 1, self.pmask))
+            if len(c) > 1)
         # per class, its members' field offsets, and the complement of
         # their fields
         self._shifts = tuple(tuple(fields[i] for i in c) for c in self._classes)
@@ -238,10 +287,12 @@ class ProtocolModel:
                               for shifts in self._shifts)
         # slot word -> its moves and registers (`_slot_entry`)
         self._slot_bits = sum(31 << f for f in fields)
-        self._moves: dict[int, tuple] = {}
+        self._moves: dict[int, tuple] = _table(
+            "moves", self.n, self.pmask, min(fault_budget, len(self._procs)))
         # (next block index << 2 | round) << n | pending mask -> (commit
         # events, deltas)
-        self._commit_moves: dict[int, tuple[tuple, tuple[int, ...]]] = {}
+        self._commit_moves: dict[int, tuple[tuple, tuple[int, ...]]] = _table(
+            "commits", self.n)
         # per class, |c|!: the orbit factor of a class whose signatures differ
         self._full = tuple(factorial(len(c)) for c in self._classes)
 
@@ -299,20 +350,6 @@ class ProtocolModel:
         }
 
     # --- symmetry -----------------------------------------------------------
-
-    def _interchangeable(self) -> tuple[tuple[int, ...], ...]:
-        """The interchangeability classes of P with two members or more:
-        i and j share one when the swap (i j) keeps alpha on every subset
-        of P."""
-        classes: list[list[int]] = []
-        for i in self._procs:
-            for c in classes:
-                if self.alpha.swap_keeps(c[0] + 1, i + 1, self.pmask):
-                    c.append(i)
-                    break
-            else:
-                classes.append([i])
-        return tuple(tuple(c) for c in classes if len(c) > 1)
 
     def _signatures(self, state: int) -> list[list[int]]:
         """Per class, its members' signatures, their fields, in member
@@ -689,13 +726,31 @@ def check_model(adv: Adversary, task: AffineTask,
                 ) -> tuple[VerificationReport, VerificationReport, list[dict]]:
     """Safety + liveness per valid participation set, at its default budget.
 
-    Returns aggregated (safety, liveness) reports and per-participation rows.
+    Returns aggregated (safety, liveness) reports and per-participation rows,
+    in `valid_participations` order. A participation set that a relabeling
+    keeping alpha and the task carries onto an earlier one without
+    violations takes that one's row and checked counts instead of being
+    explored (see the module docstring).
     """
     _require_task_n(task, adv.n)
+    alpha, full = agreement_function(adv), (1 << adv.n) - 1
+    classes = [mask_of(c) for c in _interchangeable(
+        range(1, adv.n + 1), lambda a, b: (alpha.swap_keeps(a, b, full)
+                                           and task.symmetric_under(a, b)))]
+    # members per class -> (row, safety checked, liveness checked) of the
+    # first participation set so counted, when it had no violation
+    clean: dict[tuple[int, ...], tuple[dict, int, int]] = {}
     safety = VerificationReport(kind="safety")
     liveness = VerificationReport(kind="liveness")
     rows = []
     for P in valid_participations(adv):
+        key = tuple((mask_of(P) & c).bit_count() for c in classes)
+        if key in clean:
+            row, safe_checked, live_checked = clean[key]
+            safety.checked += safe_checked
+            liveness.checked += live_checked
+            rows.append({**row, "participation": sorted(P)})
+            continue
         model = ProtocolModel(adv, participation=P, max_states=max_states)
         exploration = model.explore()
         safe = check_safety(model, exploration, task)
@@ -707,6 +762,8 @@ def check_model(adv: Adversary, task: AffineTask,
         rows.append({**exploration.row(),
                      "safety_violations": len(safe.violations),
                      "liveness_violations": len(live.violations)})
+        if safe.ok and live.ok:
+            clean[key] = (rows[-1], safe.checked, live.checked)
     safety.info["participations"] = len(rows)
     liveness.info["participations"] = len(rows)
     return safety, liveness, rows

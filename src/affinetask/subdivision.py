@@ -260,5 +260,5 @@ def barycentric_points(vertices: Iterable[Vertex], n: int
 def geometry(v: Vertex, n: int) -> tuple[Fraction, ...]:
     """Exact barycentric coordinates of a subdivision vertex over corners
     1..n, as Fractions: its point from `barycentric_points`."""
-    points, den = barycentric_points((v,), n)
+    points, den = barycentric_points((v,), integer(n, "n", ComplexError))
     return tuple(Fraction(x, den) for x in points[v])

@@ -22,10 +22,12 @@ unfairness witness filled one P at a time on lists of Q-sets
 per-state register lists and list-form guards, a state's register masks by a loop over the
 processes (`masks`), the safety check via `has_face` on facets
 (`safety_by_definition`), the safety and liveness checks deciding every
-concrete terminal (`safety_per_state`, `liveness_per_state`), and the
+concrete terminal (`safety_per_state`, `liveness_per_state`), the
 explorer before symmetry reduction
-(`explore_unreduced`, over every concrete state). Views and carriers are read straight off vertex
-payloads (`view1`, `view2`, `base_colors`). It also holds the helpers only
+(`explore_unreduced`, over every concrete state), and the model check
+exploring every participation set (`check_model_per_participation`).
+Views and carriers are read straight off vertex payloads (`view1`,
+`view2`, `base_colors`). It also holds the helpers only
 tests use: `is_pure`, `facet_to_partition`, `symmetric_setcon`,
 `project_vertex`, `code_of` (a Chr Chr s vertex's code, written out from
 its payload), `color_combinations` (every stride-th set of vertex codes
@@ -57,7 +59,9 @@ from affinetask.affine import _view_groups
 from affinetask.bits import colors_of, iter_bits, mask_of
 from affinetask.complexes import MAX_PROCESSES
 from affinetask.render import _CORNERS_2D, _project
-from affinetask.simulate import DONE, WROTE1, WROTE2
+from affinetask.simulate import (DEFAULT_STATE_CAP, DONE, WROTE1, WROTE2,
+                                 ProtocolModel, _require_task_n, check_liveness,
+                                 check_safety, valid_participations)
 from affinetask.subdivision import (_FIELDS, _VIEW, all_runs, pack,
                                    packed_views, simplex_of_codes)
 
@@ -1016,3 +1020,29 @@ def explore_unreduced(model, track_parents: bool = False) -> Exploration:
                        terminals=Terminals([(s, 1) for s in terminals],
                                            lambda s: (s,)),
                        orbits=len(visited), parents=parents)
+
+
+def check_model_per_participation(adv: Adversary, task,
+                                  max_states: int = DEFAULT_STATE_CAP):
+    """`check_model` exploring every valid participation set, as it did
+    before participation sets that a relabeling carries one onto the other
+    shared one exploration."""
+    _require_task_n(task, adv.n)
+    safety = VerificationReport(kind="safety")
+    liveness = VerificationReport(kind="liveness")
+    rows = []
+    for P in valid_participations(adv):
+        model = ProtocolModel(adv, participation=P, max_states=max_states)
+        exploration = model.explore()
+        safe = check_safety(model, exploration, task)
+        live = check_liveness(model, exploration)
+        safety.checked += safe.checked
+        safety.violations.extend(safe.violations)
+        liveness.checked += live.checked
+        liveness.violations.extend(live.violations)
+        rows.append({**exploration.row(),
+                     "safety_violations": len(safe.violations),
+                     "liveness_violations": len(live.violations)})
+    safety.info["participations"] = len(rows)
+    liveness.info["participations"] = len(rows)
+    return safety, liveness, rows

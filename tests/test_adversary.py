@@ -339,6 +339,16 @@ def test_builders_reject_non_integers(what, call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_agreement_function_rejects_non_integer_colors(bad):
+    """alpha([True]) is not alpha({1}), and a float or a string color raises
+    AdversaryError rather than a bare TypeError."""
+    alpha = agreement_function(make_k_of(3, 1))
+    with pytest.raises(AdversaryError, match=re.escape(
+            f"color must be an integer, got {bad!r}")):
+        alpha([bad])
+
+
 def test_adversary_validation():
     with pytest.raises(AdversaryError):
         Adversary(0, [])

@@ -1,14 +1,14 @@
 from __future__ import annotations
 
 import json
-from array import array
+import re
 from collections import Counter
 from itertools import combinations
 from math import comb, factorial
 
 import pytest
 
-from affinetask import (Adversary, AdversaryError, AffineTask, ComplexError,
+from affinetask import (Adversary, AdversaryError, ComplexError,
                         Simplex,
                         agreement_function, build_r_a, chr2_complex,
                         chr_complex, concurrency_levels,
@@ -20,6 +20,7 @@ from affinetask import (Adversary, AdversaryError, AffineTask, ComplexError,
                         verify_cs_distribution, verify_single_carrier)
 from affinetask import affine as affine_module
 from affinetask import subdivision as subdivision_module
+from affinetask.complexes import in_one_facet
 from affinetask.subdivision import packed_views
 from conftest import DATA_DIR
 from oracles import (ComplexTask, base_colors, build_r_kof,
@@ -315,6 +316,17 @@ def test_symmetric_n4_tasks_are_closed_under_every_swap():
         assert all(task.symmetric_under(a, b) for a, b in combinations(range(1, 5), 2))
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_symmetric_under_rejects_non_integer_colors(bad):
+    """A swap names two int colors (`AgreementFunction.swap_keeps`); True is
+    not read as 1."""
+    task = build_r_a(make_k_of(3, 1))
+    for a, b in ((bad, 2), (2, bad)):
+        with pytest.raises(AdversaryError, match=re.escape(
+                f"color must be an integer, got {bad!r}")):
+            task.symmetric_under(a, b)
+
+
 def test_union_variant_contains_intersection_variant(fixture_adversaries):
     for adv in fixture_adversaries.values():
         union = build_r_a(adv).complex.facets
@@ -329,11 +341,12 @@ def test_variant_divergence_matches_golden(fixture_adversaries):
 
 def test_no_codes_are_held_exactly_when_the_task_has_a_facet(fixture_tasks):
     """Membership of the empty set of codes: held by every task with a
-    facet, the fake held as its complex too, and by no task without one."""
+    facet, the fake held as its complex too, and by no facet index without
+    a facet (R_A always has one, so the empty index stands in for it)."""
     for task in fixture_tasks.values():
         assert task.holds(()) and task.holds(iter(()))
         assert ComplexTask(task.name, task.n, task.complex, task.alpha).holds(())
-    assert not AffineTask(task.alpha, array("I")).holds(())
+    assert not in_one_facet({}, ()) and not in_one_facet({}, iter(()))
 
 
 def test_tasks_are_pure_full_dimensional(fixture_tasks):

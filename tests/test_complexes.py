@@ -207,6 +207,20 @@ def test_vertex_color_range_enforced():
         ChromaticComplex(3, facets)
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, "2"])
+def test_complex_rejects_a_non_integer_n(bad):
+    with pytest.raises(ComplexError, match=re.escape(
+            f"n must be an integer, got {bad!r}")):
+        ChromaticComplex(bad, frozenset())
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_vertex_rejects_a_non_integer_color(bad):
+    with pytest.raises(ComplexError, match=re.escape(
+            f"vertex color must be an integer, got {bad!r}")):
+        Vertex(uid="1", color=bad)
+
+
 def test_json_round_trip(chr_3):
     doc = complex_to_dict(chr_3)
     back = complex_from_dict(doc)

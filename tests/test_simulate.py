@@ -18,8 +18,9 @@ from affinetask import affine as affine_module
 from affinetask import simulate as simulate_module
 from affinetask.simulate import (DONE, INV1, INV2, STATE_CAP_ENV,
                                  _task_symmetric)
-from affinetask.subdivision import chr2_index
-from oracles import (ComplexTask, code_of, explore_unreduced,
+from affinetask.subdivision import chr2_facets, chr2_index
+from oracles import (ComplexTask, check_model_per_participation, code_of,
+                     explore_unreduced,
                      liveness_per_state, masks, output_simplex, outputs,
                      r_a_intersection_task, returned_vertices,
                      safety_by_definition, safety_per_state,
@@ -691,6 +692,148 @@ def test_orbit_traces_replay_to_every_concrete_terminal(fixture_adversaries):
     assert exploration.orbits < exploration.state_count
     for state in exploration.terminals:
         assert replay(model, model.trace_to(state, exploration.parents)) == state
+
+
+# --- shared move tables, one exploration per participation class ------------------
+
+
+def _tables_of(model: ProtocolModel) -> dict[str, dict]:
+    return {name: getattr(model, name)
+            for name in ("_moves", "_commit_moves", "_rounds")}
+
+
+def test_move_tables_are_shared_and_alpha_free():
+    """k_of(3, 2) and t_resilient(3, 1) at full participation share the key
+    (n = 3, P = {1, 2, 3}, one crash) but not alpha, and meet different slot
+    words. Every entry of the shared tables equals the one a family that
+    met it builds alone, into tables of its own."""
+    simulate_module._table.cache_clear()
+    families = [make_k_of(3, 2), make_t_resilient(3, 1)]
+    models = [ProtocolModel(adv) for adv in families]
+    shared = _tables_of(models[0])
+    assert all(a is b for a, b in zip(shared.values(),
+                                      _tables_of(models[1]).values()))
+    for model in models:
+        model.explore()
+    alone = []
+    for adv in families:
+        simulate_module._table.cache_clear()
+        model = ProtocolModel(adv)
+        model.explore()
+        alone.append(_tables_of(model))
+    for name, table in shared.items():
+        own = [tables[name] for tables in alone]
+        assert all(t is not table for t in own)
+        assert set(table) == set(own[0]) | set(own[1]), name
+        for t in own:
+            assert all(table[key] == entry for key, entry in t.items()), name
+    assert set(alone[0]["_moves"]) != set(alone[1]["_moves"])
+
+
+def test_a_fault_budget_of_p_or_more_is_one_move_table():
+    """No more than |P| processes can crash, so every budget from |P| on
+    gives the same moves."""
+    adv = make_k_of(3, 2)
+    one, two, five = (ProtocolModel(adv, participation={1, 2}, fault_budget=b)._moves
+                      for b in (1, 2, 5))
+    assert one is not two and two is five
+
+
+def _results(result) -> tuple:
+    safety, liveness, rows = result
+    return safety.to_dict(), liveness.to_dict(), rows
+
+
+def _explored(monkeypatch) -> list[frozenset[int]]:
+    """The participation set of every model explored from now on."""
+    explored = []
+    explore = ProtocolModel.explore
+
+    def spy(self, *args, **kwargs):
+        explored.append(self.participation)
+        return explore(self, *args, **kwargs)
+    monkeypatch.setattr(ProtocolModel, "explore", spy)
+    return explored
+
+
+def test_check_model_matches_the_per_participation_reference(
+        monkeypatch, fair_live_adversaries):
+    """Rows and both reports of check_model equal those of exploring every
+    participation set, on the 43 fair n=3 families, 68 of whose 211
+    participation sets take an earlier one's row, and on k_of(4, 1), which
+    explores 4 of its 15."""
+    explored = _explored(monkeypatch)
+    participations = 0
+    for adv in fair_live_adversaries:
+        task = build_r_a(adv)
+        want = _results(check_model_per_participation(adv, task))
+        del explored[:]
+        assert _results(check_model(adv, task)) == want
+        participations += len(want[2]) - len(explored)
+    assert participations == 68
+    adv = make_k_of(4, 1)
+    task = build_r_a(adv)
+    want = _results(check_model_per_participation(adv, task))
+    del explored[:]
+    assert _results(check_model(adv, task)) == want
+    assert [len(P) for P in explored] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("task,explored_sets,unsafe", [
+    pytest.param(r_a_intersection_task, [[1], [2], [3], [1, 2], [1, 3], [2, 3],
+                                         [1, 2, 3]], 480, id="intersection"),
+    pytest.param(lambda adv: build_r_a(make_k_of(3, 1)),
+                 [[1], [1, 2], [1, 3], [2, 3], [1, 2, 3]], 429, id="r_a_of_k_of_3_1"),
+])
+def test_check_model_explores_again_where_a_violation_was_found(
+        monkeypatch, fixture_adversaries, task, explored_sets, unsafe):
+    """k_of(3, 2) against a task with violations, with the reference's
+    results. The intersection reading of R_A is posed only by the tests, so
+    it is never symmetric and every participation set is explored. R_A of
+    k_of(3, 1) is symmetric: the singletons after {1} take its row, but
+    {1, 2} is unsafe, so {1, 3} and {2, 3} are explored too."""
+    adv = fixture_adversaries["obstruction_free_2"]
+    task = task(adv)
+    want = _results(check_model_per_participation(adv, task))
+    explored = _explored(monkeypatch)
+    got = _results(check_model(adv, task))
+    assert got == want and len(got[0]["violations"]) == unsafe
+    assert [sorted(P) for P in explored] == explored_sets
+
+
+def test_check_model_explores_3_of_the_7_participations_of_k_of_3_2(monkeypatch):
+    """Every swap keeps alpha and R_A, so the participation sets fall into
+    three groups, by size; only the first of each is explored, and the
+    rows keep their order."""
+    explored = _explored(monkeypatch)
+    adv = make_k_of(3, 2)
+    safety, liveness, rows = check_model(adv, build_r_a(adv))
+    assert [sorted(P) for P in explored] == [[1], [1, 2], [1, 2, 3]]
+    assert [r["participation"] for r in rows] == [
+        sorted(P) for P in valid_participations(adv)]
+    assert rows[1] == {**rows[0], "participation": [2]}
+    assert safety.ok and liveness.ok
+    assert safety.checked == liveness.checked == sum(r["terminals"] for r in rows)
+
+
+def test_a_task_of_every_other_facet_of_r_a_is_checked_state_by_state():
+    """An AffineTask is R_A of its alpha and takes no facets, so a task
+    whose symmetry alpha does not decide cannot pass for one. The task of
+    every other facet of R_A of k_of(3, 1), held as its complex, reports
+    the state-by-state count at {1, 2, 3}: 56 unsafe terminals."""
+    adv = make_k_of(3, 1)
+    r_a = build_r_a(adv)
+    with pytest.raises(TypeError):
+        AffineTask(r_a.alpha, r_a.ids[::2])
+    facets = chr2_facets(3)
+    task = ComplexTask("every_other", 3,
+                       closure([facets[i] for i in r_a.ids[::2]], n=3), r_a.alpha)
+    model = ProtocolModel(adv)
+    exploration = model.explore()
+    report = check_safety(model, exploration, task)
+    want = safety_per_state(model, exploration, task)
+    assert report.violations == want.violations
+    assert report.states == want.states and len(want.states) == 56
 
 
 # --- participation handling -----------------------------------------------------

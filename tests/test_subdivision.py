@@ -278,10 +278,11 @@ def test_chr_vertex_requires_self_inclusion():
 @pytest.mark.parametrize("bad", [True, 2.0, "2"])
 @pytest.mark.parametrize("build", [standard_simplex, chr_complex, chr2_complex,
                                    chr2_index, contention_simplices,
-                                   lambda n: partition_to_facet([[1], [2]], n)],
+                                   lambda n: partition_to_facet([[1], [2]], n),
+                                   lambda n: geometry(chr_vertex(1, base_facet(2)), n)],
                          ids=["standard_simplex", "chr_complex", "chr2_complex",
                               "chr2_index", "contention_simplices",
-                              "partition_to_facet"])
+                              "partition_to_facet", "geometry"])
 def test_constructions_reject_a_non_integer_n(build, bad):
     """A bool n builds no complex over n=True, and a float or a string n
     raises ComplexError rather than a bare TypeError."""
