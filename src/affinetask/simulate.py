@@ -32,19 +32,26 @@ The low 5 bits of a field are the process's slot.
 Moves are read off the slot word, the slot bits of every field. The slots
 fix both pending bits: i is pending in round r exactly when it has not
 crashed and its progress is INV_r. So one table entry per distinct slot
-word, built when first met, holds the step moves in process order with
-their guard kinds, the crash moves, and the IS1-written, IS2-written,
-Conc-written and pending masks. Every move is the state plus a delta;
-commit deltas are cached per round, next block index and pending mask, and
-each event is built once. A round's blocks and views are decoded once per
+word, built when first met, holds the step deltas in process order (with
+their guard kinds when one is guarded), the crash deltas, and the
+IS1-written, IS2-written, Conc-written and pending masks. Every move is the
+state plus a delta, and commit deltas are cached per round, next block
+index and pending mask. A round's blocks and views are decoded once per
 distinct field of its block indices. Per state, only the guards of WROTE1
 and WROTE2 processes read the round-one views and the largest Conc value.
 
+The explorer walks next states alone (`next_states`); no table holds an
+event. Two moves from one state never reach the same next state: a step
+touches no block index and no crashed bit, a commit sets block indices, and
+a crash sets the crashed bit. So `event` reads a move's event off the
+fields that differ, and it runs only where a caller reads events:
+`successors`, replays and traces.
+
 None of these tables reads alpha: a slot word's entry depends on n, P and
-the fault budget, a commit's events and deltas and a round's decode on n
-alone. So each table is one dict per key (`_table`), filled on first use by
-every model with that key and kept for the life of the process; a budget
-of |P| or more is one key, since no more than |P| processes can crash.
+the fault budget, a commit's deltas and a round's decode on n alone. So
+each table is one dict per key (`_table`), filled on first use by every
+model with that key and kept for the life of the process; a budget of |P|
+or more is one key, since no more than |P| processes can crash.
 
 Exploration is symmetry-reduced (the scalarset reduction of Ip & Dill 1996
 and Emerson & Sistla 1996), with every count kept exact:
@@ -60,8 +67,8 @@ and Emerson & Sistla 1996), with every count kept exact:
   fix the state: each block is the set of processes carrying its index.
 - Canonical form. Clearing a class's fields and writing its sorted
   signatures back, in ascending position, gives one representative per
-  orbit, in O(n log n) per state. When every class is a singleton it is the
-  state itself.
+  orbit, in one pass over each class's fields, O(n log n) per state. When
+  every class is a singleton it is the state itself.
 - Orbit size. A representative stands for prod over classes c of
   |c|! / prod(t! for each run of t equal signatures in c) concrete states,
   worked out while canonicalizing: a class whose signatures all differ
@@ -81,9 +88,12 @@ and Emerson & Sistla 1996), with every count kept exact:
   task on them once per distinct output. R_A lies inside Chr Chr s, so an
   output it holds is safe; only for an output outside R_A is Chr Chr s
   asked, through its facet index on codes (`chr2_index`), built once.
-- Traces. Each parent link keeps the permutation that carried the
-  successor to its representative; `trace_to` composes them and relabels
-  the events, so a trace replays to the concrete state asked for.
+- Traces. Each parent link keeps the parent representative and the
+  concrete successor it moved to. `trace_to` decodes each link's event
+  (`event`) and the permutation that carried the successor to its
+  representative (`canonical`), and composes the permutations to relabel
+  the events, so a trace replays to the concrete state asked for. A state
+  whose links do not lead back to the initial state has no trace.
 
 The same argument runs across participation sets in `check_model`. Colors
 a, b of 1..n share a class when the swap (a b) keeps alpha on every subset
@@ -229,8 +239,9 @@ class Exploration:
     terminals: Terminals
     # representatives visited, one per orbit; not part of row()
     orbits: int
-    # representative -> (parent representative, event, permutation)
-    parents: dict[int, tuple[int, tuple, tuple[int, ...]]] | None = None
+    # representative -> (parent representative, the concrete successor of
+    # the parent that canonicalizes to it); `trace_to` reads these
+    parents: dict[int, tuple[int, int]] | None = None
 
     def row(self) -> dict:
         """The participation row every report of this exploration starts
@@ -280,21 +291,19 @@ class ProtocolModel:
         self._classes = tuple(tuple(c) for c in _interchangeable(
             self._procs, lambda i, j: self.alpha.swap_keeps(i + 1, j + 1, self.pmask))
             if len(c) > 1)
-        # per class, its members' field offsets, and the complement of
-        # their fields
-        self._shifts = tuple(tuple(fields[i] for i in c) for c in self._classes)
-        self._unowned = tuple(~sum(SIGNATURE << f for f in shifts)
-                              for shifts in self._shifts)
+        # per class: its members' field offsets, the complement of their
+        # fields, and |c|!, the orbit factor of a class whose signatures
+        # all differ
+        self._forms = tuple(
+            (shifts, ~sum(SIGNATURE << f for f in shifts), factorial(len(shifts)))
+            for shifts in (tuple(fields[i] for i in c) for c in self._classes))
         # slot word -> its moves and registers (`_slot_entry`)
         self._slot_bits = sum(31 << f for f in fields)
         self._moves: dict[int, tuple] = _table(
             "moves", self.n, self.pmask, min(fault_budget, len(self._procs)))
-        # (next block index << 2 | round) << n | pending mask -> (commit
-        # events, deltas)
-        self._commit_moves: dict[int, tuple[tuple, tuple[int, ...]]] = _table(
-            "commits", self.n)
-        # per class, |c|!: the orbit factor of a class whose signatures differ
-        self._full = tuple(factorial(len(c)) for c in self._classes)
+        # (next block index << 2 | round) << n | pending mask -> commit
+        # deltas
+        self._commit_moves: dict[int, tuple[int, ...]] = _table("commits", self.n)
 
     # --- packed-state helpers -------------------------------------------
 
@@ -351,27 +360,18 @@ class ProtocolModel:
 
     # --- symmetry -----------------------------------------------------------
 
-    def _signatures(self, state: int) -> list[list[int]]:
-        """Per class, its members' signatures, their fields, in member
-        order."""
-        out: list[list[int]] = []
-        # explicit loops: on CPython 3.11 a comprehension is one more
-        # function call, and this runs once per successor
-        for shifts in self._shifts:
+    def _representative(self, state: int) -> tuple[int, int]:
+        """(representative, orbit size): each class of the representative
+        holds its members' signatures, their fields, sorted, in ascending
+        position. A class whose signatures all differ contributes |c|!;
+        only a class with tied signatures goes through `_orbit_size`."""
+        rep, size = state, 1
+        for shifts, unowned, full in self._forms:
+            # explicit loops: on CPython 3.11 a comprehension is one more
+            # function call, and this runs once per successor
             sigs = []
             for f in shifts:
                 sigs.append(state >> f & SIGNATURE)
-            out.append(sigs)
-        return out
-
-    def _representative(self, state: int) -> tuple[int, int]:
-        """(representative, orbit size): each class of the representative
-        holds its signatures sorted, in ascending position. A class whose
-        signatures all differ contributes |c|!; only a class with tied
-        signatures goes through `_orbit_size`."""
-        rep, size = state, 1
-        for shifts, unowned, full, sigs in zip(self._shifts, self._unowned,
-                                               self._full, self._signatures(state)):
             order = sorted(sigs)
             if order != sigs:
                 rep &= unowned
@@ -380,14 +380,21 @@ class ProtocolModel:
             size *= full if len(set(order)) == len(order) else self._orbit_size(order)
         return rep, size
 
+    def _permutation(self, state: int) -> tuple[int, ...]:
+        """pi carrying state to its representative, pi[i] being the new
+        position of process i: within each class, the members ranked by
+        signature, ties in member order."""
+        perm = list(range(self.n))
+        for c, (shifts, _, _) in zip(self._classes, self._forms):
+            sigs = [state >> f & SIGNATURE for f in shifts]
+            for pos, k in zip(c, sorted(range(len(c)), key=sigs.__getitem__)):
+                perm[c[k]] = pos
+        return tuple(perm)
+
     def canonical(self, state: int) -> tuple[int, tuple[int, ...]]:
         """(representative, pi) with the representative pi applied to
         state, pi[i] being the new position of process i."""
-        perm = list(range(self.n))
-        for c, sigs in zip(self._classes, self._signatures(state)):
-            for pos, k in zip(c, sorted(range(len(c)), key=sigs.__getitem__)):
-                perm[c[k]] = pos
-        return self._representative(state)[0], tuple(perm)
+        return self._representative(state)[0], self._permutation(state)
 
     @staticmethod
     def _orbit_size(sigs: list[int]) -> int:
@@ -405,11 +412,12 @@ class ProtocolModel:
         arrangements of each class's signatures over its members' fields,
         combined across the classes."""
         base = rep
-        for unowned in self._unowned:
+        for _, unowned, _ in self._forms:
             base &= unowned
         per_class = [{sum(sig << f for f, sig in zip(shifts, arrangement))
-                      for arrangement in permutations(sigs)}
-                     for shifts, sigs in zip(self._shifts, self._signatures(rep))]
+                      for arrangement in permutations([rep >> f & SIGNATURE
+                                                       for f in shifts])}
+                     for shifts, _, _ in self._forms]
         return sorted(base + sum(parts) for parts in product(*per_class))
 
     @staticmethod
@@ -427,16 +435,16 @@ class ProtocolModel:
 
     def _slot_entry(self, word: int) -> tuple:
         """The moves and registers of every state whose slot word is word:
-        (step moves (guard, process, event, delta) in process order,
-        whether one is guarded, the Conc-written processes, IS1-written,
-        IS2-written, round-one and round-two pending masks, crash events,
-        crash deltas). The slots fix the pending masks: i is pending in
-        round r exactly when it has not crashed and its progress is INV_r.
-        A crashed process has no move; a step is read off `_STEPS`; a crash
-        sets the crashed bit and, from INV2, clears the pending bit, and
-        only GOT1..WROTE2 may crash. There is no crash move once the fault
-        budget is spent."""
-        steps, conc, crash_events, crash_deltas = [], [], [], []
+        (step moves (guard, process, delta) in process order when one is
+        guarded, else (), step deltas in process order, the Conc-written
+        processes, IS1-written, IS2-written, round-one and round-two
+        pending masks, crash deltas). The slots fix the pending masks: i
+        is pending in round r exactly when it has not crashed and its
+        progress is INV_r. A crashed process has no move; a step is read
+        off `_STEPS`; a crash sets the crashed bit and, from INV2, clears
+        the pending bit, and only GOT1..WROTE2 may crash. There is no
+        crash move once the fault budget is spent."""
+        steps, conc, crashes = [], [], []
         is1w = is2w = fpend = spend = crashed = guarded = 0
         for i in self._procs:
             f = FIELD * i
@@ -457,74 +465,93 @@ class ProtocolModel:
                 spend |= bit
             step = _STEPS.get(p)
             if step:
-                steps.append((step[0], i, ("step", i + 1), step[1] << f))
+                steps.append((step[0], i, step[1] << f))
                 guarded |= step[0]
             if GOT1 <= p <= WROTE2:
-                crash_events.append(("crash", i + 1))
-                crash_deltas.append((8 - (1 << 12 if p == INV2 else 0)) << f)
+                crashes.append((8 - (1 << 12 if p == INV2 else 0)) << f)
         if crashed.bit_count() >= self.fault_budget:
-            crash_events = crash_deltas = []
+            crashes = []
         entry = self._moves[word] = (
-            tuple(steps), guarded, tuple(conc), is1w, is2w, fpend, spend,
-            tuple(crash_events), tuple(crash_deltas))
+            tuple(steps) if guarded else (), tuple(delta for _, _, delta in steps),
+            tuple(conc), is1w, is2w, fpend, spend, tuple(crashes))
         return entry
 
-    def successors(self, state: int) -> list[tuple[tuple, int]]:
-        """(event, next_state) pairs: steps in process order, commits of
-        round one then round two, crashes last.
+    def next_states(self, state: int) -> tuple[list[int], bool]:
+        """(next states, terminal): steps in process order, commits of
+        round one then round two, crashes last; terminal when no move but
+        crashes is enabled.
 
         Every move adds its delta to the state; the moves are read off the
         state's slot word (`_slot_entry`), and only the guards of WROTE1 and
         WROTE2 processes read the rest of the state."""
         word = state & self._slot_bits
-        (steps, guarded, conc, is1w, is2w, fpend, spend, crash_events,
-         crash_deltas) = self._moves.get(word) or self._slot_entry(word)
+        (guarded, steps, conc, is1w, is2w, fpend, spend,
+         crashes) = self._moves.get(word) or self._slot_entry(word)
         if guarded:
             alpha = self.alpha_table
             _, is1, group, _ = self._round(state, 1)
             # the largest Conc value written
             cmax = max(map(alpha.__getitem__, map(is1.__getitem__, conc))) if conc else 0
             out = []
-            for kind, i, ev, delta in steps:
+            for kind, i, delta in guarded:
                 if kind == _WAIT:
                     if not wait_predicate(alpha, is1[i], group[i] & is1w, is2w, cmax):
                         continue
                 elif kind == _FINISH and finish_predicate(alpha, is1[i],
                                                           group[i] & is1w, is2w):
                     delta += 16 << FIELD * i
-                out.append((ev, state + delta))
+                out.append(state + delta)
         else:
-            out = []
-            for _, _, ev, delta in steps:
-                out.append((ev, state + delta))
+            out = list(map(state.__add__, steps))
+        terminal = not (out or fpend or spend)
         if fpend:
-            out += self._commits(state, fpend, 1)
+            out += map(state.__add__, self._commit_deltas(state, fpend, 1))
         if spend:
-            out += self._commits(state, spend, 2)
-        if crash_events:
-            out += zip(crash_events, map(state.__add__, crash_deltas))
-        return out
+            out += map(state.__add__, self._commit_deltas(state, spend, 2))
+        if crashes:
+            out += map(state.__add__, crashes)
+        return out, terminal
 
-    def _commits(self, state: int, pending: int,
-                 r: int) -> Iterator[tuple[tuple, int]]:
-        """The commits of round r, one per nonempty subset of its pending
-        mask, ascending: each gives its members the round's next block
-        index, clears their pending bits and moves them one progress step
-        on. The events and deltas are built once per (round, next block
-        index, pending mask)."""
+    def _commit_deltas(self, state: int, pending: int, r: int) -> tuple[int, ...]:
+        """The deltas of the commits of round r, one per nonempty subset of
+        its pending mask, ascending: each gives its members the round's
+        next block index, clears their pending bits and moves them one
+        progress step on. Built once per (round, next block index, pending
+        mask)."""
         index = len(self._round(state, r)[0]) + 1
         key = (index << 2 | r) << self.n | pending
-        moves = self._commit_moves.get(key)
-        if moves is None:
+        deltas = self._commit_moves.get(key)
+        if deltas is None:
             # one member's field delta
             delta = (index << 2 + 3 * r) - (1 << 10 + r) + 1
-            blocks = submasks(pending)[1:]
-            moves = self._commit_moves[key] = (
-                tuple((f"commit{r}", sorted(colors_of(block))) for block in blocks),
-                tuple(sum(delta << FIELD * i for i in iter_bits(block))
-                      for block in blocks))
-        events, deltas = moves
-        return zip(events, map(state.__add__, deltas))
+            deltas = self._commit_moves[key] = tuple(
+                sum(delta << FIELD * i for i in iter_bits(block))
+                for block in submasks(pending)[1:])
+        return deltas
+
+    def event(self, state: int, nxt: int) -> tuple:
+        """The event of the move from state to its next state nxt, read off
+        the fields that differ: a round-r block index set is a commit of
+        round r by the processes whose fields changed, else the one mover's
+        crashed bit set is a crash, and anything else is its step. No two
+        moves from one state reach the same next state, so this is the
+        move's event."""
+        changed = state ^ nxt
+        if changed & self._index_bits[1]:
+            kind = "commit1"
+        elif changed & self._index_bits[2]:
+            kind = "commit2"
+        else:
+            # a step or a crash changes its mover's field alone
+            i = (changed.bit_length() - 1) // FIELD
+            return ("crash" if changed >> FIELD * i + 3 & 1 else "step", i + 1)
+        return (kind, [i + 1 for i in self._procs if changed >> FIELD * i & SIGNATURE])
+
+    def successors(self, state: int) -> list[tuple[tuple, int]]:
+        """(event, next_state) pairs in the order of `next_states`, each
+        event decoded by `event`."""
+        event = self.event
+        return [(event(state, nxt), nxt) for nxt in self.next_states(state)[0]]
 
     def apply_event(self, state: int, event: tuple) -> int:
         """Replay one event, validating its process ids and that it is enabled."""
@@ -545,23 +572,25 @@ class ProtocolModel:
     # --- exploration -----------------------------------------------------
 
     def explore(self, track_parents: bool = False) -> Exploration:
-        """Breadth-first over representatives; counts are concrete, and
-        terminals are kept per orbit (see the module docstring)."""
+        """Breadth-first over representatives, walking next states alone;
+        counts are concrete, and terminals are kept per orbit (see the
+        module docstring). With track_parents, each new representative
+        links to its parent representative and the concrete successor
+        that reached it, for `trace_to`."""
         init = self.initial_state()
         orbit: dict[int, int] = {init: 1}  # representative -> orbit size
         state_count = 1
-        parents: dict[int, tuple[int, tuple, tuple[int, ...]]] | None = (
-            {} if track_parents else None)
+        parents: dict[int, tuple[int, int]] | None = {} if track_parents else None
         terminals: list[tuple[int, int]] = []
         queue = deque([init])
-        successors, representative = self.successors, self._representative
+        next_states, representative = self.next_states, self._representative
         push, cap = queue.append, self.max_states
         while queue:
             state = queue.popleft()
-            succ = successors(state)
-            if not succ or succ[0][0][0] == "crash":  # crashes come last
+            succ, terminal = next_states(state)
+            if terminal:
                 terminals.append((state, orbit[state]))
-            for ev, s2 in succ:
+            for s2 in succ:
                 if s2 in orbit:  # a visited representative itself
                     continue
                 rep, size = representative(s2)
@@ -574,7 +603,7 @@ class ProtocolModel:
                         f"exceeded state cap {cap} "
                         f"(participation {sorted(self.participation)})")
                 if parents is not None:
-                    parents[rep] = (state, ev, self.canonical(s2)[1])
+                    parents[rep] = (state, s2)
                 push(rep)
         return Exploration(participation=self.participation,
                            fault_budget=self.fault_budget,
@@ -582,21 +611,29 @@ class ProtocolModel:
                            terminals=Terminals(terminals, self.orbit_states),
                            orbits=len(orbit), parents=parents)
 
-    def trace_to(self, state: int,
-                 parents: dict[int, tuple[int, tuple, tuple[int, ...]]]) -> list[tuple]:
-        """Events from the initial state to the concrete state. Walking the
-        links back from its representative, the events are relabeled by the
-        inverse of state's canonical permutation composed with the link
-        permutations met so far."""
-        rep, perm = self.canonical(state)
+    def trace_to(self, state: int, parents: dict[int, tuple[int, int]]) -> list[tuple]:
+        """Events from the initial state to the concrete state, along the
+        parent links of an exploration of this model. Walking the links
+        back from state's representative, each link's event is decoded
+        (`event`) and relabeled by the inverse of state's canonical
+        permutation composed with the permutations that carried each
+        successor met so far to its representative. Raises SimulationError
+        when the links do not lead back to the initial state: state was
+        not reached, or the links are another model's."""
+        rep = self._representative(state)[0]
         rho = [0] * self.n
-        for i, pos in enumerate(perm):
+        for i, pos in enumerate(self._permutation(state)):
             rho[pos] = i
         events = []
         while rep in parents:
-            rep, ev, pi = parents[rep]
-            rho = [rho[j] for j in pi]
-            events.append(self._relabel(ev, rho))
+            parent, succ = parents[rep]
+            if succ != rep:  # else the permutation is the identity
+                rho = [rho[j] for j in self._permutation(succ)]
+            events.append(self._relabel(self.event(parent, succ), rho))
+            rep = parent
+        if rep != self.initial_state():
+            raise SimulationError(f"no trace to state {state}: its parent links "
+                                  f"end at state {rep}, not the initial state")
         return events[::-1]
 
     # --- terminal-state interpretation ------------------------------------

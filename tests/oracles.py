@@ -24,7 +24,11 @@ processes (`masks`), the safety check via `has_face` on facets
 (`safety_by_definition`), the safety and liveness checks deciding every
 concrete terminal (`safety_per_state`, `liveness_per_state`), the
 explorer before symmetry reduction
-(`explore_unreduced`, over every concrete state), and the model check
+(`explore_unreduced`, over every concrete state), the reduced explorer
+and its traces on (event, next state) pairs with the events stored in the
+parent links (`explore_by_events`, `trace_by_events`, and
+`explore_by_events_agrees`, which compares the two explorers and their
+traces), and the model check
 exploring every participation set (`check_model_per_participation`).
 Views and carriers are read straight off vertex payloads (`view1`,
 `view2`, `base_colors`). It also holds the helpers only
@@ -988,7 +992,9 @@ def successors_by_registers(model, state: int) -> list[tuple[tuple, int]]:
 #
 # Breadth-first over every concrete state, with parent links (state, event):
 # the loop `ProtocolModel.explore` ran before it visited one representative
-# per orbit. Each state is its own orbit.
+# per orbit. Each state is its own orbit. It walks `next_states`, decoding
+# events for its parent links alone: it is the reference for the reduction,
+# and `successors_by_registers` is the one for the moves.
 
 
 def explore_unreduced(model, track_parents: bool = False) -> Exploration:
@@ -999,10 +1005,10 @@ def explore_unreduced(model, track_parents: bool = False) -> Exploration:
     queue = deque([init])
     while queue:
         state = queue.popleft()
-        succ = model.successors(state)
-        if not succ or succ[0][0][0] == "crash":  # crashes come last
+        succ, terminal = model.next_states(state)
+        if terminal:
             terminals.append(state)
-        for ev, s2 in succ:
+        for s2 in succ:
             if s2 in visited:
                 continue
             visited.add(s2)
@@ -1011,7 +1017,7 @@ def explore_unreduced(model, track_parents: bool = False) -> Exploration:
                     f"exceeded state cap {model.max_states} "
                     f"(participation {sorted(model.participation)})")
             if parents is not None:
-                parents[s2] = (state, ev)
+                parents[s2] = (state, model.event(state, s2))
             queue.append(s2)
     # each terminal is its own orbit, never expanded through the classes
     return Exploration(participation=model.participation,
@@ -1020,6 +1026,107 @@ def explore_unreduced(model, track_parents: bool = False) -> Exploration:
                        terminals=Terminals([(s, 1) for s in terminals],
                                            lambda s: (s,)),
                        orbits=len(visited), parents=parents)
+
+
+# --- the reduced explorer on (event, next state) pairs ----------------------------
+#
+# `ProtocolModel.explore` and `trace_to` as they were before the explorer
+# walked bare next states: every edge an (event, next state) pair from
+# `successors`, a state terminal when its first move is a crash, and each
+# parent link (parent representative, event, permutation carrying the
+# successor to its representative).
+
+
+def explore_by_events(model, track_parents: bool = False) -> Exploration:
+    init = model.initial_state()
+    orbit: dict[int, int] = {init: 1}  # representative -> orbit size
+    state_count = 1
+    parents: dict[int, tuple[int, tuple, tuple[int, ...]]] | None = (
+        {} if track_parents else None)
+    terminals: list[tuple[int, int]] = []
+    queue = deque([init])
+    successors, representative = model.successors, model._representative
+    push, cap = queue.append, model.max_states
+    while queue:
+        state = queue.popleft()
+        succ = successors(state)
+        if not succ or succ[0][0][0] == "crash":  # crashes come last
+            terminals.append((state, orbit[state]))
+        for ev, s2 in succ:
+            if s2 in orbit:  # a visited representative itself
+                continue
+            rep, size = representative(s2)
+            if rep in orbit:
+                continue
+            orbit[rep] = size
+            state_count += size
+            if state_count > cap:
+                raise StateCapExceeded(
+                    f"exceeded state cap {cap} "
+                    f"(participation {sorted(model.participation)})")
+            if parents is not None:
+                parents[rep] = (state, ev, model.canonical(s2)[1])
+            push(rep)
+    return Exploration(participation=model.participation,
+                       fault_budget=model.fault_budget,
+                       state_count=state_count,
+                       terminals=Terminals(terminals, model.orbit_states),
+                       orbits=len(orbit), parents=parents)
+
+
+def trace_by_events(model, state: int,
+                    parents: dict[int, tuple[int, tuple, tuple[int, ...]]]
+                    ) -> list[tuple]:
+    """Events from the initial state to the concrete state, along the links
+    of `explore_by_events`: walking back from its representative, each
+    stored event is relabeled by the inverse of state's canonical
+    permutation composed with the link permutations met so far."""
+    rep, perm = model.canonical(state)
+    rho = [0] * model.n
+    for i, pos in enumerate(perm):
+        rho[pos] = i
+    events = []
+    while rep in parents:
+        rep, ev, pi = parents[rep]
+        rho = [rho[j] for j in pi]
+        events.append(model._relabel(ev, rho))
+    return events[::-1]
+
+
+def explore_by_events_agrees(model, task, stride: int = 50) -> int:
+    """Asserts that `ProtocolModel.explore` agrees with `explore_by_events`:
+    equal state, orbit and terminal counts, the same terminal orbits in the
+    same order, the same parent links' keys in the same order, and equal
+    traces, event by event, to every terminal that is unsafe against task
+    or stuck and to every stride-th other one. On every edge the reference
+    walks, distinct moves reach distinct next states. Returns the number
+    of traces compared."""
+    successors = model.successors
+
+    def distinct(state: int) -> list[tuple[tuple, int]]:
+        succ = successors(state)
+        assert len({nxt for _, nxt in succ}) == len(succ), state
+        return succ
+
+    got = model.explore(track_parents=True)
+    model.successors = distinct  # the reference walks every edge through it
+    try:
+        want = explore_by_events(model, track_parents=True)
+    finally:
+        del model.successors
+    assert ((got.state_count, got.orbits, len(got.terminals))
+            == (want.state_count, want.orbits, len(want.terminals)))
+    assert got.terminals.orbits == want.terminals.orbits
+    assert list(got.parents) == list(want.parents)
+    bad = {*check_safety(model, got, task).states,
+           *check_liveness(model, got).states}
+    traced = 0
+    for k, state in enumerate(got.terminals):
+        if state in bad or k % stride == 0:
+            assert (model.trace_to(state, got.parents)
+                    == trace_by_events(model, state, want.parents)), state
+            traced += 1
+    return traced
 
 
 def check_model_per_participation(adv: Adversary, task,

@@ -20,7 +20,7 @@ from affinetask.simulate import (DONE, INV1, INV2, STATE_CAP_ENV,
                                  _task_symmetric)
 from affinetask.subdivision import chr2_facets, chr2_index
 from oracles import (ComplexTask, check_model_per_participation, code_of,
-                     explore_unreduced,
+                     explore_by_events_agrees, explore_unreduced,
                      liveness_per_state, masks, output_simplex, outputs,
                      r_a_intersection_task, returned_vertices,
                      safety_by_definition, safety_per_state,
@@ -515,6 +515,47 @@ def test_reduction_is_exact_on_the_fixtures(fault_budget, fixture_adversaries,
         for P in valid_participations(adv):
             model = ProtocolModel(adv, participation=P, fault_budget=fault_budget)
             _assert_reduction_exact(model, fixture_tasks[name])
+
+
+# --- the explorer on next states against the explorer on events -------------
+
+
+@pytest.mark.parametrize("extra_crash", [0, 1])
+def test_explore_matches_explore_by_events_on_the_fixtures(
+        extra_crash, fixture_adversaries, fixture_tasks):
+    """Every valid participation of the four n=3 fixtures, at the default
+    fault budget and at one more crash, which strands processes. CI runs
+    the same comparison on all 43 fair live n=3 families."""
+    traced = 0
+    for name, adv in fixture_adversaries.items():
+        for P in valid_participations(adv):
+            budget = ProtocolModel(adv, participation=P).fault_budget + extra_crash
+            model = ProtocolModel(adv, participation=P, fault_budget=budget)
+            traced += explore_by_events_agrees(model, fixture_tasks[name])
+    assert traced > 0
+
+
+@pytest.mark.parametrize("adv", [make_k_of(4, 1), make_t_resilient(4, 1)],
+                         ids=["k_of_4_1", "t_resilient_4_1"])
+def test_explore_matches_explore_by_events_at_n4(adv):
+    assert explore_by_events_agrees(ProtocolModel(adv), build_r_a(adv)) > 0
+
+
+def test_trace_to_needs_links_that_reach_the_state():
+    """k_of(3, 1) at {1, 2}: a state never reached (process 1 returned,
+    nothing committed), and a reached terminal walked along the links of
+    participation {1, 3}, each end their walk away from the initial state,
+    so they have no trace; a trace there would replay elsewhere."""
+    adv = make_k_of(3, 1)
+    model = ProtocolModel(adv, participation={1, 2})
+    exploration = model.explore(track_parents=True)
+    with pytest.raises(SimulationError, match="no trace to state 7"):
+        model.trace_to(DONE, exploration.parents)
+    other = ProtocolModel(adv, participation={1, 3}).explore(track_parents=True)
+    for state in exploration.terminals:
+        with pytest.raises(SimulationError, match="not the initial state"):
+            model.trace_to(state, other.parents)
+        assert replay(model, model.trace_to(state, exploration.parents)) == state
 
 
 # --- one terminal per orbit against the per-state checks ---------------------------
