@@ -7,7 +7,6 @@ from .adversary import (Adversary, AdversaryError, AgreementFunction,
                         adversary_from_dict, adversary_to_dict,
                         agreement_function, alpha_to_dict, check_fairness,
                         classify, csize, enumerate_adversaries,
-                        hitting_number, is_fair,
                         is_superset_closed, is_symmetric, make_k_of,
                         make_superset_closed, make_symmetric,
                         make_t_resilient, require_fair,

@@ -206,10 +206,6 @@ def check_fairness(adv: Adversary) -> FairnessVerdict:
     return _unfair_pair(adv.n, _levels(adv))
 
 
-def is_fair(adv: Adversary) -> bool:
-    return check_fairness(adv).fair
-
-
 def require_fair(adv: Adversary) -> AgreementFunction:
     """The agreement function of a fair adversary; any other raises."""
     levels = _levels(adv)
@@ -290,18 +286,6 @@ def enumerate_adversaries(n: int) -> Iterator[Adversary]:
 
 
 # --- hitting sets ------------------------------------------------------------
-
-
-def hitting_number(sets: Iterable[Iterable[int]]) -> int:
-    """Minimum size of a set meeting every given set of colors in
-    1..MAX_PROCESSES (0 for no sets)."""
-    sets = set(map(_members, sets))
-    colors = frozenset(range(1, MAX_PROCESSES + 1))
-    if not all(s and s <= colors for s in sets):
-        raise AdversaryError(
-            f"can only hit nonempty sets of colors in 1..{MAX_PROCESSES}")
-    n = max((max(s) for s in sets), default=1)
-    return _hitting_number(n, sum(1 << mask_of(s) for s in sets))
 
 
 def _hitting_number(n: int, family: int) -> int:

@@ -18,11 +18,11 @@ each run's order code (`_run_code`), and the contending faces of one
 contention graph and one round-two color order are listed once
 (`_cliques`). `AffineTask(alpha)` runs only a guard loop over these ints
 and keeps the run-pair ids of R_A's facets, i * |runs| + j for runs i and
-j of `all_runs(n)`; it makes no Simplex. Its facets read as vertex codes
-(`facet_codes`, by `subdivision.chr2_facet_codes`) serve both membership,
-through a facet index, and the leader sweep. R_A's complex, the `chr2_facets(n)` Simplex
-objects at those ids, is built only where a task is written or drawn.
-`contention_simplices` reads the same table.
+j of `all_runs(n)`, as a `subdivision.CodeComplex`; it makes no Simplex.
+Its facets read as vertex codes (`facet_codes`) serve both membership
+(`holds`) and the leader sweep. R_A's complex, the `chr2_facets(n)`
+Simplex objects at those ids, is built only where a task is written or
+drawn. `contention_simplices` reads the same table.
 
 R_A reads colors only through alpha and view masks, so a swap of two
 colors that keeps alpha maps R_A onto itself (the scalarset argument of Ip
@@ -33,57 +33,29 @@ it is built from alpha alone and takes no facets.
 from __future__ import annotations
 
 from array import array
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .adversary import (Adversary, AdversaryError, AgreementFunction,
                         _hitting_number, alpha_to_dict, require_fair)
 from .bits import colors_of, submasks
-from .complexes import (MAX_PROCESSES, ChromaticComplex, Simplex, _sort_key,
-                        complex_to_dict, facet_index, in_one_facet)
+from .complexes import MAX_PROCESSES, Simplex, _sort_key, complex_to_dict
 from .reports import VerificationReport
-from .subdivision import (_FIELDS, _VIEW, all_runs, chr2_facet_codes,
-                          chr2_facets, chr_complex, pack, packed_views)
+from .subdivision import (_FIELDS, _VIEW, CodeComplex, all_runs, chr2_facets,
+                          chr_complex, pack, packed_views)
 
 
-class AffineTask:
-    """R_A of an agreement function, carved on construction: the run-pair
-    ids of its facets, i * |runs| + j for runs i and j of `all_runs(n)`
-    (the positions in `chr2_facets(n)`), ascending. R_A is the only task
-    of this class, so its symmetry is read off alpha (`symmetric_under`).
-
-    Membership is asked on vertex codes (`holds`), through a facet index
-    built from the ids. The complex is built on first access, for JSON,
-    drawings and the tests."""
+class AffineTask(CodeComplex):
+    """R_A of an agreement function, carved on construction: a
+    `CodeComplex`, the run-pair ids of its facets. R_A is the only task of
+    this class, so its symmetry is read off alpha (`symmetric_under`)."""
 
     name = "r_adv"
 
     def __init__(self, alpha: AgreementFunction):
-        self.alpha, self.n, self.ids = alpha, alpha.n, _carve(alpha)
-
-    @cached_property
-    def complex(self) -> ChromaticComplex:
-        facets = chr2_facets(self.n)
-        return ChromaticComplex(self.n, frozenset(facets[i] for i in self.ids))
-
-    def facet_count(self) -> int:
-        return len(self.ids)
-
-    def facet_codes(self) -> Iterator[list[int]]:
-        """Each facet's vertex codes (`chr2_facet_codes`), in id order."""
-        return chr2_facet_codes(self.n, self.ids)
-
-    @cached_property
-    def _index(self) -> dict[int, array]:
-        """Per vertex code, the positions of the task's facets holding it."""
-        return facet_index(self.facet_codes())
-
-    def holds(self, codes: Iterable[int]) -> bool:
-        """Whether the Chr Chr s vertices of the given codes
-        (`chr2_codes`) lie in one facet of the task; no codes lie in one
-        exactly when the task has a facet."""
-        return in_one_facet(self._index, codes)
+        super().__init__(alpha.n, _carve(alpha))
+        self.alpha = alpha
 
     def symmetric_under(self, a: int, b: int) -> bool:
         """Whether exchanging colors a and b maps the task's facets onto

@@ -29,7 +29,3 @@ class VerificationReport:
             "violations": self.violations,
             "info": self.info,
         }
-
-    def summary(self) -> str:
-        state = "ok" if self.ok else f"{len(self.violations)} violation(s)"
-        return f"{self.kind}: checked {self.checked}, {state}"

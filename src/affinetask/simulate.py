@@ -87,7 +87,8 @@ and Emerson & Sistla 1996), with every count kept exact:
   returned views as Chr Chr s vertex codes (`output_codes`) and asks the
   task on them once per distinct output. R_A lies inside Chr Chr s, so an
   output it holds is safe; only for an output outside R_A is Chr Chr s
-  asked, through its facet index on codes (`chr2_index`), built once.
+  asked, on codes (`chr2_code_complex`), its facet index built on the
+  first such output.
 - Traces. Each parent link keeps the parent representative and the
   concrete successor it moved to. `trace_to` decodes each link's event
   (`event`) and the permutation that carried the successor to its
@@ -120,9 +121,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .adversary import Adversary, agreement_function
 from .affine import AffineTask
 from .bits import colors_of, integer, iter_bits, mask_of, submasks
-from .complexes import in_one_facet
 from .reports import VerificationReport
-from .subdivision import chr2_codes, chr2_index, chr2_vertex, pack
+from .subdivision import chr2_code_complex, chr2_codes, chr2_vertex, pack
 
 DEFAULT_STATE_CAP = 10_000_000
 STATE_CAP_ENV = "AFFINE_STATE_CAP"
@@ -156,17 +156,21 @@ class StateCapExceeded(RuntimeError):
     pass
 
 
+def _state_cap(cap: int) -> int:
+    """The one rule for a state cap: an integer of at least 1."""
+    if integer(cap, "state cap", SimulationError) < 1:
+        raise SimulationError(f"state cap must be a positive integer, got {cap!r}")
+    return cap
+
+
 def state_cap_from_env() -> int:
     raw = os.environ.get(STATE_CAP_ENV)
     if raw is None:
         return DEFAULT_STATE_CAP
     try:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError
-    except ValueError:
+        return _state_cap(int(raw))
+    except ValueError:  # SimulationError is one
         raise SimulationError(f"{STATE_CAP_ENV} must be a positive integer, got {raw!r}")
-    return cap
 
 
 def wait_predicate(alpha_table: Sequence[int], V: int, same: int, is2w: int,
@@ -277,7 +281,7 @@ class ProtocolModel:
         if integer(fault_budget, "fault budget", SimulationError) < 0:
             raise SimulationError(f"fault budget must be >= 0, got {fault_budget}")
         self.fault_budget = fault_budget
-        self.max_states = integer(max_states, "state cap", SimulationError)
+        self.max_states = _state_cap(max_states)
         fields = [FIELD * i for i in range(self.n)]
         self._procs = tuple(iter_bits(self.pmask))
         # per round r, the bits of every block index; those bits of a state
@@ -727,7 +731,8 @@ def check_safety(model: ProtocolModel, exploration: Exploration,
     state per orbit is decided when the task's facets are closed under every
     swap of two interchangeable processes of the model, else every state.
     The task lies inside Chr Chr s, as R_A does, so Chr Chr s is asked, on
-    codes (`chr2_index`, built once), only for an output outside the task.
+    codes (`chr2_code_complex`, its index built on the first ask), only for
+    an output outside the task.
     """
     _require_task_n(task, model.n)
     symmetric = _task_symmetric(model, task)
@@ -735,20 +740,12 @@ def check_safety(model: ProtocolModel, exploration: Exploration,
     # per output's vertex codes: whether it lies in Chr Chr s when it is
     # unsafe, else None
     unsafe: dict[tuple[int, ...], bool | None] = {}
-    chr2 = None
-
-    def decide(codes: tuple[int, ...]) -> bool | None:
-        nonlocal chr2
-        if task.holds(codes):
-            return None
-        if chr2 is None:
-            chr2 = chr2_index(model.n)
-        return in_one_facet(chr2, codes)
+    chr2 = chr2_code_complex(model.n)
 
     def violation(state: int) -> dict | None:
         codes = model.output_codes(state)
         if codes not in unsafe:
-            unsafe[codes] = decide(codes)
+            unsafe[codes] = None if task.holds(codes) else chr2.holds(codes)
         if unsafe[codes] is None:
             return None
         return dict(outputs=sorted(chr2_vertex(c).uid for c in codes),

@@ -17,15 +17,18 @@ low three bits. This module alone derives it: `chr2_codes` codes a
 round-two run over a packed round-one run, `chr2_facet_codes` the facet
 at each run-pair id, and `chr2_vertex` turns a code into the pooled
 `Vertex`. Facets are built on this code, from one enumeration of the runs
-per n, `all_runs`; `chr2_index` indexes all of them by code.
+per n, `all_runs`. A sub-complex of Chr Chr s is a `CodeComplex`, the
+run-pair ids of its facets, which answers "do these codes lie in one
+facet?" (`holds`); `chr2_code_complex` is all of Chr Chr s so held.
 
 Geometry is exact and on integers: `barycentric_points` places each vertex
 once per call, from its carrier's points, over one common denominator.
 """
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import lcm
 from operator import attrgetter
@@ -33,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .bits import colors_of, integer, iter_bits, mask_of
 from .complexes import (MAX_PROCESSES, ChromaticComplex, ComplexError,
-                        Simplex, Vertex, facet_index)
+                        Simplex, Vertex, facet_index, in_one_facet)
 
 _COLOR = attrgetter("color")
 _CORNERS = {c: Vertex(uid=str(c), color=c) for c in range(1, MAX_PROCESSES + 1)}
@@ -188,10 +191,47 @@ def chr2_complex(n: int) -> ChromaticComplex:
     return ChromaticComplex(n=n, facets=frozenset(chr2_facets(n)))
 
 
-def chr2_index(n: int) -> dict:
-    """Chr Chr s as a facet index on vertex codes (`facet_index`): per
-    code, the run-pair ids of the facets holding it. Not cached."""
-    return facet_index(chr2_facet_codes(n, range(len(all_runs(n)) ** 2)))
+class CodeComplex:
+    """A sub-complex of Chr Chr s held as the run-pair ids of its facets,
+    i * |runs| + j for runs i and j of `all_runs(n)` (the positions in
+    `chr2_facets(n)`), ascending.
+
+    Membership is asked on vertex codes (`holds`), through a facet index
+    built from the ids on the first call. The complex is built on first
+    access, for JSON, drawings and the tests."""
+
+    def __init__(self, n: int, ids: Sequence[int]):
+        self.n, self.ids = n, ids
+
+    @cached_property
+    def complex(self) -> ChromaticComplex:
+        facets = chr2_facets(self.n)
+        return ChromaticComplex(self.n, frozenset(facets[i] for i in self.ids))
+
+    def facet_count(self) -> int:
+        return len(self.ids)
+
+    def facet_codes(self) -> Iterator[list[int]]:
+        """Each facet's vertex codes (`chr2_facet_codes`), in id order."""
+        return chr2_facet_codes(self.n, self.ids)
+
+    @cached_property
+    def _index(self) -> dict[int, array]:
+        """Per vertex code, the positions of the facets holding it."""
+        return facet_index(self.facet_codes())
+
+    def holds(self, codes: Iterable[int]) -> bool:
+        """Whether the Chr Chr s vertices of the given codes
+        (`chr2_codes`) lie in one facet; no codes lie in one exactly when
+        there is a facet."""
+        return in_one_facet(self._index, codes)
+
+
+def chr2_code_complex(n: int) -> CodeComplex:
+    """All of Chr Chr s as a `CodeComplex`. Not cached: its facet index is
+    built on the first `holds` of each object."""
+    _check_n(n)
+    return CodeComplex(n, range(len(all_runs(n)) ** 2))
 
 
 def two_round_facet(blocks1: Sequence[Iterable[int]],

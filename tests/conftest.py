@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from affinetask import (Adversary, agreement_function, build_r_a,
-                        chr2_complex, chr_complex, enumerate_adversaries,
-                        is_fair, make_k_of, make_superset_closed,
+                        check_fairness, chr2_complex, chr_complex,
+                        enumerate_adversaries, make_k_of, make_superset_closed,
                         make_t_resilient)
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -43,7 +43,7 @@ def fair_live_adversaries() -> list[Adversary]:
     """Every fair n=3 adversary whose full set can run."""
     full = frozenset({1, 2, 3})
     return [a for a in enumerate_adversaries(3)
-            if is_fair(a) and agreement_function(a)(full) >= 1]
+            if check_fairness(a).fair and agreement_function(a)(full) >= 1]
 
 
 @pytest.fixture(scope="session")

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from affinetask import (Adversary, AdversaryError, UnfairAdversaryError,
                         adversary_from_dict, adversary_to_dict,
                         agreement_function, check_fairness, classify, csize,
-                        enumerate_adversaries, hitting_number, is_fair,
-                        is_superset_closed, is_symmetric, make_k_of,
-                        make_superset_closed, make_symmetric, make_t_resilient,
-                        require_fair, setcon, verify_fair_subtraction)
+                        enumerate_adversaries, is_superset_closed,
+                        is_symmetric, make_k_of, make_superset_closed,
+                        make_symmetric, make_t_resilient, require_fair, setcon,
+                        verify_fair_subtraction)
 from conftest import DATA_DIR, load_fixture
-from affinetask.adversary import _levels, _unfair_pair
+from affinetask.adversary import _hitting_number, _levels, _unfair_pair
+from affinetask.bits import mask_of
 from oracles import (fairness_by_definition, hitting_number_brute,
                      levels_by_lists, restrict, restrict2,
                      setcon_by_definition, superset_closed_by_definition,
@@ -154,21 +155,21 @@ def test_restrict2_requires_q_inside_p():
 def test_fairness_sweep_counts(fair_live_adversaries):
     all3 = list(enumerate_adversaries(3))
     assert len(all3) == 128
-    assert sum(is_fair(a) for a in all3) == 44
+    assert sum(check_fairness(a).fair for a in all3) == 44
     assert len(fair_live_adversaries) == 43
 
 
 def test_superset_closed_families_are_fair():
     for adv in enumerate_adversaries(3):
         if adv.live_sets and is_superset_closed(adv):
-            assert is_fair(adv)
+            assert check_fairness(adv).fair
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_symmetric_families_are_fair(n):
     for r in range(1, n + 1):
         for sizes in combinations(range(1, n + 1), r):
-            assert is_fair(make_symmetric(n, sizes))
+            assert check_fairness(make_symmetric(n, sizes)).fair
 
 
 def test_unfair_witness_golden():
@@ -254,25 +255,15 @@ def test_require_fair_returns_the_agreement_function(fair_live_adversaries):
 
 
 def test_hitting_number_empty_family():
-    assert hitting_number([]) == 0
-
-
-def test_hitting_number_rejects_empty_member():
-    with pytest.raises(AdversaryError):
-        hitting_number([frozenset()])
-
-
-@pytest.mark.parametrize("member", [{0, 1}, {-1}, {6}])
-def test_hitting_number_rejects_colors_out_of_range(member):
-    with pytest.raises(AdversaryError, match="colors in 1..5"):
-        hitting_number([{1, 2}, member])
+    assert [_hitting_number(n, 0) for n in range(1, 6)] == [0] * 5
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.frozensets(st.integers(1, 5), min_size=1, max_size=5),
                 max_size=8))
 def test_hitting_number_matches_brute(family):
-    assert hitting_number(family) == hitting_number_brute(family)
+    mask = sum({1 << mask_of(s) for s in family})  # one bit per distinct set
+    assert _hitting_number(5, mask) == hitting_number_brute(family)
 
 
 @settings(max_examples=100, deadline=None)
@@ -327,8 +318,6 @@ def test_adversary_rejects_non_integers(n, live_sets, bad):
     pytest.param("live-set member", lambda x: make_superset_closed(3, [[1, x]]),
                  id="superset_closed-member"),
     pytest.param("n", lambda x: next(enumerate_adversaries(x)), id="enumerate-n"),
-    pytest.param("live-set member", lambda x: hitting_number([[1, x]]),
-                 id="hitting_number-member"),
 ])
 def test_builders_reject_non_integers(what, call, bad):
     """Each builder checks its own integers, a member before a set can merge

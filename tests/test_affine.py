@@ -10,18 +10,17 @@ import pytest
 
 from affinetask import (Adversary, AdversaryError, ComplexError,
                         Simplex,
-                        agreement_function, build_r_a, chr2_complex,
-                        chr_complex, concurrency_levels,
+                        agreement_function, build_r_a, check_fairness,
+                        chr2_complex, chr_complex, concurrency_levels,
                         contention_simplices, critical_simplices,
-                        enumerate_adversaries, is_fair, make_k_of,
+                        enumerate_adversaries, make_k_of,
                         make_superset_closed, make_symmetric,
                         make_t_resilient, standard_simplex,
                         task_to_dict, two_round_facet,
                         verify_cs_distribution, verify_single_carrier)
 from affinetask import affine as affine_module
 from affinetask import subdivision as subdivision_module
-from affinetask.complexes import in_one_facet
-from affinetask.subdivision import packed_views
+from affinetask.subdivision import CodeComplex, packed_views
 from conftest import DATA_DIR
 from oracles import (ComplexTask, base_colors, build_r_kof,
                      chr2_table_by_vertex_pairs,
@@ -35,7 +34,7 @@ from oracles import (ComplexTask, base_colors, build_r_kof,
 def fair_live_up_to_3() -> list[Adversary]:
     """Every fair family at n <= 3 whose full set can run (49)."""
     advs = [a for n in (1, 2, 3) for a in enumerate_adversaries(n)
-            if is_fair(a) and agreement_function(a)(range(1, n + 1)) >= 1]
+            if check_fairness(a).fair and agreement_function(a)(range(1, n + 1)) >= 1]
     assert len(advs) == 49
     return advs
 
@@ -341,12 +340,13 @@ def test_variant_divergence_matches_golden(fixture_adversaries):
 
 def test_no_codes_are_held_exactly_when_the_task_has_a_facet(fixture_tasks):
     """Membership of the empty set of codes: held by every task with a
-    facet, the fake held as its complex too, and by no facet index without
-    a facet (R_A always has one, so the empty index stands in for it)."""
+    facet, the fake held as its complex too, and by no code complex without
+    a facet (R_A always has one, so an empty one stands in for it)."""
     for task in fixture_tasks.values():
         assert task.holds(()) and task.holds(iter(()))
         assert ComplexTask(task.name, task.n, task.complex, task.alpha).holds(())
-    assert not in_one_facet({}, ()) and not in_one_facet({}, iter(()))
+    empty = CodeComplex(3, ())
+    assert not empty.holds(()) and not empty.holds(iter(()))
 
 
 def test_tasks_are_pure_full_dimensional(fixture_tasks):

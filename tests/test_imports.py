@@ -1,5 +1,6 @@
-"""Every imported name is used, and only `bits.integer` tests for an int: static
-scans of the package and the tests with `ast`, needing no linter."""
+"""Every imported name is used, only `bits.integer` tests for an int, and only
+`complexes` and `subdivision` touch a facet index: static scans of the package
+and the tests with `ast`, needing no linter."""
 from __future__ import annotations
 
 import ast
@@ -66,3 +67,34 @@ def test_the_scan_sees_an_int_type_test(tmp_path):
                       "ok = type(1) is not int or type(2) == int\n"
                       "isinstance(3, int)\n")
     assert int_type_tests(module) == [3, 3]
+
+
+def names_of(path: Path) -> set[str]:
+    """The names a module reads, imports or reads as attributes."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            | {node.name.rpartition(".")[2] for node in ast.walk(tree)
+               if isinstance(node, ast.alias)})
+
+
+FACET_INDEX = {"facet_index", "in_one_facet"}
+
+
+def test_only_complexes_and_subdivision_name_a_facet_index():
+    """"Do these keys lie in one facet?" is answered in two places: a
+    `ChromaticComplex` on vertices and a `subdivision.CodeComplex` on vertex
+    codes. Every other module asks one of them, never the index itself."""
+    paths = [*ROOT.glob("src/affinetask/*.py"), *ROOT.glob("tests/*.py")]
+    found = {p.name for p in paths if names_of(p) & FACET_INDEX}
+    assert found == {"complexes.py", "subdivision.py"}
+
+
+def test_the_scan_sees_a_facet_index_named(tmp_path):
+    module = tmp_path / "m.py"
+    for text in ("from affinetask.complexes import in_one_facet\n",
+                 "from affinetask import complexes\ncomplexes.facet_index([])\n"):
+        module.write_text(text)
+        assert names_of(module) & FACET_INDEX, text
+    module.write_text("x = 'facet_index'\n")
+    assert not names_of(module) & FACET_INDEX

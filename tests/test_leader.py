@@ -7,8 +7,8 @@ import pytest
 
 from affinetask import (ComplexError, LeaderError, LeaderMap, Simplex,
                         agreement_function, build_r_a, chr_complex, closure,
-                        make_k_of, make_t_resilient, standard_simplex,
-                        two_round_facet, verify_leader)
+                        make_k_of, make_symmetric, make_t_resilient,
+                        standard_simplex, two_round_facet, verify_leader)
 from affinetask import leader as leader_module
 from affinetask.bits import colors_of
 from affinetask.subdivision import chr2_facets
@@ -272,6 +272,18 @@ def test_leader_sweep_of_r_a_builds_no_complex(fixture_adversaries):
         held = ComplexTask(task.name, task.n, task.complex, task.alpha)
         assert ([r.to_dict() for r in reports]
                 == [r.to_dict() for r in verify_leader(adv, held)]), name
+
+
+@pytest.mark.parametrize("sizes", [(1,), (1, 2), (3, 4), (1, 2, 3), (1, 2, 3, 4)])
+def test_r_a_counted_and_led_at_n4_stays_ids(sizes):
+    """R_A carved, counted and swept by the leader reads its run-pair ids
+    alone: at n = 4, on the symmetric families of the task benchmark,
+    neither its facet index nor its complex is built."""
+    adv = make_symmetric(4, sizes)
+    task = build_r_a(adv)
+    assert task.facet_count() > 0
+    assert all(r.ok for r in verify_leader(adv, task))
+    assert not {"_index", "complex"} & set(vars(task))
 
 
 @pytest.fixture(scope="module")

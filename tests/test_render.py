@@ -96,4 +96,3 @@ def test_verification_report_shape():
         "kind": "demo", "checked": 3, "ok": False,
         "violations": [{"reason": "x"}], "info": {},
     }
-    assert report.summary() == "demo: checked 3, 1 violation(s)"

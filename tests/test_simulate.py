@@ -18,7 +18,7 @@ from affinetask import affine as affine_module
 from affinetask import simulate as simulate_module
 from affinetask.simulate import (DONE, INV1, INV2, STATE_CAP_ENV,
                                  _task_symmetric)
-from affinetask.subdivision import chr2_facets, chr2_index
+from affinetask.subdivision import chr2_code_complex, chr2_facets
 from oracles import (ComplexTask, check_model_per_participation, code_of,
                      explore_by_events_agrees, explore_unreduced,
                      liveness_per_state, masks, output_simplex, outputs,
@@ -385,12 +385,19 @@ def test_safety_against_a_task_outside_the_facets_of_chr2(
     """A task of ridges asks Chr Chr s membership of every output simplex:
     the report is the one of the facet-by-facet reference, and Chr Chr s is
     indexed once, on the first unsafe output."""
-    built = []
+    made, indexed = [], []
 
-    def counted(n):
-        built.append(n)
-        return chr2_index(n)
-    monkeypatch.setattr("affinetask.simulate.chr2_index", counted)
+    def spied(n):
+        chr2 = chr2_code_complex(n)
+        holds = chr2.holds
+
+        def asked(codes):
+            indexed.append(vars(chr2).get("_index"))
+            return holds(codes)
+        chr2.holds = asked
+        made.append(chr2)
+        return chr2
+    monkeypatch.setattr("affinetask.simulate.chr2_code_complex", spied)
     adv = fixture_adversaries[name]
     task = _ridges(build_r_a(adv))
     model = ProtocolModel(adv, fault_budget=fault_budget)
@@ -400,7 +407,12 @@ def test_safety_against_a_task_outside_the_facets_of_chr2(
     assert (report.checked, len(report.violations)) == (checked, unsafe)
     assert report.violations == want.violations
     assert report.states == want.states
-    assert built == [3]
+    # Chr Chr s is asked once per distinct unsafe output and indexed on the
+    # first: no index before it, the same one kept after it
+    distinct = {tuple(v["outputs"]) for v in report.violations}
+    [chr2] = made
+    assert chr2.n == 3 and len(indexed) == len(distinct)
+    assert indexed[0] is None and all(i is chr2._index for i in indexed[1:])
 
 
 def test_safety_reports_an_output_outside_chr2_as_outside_the_subdivision(
@@ -697,14 +709,19 @@ def test_orbit_states_expand_each_terminal_orbit_exactly(name,
 
 def test_safety_of_r_a_never_builds_chr2(monkeypatch, fixture_adversaries):
     """A task build_r_a kept lies inside Chr Chr s, so a safe check against
-    it needs no Chr Chr s."""
-    def no_chr2(n):
-        raise AssertionError("Chr Chr s was built")
-    monkeypatch.setattr("affinetask.simulate.chr2_index", no_chr2)
+    it needs no Chr Chr s index."""
+    made = []
+
+    def spied(n):
+        made.append(chr2_code_complex(n))
+        return made[-1]
+    monkeypatch.setattr("affinetask.simulate.chr2_code_complex", spied)
     for name, adv in fixture_adversaries.items():
         model = ProtocolModel(adv)
         report = check_safety(model, model.explore(), build_r_a(adv))
         assert report.ok and report.checked > 0
+    assert len(made) == len(fixture_adversaries)
+    assert not any("_index" in vars(chr2) for chr2 in made)
 
 
 def test_simulate_reads_chr2_on_codes_alone():
@@ -714,7 +731,7 @@ def test_simulate_reads_chr2_on_codes_alone():
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names}
-    assert "chr2_index" in imported
+    assert "chr2_code_complex" in imported
     assert not imported & {"Simplex", "chr2_complex", "simplex_of_codes"}
 
 
@@ -984,6 +1001,22 @@ def test_state_cap_counts_concrete_states():
     with pytest.raises(StateCapExceeded):
         ProtocolModel(make_k_of(4, 1), max_states=75_209).explore()
     assert ProtocolModel(make_k_of(4, 1), max_states=75_210).explore().state_count == 75_210
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_a_state_cap_below_one_is_refused(monkeypatch, cap):
+    """A cap below 1 is bad input, for the model, the sweep and the
+    environment alike, not a cap that the first state exceeds."""
+    adv = make_k_of(3, 1)
+    message = re.escape(f"state cap must be a positive integer, got {cap}")
+    with pytest.raises(SimulationError, match=message):
+        ProtocolModel(adv, max_states=cap)
+    with pytest.raises(SimulationError, match=message):
+        check_model(adv, build_r_a(adv), max_states=cap)
+    monkeypatch.setenv(STATE_CAP_ENV, str(cap))
+    with pytest.raises(SimulationError, match=re.escape(
+            f"{STATE_CAP_ENV} must be a positive integer, got '{cap}'")):
+        state_cap_from_env()
 
 
 def test_state_cap_from_env(monkeypatch):

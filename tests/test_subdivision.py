@@ -11,9 +11,9 @@ from affinetask import (ComplexError, Simplex, chr2_complex, chr_complex,
                         ordered_set_partitions, partition_to_facet,
                         standard_simplex, two_round_facet)
 
-from affinetask.complexes import in_one_facet
-from affinetask.subdivision import (barycentric_points, chr2_facet_codes,
-                                   chr2_facets, chr2_index, simplex_of_codes)
+from affinetask.subdivision import (barycentric_points, chr2_code_complex,
+                                   chr2_facet_codes, chr2_facets,
+                                   simplex_of_codes)
 from oracles import (build_chr, code_of, color_combinations,
                      facet_to_partition, fubini,
                      geometry_by_definition, immediate_snapshot_views,
@@ -75,28 +75,28 @@ def test_facet_codes_are_the_codes_of_the_facets(n):
 
 @pytest.mark.parametrize("n,stride,checked,inside", [
     (1, 1, 1, 1), (2, 1, 35, 19), (3, 1, 39303, 535), (4, 100003, 63239, 1)])
-def test_chr2_index_membership_is_simplex_membership(n, stride, checked,
-                                                      inside):
-    """Membership in Chr Chr s on codes, through chr2_index, equals the
-    membership of the Simplex of those codes in chr2_complex: on every set
-    of vertices with distinct colors up to n = 3 (the 535 inside at n = 3
-    are the simplices of Chr Chr s), on every 100003rd at n = 4."""
-    index, K = chr2_index(n), chr2_complex(n)
-    assert len(index) == len(K.vertices)
-    got = [(in_one_facet(index, codes), simplex_of_codes(codes) in K)
-           for codes in color_combinations(index, stride)]
+def test_chr2_code_membership_is_simplex_membership(n, stride, checked,
+                                                     inside):
+    """Membership in Chr Chr s on codes, through chr2_code_complex, equals
+    the membership of the Simplex of those codes in chr2_complex: on every
+    set of vertices with distinct colors up to n = 3 (the 535 inside at
+    n = 3 are the simplices of Chr Chr s), on every 100003rd at n = 4."""
+    chr2, K = chr2_code_complex(n), chr2_complex(n)
+    assert len(chr2._index) == len(K.vertices)
+    got = [(chr2.holds(codes), simplex_of_codes(codes) in K)
+           for codes in color_combinations(chr2._index, stride)]
     assert [a for a, _ in got] == [b for _, b in got]
     assert (len(got), sum(a for a, _ in got)) == (checked, inside)
 
 
-def test_chr2_index_holds_every_face_of_chr2_4():
+def test_chr2_code_complex_holds_every_face_of_chr2_4():
     """Every face of every 7th facet of Chr Chr s at n = 4 lies in one
-    facet of chr2_index(4), and in chr2_complex(4)."""
-    index, K = chr2_index(4), chr2_complex(4)
+    facet of chr2_code_complex(4), and in chr2_complex(4)."""
+    chr2, K = chr2_code_complex(4), chr2_complex(4)
     faces = [face for codes in chr2_facet_codes(4, range(0, 75 ** 2, 7))
              for size in range(1, 5) for face in combinations(codes, size)]
     assert len(faces) == 804 * 15 == 12060
-    assert all(in_one_facet(index, face) for face in faces)
+    assert all(map(chr2.holds, faces))
     assert all(simplex_of_codes(face) in K for face in faces)
 
 
@@ -277,11 +277,11 @@ def test_chr_vertex_requires_self_inclusion():
 
 @pytest.mark.parametrize("bad", [True, 2.0, "2"])
 @pytest.mark.parametrize("build", [standard_simplex, chr_complex, chr2_complex,
-                                   chr2_index, contention_simplices,
+                                   chr2_code_complex, contention_simplices,
                                    lambda n: partition_to_facet([[1], [2]], n),
                                    lambda n: geometry(chr_vertex(1, base_facet(2)), n)],
                          ids=["standard_simplex", "chr_complex", "chr2_complex",
-                              "chr2_index", "contention_simplices",
+                              "chr2_code_complex", "contention_simplices",
                               "partition_to_facet", "geometry"])
 def test_constructions_reject_a_non_integer_n(build, bad):
     """A bool n builds no complex over n=True, and a float or a string n
@@ -289,3 +289,12 @@ def test_constructions_reject_a_non_integer_n(build, bad):
     with pytest.raises(ComplexError, match=re.escape(
             f"n must be an integer, got {bad!r}")):
         build(bad)
+
+
+@pytest.mark.parametrize("n", [0, 6])
+@pytest.mark.parametrize("build", [standard_simplex, chr_complex, chr2_complex,
+                                   chr2_code_complex])
+def test_constructions_reject_n_out_of_range(build, n):
+    with pytest.raises(ComplexError, match=re.escape(
+            f"n={n} out of range: constructions support 1..5 processes")):
+        build(n)
