@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .adversary import (Adversary, AdversaryError, adversary_from_dict,
                         adversary_to_dict, agreement_function, alpha_to_dict,
@@ -25,17 +25,16 @@ from .affine import (build_r_a, concurrency_levels, task_alpha, task_to_dict,
                      verify_cs_distribution, verify_single_carrier)
 from .complexes import (MAX_PROCESSES, ChromaticComplex, ComplexError,
                         complex_from_dict, complex_to_dict)
-from .leader import LeaderError, verify_leader
+from .leader import verify_leader
 from .render import HIGHLIGHT_COLORS, render_complex_svg, render_off
 from .simulate import (ProtocolModel, SimulationError, StateCapExceeded,
-                       Terminals, check_liveness, check_model, check_safety,
-                       events_from_jsonable, events_to_jsonable, replay,
-                       state_cap_from_env, valid_participations)
+                       check_model, events_from_jsonable, events_to_jsonable,
+                       replay, state_cap_from_env, sweep, valid_participations)
 from .subdivision import chr2_complex, chr_complex
 
-INPUT_ERRORS = (AdversaryError, ComplexError, SimulationError, LeaderError,
-                StateCapExceeded, OSError, json.JSONDecodeError, KeyError,
-                ValueError)
+# every AdversaryError, ComplexError, SimulationError, LeaderError and
+# json.JSONDecodeError is a ValueError
+INPUT_ERRORS = (ValueError, KeyError, OSError, StateCapExceeded)
 
 
 def _load_json(path: str) -> dict:
@@ -190,30 +189,12 @@ def cmd_leader(args) -> int:
 # --- simulate ------------------------------------------------------------------
 
 
-def _numbered(model: ProtocolModel, terminals: Terminals, states: set[int]
-              ) -> Iterator[tuple[int, int]]:
-    """(k, state) for each terminal state among `states`, k its position
-    in the terminals' iteration order; only the orbits that hold one of
-    them are expanded."""
-    reps = {model.canonical(state)[0] for state in states}
-    offset = 0
-    for rep, size in terminals.orbits:
-        if rep in reps:
-            for k, term in enumerate(terminals.expand(rep), offset):
-                if term in states:
-                    yield k, term
-        offset += size
-
-
 def cmd_simulate_check(args) -> int:
     adv = _load_adversary(args.adversary)
     if args.n is not None and args.n != adv.n:
         raise SimulationError(f"--n {args.n} disagrees with adversary n={adv.n}")
-    want_safety = args.safety or not args.liveness
-    want_liveness = args.liveness or not args.safety
-    if want_safety:
-        task = build_r_a(adv)
-    else:
+    task = build_r_a(adv) if args.safety or not args.liveness else None
+    if task is None:
         task_alpha(adv)  # the input errors of build_r_a, without R_A
     cap = state_cap_from_env()
     parts = ([_parse_colors(args.participation)]
@@ -227,26 +208,20 @@ def cmd_simulate_check(args) -> int:
     ok = True
     trace_dir = Path(args.trace_out) if args.trace_out else None
     traces: dict[str, dict] = {}
-    for model in models:
-        exploration = model.explore(track_parents=trace_dir is not None)
-        row = exploration.row()
-        reports = []
-        if want_safety:
-            reports.append(check_safety(model, exploration, task))
-        if want_liveness:
-            reports.append(check_liveness(model, exploration))
-        for rep in reports:
-            row[rep.kind] = rep.to_dict()
-            ok = ok and rep.ok
-        doc["participations"].append(row)
+    checked = sweep(models, task, track_parents=trace_dir is not None)
+    for model, (row, reports, exploration) in zip(models, checked):
+        if args.safety and not args.liveness:
+            reports = reports[:1]  # the sweep's liveness report is not asked for
+        doc["participations"].append({**row, **{r.kind: r.to_dict() for r in reports}})
+        ok = ok and all(r.ok for r in reports)
         if trace_dir is not None:
-            bad = {state for rep in reports for state in rep.states}
-            P = sorted(model.participation)
-            stem = "trace_" + "".join(map(str, P))
-            for k, term in _numbered(model, exploration.terminals, bad):
-                events = model.trace_to(term, exploration.parents)
-                traces[f"{stem}_{k}.json"] = {"participation": P,
-                                              "events": events_to_jsonable(events)}
+            # each offending terminal once, named by its position
+            bad = {k: state for r in reports for k, state in r.states.items()}
+            P = row["participation"]
+            for k in sorted(bad):
+                events = model.trace_to(bad[k], exploration.parents)
+                traces[f"trace_{''.join(map(str, P))}_{k}.json"] = {
+                    "participation": P, "events": events_to_jsonable(events)}
     if trace_dir is not None:
         trace_dir.mkdir(parents=True, exist_ok=True)
         for name, trace in traces.items():

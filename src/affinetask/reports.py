@@ -11,8 +11,8 @@ class VerificationReport:
     violations: list[dict] = field(default_factory=list)
     info: dict = field(default_factory=dict)
     # a report over one exploration keeps the packed terminal state of each
-    # violation here, in exploration order; never serialized
-    states: list = field(default_factory=list)
+    # violation here, by its position among the terminals; never serialized
+    states: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:

@@ -96,17 +96,16 @@ and Emerson & Sistla 1996), with every count kept exact:
   the events, so a trace replays to the concrete state asked for. A state
   whose links do not lead back to the initial state has no trace.
 
-The same argument runs across participation sets in `check_model`. Colors
-a, b of 1..n share a class when the swap (a b) keeps alpha on every subset
-of 1..n and maps the task onto itself (`symmetric_under`); again this is an
-equivalence. Two participation sets with the same number of members in
-each class are carried one onto the other by a permutation within the
-classes, which keeps alpha, the default fault budget and the task, so it
-relabels one model onto the other: equal state and terminal counts, and
-the same number of violations. So only the first participation set of each
-such group, in `valid_participations` order, is explored; a later one takes
-its row when it had no violation, and is explored itself otherwise, since
-violations carry concrete states.
+The same argument runs across participation sets in `sweep`, which
+`check_model` and `simulate check` run. Colors a, b of 1..n share a class
+when the swap (a b) keeps alpha on every subset of 1..n and maps any task
+checked onto itself (`symmetric_under`), again an equivalence. Models with
+one fault budget and the same number of members in each class are
+relabelings of each other: equal state and terminal counts, and the same
+number of violations. So only the first model of such a group is
+explored; a later one takes its row and reports when it had no violation,
+and is explored itself otherwise, since violations carry concrete states,
+kept by their positions among the concrete terminals (`report.states`).
 """
 from __future__ import annotations
 
@@ -674,8 +673,8 @@ def valid_participations(adv: Adversary) -> list[frozenset[int]]:
 def _check_orbits(report: VerificationReport, terminals: Terminals,
                   violation: Callable[[int], dict | None],
                   symmetric: bool) -> None:
-    """Add every terminal state that violates to report, in terminal
-    order; violation(state) gives the fields of its violation, or None.
+    """Add every terminal state that violates to report, under its position
+    among the terminals; violation(state) gives its fields, or None.
 
     When symmetric, a state violates exactly when its orbit's
     representative does, so an orbit whose representative passes counts its
@@ -685,19 +684,20 @@ def _check_orbits(report: VerificationReport, terminals: Terminals,
             report.checked += size
             continue
         for state in terminals.expand(rep):
-            report.checked += 1
             found = violation(state)
             if found is not None:
                 report.add(**found)
-                report.states.append(state)
+                report.states[report.checked] = state
+            report.checked += 1
 
 
 def check_liveness(model: ProtocolModel, exploration: Exploration) -> VerificationReport:
     """No reachable quiescent state may strand a non-crashed process.
 
-    report.states holds the stuck terminal states, one per violation.
-    Stuckness relabels with the state, so one state per orbit is decided.
+    report.states holds the stuck terminal states by position. Stuckness
+    relabels with the state, so one state per orbit is decided.
     """
+    _require_own(model, exploration)
     report = VerificationReport(kind="liveness", info=exploration.row())
 
     def violation(state: int) -> dict | None:
@@ -715,6 +715,15 @@ def _require_task_n(task: AffineTask, n: int) -> None:
                               f"the model over n={n}")
 
 
+def _require_own(model: ProtocolModel, exploration: Exploration) -> None:
+    """A check reads its model's own exploration: its participation set
+    and fault budget."""
+    got, want = ((sorted(x.participation), x.fault_budget) for x in (exploration, model))
+    if got != want:
+        raise SimulationError(f"exploration of participation {got[0]} at fault "
+                              f"budget {got[1]}, the model of {want[0]} at {want[1]}")
+
+
 def _task_symmetric(model: ProtocolModel, task: AffineTask) -> bool:
     """Whether the task's facets are closed under the swap of every two
     adjacent members of each class of the model; these swaps generate every
@@ -727,14 +736,15 @@ def check_safety(model: ProtocolModel, exploration: Exploration,
                  task: AffineTask) -> VerificationReport:
     """Returned views of every quiescent state form a face of the task.
 
-    report.states holds the unsafe terminal states, one per violation. One
-    state per orbit is decided when the task's facets are closed under every
+    report.states holds the unsafe terminal states by position. One state
+    per orbit is decided when the task's facets are closed under every
     swap of two interchangeable processes of the model, else every state.
     The task lies inside Chr Chr s, as R_A does, so Chr Chr s is asked, on
     codes (`chr2_code_complex`, its index built on the first ask), only for
     an output outside the task.
     """
     _require_task_n(task, model.n)
+    _require_own(model, exploration)
     symmetric = _task_symmetric(model, task)
     report = VerificationReport(kind="safety", info=exploration.row())
     # per output's vertex codes: whether it lies in Chr Chr s when it is
@@ -755,49 +765,62 @@ def check_safety(model: ProtocolModel, exploration: Exploration,
     return report
 
 
+def sweep(models: Sequence[ProtocolModel], task: AffineTask | None,
+          track_parents: bool = False,
+          ) -> Iterator[tuple[dict, list[VerificationReport], Exploration | None]]:
+    """(row, reports, exploration) per model of one adversary, in order:
+    safety against task, when one is given, then liveness. A model whose
+    fault budget and members per class (colors whose swaps keep alpha and
+    the task) an earlier clean model had takes its row and reports under
+    its own participation, with exploration None (see the module
+    docstring)."""
+    if not models:
+        return
+    n, alpha = models[0].n, models[0].alpha
+    if task is not None:
+        _require_task_n(task, n)
+    classes = [mask_of(c) for c in _interchangeable(range(1, n + 1), lambda a, b: (
+        alpha.swap_keeps(a, b, (1 << n) - 1)
+        and (task is None or task.symmetric_under(a, b))))]
+    # key -> (row, reports) of the first model so keyed, if it was clean
+    clean: dict[tuple[int, ...], tuple[dict, list[VerificationReport]]] = {}
+    for model in models:
+        key = (model.fault_budget, *((model.pmask & c).bit_count() for c in classes))
+        if key in clean:
+            row, reports = clean[key]
+            P = sorted(model.participation)
+            yield ({**row, "participation": P},
+                   [VerificationReport(r.kind, r.checked,
+                                       info={**r.info, "participation": P})
+                    for r in reports], None)
+            continue
+        exploration = model.explore(track_parents)
+        reports = [] if task is None else [check_safety(model, exploration, task)]
+        reports.append(check_liveness(model, exploration))
+        row = exploration.row()
+        yield row, reports, exploration
+        if all(r.ok for r in reports):
+            clean[key] = (row, reports)
+
+
 def check_model(adv: Adversary, task: AffineTask,
                 max_states: int = DEFAULT_STATE_CAP,
                 ) -> tuple[VerificationReport, VerificationReport, list[dict]]:
-    """Safety + liveness per valid participation set, at its default budget.
-
-    Returns aggregated (safety, liveness) reports and per-participation rows,
-    in `valid_participations` order. A participation set that a relabeling
-    keeping alpha and the task carries onto an earlier one without
-    violations takes that one's row and checked counts instead of being
-    explored (see the module docstring).
-    """
+    """Safety + liveness per valid participation set, at its default budget,
+    through `sweep`: aggregated (safety, liveness) reports and the rows, in
+    `valid_participations` order."""
     _require_task_n(task, adv.n)
-    alpha, full = agreement_function(adv), (1 << adv.n) - 1
-    classes = [mask_of(c) for c in _interchangeable(
-        range(1, adv.n + 1), lambda a, b: (alpha.swap_keeps(a, b, full)
-                                           and task.symmetric_under(a, b)))]
-    # members per class -> (row, safety checked, liveness checked) of the
-    # first participation set so counted, when it had no violation
-    clean: dict[tuple[int, ...], tuple[dict, int, int]] = {}
+    models = [ProtocolModel(adv, participation=P, max_states=max_states)
+              for P in valid_participations(adv)]
     safety = VerificationReport(kind="safety")
     liveness = VerificationReport(kind="liveness")
     rows = []
-    for P in valid_participations(adv):
-        key = tuple((mask_of(P) & c).bit_count() for c in classes)
-        if key in clean:
-            row, safe_checked, live_checked = clean[key]
-            safety.checked += safe_checked
-            liveness.checked += live_checked
-            rows.append({**row, "participation": sorted(P)})
-            continue
-        model = ProtocolModel(adv, participation=P, max_states=max_states)
-        exploration = model.explore()
-        safe = check_safety(model, exploration, task)
-        live = check_liveness(model, exploration)
-        safety.checked += safe.checked
-        safety.violations.extend(safe.violations)
-        liveness.checked += live.checked
-        liveness.violations.extend(live.violations)
-        rows.append({**exploration.row(),
-                     "safety_violations": len(safe.violations),
+    for row, (safe, live), _ in sweep(models, task):
+        for total, report in ((safety, safe), (liveness, live)):
+            total.checked += report.checked
+            total.violations.extend(report.violations)
+        rows.append({**row, "safety_violations": len(safe.violations),
                      "liveness_violations": len(live.violations)})
-        if safe.ok and live.ok:
-            clean[key] = (rows[-1], safe.checked, live.checked)
     safety.info["participations"] = len(rows)
     liveness.info["participations"] = len(rows)
     return safety, liveness, rows

@@ -28,8 +28,9 @@ explorer before symmetry reduction
 and its traces on (event, next state) pairs with the events stored in the
 parent links (`explore_by_events`, `trace_by_events`, and
 `explore_by_events_agrees`, which compares the two explorers and their
-traces), and the model check
-exploring every participation set (`check_model_per_participation`).
+traces), and the model check and `simulate check` exploring every
+participation set (`check_model_per_participation`,
+`simulate_check_per_participation`).
 Views and carriers are read straight off vertex payloads (`view1`,
 `view2`, `base_colors`). It also holds the helpers only
 tests use: `is_pure`, `facet_to_partition`, `symmetric_setcon`,
@@ -47,20 +48,23 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, prod
-from typing import NamedTuple
+from pathlib import Path
+from typing import Iterator, NamedTuple
 
 from affinetask import (Adversary, AdversaryError, AffineTask,
                         AgreementFunction,
                         ChromaticComplex, ComplexError, LeaderError, Simplex,
-                        Exploration, StateCapExceeded, Terminals,
-                        VerificationReport,
-                        Vertex, agreement_function,
+                        Exploration, SimulationError, StateCapExceeded,
+                        Terminals, VerificationReport,
+                        Vertex, adversary_to_dict, agreement_function,
                         build_r_a, chr2_complex, chr_vertex, closure,
-                        is_symmetric, make_k_of, ordered_set_partitions,
-                        require_fair, two_round_facet)
+                        events_to_jsonable, is_symmetric, make_k_of,
+                        ordered_set_partitions, require_fair,
+                        state_cap_from_env, two_round_facet)
 from affinetask.adversary import FairnessVerdict
-from affinetask.affine import _view_groups
+from affinetask.affine import _view_groups, task_alpha
 from affinetask.bits import colors_of, iter_bits, mask_of
+from affinetask.cli import _dump, _load_adversary, _parse_colors
 from affinetask.complexes import MAX_PROCESSES
 from affinetask.render import _CORNERS_2D, _project
 from affinetask.simulate import (DEFAULT_STATE_CAP, DONE, WROTE1, WROTE2,
@@ -434,7 +438,7 @@ def safety_by_definition(model, exploration: Exploration,
         if not (inside and in_task):
             report.add(outputs=list(sigma.uids), in_subdivision=inside,
                        state=model.decode(state))
-            report.states.append(state)
+            report.states[report.checked - 1] = state
     return report
 
 
@@ -477,7 +481,7 @@ def safety_per_state(model, exploration: Exploration,
             sigma, inside = unsafe[key]
             report.add(outputs=list(sigma.uids), in_subdivision=inside,
                        state=model.decode(state))
-            report.states.append(state)
+            report.states[report.checked - 1] = state
     return report
 
 
@@ -491,7 +495,7 @@ def liveness_per_state(model, exploration: Exploration) -> VerificationReport:
                  and model._prog(state, i) != DONE]
         if stuck:
             report.add(stuck=stuck, state=model.decode(state))
-            report.states.append(state)
+            report.states[report.checked - 1] = state
     return report
 
 
@@ -1118,8 +1122,8 @@ def explore_by_events_agrees(model, task, stride: int = 50) -> int:
             == (want.state_count, want.orbits, len(want.terminals)))
     assert got.terminals.orbits == want.terminals.orbits
     assert list(got.parents) == list(want.parents)
-    bad = {*check_safety(model, got, task).states,
-           *check_liveness(model, got).states}
+    bad = {*check_safety(model, got, task).states.values(),
+           *check_liveness(model, got).states.values()}
     traced = 0
     for k, state in enumerate(got.terminals):
         if state in bad or k % stride == 0:
@@ -1153,3 +1157,77 @@ def check_model_per_participation(adv: Adversary, task,
     safety.info["participations"] = len(rows)
     liveness.info["participations"] = len(rows)
     return safety, liveness, rows
+
+
+# `affinetask simulate check` as it was before it ran `simulate.sweep`: it
+# explores every participation set, and names each trace by expanding, a
+# second time, the terminal orbits that hold an offending state
+# (`_numbered`). Only `report.states` is read as the {position: state} dict
+# it now is.
+
+
+def _numbered(model: ProtocolModel, terminals: Terminals, states: set[int]
+              ) -> Iterator[tuple[int, int]]:
+    """(k, state) for each terminal state among `states`, k its position
+    in the terminals' iteration order; only the orbits that hold one of
+    them are expanded."""
+    reps = {model.canonical(state)[0] for state in states}
+    offset = 0
+    for rep, size in terminals.orbits:
+        if rep in reps:
+            for k, term in enumerate(terminals.expand(rep), offset):
+                if term in states:
+                    yield k, term
+        offset += size
+
+
+def simulate_check_per_participation(args) -> int:
+    """`cli.cmd_simulate_check` exploring every participation set, on the
+    arguments `cli.build_parser()` parses."""
+    adv = _load_adversary(args.adversary)
+    if args.n is not None and args.n != adv.n:
+        raise SimulationError(f"--n {args.n} disagrees with adversary n={adv.n}")
+    want_safety = args.safety or not args.liveness
+    want_liveness = args.liveness or not args.safety
+    if want_safety:
+        task = build_r_a(adv)
+    else:
+        task_alpha(adv)  # the input errors of build_r_a, without R_A
+    cap = state_cap_from_env()
+    parts = ([_parse_colors(args.participation)]
+             if args.participation is not None else valid_participations(adv))
+    # build every model, and so check its input, before anything is
+    # written; the trace directory is made once every participation is
+    # checked, so an error or an exceeded state cap leaves none behind
+    models = [ProtocolModel(adv, participation=P, fault_budget=args.fault_budget,
+                            max_states=cap) for P in parts]
+    doc = {"adversary": adversary_to_dict(adv), "participations": []}
+    ok = True
+    trace_dir = Path(args.trace_out) if args.trace_out else None
+    traces: dict[str, dict] = {}
+    for model in models:
+        exploration = model.explore(track_parents=trace_dir is not None)
+        row = exploration.row()
+        reports = []
+        if want_safety:
+            reports.append(check_safety(model, exploration, task))
+        if want_liveness:
+            reports.append(check_liveness(model, exploration))
+        for rep in reports:
+            row[rep.kind] = rep.to_dict()
+            ok = ok and rep.ok
+        doc["participations"].append(row)
+        if trace_dir is not None:
+            bad = {state for rep in reports for state in rep.states.values()}
+            P = sorted(model.participation)
+            stem = "trace_" + "".join(map(str, P))
+            for k, term in _numbered(model, exploration.terminals, bad):
+                events = model.trace_to(term, exploration.parents)
+                traces[f"{stem}_{k}.json"] = {"participation": P,
+                                              "events": events_to_jsonable(events)}
+    if trace_dir is not None:
+        trace_dir.mkdir(parents=True, exist_ok=True)
+        for name, trace in traces.items():
+            _dump(trace, str(trace_dir / name))
+    _dump(doc, args.out)
+    return 0 if ok else 1

@@ -8,11 +8,12 @@ import pytest
 
 from affinetask import (ProtocolModel, adversary_to_dict, build_r_a,
                         check_liveness, check_safety, complex_from_dict,
-                        make_k_of, valid_participations)
+                        make_k_of, make_t_resilient, valid_participations)
 from affinetask import cli
 from affinetask.cli import main
 from affinetask.simulate import STATE_CAP_ENV
 from conftest import FIXTURE_DIR
+from oracles import simulate_check_per_participation
 
 OF1 = str(FIXTURE_DIR / "obstruction_free_1.json")
 OF2 = str(FIXTURE_DIR / "obstruction_free_2.json")
@@ -453,13 +454,82 @@ def test_trace_names_number_the_terminals_in_iteration_order(tmp_path):
     for P in valid_participations(adv):
         model = ProtocolModel(adv, participation=P, fault_budget=2)
         exploration = model.explore()
-        bad = {*check_safety(model, exploration, build_r_a(adv)).states,
-               *check_liveness(model, exploration).states}
+        bad = {*check_safety(model, exploration, build_r_a(adv)).states.values(),
+               *check_liveness(model, exploration).states.values()}
         stem = "trace_" + "".join(map(str, sorted(P)))
         want |= {f"{stem}_{k}.json"
                  for k, term in enumerate(exploration.terminals) if term in bad}
     assert len(want) == 189
     assert {path.name for path in traces.iterdir()} == want
+
+
+def _simulate_check(run, out: Path, argv: list[str]) -> tuple:
+    """(exit code, report text, {trace name: text}) of `simulate check`
+    on argv, its report and traces written under out, run by run on the
+    parsed arguments."""
+    code = run(cli.build_parser().parse_args([
+        "simulate", "check", *argv, "--out", str(out / "check.json"),
+        "--trace-out", str(out / "traces")]))
+    traces = {path.name: path.read_text() for path in (out / "traces").iterdir()}
+    return code, (out / "check.json").read_text(), traces
+
+
+def _adversary_file(tmp_path: Path, adv) -> str:
+    path = tmp_path / "adversary.json"
+    path.write_text(json.dumps(adversary_to_dict(adv)))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["obstruction_free_1", "obstruction_free_2",
+                                  "resilient_1", "superset_closed_2_13",
+                                  "k_of_4_1"])
+def test_simulate_check_equals_the_check_of_every_participation(tmp_path,
+                                                                name):
+    """The report, the traces and the exit code of `simulate check`, which
+    explores one participation set per class, equal those of the reference
+    that explores each: on the four fixtures at the default budget and at
+    budgets 0 to 2 in all three modes, and on k_of(4,1) at the default
+    budget in all three modes."""
+    budgets: list[list[str]] = [[]]
+    if name == "k_of_4_1":
+        adversary = _adversary_file(tmp_path, make_k_of(4, 1))
+    else:
+        adversary = str(FIXTURE_DIR / f"{name}.json")
+        budgets += [["--fault-budget", str(b)] for b in (0, 1, 2)]
+    codes = []
+    for k, (budget, mode) in enumerate(
+            (b, m) for b in budgets for m in ([], ["--safety"], ["--liveness"])):
+        argv = ["--adversary", adversary, *budget, *mode]
+        got = _simulate_check(cli.cmd_simulate_check, tmp_path / f"got{k}", argv)
+        want = _simulate_check(simulate_check_per_participation,
+                               tmp_path / f"want{k}", argv)
+        assert got == want, argv
+        codes.append(got[0])
+    assert 0 in codes
+
+
+@pytest.mark.parametrize("adv,explored", [
+    (make_k_of(4, 1), [[1], [1, 2], [1, 2, 3], [1, 2, 3, 4]]),
+    (make_t_resilient(4, 1), [[1, 2, 3], [1, 2, 3, 4]]),
+], ids=["k_of_4_1", "t_resilient_4_1"])
+def test_simulate_check_explores_one_participation_per_class(
+        tmp_path, monkeypatch, adv, explored):
+    """Every swap keeps alpha and R_A, so one participation set of each
+    size is explored: 4 of the 15 of k_of(4,1), 2 of the 5 of
+    t_resilient(4,1); the others take its row."""
+    seen, explore = [], ProtocolModel.explore
+
+    def spied(model, *args, **kwargs):
+        seen.append(sorted(model.participation))
+        return explore(model, *args, **kwargs)
+
+    monkeypatch.setattr(ProtocolModel, "explore", spied)
+    out = tmp_path / "report.json"
+    assert main(["simulate", "check", "--adversary", _adversary_file(tmp_path, adv),
+                 "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["participations"]
+    assert [r["participation"] for r in rows] == list(map(sorted, valid_participations(adv)))
+    assert seen == explored
 
 
 def test_malformed_trace_is_an_input_error(tmp_path, capsys):

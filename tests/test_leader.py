@@ -9,9 +9,10 @@ from affinetask import (ComplexError, LeaderError, LeaderMap, Simplex,
                         agreement_function, build_r_a, chr_complex, closure,
                         make_k_of, make_symmetric, make_t_resilient,
                         standard_simplex, two_round_facet, verify_leader)
+from affinetask import affine as affine_module
 from affinetask import leader as leader_module
+from affinetask import subdivision as subdivision_module
 from affinetask.bits import colors_of
-from affinetask.subdivision import chr2_facets
 from oracles import (ComplexTask, code_of, critical_faces, mu_by_definition,
                      r_a_intersection_task, verify_mu_agreement,
                      verify_mu_robustness, verify_mu_validity)
@@ -254,17 +255,22 @@ LEADER_CHECKS = {
 }
 
 
-def test_leader_sweep_of_r_a_builds_no_complex(fixture_adversaries):
+def test_leader_sweep_of_r_a_builds_no_complex(monkeypatch,
+                                              fixture_adversaries):
     """verify_leader reads R_A's facets as vertex codes: it builds neither
     the task's complex nor chr2_facets, and its reports are the frozen
     counts and those of the sweep over the task's complex."""
-    chr2_facets.cache_clear()
+    def no_facets(n):
+        raise AssertionError("built the facets of Chr Chr s")
+
     swept = {}
-    for name, adv in sorted(fixture_adversaries.items()):
-        task = build_r_a(adv)
-        swept[name] = task, verify_leader(adv, task)
-        assert chr2_facets.cache_info().currsize == 0, name
-        assert "complex" not in vars(task), name
+    with monkeypatch.context() as patched:
+        patched.setattr(affine_module, "chr2_facets", no_facets)
+        patched.setattr(subdivision_module, "chr2_facets", no_facets)
+        for name, adv in sorted(fixture_adversaries.items()):
+            task = build_r_a(adv)
+            swept[name] = task, verify_leader(adv, task)
+            assert "complex" not in vars(task), name
     for name, (task, reports) in swept.items():
         assert [r.checked for r in reports] == LEADER_CHECKS[name]
         assert all(r.ok for r in reports), name

@@ -229,17 +229,41 @@ def test_liveness_fails_when_crashes_exceed_budget():
     report = check_liveness(model, exploration)
     assert not report.ok
     assert len(report.violations) == len(report.states) == 10
-    stuck = set(report.states)
-    assert report.states == [s for s in exploration.terminals if s in stuck]
+    stuck = set(report.states.values())
+    assert report.states == {k: s for k, s in enumerate(exploration.terminals)
+                             if s in stuck}
     assert "states" not in report.to_dict()
     assert all(any(p["pc"] == "Crashed" for p in v["state"]["processes"].values())
                for v in report.violations)
-    for state, violation in zip(report.states, report.violations):
+    for state, violation in zip(report.states.values(), report.violations):
         assert model.decode(state) == violation["state"]
         trace = model.trace_to(state, exploration.parents)
         assert replay(model, trace) == state
         round_tripped = events_from_jsonable(events_to_jsonable(trace))
         assert replay(model, round_tripped) == state
+
+
+@pytest.mark.parametrize("fault_budget", [None, 2])
+def test_report_states_are_keyed_by_terminal_position(fault_budget,
+                                                      fixture_adversaries):
+    """Every key of report.states is its state's index among the concrete
+    terminals, for safety against the intersection reading and for
+    liveness, on every participation of the four fixtures."""
+    positions = 0
+    for adv in fixture_adversaries.values():
+        task = r_a_intersection_task(adv)
+        for P in valid_participations(adv):
+            model = ProtocolModel(adv, participation=P, fault_budget=fault_budget)
+            exploration = model.explore()
+            terminals = dict(enumerate(exploration.terminals))
+            for report in (check_safety(model, exploration, task),
+                           check_liveness(model, exploration)):
+                assert len(report.states) == len(report.violations)
+                assert list(report.states) == sorted(report.states)
+                assert all(terminals[k] == state
+                           for k, state in report.states.items())
+                positions += len(report.states)
+    assert positions > 0
 
 
 def test_states_with_only_crashes_enabled_are_terminal():
@@ -251,7 +275,7 @@ def test_states_with_only_crashes_enabled_are_terminal():
     assert sum(1 for s in exploration.terminals if model.successors(s)) == 105
     report = check_liveness(model, exploration)
     assert len(report.violations) == 372
-    for state in report.states:
+    for state in report.states.values():
         assert replay(model, model.trace_to(state, exploration.parents)) == state
 
 
@@ -281,7 +305,7 @@ def test_every_unsafe_terminal_replays(fixture_adversaries):
         model = ProtocolModel(adv, participation=P)
         exploration = model.explore(track_parents=True)
         report = check_safety(model, exploration, inter)
-        for state in report.states:
+        for state in report.states.values():
             assert replay(model, model.trace_to(state, exploration.parents)) == state
         unsafe += len(report.states)
     assert unsafe == 480
@@ -294,9 +318,10 @@ def test_safety_report_hands_back_the_unsafe_terminals(fixture_adversaries):
     exploration = model.explore()
     report = check_safety(model, exploration, inter)
     assert len(report.states) == len(report.violations) > 0
-    unsafe = set(report.states)
-    assert report.states == [s for s in exploration.terminals if s in unsafe]
-    for state, violation in zip(report.states, report.violations):
+    unsafe = set(report.states.values())
+    assert report.states == {k: s for k, s in enumerate(exploration.terminals)
+                             if s in unsafe}
+    for state, violation in zip(report.states.values(), report.violations):
         sigma = output_simplex(model, state)
         assert sigma not in inter.complex
         assert list(sigma.uids) == violation["outputs"]
@@ -490,7 +515,7 @@ def _assert_reduction_exact(model: ProtocolModel, task) -> None:
                    lambda e: check_liveness(model, e)):
         a, b = decide(reduced), decide(full)
         assert a.checked == b.checked
-        assert sorted(a.states) == sorted(b.states)
+        assert sorted(a.states.values()) == sorted(b.states.values())
     _assert_orbit_checks_exact(model, reduced, task)
 
 
@@ -923,6 +948,24 @@ def test_check_safety_rejects_a_task_of_another_n():
     model = ProtocolModel(make_k_of(2, 1))
     with pytest.raises(SimulationError, match="over n=3"):
         check_safety(model, model.explore(), build_r_a(make_k_of(3, 1)))
+
+
+def test_checks_reject_an_exploration_of_another_model():
+    """k_of(3,2) at fault budget 2: the full participation's exploration
+    is not that of the {1, 2} or {1} model, nor of the full model at
+    another budget, so neither check decides on it."""
+    adv = make_k_of(3, 2)
+    task = build_r_a(adv)
+    exploration = ProtocolModel(adv, fault_budget=2).explore()
+    for model in (ProtocolModel(adv, {1, 2}, fault_budget=2),
+                  ProtocolModel(adv, {1}, fault_budget=2),
+                  ProtocolModel(adv, fault_budget=1)):
+        with pytest.raises(SimulationError, match="exploration of participation"):
+            check_liveness(model, exploration)
+        with pytest.raises(SimulationError, match="exploration of participation"):
+            check_safety(model, exploration, task)
+    report = check_liveness(ProtocolModel(adv, fault_budget=2), exploration)
+    assert len(report.violations) == 189
 
 
 def test_output_simplex_needs_round_one_views_of_the_seen():
