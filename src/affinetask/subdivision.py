@@ -16,10 +16,15 @@ A Chr Chr s vertex is one int, its packed carrier above its color in the
 low three bits. This module alone derives it: `chr2_codes` codes a
 round-two run over a packed round-one run, `chr2_facet_codes` the facet
 at each run-pair id, and `chr2_vertex` turns a code into the pooled
-`Vertex`. Facets are built on this code, from one enumeration of the runs
-per n, `all_runs`. A sub-complex of Chr Chr s is a `CodeComplex`, the
-run-pair ids of its facets, which answers "do these codes lie in one
-facet?" (`holds`); `chr2_code_complex` is all of Chr Chr s so held.
+`Vertex`. Its carrier comes from one pool of Chr s simplices,
+`chr1_simplex`, the one place a packed word becomes a Chr s simplex; a
+word that is no face of a run raises. Facets are built on this code, from
+one enumeration of the runs per n, `all_runs`: a facet of Chr s is the
+pooled simplex of a packed run, and Chr Chr s is assembled one round-one
+run at a time, from one row of vertices per run. A sub-complex of Chr Chr
+s is a `CodeComplex`, the run-pair ids of its facets, which answers "do
+these codes lie in one facet?" (`holds`); `chr2_code_complex` is all of
+Chr Chr s so held.
 
 Geometry is exact and on integers: `barycentric_points` places each vertex
 once per call, from its carrier's points, over one common denominator.
@@ -29,9 +34,9 @@ from __future__ import annotations
 from array import array
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .bits import colors_of, integer, iter_bits, mask_of
@@ -137,14 +142,29 @@ def chr2_facet_codes(n: int, ids: Iterable[int]) -> Iterator[list[int]]:
 
 
 @lru_cache(maxsize=None)
+def chr1_simplex(packed: int) -> Simplex:
+    """The pooled Chr s simplex of a packed view word (`packed_views`):
+    the `chr1_vertex` of each color with a nonzero field, that field its
+    view mask. Raises ComplexError unless the views are those of a face of
+    a run: each holds its own color, they form a chain under inclusion,
+    and a color's view holds the view of every present color it saw."""
+    views = [(c, view) for c in range(1, MAX_PROCESSES + 1)
+             if (view := packed >> MAX_PROCESSES * (c - 1) & _VIEW)]
+    # per view a of color c and each view b: c in a, and a inside b or b
+    # inside a without c
+    if (not views or packed >> MAX_PROCESSES * MAX_PROCESSES or not all(
+            a >> c - 1 & 1 and (a & b == a or a & b == b and not b >> c - 1 & 1)
+            for c, a in views for _, b in views)):
+        raise ComplexError(f"packed views {packed:#x} are no Chr s simplex")
+    return Simplex(tuple(chr1_vertex(c, view) for c, view in views))
+
+
+@lru_cache(maxsize=None)
 def chr2_vertex(code: int) -> Vertex:
     """The Chr Chr s vertex of a code: its color, code & 7, whose round-two
-    view is the packed Chr s simplex code >> 3, the round-one view mask of
-    each color it saw in that color's field."""
-    carrier = code >> 3
-    fields = (carrier >> MAX_PROCESSES * c & _VIEW for c in range(MAX_PROCESSES))
-    return chr_vertex(code & 7, Simplex(tuple(
-        chr1_vertex(c, view) for c, view in enumerate(fields, 1) if view)))
+    view is the Chr s simplex `chr1_simplex(code >> 3)`, the round-one view
+    mask of each color it saw in that color's field."""
+    return chr_vertex(code & 7, chr1_simplex(code >> 3))
 
 
 def simplex_of_codes(codes: Iterable[int]) -> Simplex:
@@ -157,7 +177,7 @@ def partition_to_facet(blocks: Sequence[Iterable[int]], n: int) -> Simplex:
 
     The vertex for a color in block i carries the union of blocks 1..i.
     """
-    return Simplex(tuple(chr1_vertex(c, view) for c, view in _run(blocks, n)))
+    return chr1_simplex(pack(_run(blocks, n)))
 
 
 @lru_cache(maxsize=None)
@@ -173,16 +193,30 @@ def all_runs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 def chr_complex(n: int) -> ChromaticComplex:
     """Chr s for the standard n-process simplex: one facet per run."""
     return ChromaticComplex(n=n, facets=frozenset(
-        Simplex(tuple(chr1_vertex(c, view) for c, view in run))
-        for run in all_runs(n)))
+        chr1_simplex(pack(run)) for run in all_runs(n)))
 
 
 @lru_cache(maxsize=None)
 def chr2_facets(n: int) -> tuple[Simplex, ...]:
     """The facets of Chr Chr s in run-pair order: the facet of runs i and j
-    of `all_runs(n)` is at i * len(all_runs(n)) + j."""
-    ids = range(len(all_runs(n)) ** 2)
-    return tuple(map(simplex_of_codes, chr2_facet_codes(n, ids)))
+    of `all_runs(n)` is at i * len(all_runs(n)) + j.
+
+    Assembled one round-one run at a time: the vertices of every (color,
+    view) pair of a run, over round-one run i, make one row, and the facet
+    of runs i and j is the row's entries at run j's pairs, in color order
+    (uid order, as colors are single digits)."""
+    runs = all_runs(n)
+    pairs = sorted(set(chain.from_iterable(runs)))  # by color, then view
+    at = {pair: k for k, pair in enumerate(pairs)}
+    # itemgetter of one key returns the entry, not a 1-tuple; at n = 1 the
+    # one pair's row is the one facet
+    picks = ([itemgetter(*sorted(map(at.__getitem__, run))) for run in runs]
+             if n > 1 else [tuple])
+    facets = []
+    for run in runs:
+        row = tuple(map(chr2_vertex, chr2_codes(pack(run), pairs)))
+        facets.extend(Simplex(pick(row)) for pick in picks)
+    return tuple(facets)
 
 
 @lru_cache(maxsize=None)

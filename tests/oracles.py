@@ -3,9 +3,11 @@
 Everything here is deliberately written against different primitives than
 the package: a simplex's vertices as a set sorted by uid (`simplex_by_set`),
 Chr K by walking prefix-carrier Simplex objects of each base
-facet (`build_chr`), barycentric geometry by a recursive Fraction sum
-(`geometry_by_definition`), partition counting via the surjection formula, the pure
-complement via brute-force filtering, the resilient task via a per-vertex
+facet (`build_chr`), the facets of Chr Chr s one at a time from each
+facet's codes (`chr2_facets_by_codes`), barycentric geometry by a
+recursive Fraction sum (`geometry_by_definition`), partition counting via
+the surjection formula, the pure complement via brute-force filtering,
+the resilient task via a per-vertex
 view filter, contention by comparing the frozenset views of every vertex
 pair (`reversed_views`, `contending`), the contention-ban task by banning
 the simplices so found, the affine task via Simplex objects and frozenset
@@ -70,8 +72,9 @@ from affinetask.render import _CORNERS_2D, _project
 from affinetask.simulate import (DEFAULT_STATE_CAP, DONE, WROTE1, WROTE2,
                                  ProtocolModel, _require_task_n, check_liveness,
                                  check_safety, valid_participations)
-from affinetask.subdivision import (_FIELDS, _VIEW, all_runs, pack,
-                                   packed_views, simplex_of_codes)
+from affinetask.subdivision import (_FIELDS, _VIEW, all_runs,
+                                   chr2_facet_codes, pack, packed_views,
+                                   simplex_of_codes)
 
 
 def code_of(v: Vertex) -> int:
@@ -81,6 +84,14 @@ def code_of(v: Vertex) -> int:
     if v.payload is None or v.payload.vertices[0].payload is None:
         raise ComplexError(f"{v!r} is not a Chr Chr s vertex")
     return packed_views(v.payload) << 3 | v.color
+
+
+def chr2_facets_by_codes(n: int) -> tuple[Simplex, ...]:
+    """The facets of Chr Chr s in run-pair order, each the Simplex of its
+    own vertex codes: a code list per facet and a `chr2_vertex` lookup per
+    vertex of each facet."""
+    return tuple(map(simplex_of_codes,
+                     chr2_facet_codes(n, range(len(all_runs(n)) ** 2))))
 
 
 def color_combinations(codes, stride: int = 1):

@@ -10,15 +10,16 @@ from affinetask import (Adversary, AffineTask, ChromaticComplex,
                         ProtocolModel, Simplex, SimulationError,
                         StateCapExceeded,
                         build_r_a, check_liveness, check_model, check_safety,
-                        chr2_complex, events_from_jsonable, events_to_jsonable,
-                        closure, make_k_of, make_t_resilient, replay,
+                        chr2_complex, chr_complex, events_from_jsonable,
+                        events_to_jsonable, closure, make_k_of, make_t_resilient, replay,
                         state_cap_from_env, two_round_facet,
                         valid_participations, wait_predicate)
 from affinetask import affine as affine_module
 from affinetask import simulate as simulate_module
 from affinetask.simulate import (DONE, INV1, INV2, STATE_CAP_ENV,
                                  _task_symmetric)
-from affinetask.subdivision import chr2_code_complex, chr2_facets
+from affinetask.subdivision import (chr1_simplex, chr2_code_complex,
+                                   chr2_facets, chr2_vertex, packed_views)
 from oracles import (ComplexTask, check_model_per_participation, code_of,
                      explore_by_events_agrees, explore_unreduced,
                      liveness_per_state, masks, output_simplex, outputs,
@@ -371,15 +372,21 @@ def test_output_codes_are_the_codes_of_the_register_views(
         fixture_adversaries, fault_budget, terminals):
     """The vertex codes of every terminal of the four fixtures are the
     codes, written out from the payloads, of the vertices that chr_vertex
-    makes from the register-list views."""
-    checked = 0
+    makes from the register-list views. Each code's carrier is a simplex
+    of Chr s, so chr2_vertex, which raises on any other, makes every
+    output vertex that check_safety reports."""
+    checked, codes = 0, set()
     for adv in fixture_adversaries.values():
         model = ProtocolModel(adv, fault_budget=fault_budget)
         for state in model.explore().terminals:
             want = tuple(map(code_of, returned_vertices(model, state)))
             assert model.output_codes(state) == want, state
+            codes.update(want)
             checked += 1
     assert checked == terminals
+    assert {c >> 3 for c in codes} <= set(map(packed_views,
+                                              chr_complex(3).simplices()))
+    assert all(chr2_vertex(c).payload is chr1_simplex(c >> 3) for c in codes)
 
 
 def test_r_a_is_carved_counted_and_checked_without_simplices(

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -11,11 +11,13 @@ from affinetask import (ComplexError, Simplex, chr2_complex, chr_complex,
                         ordered_set_partitions, partition_to_facet,
                         standard_simplex, two_round_facet)
 
-from affinetask.subdivision import (barycentric_points, chr2_code_complex,
-                                   chr2_facet_codes, chr2_facets,
+from affinetask.complexes import MAX_PROCESSES
+from affinetask.subdivision import (barycentric_points, chr1_simplex,
+                                   chr2_code_complex, chr2_facet_codes,
+                                   chr2_facets, chr2_vertex, packed_views,
                                    simplex_of_codes)
-from oracles import (build_chr, code_of, color_combinations,
-                     facet_to_partition, fubini,
+from oracles import (build_chr, chr2_facets_by_codes, code_of,
+                     color_combinations, facet_to_partition, fubini,
                      geometry_by_definition, immediate_snapshot_views,
                      ordered_partitions_by_merging, view1, view2)
 
@@ -71,6 +73,68 @@ def test_facet_codes_are_the_codes_of_the_facets(n):
     for facet, got in zip(facets, codes):
         assert set(got) == set(map(code_of, facet))
         assert simplex_of_codes(got) == facet
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chr2_facets_are_the_facets_of_their_codes(n):
+    """The facets assembled one round-one run at a time are those made
+    facet by facet from their codes, in run-pair order and on the same
+    vertex objects, chr2_vertex of each code."""
+    got, want = chr2_facets(n), chr2_facets_by_codes(n)
+    assert got == want
+    assert all(a is b for f, g in zip(got, want)
+               for a, b in zip(f.vertices, g.vertices, strict=True))
+
+
+@pytest.mark.parametrize("n,count", [(1, 1), (2, 7), (3, 49), (4, 415)])
+def test_chr2_vertices_share_one_pooled_carrier_per_chr_simplex(n, count):
+    """The vertices of Chr Chr s have one payload object per simplex of
+    Chr s, chr1_simplex of its packed views; a facet of Chr s, also as
+    partition_to_facet makes it, is that same object."""
+    payloads = {id(v.payload): v.payload for f in chr2_facets(n) for v in f}
+    assert len(payloads) == len(chr_complex(n).simplices()) == count
+    assert all(rho is chr1_simplex(packed_views(rho))
+               for rho in payloads.values())
+    for blocks in ordered_set_partitions(range(1, n + 1)):
+        f = partition_to_facet(blocks, n)
+        assert f is chr1_simplex(packed_views(f))
+        assert f in chr_complex(n).facets
+        assert id(f) in payloads
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chr1_simplex_accepts_exactly_the_simplices_of_chr(n):
+    """Of every packed word with a field of n bits for each of the colors
+    1..n, chr1_simplex makes a simplex exactly of the packed views of the
+    simplices of Chr s and raises ComplexError on every other."""
+    accepted = set()
+    for fields in product(range(1 << n), repeat=n):
+        word = sum(f << MAX_PROCESSES * c for c, f in enumerate(fields))
+        try:
+            sigma = chr1_simplex(word)
+        except ComplexError:
+            continue
+        assert packed_views(sigma) == word
+        accepted.add(word)
+    assert accepted == set(map(packed_views, chr_complex(n).simplices()))
+
+
+@pytest.mark.parametrize("word", [
+    1 | 2 << 5,  # views {1} and {2}: no chain
+    2,  # color 1 without itself in its view
+    3 | 7 << 5,  # 1 saw 2, whose view {1, 2, 3} is not inside {1, 2}
+    1 | 1 << 25,  # a bit above the five fields
+    0, -1])
+def test_a_word_of_no_chr_s_simplex_makes_no_vertex(word):
+    """A packed word that is no Chr s simplex raises ComplexError, as
+    carrier and through every code over it."""
+    with pytest.raises(ComplexError, match="no Chr s simplex"):
+        chr1_simplex(word)
+    for color in range(1, MAX_PROCESSES + 1):
+        with pytest.raises(ComplexError, match="no Chr s simplex"):
+            chr2_vertex(word << 3 | color)
+        with pytest.raises(ComplexError, match="no Chr s simplex"):
+            simplex_of_codes([word << 3 | color])
 
 
 @pytest.mark.parametrize("n,stride,checked,inside", [
